@@ -88,7 +88,6 @@ fn ablation_consolidation_policy(c: &mut Criterion) {
     g.sample_size(10);
     for policy in [
         ConsolidationPolicyChoice::HotZonesFirst,
-        ConsolidationPolicyChoice::EmptiestFirst,
         ConsolidationPolicyChoice::MostHeadroomReceivers,
     ] {
         let label = format!("{policy:?}");

@@ -312,7 +312,6 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
     ];
     let consolidations = [
         ConsolidationPolicyChoice::HotZonesFirst,
-        ConsolidationPolicyChoice::EmptiestFirst,
         ConsolidationPolicyChoice::MostHeadroomReceivers,
     ];
 

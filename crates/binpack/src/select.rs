@@ -24,8 +24,8 @@ pub enum PackerStrategy {
     NextFit,
 }
 
-/// The packing heuristic for `strategy`, boxed once so hot paths never
-/// re-box it.
+/// The packing heuristic for `strategy`. Every packer is a zero-sized
+/// type, so the box never allocates and callers may construct it per use.
 #[must_use]
 pub fn packer_for(strategy: PackerStrategy) -> Box<dyn Packer> {
     match strategy {

@@ -15,46 +15,39 @@ use willow_thermal::units::{Seconds, Watts};
 /// experiment configs are unaffected by the aliasing.
 pub use willow_binpack::PackerStrategy as PackerChoice;
 
-/// Which [`MigrationTargetPolicy`](crate::control::MigrationTargetPolicy)
-/// orders the eligible target bins of each demand-side packing instance.
+/// How the eligible target bins of each demand-side packing instance are
+/// ordered before packing.
 ///
-/// Like [`PackerChoice`], this selects a deterministic, stateless policy
-/// that [`ControlPolicies::for_config`](crate::control::ControlPolicies)
-/// constructs from config alone — checkpoint restore rebuilds it without
-/// serializing any policy state. The default reproduces the paper's
+/// Like [`PackerChoice`], this selects a deterministic, stateless ordering
+/// that the demand stage matches on directly, so checkpoint restore needs
+/// no policy state beyond the config. The default reproduces the paper's
 /// behavior bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum TargetPolicyChoice {
-    /// Ascending arena id — "first eligible server in tree order"
-    /// ([`AscendingIdTargets`](crate::control::AscendingIdTargets),
-    /// the paper's evaluation order; default).
+    /// Ascending arena id — "first eligible server in tree order" (the
+    /// paper's evaluation order; default).
     #[default]
     AscendingId,
-    /// Tightest surplus first
-    /// ([`BestFitTargets`](crate::control::BestFitTargets)).
+    /// Tightest surplus first; ties to the more utilized server.
     BestFit,
-    /// Coolest server (largest thermal headroom) first
-    /// ([`ThermalHeadroomTargets`](crate::control::ThermalHeadroomTargets)).
+    /// Coolest server (largest gap between thermal cap and demand) first.
     ThermalHeadroom,
 }
 
-/// Which [`ConsolidationOrderPolicy`](crate::control::ConsolidationOrderPolicy)
-/// orders consolidation's evacuation victims and receiver bins.
+/// How consolidation orders the receiver bins it evacuates victims into.
+/// Victims always evacuate thermally constrained (hot-zone) servers first,
+/// emptiest first within a zone.
 ///
 /// Selected the same way as [`TargetPolicyChoice`]; the default reproduces
 /// the paper's behavior bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ConsolidationPolicyChoice {
-    /// Thermally constrained victims first, coolest receivers first
-    /// ([`HotZonesFirst`](crate::control::HotZonesFirst), the paper's
-    /// ordering; default).
+    /// Coolest receivers (largest hard cap) first, fullest first within a
+    /// zone (the paper's ordering; default).
     #[default]
     HotZonesFirst,
-    /// Emptiest victims first, fullest receivers first
-    /// ([`EmptiestFirst`](crate::control::EmptiestFirst)).
-    EmptiestFirst,
-    /// Receivers with the largest power headroom first
-    /// ([`MostHeadroomReceivers`](crate::control::MostHeadroomReceivers)).
+    /// Receivers with the largest power headroom (budget minus demand)
+    /// first.
     MostHeadroomReceivers,
 }
 
@@ -62,10 +55,9 @@ pub enum ConsolidationPolicyChoice {
 /// planning seam ([`PlanningContext`](crate::control::PlanningContext)) or
 /// only on current measurements.
 ///
-/// Unlike the other policy knobs this does not swap a trait object: the
-/// predictive behaviors live inside the stages, gated on this choice, and
-/// draw on forecaster state that *is* serialized (in `WillowSnapshot`), so
-/// a restored controller continues predicting bit-for-bit.
+/// Unlike the ordering knobs, the predictive behaviors draw on forecaster
+/// state, which is serialized (in `WillowSnapshot`), so a restored
+/// controller continues predicting bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SupplyPolicyChoice {
     /// The paper's purely reactive control (default): every stage decides
@@ -477,7 +469,7 @@ mod tests {
                 c.thermal_estimate = ThermalEstimate::NaiveThrottle;
                 c.allocation = AllocationPolicy::ProportionalToCapacity;
                 c.target_policy = TargetPolicyChoice::ThermalHeadroom;
-                c.consolidation_policy = ConsolidationPolicyChoice::EmptiestFirst;
+                c.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
                 let json = serde_json::to_string(&c).unwrap();
                 let back: ControllerConfig = serde_json::from_str(&json).unwrap();
                 assert_eq!(c, back);
@@ -491,7 +483,6 @@ mod tests {
         ] {
             for consolidation in [
                 ConsolidationPolicyChoice::HotZonesFirst,
-                ConsolidationPolicyChoice::EmptiestFirst,
                 ConsolidationPolicyChoice::MostHeadroomReceivers,
             ] {
                 for supply in [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive] {
@@ -527,6 +518,31 @@ mod tests {
         );
         assert_eq!(back.supply_policy, SupplyPolicyChoice::Reactive);
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn consolidation_policy_absent_loads_and_retired_variant_is_rejected() {
+        // A config without the key loads as the paper's ordering.
+        let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
+        let stripped = json.replacen(",\"consolidation_policy\":\"HotZonesFirst\"", "", 1);
+        assert_ne!(stripped, json, "consolidation_policy key not found");
+        let back: ControllerConfig = serde_json::from_str(&stripped).unwrap();
+        assert_eq!(
+            back.consolidation_policy,
+            ConsolidationPolicyChoice::HotZonesFirst
+        );
+        // The retired emptiest-first ordering (inert in the policy race)
+        // is no longer a variant: configs naming it fail loudly instead of
+        // silently running a different ordering.
+        let retired = concat!("Emptiest", "First");
+        let legacy = json.replacen("\"HotZonesFirst\"", &format!("\"{retired}\""), 1);
+        let err = serde_json::from_str::<ControllerConfig>(&legacy)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unknown") && err.contains("variant") && err.contains(retired),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Pipeline stage 4 — consolidation (§IV-E end, §V-C5): below-threshold
 //! servers try to empty themselves (local targets first) and sleep if they
-//! succeed; sleeping servers may be woken when demand was shed. The
-//! victim/receiver ordering is the third pluggable decision point (see
-//! [`super::policy`]). Also home to the operator API (drain, force-wake,
-//! ambient changes), which reuses the evacuation machinery.
+//! succeed; sleeping servers may be woken when demand was shed. Victims
+//! evacuate hot zones first; the receiver ordering is the third policy
+//! decision point (`ControllerConfig::consolidation_policy`, matched where
+//! evacuations are planned). Also home to the operator API (drain,
+//! force-wake, ambient changes), which reuses the evacuation machinery.
 
 use super::demand::DeficitItem;
 use super::planning::PlanningContext;
 use super::Willow;
-use crate::config::SupplyPolicyChoice;
+use crate::config::{ConsolidationPolicyChoice, SupplyPolicyChoice};
 use crate::migration::{MigrationReason, MigrationRecord};
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
@@ -87,12 +88,7 @@ impl Willow {
                     && self.servers[i].utilization() < self.config.consolidation_threshold
                     && !self.predicted_above_threshold(i, plan)
             }));
-        {
-            let ctx = self.policy_ctx();
-            self.policies
-                .consolidation
-                .order_victims(&ctx, plan, &mut stage.candidates);
-        }
+        self.order_victims(&mut stage.candidates);
 
         // Servers that receive consolidated load this round must not be
         // evacuated in the same round — that would cascade apps through
@@ -123,7 +119,6 @@ impl Willow {
                 &mut stage.evac_free,
                 &mut stage.evac_order,
                 &mut stage.evac_plan,
-                plan,
             ) {
                 // A failed attempt mid-plan (injected reject/abort) stops
                 // the evacuation: the server keeps its remaining apps and
@@ -207,6 +202,56 @@ impl Willow {
             .max((pred_demand - serviceable).non_negative())
     }
 
+    /// Order consolidation victims: thermally constrained (lowest hard cap,
+    /// i.e. hot zones) first, then emptiest first. The paper's Fig. 7 notes
+    /// that Willow "tries to move as much work away from these \[hot\]
+    /// servers as possible … hence they remain shut down for more time".
+    pub(super) fn order_victims(&self, victims: &mut [usize]) {
+        let cap = |i: usize| self.power.cap[self.servers[i].node.index()].0;
+        victims.sort_unstable_by(|&a, &b| {
+            cap(a)
+                .total_cmp(&cap(b))
+                .then(
+                    self.servers[a]
+                        .utilization()
+                        .total_cmp(&self.servers[b].utilization()),
+                )
+                .then(a.cmp(&b))
+        });
+    }
+
+    /// Order one locality class of evacuation receivers by
+    /// `config.consolidation_policy`; evacuation first-fits into them in
+    /// this order.
+    pub(super) fn order_receivers(&self, receivers: &mut [NodeId]) {
+        let power = &self.power;
+        match self.config.consolidation_policy {
+            // Coolest zone (largest hard cap) first so consolidated load
+            // lands where thermal headroom is, then most-utilized first so
+            // consolidation fills the fullest servers (the FFDLR "run every
+            // server at full utilization" rationale) instead of cascading
+            // load through near-idle ones.
+            ConsolidationPolicyChoice::HotZonesFirst => {
+                let util = self.leaf_utilization();
+                let cap = |n: NodeId| power.cap[n.index()].0;
+                receivers.sort_unstable_by(|a, b| {
+                    cap(*b)
+                        .total_cmp(&cap(*a))
+                        .then(util(*b).total_cmp(&util(*a)))
+                        .then(a.cmp(b))
+                });
+            }
+            // Largest power headroom (budget minus demand) first: load goes
+            // where budget is available right now, which can absorb a whole
+            // victim without cascading first-fit spills.
+            ConsolidationPolicyChoice::MostHeadroomReceivers => {
+                let headroom = |n: NodeId| power.tp[n.index()].0 - power.cp[n.index()].0;
+                receivers
+                    .sort_unstable_by(|a, b| headroom(*b).total_cmp(&headroom(*a)).then(a.cmp(b)));
+            }
+        }
+    }
+
     /// Try to place *all* apps of server `si` elsewhere (local bins first,
     /// then anywhere eligible). Fills `plan` and returns `true`, or returns
     /// `false` if the server cannot be fully evacuated.
@@ -220,7 +265,6 @@ impl Willow {
         free: &mut Vec<f64>,
         order: &mut Vec<usize>,
         plan: &mut Vec<(DeficitItem, NodeId)>,
-        planning: &PlanningContext,
     ) -> bool {
         plan.clear();
         let leaf = self.servers[si].node;
@@ -249,8 +293,8 @@ impl Willow {
         sizes.extend(items.iter().map(|it| self.effective_size(it.demand)));
 
         // Eligible bins: siblings first, then the rest of the data center.
-        // The consolidation policy orders each class separately so the
-        // locality preference is never policy-dependent.
+        // Each class is ordered separately so the locality preference is
+        // never policy-dependent.
         bins.clear();
         bins.extend(
             self.tree
@@ -258,23 +302,13 @@ impl Willow {
                 .filter(|&l| self.target_eligible(l)),
         );
         let n_siblings = bins.len();
-        {
-            let ctx = self.policy_ctx();
-            self.policies
-                .consolidation
-                .order_receivers(&ctx, planning, &mut bins[..n_siblings]);
-        }
+        self.order_receivers(&mut bins[..n_siblings]);
         for l in self.tree.leaves() {
             if l != leaf && self.target_eligible(l) && !bins[..n_siblings].contains(&l) {
                 bins.push(l);
             }
         }
-        {
-            let ctx = self.policy_ctx();
-            self.policies
-                .consolidation
-                .order_receivers(&ctx, planning, &mut bins[n_siblings..]);
-        }
+        self.order_receivers(&mut bins[n_siblings..]);
         if bins.is_empty() {
             return false;
         }
@@ -341,7 +375,6 @@ impl Willow {
             return true;
         }
         let mut stage = std::mem::take(&mut self.consolidate_stage);
-        let planning = std::mem::take(&mut self.planning);
         let planned = self.plan_full_evacuation(
             server,
             &mut stage.evac_items,
@@ -350,9 +383,7 @@ impl Willow {
             &mut stage.evac_free,
             &mut stage.evac_order,
             &mut stage.evac_plan,
-            &planning,
         );
-        self.planning = planning;
         let mut drained = planned;
         if planned {
             stage.drain_records.clear();

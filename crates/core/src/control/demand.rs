@@ -1,8 +1,10 @@
 //! Pipeline stage 3 — demand adaptation (§IV-E): per-level bottom-up bin
 //! packing of deficit parcels into surpluses, sibling subtrees first,
 //! leftovers passed up for non-local placement. Two of the pipeline's
-//! pluggable decision points live here: the packing heuristic and the
-//! candidate-target ordering (see [`super::policy`]).
+//! policy decision points live here: the packing heuristic
+//! (`ControllerConfig::packer`) and the candidate-target ordering
+//! (`ControllerConfig::target_policy`), each matched on its config enum at
+//! the point of use.
 //!
 //! Sharded sub-steps (bit-for-bit identical to serial at any thread
 //! count):
@@ -16,29 +18,20 @@
 //!   changes any of those inputs, so the cache holds for the whole stage —
 //!   and it replaces the `O(height)` ancestor climb the serial code paid
 //!   *per candidate bin per level* with an `O(nodes)` top-down sweep.
-//! * **Candidate-bin filtering** — wide instances (≥ `PAR_BINS_MIN_LEAVES`
-//!   leaves under the PMU) filter the Euler-tour leaf range shard-by-shard
-//!   into per-shard lists concatenated in shard order — the same sequence
-//!   the serial filter emits.
 //!
-//! Group packing and migration execution stay serial: each migration
-//! mutates the `cp`/`tp` surpluses that every later group must observe,
-//! and journal transaction ids, attempt ordinals and record order are all
-//! part of the deterministic contract.
+//! Candidate-bin filtering, group packing and migration execution stay
+//! serial: each migration mutates the `cp`/`tp` surpluses that every later
+//! group must observe, and journal transaction ids, attempt ordinals and
+//! record order are all part of the deterministic contract.
 
-use super::planning::PlanningContext;
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
+use crate::config::TargetPolicyChoice;
 use crate::migration::{MigrationReason, MigrationRecord};
+use willow_binpack::packer_for;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 use willow_workload::app::AppId;
-
-/// Minimum Euler-tour leaf-range width before the candidate-bin filter is
-/// worth sharding: below this the pool dispatch costs more than the scan.
-/// The cutover only picks the execution path — both paths emit the same
-/// bin sequence — so it cannot affect results.
-const PAR_BINS_MIN_LEAVES: usize = 4096;
 
 /// A deficit parcel traveling up the hierarchy: one application that must
 /// leave its server.
@@ -79,8 +72,6 @@ pub(crate) struct DemandStage {
     pub(super) shard_items: Vec<Vec<DeficitItem>>,
     /// Per-shard app-ordering scratch for deficit selection.
     pub(super) shard_order: Vec<Vec<usize>>,
-    /// Per-shard candidate-bin scratch for wide packing instances.
-    pub(super) shard_bins: Vec<Vec<NodeId>>,
     /// Arena slot → budget-reduced on itself or any ancestor, refreshed
     /// once per stage run (top-down sweep).
     pub(super) reduced_anc: Vec<bool>,
@@ -148,7 +139,6 @@ impl Willow {
         tick: u64,
         stage: &mut DemandStage,
         records: &mut Vec<MigrationRecord>,
-        plan: &PlanningContext,
     ) {
         // Collect deficit items at the leaves.
         self.collect_deficit_items(stage);
@@ -217,10 +207,8 @@ impl Willow {
                     &mut stage.bin_caps,
                     &mut stage.sizes,
                     &stage.eligible,
-                    &mut stage.shard_bins,
                     tick,
                     records,
-                    plan,
                 );
                 i = j;
             }
@@ -364,11 +352,47 @@ impl Willow {
         });
     }
 
+    /// Order the eligible target bins of one packing instance by
+    /// `config.target_policy`. `targets` arrives in DFS (Euler-tour) order.
+    /// The packer sees the bins in this order, so for order-sensitive
+    /// packers (next-fit) it decides which surplus absorbs a parcel; the
+    /// capacity-sorting packers (FFDLR, FFD, BFD) re-sort bins internally,
+    /// so for them it only breaks equal-capacity ties.
+    pub(super) fn order_targets(&self, targets: &mut [NodeId]) {
+        let power = &self.power;
+        match self.config.target_policy {
+            // Ascending arena id — "first eligible server in tree order",
+            // the paper's evaluation order.
+            TargetPolicyChoice::AscendingId => targets.sort_unstable(),
+            // Tightest surplus first, so a parcel lands in the server it
+            // fills most completely and large surpluses stay whole; ties go
+            // to the more utilized server.
+            TargetPolicyChoice::BestFit => {
+                let margin = self.config.margin.0;
+                let surplus =
+                    |n: NodeId| (power.tp[n.index()].0 - power.cp[n.index()].0 - margin).max(0.0);
+                let util = self.leaf_utilization();
+                targets.sort_unstable_by(|a, b| {
+                    surplus(*a)
+                        .total_cmp(&surplus(*b))
+                        .then(util(*b).total_cmp(&util(*a)))
+                        .then(a.cmp(b))
+                });
+            }
+            // Coolest first: the largest gap between the hard (thermal) cap
+            // and current demand.
+            TargetPolicyChoice::ThermalHeadroom => {
+                let headroom = |n: NodeId| power.cap[n.index()].0 - power.cp[n.index()].0;
+                targets
+                    .sort_unstable_by(|a, b| headroom(*b).total_cmp(&headroom(*a)).then(a.cmp(b)));
+            }
+        }
+    }
+
     /// Pack `items` (already backoff-filtered) into eligible surpluses
     /// among `pmu`'s leaves minus those under `child`; execute the
     /// migrations that fit; push leftovers for the next level up.
     #[allow(clippy::too_many_arguments)]
-    #[allow(unsafe_code)] // disjoint shard scratch; see `super::shard`
     pub(super) fn pack_and_execute(
         &mut self,
         pmu: NodeId,
@@ -379,48 +403,18 @@ impl Willow {
         bin_caps: &mut Vec<f64>,
         sizes: &mut Vec<f64>,
         eligible: &[bool],
-        shard_bins: &mut Vec<Vec<NodeId>>,
         tick: u64,
         records: &mut Vec<MigrationRecord>,
-        plan: &PlanningContext,
     ) {
         // Candidate bins come off the cached Euler-tour range in DFS order;
-        // the target policy then fixes their ordering (the default restores
-        // the ascending-id order the packing has always seen —
-        // `subtree_leaves` returns sorted ids).
+        // the target policy then fixes their ordering.
         bins.clear();
-        {
-            let leaf_range = self.tree.leaf_range(pmu);
-            let threads = self.pool.threads();
-            if threads > 1 && leaf_range.len() >= PAR_BINS_MIN_LEAVES {
-                shard_bins.resize_with(threads, Vec::new);
-                let out = RawSlice::new(shard_bins.as_mut_slice());
-                let tree = &self.tree;
-                self.pool.run(&|k| {
-                    // SAFETY: each shard touches only its own element.
-                    let mine = unsafe { out.get_mut(k) };
-                    mine.clear();
-                    for &leaf in &leaf_range[shard_range(leaf_range.len(), threads, k)] {
-                        if !tree.subtree_contains(child, leaf) && eligible[leaf.index()] {
-                            mine.push(leaf);
-                        }
-                    }
-                });
-                for shard in shard_bins.iter() {
-                    bins.extend_from_slice(shard);
-                }
-            } else {
-                for &leaf in leaf_range {
-                    if !self.tree.subtree_contains(child, leaf) && eligible[leaf.index()] {
-                        bins.push(leaf);
-                    }
-                }
+        for &leaf in self.tree.leaf_range(pmu) {
+            if !self.tree.subtree_contains(child, leaf) && eligible[leaf.index()] {
+                bins.push(leaf);
             }
         }
-        {
-            let ctx = self.policy_ctx();
-            self.policies.targets.order_targets(&ctx, plan, bins);
-        }
+        self.order_targets(bins);
         if bins.is_empty() {
             leftovers.extend_from_slice(items);
             return;
@@ -432,7 +426,8 @@ impl Willow {
         self.stats.packing_instances += 1;
         self.stats.items_offered += sizes.len() as u64;
         self.stats.bins_offered += bin_caps.len() as u64;
-        let packing = self.policies.packer.pack(sizes, bin_caps);
+        // Every packer is a zero-sized type, so this box never allocates.
+        let packing = packer_for(self.config.packer).pack(sizes, bin_caps);
 
         for (i, item) in items.iter().enumerate() {
             match packing.assignment[i] {

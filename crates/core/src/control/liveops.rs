@@ -108,7 +108,6 @@ impl Willow {
                 },
                 Command::SwapPacker { packer } => {
                     self.config.packer = *packer;
-                    self.policies.packer = willow_binpack::packer_for(*packer);
                     Some(CommandStatus::Applied)
                 }
                 Command::Pause => {

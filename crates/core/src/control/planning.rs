@@ -1,5 +1,5 @@
 //! The horizon-aware planning seam: per-node demand/supply history and
-//! forecasts, threaded through every policy decision point.
+//! forecasts, read by the predictive supply policy in stages 2 and 4.
 //!
 //! The paper's controller is purely reactive — each stage decides from the
 //! current tick's measurements. The ROADMAP's predictive (MPC-style)
@@ -17,8 +17,8 @@
 //!   together;
 //! * [`PlanningContext`] — the controller's full planning state: root
 //!   supply, root aggregate demand, and one series per roster server. The
-//!   measure stage updates it once per tick; stages 2–4 and the policy
-//!   traits receive it as `&PlanningContext`.
+//!   measure stage updates it once per tick; stages 2 and 4 receive it as
+//!   `&PlanningContext`.
 //!
 //! **Horizon semantics.** Leaf and root-demand series observe once per
 //! demand period, so `predict(h)` is `h` demand periods (`h·Δ_D`) ahead.
@@ -263,7 +263,7 @@ impl PlanSeries {
 }
 
 /// The controller's complete planning state, updated once per tick by the
-/// measure stage and handed read-only to stages 2–4 and the policy traits.
+/// measure stage and handed read-only to stages 2 and 4.
 ///
 /// Serialized whole inside `WillowSnapshot` (restore continues forecasts
 /// bit-for-bit); `recover` keeps the checkpoint's context — forecaster

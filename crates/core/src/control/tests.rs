@@ -421,40 +421,6 @@ fn locate_app_finds_hosts() {
     assert_eq!(w.locate_app(AppId(99)), None);
 }
 
-/// `ControlPolicies::for_config` with the default policy choices must
-/// reproduce the previously hard-coded (paper) policies bit-for-bit: a
-/// controller built by `Willow::new` from a default config and one built by
-/// `Willow::with_policies` with the explicit paper policies must trace
-/// identically under churn.
-#[test]
-fn default_policy_config_matches_explicit_paper_policies() {
-    use willow_binpack::packer_for;
-
-    let (tree, specs, n_apps) = small_setup(2);
-    let cfg = ControllerConfig::default();
-    let mut from_config = Willow::new(tree.clone(), specs.clone(), cfg.clone()).unwrap();
-    let mut explicit = Willow::with_policies(
-        tree,
-        specs,
-        cfg.clone(),
-        ControlPolicies {
-            packer: packer_for(cfg.packer),
-            targets: Box::new(AscendingIdTargets),
-            consolidation: Box::new(HotZonesFirst),
-        },
-    )
-    .unwrap();
-    for t in 0..80u64 {
-        let d: Vec<Watts> = (0..n_apps)
-            .map(|i| Watts(30.0 + ((i as u64 + t) % 7) as f64 * 40.0))
-            .collect();
-        let supply = Watts(if t % 11 < 5 { 900.0 } else { 2600.0 });
-        let a = from_config.step(&d, supply);
-        let b = explicit.step(&d, supply);
-        assert_eq!(a, b, "trajectories diverged at tick {t}");
-    }
-}
-
 /// Every target × consolidation policy combination must drive the pipeline
 /// through demand churn, deficit and consolidation without panicking or
 /// losing apps, and the selection must be deterministic (same config ⇒ same
@@ -470,7 +436,6 @@ fn every_policy_combo_is_deterministic_and_conserves_apps() {
     ] {
         for consolidation in [
             ConsolidationPolicyChoice::HotZonesFirst,
-            ConsolidationPolicyChoice::EmptiestFirst,
             ConsolidationPolicyChoice::MostHeadroomReceivers,
         ] {
             let (tree, specs, n_apps) = small_setup(2);
@@ -495,4 +460,110 @@ fn every_policy_combo_is_deterministic_and_conserves_apps() {
             }
         }
     }
+}
+
+/// Six servers in two pods of three with hand-set budget, demand, cap and
+/// utilization, chosen so every ordering arm yields a distinct order and
+/// each arm's tie-break is exercised. Per server `k`:
+///
+/// | k | tp  | cp | cap | util |
+/// |---|-----|----|-----|------|
+/// | 0 | 100 | 60 | 150 | 0.5  |
+/// | 1 | 100 | 90 | 100 | 0.8  |
+/// | 2 | 100 | 40 | 120 | 0.3  |
+/// | 3 | 100 | 80 | 160 | 0.2  |
+/// | 4 | 100 | 60 | 100 | 0.6  |
+/// | 5 | 100 | 20 | 120 | 0.1  |
+fn ordering_fixture() -> (Willow, Vec<NodeId>) {
+    let tree = Tree::uniform(&[2, 3]);
+    let leaves: Vec<NodeId> = tree.leaves().collect();
+    assert!(leaves.windows(2).all(|w| w[0] < w[1]), "leaves in id order");
+    let specs: Vec<ServerSpec> = leaves
+        .iter()
+        .enumerate()
+        .map(|(i, &leaf)| {
+            ServerSpec::simulation_default(leaf)
+                .with_apps(vec![Application::new(
+                    AppId(i as u32),
+                    0,
+                    &SIM_APP_CLASSES[0],
+                )])
+                .with_full_util_power(Watts(100.0))
+        })
+        .collect();
+    let mut w = Willow::new(tree, specs, ControllerConfig::default()).unwrap();
+    let rows = [
+        (100.0, 60.0, 150.0, 0.5),
+        (100.0, 90.0, 100.0, 0.8),
+        (100.0, 40.0, 120.0, 0.3),
+        (100.0, 80.0, 160.0, 0.2),
+        (100.0, 60.0, 100.0, 0.6),
+        (100.0, 20.0, 120.0, 0.1),
+    ];
+    for (k, &(tp, cp, cap, util)) in rows.iter().enumerate() {
+        let n = leaves[k].index();
+        w.power.tp[n] = Watts(tp);
+        w.power.cp[n] = Watts(cp);
+        w.power.cap[n] = Watts(cap);
+        w.servers[k].app_demand = vec![Watts(util * 100.0)];
+        assert!((w.servers[k].utilization() - util).abs() < 1e-12);
+    }
+    (w, leaves)
+}
+
+/// Each target-policy arm, fed the bins in reverse id order.
+#[test]
+fn target_orderings_are_exact() {
+    use crate::config::TargetPolicyChoice;
+
+    let (mut w, l) = ordering_fixture();
+    let pick = |ks: [usize; 6]| ks.map(|k| l[k]).to_vec();
+    for (policy, expected) in [
+        (TargetPolicyChoice::AscendingId, [0, 1, 2, 3, 4, 5]),
+        // Surplus tp − cp − margin(5): 35, 5, 55, 15, 35, 75; the 35 W tie
+        // goes to the more utilized server 4.
+        (TargetPolicyChoice::BestFit, [1, 3, 4, 0, 2, 5]),
+        // Thermal headroom cap − cp: 90, 10, 80, 80, 40, 100; the 80 W tie
+        // goes to the lower id.
+        (TargetPolicyChoice::ThermalHeadroom, [5, 0, 2, 3, 4, 1]),
+    ] {
+        w.config.target_policy = policy;
+        let mut bins: Vec<NodeId> = l.iter().rev().copied().collect();
+        w.order_targets(&mut bins);
+        assert_eq!(bins, pick(expected), "{policy:?}");
+    }
+}
+
+/// Each consolidation receiver arm, fed the bins in reverse id order.
+#[test]
+fn receiver_orderings_are_exact() {
+    use crate::config::ConsolidationPolicyChoice;
+
+    let (mut w, l) = ordering_fixture();
+    let pick = |ks: [usize; 6]| ks.map(|k| l[k]).to_vec();
+    for (policy, expected) in [
+        // Cap descending: 160, 150, then the 120 W pair by utilization
+        // (0.3 before 0.1), then the 100 W pair (0.8 before 0.6).
+        (ConsolidationPolicyChoice::HotZonesFirst, [3, 0, 2, 5, 1, 4]),
+        // Power headroom tp − cp: 40, 10, 60, 20, 40, 80; the 40 W tie
+        // goes to the lower id.
+        (
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
+            [5, 2, 0, 4, 3, 1],
+        ),
+    ] {
+        w.config.consolidation_policy = policy;
+        let mut receivers: Vec<NodeId> = l.iter().rev().copied().collect();
+        w.order_receivers(&mut receivers);
+        assert_eq!(receivers, pick(expected), "{policy:?}");
+    }
+}
+
+/// Victims: lowest cap (hot zone) first, emptiest first within a cap.
+#[test]
+fn victim_ordering_is_exact() {
+    let (w, _) = ordering_fixture();
+    let mut victims: Vec<usize> = (0..6).rev().collect();
+    w.order_victims(&mut victims);
+    assert_eq!(victims, [4, 1, 5, 2, 0, 3]);
 }

@@ -298,9 +298,10 @@ fn sharded_tick_matches_serial_under_heavy_load() {
     run_thread_differential(0xFEED, 250, 4, 1.15);
 }
 
-/// Wide-tree case: 4096 leaves puts the root packing instance at the
-/// sharded candidate-bin filter threshold, so this exercises the parallel
-/// filter path the small random trees never reach.
+/// Wide-tree case: 4096 leaves under a 64-way root, overloaded so the root
+/// packing instance runs every tick. Checks serial ≡ 4-thread for the
+/// sharded measure, supply, deficit-collection, eligibility and physics
+/// regions at a fan-out the small random trees never reach.
 #[test]
 fn sharded_tick_matches_serial_on_wide_tree() {
     let tree = Tree::uniform(&[64, 64]);

@@ -40,7 +40,7 @@
 //!   at a fixed point in the tick.
 //! * [`control`] — [`control::Willow`] itself: `step()` once per `Δ_D`
 //!   with measured app demands and the current total supply, staged as a
-//!   five-phase pipeline with pluggable policies (also reachable under
+//!   five-phase pipeline with config-selected policies (also reachable under
 //!   its historical name, `controller`).
 //!
 //! ## Minimal use

@@ -186,36 +186,42 @@ mod tests {
         log
     }
 
-    /// Policies carry no serialized state: a restored controller must
-    /// reconstruct *non-default* target/consolidation policies from the
-    /// snapshot's config alone and continue in lockstep.
+    /// Policies carry no serialized state: a restored controller must run
+    /// *non-default* packer, target and receiver orderings from the
+    /// snapshot's config alone and continue in lockstep. Next-fit honors
+    /// the target order fully, so both orderings shape this trajectory.
     #[test]
     fn restore_reconstructs_nondefault_policies_from_config() {
         use crate::config::{ConsolidationPolicyChoice, PackerChoice, TargetPolicyChoice};
 
-        let tree = Tree::uniform(&[2, 3]);
-        let mut id = 0u32;
-        let specs: Vec<ServerSpec> = tree
-            .leaves()
-            .map(|leaf| {
-                let apps: Vec<Application> = (0..2)
-                    .map(|_| {
-                        let class = id as usize % SIM_APP_CLASSES.len();
-                        let a = Application::new(AppId(id), class, &SIM_APP_CLASSES[class]);
-                        id += 1;
-                        a
-                    })
-                    .collect();
-                ServerSpec::simulation_default(leaf).with_apps(apps)
-            })
-            .collect();
-        let mut cfg = ControllerConfig::default();
-        cfg.packer = PackerChoice::BestFitDecreasing;
-        cfg.target_policy = TargetPolicyChoice::ThermalHeadroom;
-        cfg.consolidation_policy = ConsolidationPolicyChoice::EmptiestFirst;
-        let mut original = Willow::new(tree, specs, cfg).unwrap();
-        let n_apps = id as usize;
-        let _ = drive(&mut original, n_apps, 37);
+        let build = |target, receivers| {
+            let tree = Tree::uniform(&[2, 3]);
+            let mut id = 0u32;
+            let specs: Vec<ServerSpec> = tree
+                .leaves()
+                .map(|leaf| {
+                    let apps: Vec<Application> = (0..2)
+                        .map(|_| {
+                            let class = id as usize % SIM_APP_CLASSES.len();
+                            let a = Application::new(AppId(id), class, &SIM_APP_CLASSES[class]);
+                            id += 1;
+                            a
+                        })
+                        .collect();
+                    ServerSpec::simulation_default(leaf).with_apps(apps)
+                })
+                .collect();
+            let mut cfg = ControllerConfig::default();
+            cfg.packer = PackerChoice::NextFit;
+            cfg.target_policy = target;
+            cfg.consolidation_policy = receivers;
+            (Willow::new(tree, specs, cfg).unwrap(), id as usize)
+        };
+        let (mut original, n_apps) = build(
+            TargetPolicyChoice::ThermalHeadroom,
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
+        );
+        let warm = drive(&mut original, n_apps, 37);
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
         let snap: WillowSnapshot = serde_json::from_str(&json).expect("deserialize");
@@ -224,6 +230,27 @@ mod tests {
         let a = drive(&mut original, n_apps, 50);
         let b = drive(&mut restored, n_apps, 50);
         assert_eq!(a, b, "restored controller must continue identically");
+
+        // Both orderings are live in this run: putting either one back to
+        // its default changes the trajectory.
+        let full: Vec<u64> = warm.into_iter().chain(a).collect();
+        for (target, receivers) in [
+            (
+                TargetPolicyChoice::AscendingId,
+                ConsolidationPolicyChoice::MostHeadroomReceivers,
+            ),
+            (
+                TargetPolicyChoice::ThermalHeadroom,
+                ConsolidationPolicyChoice::HotZonesFirst,
+            ),
+        ] {
+            let (mut w, _) = build(target, receivers);
+            assert_ne!(
+                drive(&mut w, n_apps, 87),
+                full,
+                "{target:?}/{receivers:?} is inert here"
+            );
+        }
     }
 
     /// The predictive supply policy reads the checkpointed forecaster
