@@ -154,9 +154,11 @@ const NEG_EPS: f64 = -1e-9;
 /// across [`Auditor::check`] calls, so a clean audit allocates nothing.
 #[derive(Debug)]
 pub struct Auditor {
-    /// The application universe, sorted by id.
-    expected: Vec<AppId>,
-    /// Scratch: hosted copies seen per `expected` entry.
+    /// Indexed by `AppId.0`: whether the id is in the application
+    /// universe. Constructors assign app ids densely from 0, so the table
+    /// is as long as the universe is large.
+    expected: Vec<bool>,
+    /// Scratch, indexed by `AppId.0`: hosted copies seen this check.
     counts: Vec<u32>,
     /// Server index hosted at each arena node, if the node is a leaf.
     server_of_node: Vec<Option<usize>>,
@@ -180,13 +182,13 @@ impl Auditor {
     /// tightening-only tracker from the current budgets.
     #[must_use]
     pub fn new(w: &Willow) -> Self {
-        let mut expected: Vec<AppId> = w
-            .servers()
-            .iter()
-            .flat_map(|s| s.apps.iter().map(|a| a.id))
-            .collect();
-        expected.sort_unstable();
-        let counts = vec![0; expected.len()];
+        let ids = || w.servers().iter().flat_map(|s| s.apps.iter().map(|a| a.id));
+        let len = ids().map(|id| id.0 as usize + 1).max().unwrap_or(0);
+        let mut expected = vec![false; len];
+        for id in ids() {
+            expected[id.0 as usize] = true;
+        }
+        let counts = vec![0; len];
         let mut server_of_node = vec![None; w.tree().len()];
         for (si, s) in w.servers().iter().enumerate() {
             server_of_node[s.node.index()] = Some(si);
@@ -286,25 +288,29 @@ impl Auditor {
                     });
             }
             for app in &server.apps {
-                match self.expected.binary_search(&app.id) {
-                    Ok(pos) => self.counts[pos] += 1,
-                    Err(_) => self.violations.push(InvariantViolation::AppUnknown {
+                let id = app.id.0 as usize;
+                if self.expected.get(id).copied().unwrap_or(false) {
+                    self.counts[id] += 1;
+                } else {
+                    self.violations.push(InvariantViolation::AppUnknown {
                         app: app.id,
                         server: si,
-                    }),
+                    });
                 }
             }
         }
-        for (pos, &count) in self.counts.iter().enumerate() {
+        // Lost and duplicated apps, in ascending id order.
+        for (id, (&count, &expected)) in self.counts.iter().zip(&self.expected).enumerate() {
+            if !expected {
+                continue;
+            }
+            let app = AppId(id as u32);
             match count {
                 1 => {}
-                0 => self.violations.push(InvariantViolation::AppLost {
-                    app: self.expected[pos],
-                }),
-                copies => self.violations.push(InvariantViolation::AppDuplicated {
-                    app: self.expected[pos],
-                    copies,
-                }),
+                0 => self.violations.push(InvariantViolation::AppLost { app }),
+                copies => self
+                    .violations
+                    .push(InvariantViolation::AppDuplicated { app, copies }),
             }
         }
 

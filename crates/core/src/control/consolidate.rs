@@ -2,38 +2,51 @@
 //! servers try to empty themselves (local targets first) and sleep if they
 //! succeed; sleeping servers may be woken when demand was shed. Victims
 //! evacuate hot zones first; the receiver ordering is the third policy
-//! decision point (`ControllerConfig::consolidation_policy`, matched where
-//! evacuations are planned). Also home to the operator API (drain,
+//! decision point (`ControllerConfig::consolidation_policy`, matched in
+//! `receiver_key`), kept for the whole round in a sorted receiver index
+//! (`super::receivers`). Also home to the operator API (drain,
 //! force-wake, ambient changes), which reuses the evacuation machinery.
 
-use super::demand::DeficitItem;
+use super::demand::{DeficitItem, Eligibility};
 use super::planning::PlanningContext;
+use super::receivers::{descending, ReceiverIndex};
 use super::Willow;
 use crate::config::{ConsolidationPolicyChoice, SupplyPolicyChoice};
 use crate::migration::{MigrationReason, MigrationRecord};
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 
+/// Slack of the evacuation first-fits (consolidation and live-ops drains):
+/// an item fits a bin if `size <= free + EVAC_FIT_SLACK`. Deliberately not
+/// the packers' `FIT_EPSILON` (1e-9): the reference controller evacuates
+/// with 1e-12, and the reference differentials pin this controller to it
+/// bit-for-bit, so unifying the two is a behavior change of its own.
+pub(super) const EVAC_FIT_SLACK: f64 = 1e-12;
+
 /// Reusable working memory for the consolidation stage: candidate victims,
-/// receiver flags, and the buffers of one all-or-nothing evacuation plan.
-/// Cleared (capacity retained) instead of reallocated, so a steady-state
-/// consolidation tick performs zero heap allocations once warmed up. Taken
-/// out of the controller with `std::mem::take` for the duration of the
-/// stage and put back afterwards.
+/// receiver flags, the round's receiver index, and the buffers of one
+/// all-or-nothing evacuation plan. Cleared (capacity retained) instead of
+/// reallocated, so a steady-state consolidation tick performs zero heap
+/// allocations once warmed up. Taken out of the controller with
+/// `std::mem::take` for the duration of the stage and put back afterwards.
 #[derive(Debug, Default)]
 pub(crate) struct ConsolidateStage {
     /// Below-threshold server indices.
     pub(super) candidates: Vec<usize>,
     /// Servers that received consolidated load this round.
     pub(super) received: Vec<bool>,
+    /// Target eligibility, resolved with the receiver index (and by each
+    /// live-ops drain).
+    pub(super) eligibility: Eligibility,
+    /// Every eligible leaf in receiver order, for the current round.
+    pub(super) receivers: ReceiverIndex,
     /// Apps to move in a full-evacuation plan.
     pub(super) evac_items: Vec<DeficitItem>,
     /// Effective sizes of the evacuation items.
     pub(super) evac_sizes: Vec<f64>,
-    /// Ordered target bins (siblings first) for an evacuation.
+    /// Eligible sibling bins of the victim, in receiver order (live-ops
+    /// drains: every eligible bin, siblings first).
     pub(super) evac_bins: Vec<NodeId>,
-    /// Free capacity per evacuation bin during first-fit placement.
-    pub(super) evac_free: Vec<f64>,
     /// Item placement order (largest first) for an evacuation.
     pub(super) evac_order: Vec<usize>,
     /// The all-or-nothing evacuation plan.
@@ -53,10 +66,19 @@ impl ConsolidateStage {
         ConsolidateStage {
             candidates: Vec::with_capacity(servers),
             received: Vec::with_capacity(servers),
+            eligibility: Eligibility::for_tree(tree),
+            receivers: ReceiverIndex::for_tree(tree),
             evac_bins: Vec::with_capacity(leaves),
-            evac_free: Vec::with_capacity(leaves),
             sleeping: Vec::with_capacity(servers),
             ..ConsolidateStage::default()
+        }
+    }
+
+    /// Take a slept server's leaf out of the round's receivers.
+    fn withdraw(&mut self, leaf: NodeId) {
+        if self.receivers.is_ready() {
+            self.eligibility.revoke(leaf);
+            self.receivers.remove(leaf);
         }
     }
 }
@@ -95,6 +117,9 @@ impl Willow {
         // multiple hops in a single period.
         stage.received.clear();
         stage.received.resize(self.servers.len(), false);
+        // The receiver index is built at the round's first plan, so a
+        // round that sleeps only empty servers (or none) never pays for it.
+        stage.receivers.reset();
 
         for ci in 0..stage.candidates.len() {
             let si = stage.candidates[ci];
@@ -108,18 +133,11 @@ impl Willow {
             let leaf = self.servers[si].node;
             if self.servers[si].apps.is_empty() {
                 self.sleep_server(si, tick);
+                stage.withdraw(leaf);
                 slept.push(leaf);
                 continue;
             }
-            if self.plan_full_evacuation(
-                si,
-                &mut stage.evac_items,
-                &mut stage.evac_sizes,
-                &mut stage.evac_bins,
-                &mut stage.evac_free,
-                &mut stage.evac_order,
-                &mut stage.evac_plan,
-            ) {
+            if self.plan_full_evacuation(si, stage) {
                 // A failed attempt mid-plan (injected reject/abort) stops
                 // the evacuation: the server keeps its remaining apps and
                 // stays awake — never sleep a server that still hosts work.
@@ -128,7 +146,12 @@ impl Willow {
                     let (item, target) = stage.evac_plan[pi];
                     let tgt_idx =
                         self.leaf_server[target.index()].expect("target is a server leaf");
-                    if self.attempt_migration(&item, target, tick, records) {
+                    let moved = self.attempt_migration(&item, target, tick, records);
+                    // Either outcome can move both ends' keys: a commit
+                    // shifts utilization and `cp`, an abort charges `cp`.
+                    self.rekey_receiver(&mut stage.receivers, leaf);
+                    self.rekey_receiver(&mut stage.receivers, target);
+                    if moved {
                         stage.received[tgt_idx] = true;
                     } else {
                         evacuated = false;
@@ -138,6 +161,7 @@ impl Willow {
                 if evacuated {
                     debug_assert!(self.servers[si].apps.is_empty());
                     self.sleep_server(si, tick);
+                    stage.withdraw(leaf);
                     slept.push(leaf);
                 }
             }
@@ -220,52 +244,66 @@ impl Willow {
         });
     }
 
-    /// Order one locality class of evacuation receivers by
-    /// `config.consolidation_policy`; evacuation first-fits into them in
-    /// this order.
-    pub(super) fn order_receivers(&self, receivers: &mut [NodeId]) {
+    /// The receiver sort key of `leaf` under `config.consolidation_policy`:
+    /// evacuations first-fit into receivers in ascending `(key, leaf id)`
+    /// order. Each float is mapped to an integer with the order of
+    /// `f64::total_cmp`, so the key sorts exactly like the float
+    /// comparator it encodes.
+    pub(super) fn receiver_key(&self, leaf: NodeId) -> (u64, u64) {
         let power = &self.power;
+        let n = leaf.index();
         match self.config.consolidation_policy {
             // Coolest zone (largest hard cap) first so consolidated load
             // lands where thermal headroom is, then most-utilized first so
             // consolidation fills the fullest servers (the FFDLR "run every
             // server at full utilization" rationale) instead of cascading
             // load through near-idle ones.
-            ConsolidationPolicyChoice::HotZonesFirst => {
-                let util = self.leaf_utilization();
-                let cap = |n: NodeId| power.cap[n.index()].0;
-                receivers.sort_unstable_by(|a, b| {
-                    cap(*b)
-                        .total_cmp(&cap(*a))
-                        .then(util(*b).total_cmp(&util(*a)))
-                        .then(a.cmp(b))
-                });
-            }
+            ConsolidationPolicyChoice::HotZonesFirst => (
+                descending(power.cap[n].0),
+                descending(self.leaf_utilization()(leaf)),
+            ),
             // Largest power headroom (budget minus demand) first: load goes
             // where budget is available right now, which can absorb a whole
             // victim without cascading first-fit spills.
             ConsolidationPolicyChoice::MostHeadroomReceivers => {
-                let headroom = |n: NodeId| power.tp[n.index()].0 - power.cp[n.index()].0;
-                receivers
-                    .sort_unstable_by(|a, b| headroom(*b).total_cmp(&headroom(*a)).then(a.cmp(b)));
+                (descending(power.tp[n].0 - power.cp[n].0), 0)
             }
         }
     }
 
+    /// Order one locality class of evacuation receivers by
+    /// [`Willow::receiver_key`].
+    pub(super) fn order_receivers(&self, receivers: &mut [NodeId]) {
+        receivers.sort_unstable_by_key(|&n| (self.receiver_key(n), n));
+    }
+
+    /// Re-key `leaf` after a migration attempt touched it. No-op for a
+    /// leaf without an entry.
+    fn rekey_receiver(&self, index: &mut ReceiverIndex, leaf: NodeId) {
+        if index.contains(leaf) {
+            index.rekey(leaf, self.receiver_key(leaf));
+        }
+    }
+
     /// Try to place *all* apps of server `si` elsewhere (local bins first,
-    /// then anywhere eligible). Fills `plan` and returns `true`, or returns
-    /// `false` if the server cannot be fully evacuated.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn plan_full_evacuation(
-        &self,
-        si: usize,
-        items: &mut Vec<DeficitItem>,
-        sizes: &mut Vec<f64>,
-        bins: &mut Vec<NodeId>,
-        free: &mut Vec<f64>,
-        order: &mut Vec<usize>,
-        plan: &mut Vec<(DeficitItem, NodeId)>,
-    ) -> bool {
+    /// then anywhere eligible). Fills `stage.evac_plan` and returns
+    /// `true`, or returns `false` if the server cannot be fully evacuated.
+    ///
+    /// Bins are probed lazily: the victim's eligible siblings in receiver
+    /// order, then the round's receiver index (built here on the round's
+    /// first plan) minus the victim's parent's children. A bin's free
+    /// capacity is read live, less what the plan so far put there.
+    pub(super) fn plan_full_evacuation(&self, si: usize, stage: &mut ConsolidateStage) -> bool {
+        let ConsolidateStage {
+            eligibility,
+            receivers,
+            evac_items: items,
+            evac_sizes: sizes,
+            evac_bins: siblings,
+            evac_order: order,
+            evac_plan: plan,
+            ..
+        } = stage;
         plan.clear();
         let leaf = self.servers[si].node;
         // All-or-nothing: an app still in retry backoff blocks evacuation.
@@ -276,6 +314,10 @@ impl Willow {
         {
             return false;
         }
+        debug_assert!(
+            !self.servers[si].apps.is_empty(),
+            "empty servers just sleep"
+        );
         items.clear();
         items.extend(
             self.servers[si]
@@ -292,45 +334,52 @@ impl Willow {
         sizes.clear();
         sizes.extend(items.iter().map(|it| self.effective_size(it.demand)));
 
+        if !receivers.is_ready() {
+            self.resolve_eligibility(eligibility);
+            let tree = &self.tree;
+            receivers.build(
+                tree.len(),
+                (tree.leaves().filter(|&l| eligibility.get(l)))
+                    .map(|l| (l, tree.parent(l), self.receiver_key(l))),
+            );
+        }
         // Eligible bins: siblings first, then the rest of the data center.
         // Each class is ordered separately so the locality preference is
         // never policy-dependent.
-        bins.clear();
-        bins.extend(
-            self.tree
-                .siblings(leaf)
-                .filter(|&l| self.target_eligible(l)),
-        );
-        let n_siblings = bins.len();
-        self.order_receivers(&mut bins[..n_siblings]);
-        for l in self.tree.leaves() {
-            if l != leaf && self.target_eligible(l) && !bins[..n_siblings].contains(&l) {
-                bins.push(l);
-            }
-        }
-        self.order_receivers(&mut bins[n_siblings..]);
-        if bins.is_empty() {
-            return false;
-        }
+        siblings.clear();
+        siblings.extend(self.tree.siblings(leaf).filter(|&l| eligibility.get(l)));
+        self.order_receivers(siblings);
+        let parent = self.tree.parent(leaf);
+
         // First-fit over the ordered bins keeps the locality preference;
         // a full FFDLR over the union would not honor sibling priority.
-        free.clear();
-        free.extend(bins.iter().map(|&l| self.bin_capacity(l).0));
         order.clear();
         order.extend(0..items.len());
         order.sort_unstable_by(|&a, &b| sizes[b].total_cmp(&sizes[a]).then(a.cmp(&b)));
         let tick = self.tick;
         for &i in order.iter() {
-            let placed = free.iter().enumerate().position(|(b, &f)| {
-                sizes[i] <= f + 1e-12 && !self.would_pingpong(items[i].app, bins[b], tick)
+            // Free capacity: live, less what this plan already put there
+            // (subtracted in placement order).
+            let free = |l: NodeId| {
+                (plan.iter().filter(|&&(_, b)| b == l))
+                    .fold(self.bin_capacity(l).0, |f, (it, _)| {
+                        f - self.effective_size(it.demand)
+                    })
+            };
+            let fits = |l: NodeId| {
+                sizes[i] <= free(l) + EVAC_FIT_SLACK && !self.would_pingpong(items[i].app, l, tick)
+            };
+            let placed = siblings.iter().copied().find(|&l| fits(l)).or_else(|| {
+                receivers
+                    .iter()
+                    .filter(|r| !r.is_child_of(parent))
+                    .map(|r| r.leaf())
+                    .find(|&l| fits(l))
             });
-            match placed {
-                Some(b) => {
-                    free[b] -= sizes[i];
-                    plan.push((items[i], bins[b]));
-                }
-                None => return false, // all-or-nothing evacuation
-            }
+            let Some(bin) = placed else {
+                return false; // all-or-nothing evacuation
+            };
+            plan.push((items[i], bin));
         }
         true
     }
@@ -375,15 +424,9 @@ impl Willow {
             return true;
         }
         let mut stage = std::mem::take(&mut self.consolidate_stage);
-        let planned = self.plan_full_evacuation(
-            server,
-            &mut stage.evac_items,
-            &mut stage.evac_sizes,
-            &mut stage.evac_bins,
-            &mut stage.evac_free,
-            &mut stage.evac_order,
-            &mut stage.evac_plan,
-        );
+        // Outside a round: index the receivers afresh for this one plan.
+        stage.receivers.reset();
+        let planned = self.plan_full_evacuation(server, &mut stage);
         let mut drained = planned;
         if planned {
             stage.drain_records.clear();

@@ -72,12 +72,42 @@ pub(crate) struct DemandStage {
     pub(super) shard_items: Vec<Vec<DeficitItem>>,
     /// Per-shard app-ordering scratch for deficit selection.
     pub(super) shard_order: Vec<Vec<usize>>,
-    /// Arena slot → budget-reduced on itself or any ancestor, refreshed
-    /// once per stage run (top-down sweep).
-    pub(super) reduced_anc: Vec<bool>,
-    /// Leaf arena slot → migration-target eligibility, refreshed once per
-    /// stage run.
-    pub(super) eligible: Vec<bool>,
+    /// Migration-target eligibility, resolved once per stage run.
+    pub(super) eligibility: Eligibility,
+}
+
+/// Migration-target eligibility of every leaf (`active ∧ unfenced ∧
+/// ¬crashed ∧ ¬reduced-anywhere-above`, §IV-E final rule), resolved in one
+/// pass by [`Willow::resolve_eligibility`]. The demand stage, the
+/// consolidation round and live-ops drains each resolve it once and then
+/// read it per candidate bin instead of climbing the ancestors.
+#[derive(Debug, Default)]
+pub(super) struct Eligibility {
+    /// Arena slot → budget-reduced on itself or any ancestor (top-down
+    /// sweep scratch).
+    reduced_anc: Vec<bool>,
+    /// Arena slot → the leaf may receive migrations.
+    eligible: Vec<bool>,
+}
+
+impl Eligibility {
+    /// Pre-size for `tree`'s arena.
+    pub(super) fn for_tree(tree: &Tree) -> Self {
+        Eligibility {
+            reduced_anc: Vec::with_capacity(tree.len()),
+            eligible: Vec::with_capacity(tree.len()),
+        }
+    }
+
+    /// Whether `leaf` may receive migrations.
+    pub(super) fn get(&self, leaf: NodeId) -> bool {
+        self.eligible[leaf.index()]
+    }
+
+    /// Withdraw `leaf` (its server just went to sleep).
+    pub(super) fn revoke(&mut self, leaf: NodeId) {
+        self.eligible[leaf.index()] = false;
+    }
 }
 
 impl DemandStage {
@@ -88,38 +118,13 @@ impl DemandStage {
         DemandStage {
             bins: Vec::with_capacity(leaves),
             bin_caps: Vec::with_capacity(leaves),
-            reduced_anc: Vec::with_capacity(tree.len()),
-            eligible: Vec::with_capacity(tree.len()),
+            eligibility: Eligibility::for_tree(tree),
             ..DemandStage::default()
         }
     }
 }
 
 impl Willow {
-    /// True if `leaf` may receive migrations: active, unfenced, not
-    /// crashed, and neither it nor any ancestor was flagged as
-    /// budget-reduced (§IV-E final rule). The walking form, used by the
-    /// consolidation and live-ops stages; the demand stage resolves the
-    /// same predicate into [`DemandStage::eligible`] once per run.
-    pub(super) fn target_eligible(&self, leaf: NodeId) -> bool {
-        let Some(si) = self.leaf_server[leaf.index()] else {
-            return false;
-        };
-        if !self.servers[si].active
-            || !self.servers[si].fence.is_active()
-            || self.disturb.crashed(si)
-        {
-            return false;
-        }
-        if self.power.reduced[leaf.index()] {
-            return false;
-        }
-        !self
-            .tree
-            .ancestors(leaf)
-            .any(|a| self.power.reduced[a.index()])
-    }
-
     /// Remaining surplus a target server can absorb (margin already
     /// deducted).
     pub(super) fn bin_capacity(&self, leaf: NodeId) -> Watts {
@@ -147,7 +152,7 @@ impl Willow {
         }
         // Deficits exist: resolve target eligibility once for the whole
         // stage (none of its inputs change while packing executes).
-        self.compute_eligibility(stage);
+        self.resolve_eligibility(&mut stage.eligibility);
 
         // Process levels bottom-up; at each level, each PMU node packs the
         // pending items originating in its subtree into surpluses in its
@@ -206,7 +211,7 @@ impl Willow {
                     &mut stage.bins,
                     &mut stage.bin_caps,
                     &mut stage.sizes,
-                    &stage.eligible,
+                    &stage.eligibility,
                     tick,
                     records,
                 );
@@ -309,31 +314,32 @@ impl Willow {
         }
     }
 
-    /// Resolve [`Willow::target_eligible`] for every leaf into
-    /// `stage.eligible`: one serial top-down sweep folds the reduced flags
-    /// down the tree, then the per-leaf roster checks shard across the
-    /// pool. Valid for the whole demand stage — migrations change only
-    /// `cp`/`tp`, never the fence, activity, crash or reduced inputs.
+    /// Resolve migration-target eligibility for every leaf into `out`: one
+    /// serial top-down sweep folds the reduced flags down the tree, then
+    /// the per-leaf roster checks shard across the pool. Stays valid while
+    /// only `cp`/`tp` change (migrations, aborts); a server going to sleep
+    /// must be [`Eligibility::revoke`]d, and a fence, crash or reduced-flag
+    /// change needs a fresh resolve.
     #[allow(unsafe_code)] // disjoint per-leaf writes; see `super::shard`
-    fn compute_eligibility(&self, stage: &mut DemandStage) {
+    pub(super) fn resolve_eligibility(&self, out: &mut Eligibility) {
         let tree = &self.tree;
-        stage.reduced_anc.clear();
-        stage.reduced_anc.resize(tree.len(), false);
+        out.reduced_anc.clear();
+        out.reduced_anc.resize(tree.len(), false);
         let root = tree.root();
-        stage.reduced_anc[root.index()] = self.power.reduced[root.index()];
+        out.reduced_anc[root.index()] = self.power.reduced[root.index()];
         for level in (0..tree.height()).rev() {
             for &node in tree.nodes_at_level(level) {
                 let p = tree.parent(node).expect("non-root nodes have parents");
-                stage.reduced_anc[node.index()] =
-                    self.power.reduced[node.index()] || stage.reduced_anc[p.index()];
+                out.reduced_anc[node.index()] =
+                    self.power.reduced[node.index()] || out.reduced_anc[p.index()];
             }
         }
-        stage.eligible.clear();
-        stage.eligible.resize(tree.len(), false);
+        out.eligible.clear();
+        out.eligible.resize(tree.len(), false);
         let leaves = tree.nodes_at_level(0);
         let threads = self.pool.threads();
-        let eligible = RawSlice::new(&mut stage.eligible);
-        let reduced_anc = &stage.reduced_anc;
+        let eligible = RawSlice::new(&mut out.eligible);
+        let reduced_anc = &out.reduced_anc;
         let servers = &self.servers;
         let leaf_server = &self.leaf_server;
         let disturb = &self.disturb;
@@ -402,7 +408,7 @@ impl Willow {
         bins: &mut Vec<NodeId>,
         bin_caps: &mut Vec<f64>,
         sizes: &mut Vec<f64>,
-        eligible: &[bool],
+        eligibility: &Eligibility,
         tick: u64,
         records: &mut Vec<MigrationRecord>,
     ) {
@@ -410,7 +416,7 @@ impl Willow {
         // the target policy then fixes their ordering.
         bins.clear();
         for &leaf in self.tree.leaf_range(pmu) {
-            if !self.tree.subtree_contains(child, leaf) && eligible[leaf.index()] {
+            if !self.tree.subtree_contains(child, leaf) && eligibility.get(leaf) {
                 bins.push(leaf);
             }
         }

@@ -675,6 +675,60 @@ mod audit_detection {
         assert_eq!(a.total_violations(), 2);
     }
 
+    /// Three conservation faults at once: the exact list, unknown ids in
+    /// hosting order first, then lost/duplicated in ascending id order.
+    #[test]
+    fn conservation_faults_are_listed_exactly() {
+        let mut w = settled();
+        let mut a = Auditor::new(&w);
+        // An id far above the universe's table.
+        w.servers[1]
+            .apps
+            .push(Application::new(AppId(999), 0, &SIM_APP_CLASSES[0]));
+        // Server 3's first app is lost; server 1's first is duplicated.
+        let lost = w.servers[3].apps.remove(0).id;
+        let dup = w.servers[1].apps[0].clone();
+        let dup_id = dup.id;
+        w.servers[3].apps.push(dup);
+        let mut tail = [
+            InvariantViolation::AppLost { app: lost },
+            InvariantViolation::AppDuplicated {
+                app: dup_id,
+                copies: 2,
+            },
+        ];
+        if dup_id < lost {
+            tail.swap(0, 1);
+        }
+        let mut expected = vec![InvariantViolation::AppUnknown {
+            app: AppId(999),
+            server: 1,
+        }];
+        expected.extend(tail);
+        assert_eq!(a.check(&w), expected.as_slice());
+    }
+
+    /// An id inside the table that was not in the universe at
+    /// construction is unknown too.
+    #[test]
+    fn id_missing_from_universe_is_unknown() {
+        let mut w = settled();
+        // App 0 leaves a hole at the bottom of the id table.
+        let server = w.locate_app(AppId(0)).unwrap();
+        let pos = w.servers[server].find_app(AppId(0)).unwrap();
+        let app = w.servers[server].apps.remove(pos);
+        let mut a = Auditor::new(&w);
+        assert!(a.check(&w).is_empty());
+        w.servers[server].apps.push(app);
+        assert_eq!(
+            a.check(&w),
+            [InvariantViolation::AppUnknown {
+                app: AppId(0),
+                server
+            }]
+        );
+    }
+
     #[test]
     fn detects_unknown_app_and_populated_sleeper() {
         let mut w = settled();

@@ -17,7 +17,7 @@
 //! the checkpointed state, so commands in flight survive a controller
 //! crash (see [`Willow::recover`]).
 
-use super::consolidate::ConsolidateStage;
+use super::consolidate::{ConsolidateStage, EVAC_FIT_SLACK};
 use super::demand::{DeficitItem, DemandStage};
 use super::supply::SupplyStage;
 use super::Willow;
@@ -310,21 +310,22 @@ impl Willow {
                 .then(a.cmp(&b))
         });
 
-        // Eligible bins, sibling leaves first, then leaf order. The
-        // draining server itself is never eligible (its fence is set).
+        // Eligible bins, sibling leaves first, then leaf order — not the
+        // consolidation policy's receiver order. The draining server
+        // itself is never eligible (its fence is set).
         let leaf = self.servers[server].node;
+        let parent = self.tree.parent(leaf);
+        self.resolve_eligibility(&mut stage.eligibility);
+        let eligibility = &stage.eligibility;
         stage.evac_bins.clear();
+        stage
+            .evac_bins
+            .extend(self.tree.siblings(leaf).filter(|&l| eligibility.get(l)));
         stage.evac_bins.extend(
             self.tree
-                .siblings(leaf)
-                .filter(|&l| self.target_eligible(l)),
+                .leaves()
+                .filter(|&l| eligibility.get(l) && self.tree.parent(l) != parent),
         );
-        let n_siblings = stage.evac_bins.len();
-        for l in self.tree.leaves() {
-            if l != leaf && self.target_eligible(l) && !stage.evac_bins[..n_siblings].contains(&l) {
-                stage.evac_bins.push(l);
-            }
-        }
 
         for oi in 0..stage.evac_order.len() {
             let item = stage.evac_items[stage.evac_order[oi]];
@@ -334,7 +335,7 @@ impl Willow {
             // First fit against *live* remaining capacity: each committed
             // migration already updated the target's CP.
             let target = stage.evac_bins.iter().copied().find(|&l| {
-                self.bin_capacity(l).0 + 1e-12 >= self.effective_size(item.demand)
+                self.bin_capacity(l).0 + EVAC_FIT_SLACK >= self.effective_size(item.demand)
                     && !self.would_pingpong(item.app, l, tick)
             });
             if let Some(target) = target {

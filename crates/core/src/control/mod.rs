@@ -64,6 +64,7 @@ pub mod measure;
 pub mod migrate;
 pub mod physics;
 pub mod planning;
+mod receivers;
 pub mod shard;
 pub mod supply;
 pub mod telemetry;

@@ -567,3 +567,403 @@ fn victim_ordering_is_exact() {
     w.order_victims(&mut victims);
     assert_eq!(victims, [4, 1, 5, 2, 0, 3]);
 }
+
+// ---------------------------------------------------------------------
+// Consolidation planner ≡ the per-victim re-sort it replaced
+// ---------------------------------------------------------------------
+
+mod planner_oracle {
+    use super::super::demand::DeficitItem;
+    use super::super::testutil::placement;
+    use super::*;
+    use crate::command::Command;
+    use crate::config::ConsolidationPolicyChoice;
+    use crate::disturbance::MigrationOutcome;
+    use crate::migration::MigrationRecord;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use willow_thermal::units::Celsius;
+
+    /// Target eligibility by the ancestor walk.
+    fn eligible(w: &Willow, leaf: NodeId) -> bool {
+        w.leaf_server[leaf.index()].is_some_and(|si| {
+            let s = &w.servers[si];
+            s.active && s.fence.is_active() && !w.disturb.crashed(si)
+        }) && !std::iter::once(leaf)
+            .chain(w.tree.ancestors(leaf))
+            .any(|n| w.power.reduced[n.index()])
+    }
+
+    /// The receiver comparators, on floats.
+    fn order(w: &Willow, bins: &mut [NodeId]) {
+        let (p, util) = (&w.power, w.leaf_utilization());
+        match w.config.consolidation_policy {
+            ConsolidationPolicyChoice::HotZonesFirst => bins.sort_unstable_by(|a, b| {
+                p.cap[b.index()]
+                    .0
+                    .total_cmp(&p.cap[a.index()].0)
+                    .then(util(*b).total_cmp(&util(*a)))
+                    .then(a.cmp(b))
+            }),
+            ConsolidationPolicyChoice::MostHeadroomReceivers => {
+                let h = |n: &NodeId| p.tp[n.index()].0 - p.cp[n.index()].0;
+                bins.sort_unstable_by(|a, b| h(b).total_cmp(&h(a)).then(a.cmp(b)));
+            }
+        }
+    }
+
+    /// The planner before the receiver index: collect and sort every
+    /// eligible receiver again for each victim, then first-fit.
+    fn plan(w: &Willow, si: usize) -> Option<Vec<(DeficitItem, NodeId)>> {
+        let server = &w.servers[si];
+        if server.apps.iter().any(|a| w.in_backoff(a.id, w.tick)) {
+            return None;
+        }
+        let leaf = server.node;
+        let mut bins: Vec<NodeId> = w.tree.siblings(leaf).filter(|&l| eligible(w, l)).collect();
+        order(w, &mut bins);
+        let n = bins.len();
+        for l in w.tree.leaves() {
+            if l != leaf && eligible(w, l) && !bins[..n].contains(&l) {
+                bins.push(l);
+            }
+        }
+        order(w, &mut bins[n..]);
+        let mut free: Vec<f64> = bins.iter().map(|&l| w.bin_capacity(l).0).collect();
+        let items: Vec<DeficitItem> = (server.apps.iter().zip(&server.app_demand))
+            .map(|(a, &demand)| DeficitItem {
+                server: si,
+                app: a.id,
+                demand,
+                reason: MigrationReason::Consolidation,
+            })
+            .collect();
+        let sizes: Vec<f64> = items.iter().map(|it| w.effective_size(it.demand)).collect();
+        let mut by_size: Vec<usize> = (0..items.len()).collect();
+        by_size.sort_by(|&a, &b| sizes[b].total_cmp(&sizes[a]));
+        let mut plan = Vec::new();
+        for i in by_size {
+            let b = (0..bins.len()).find(|&b| {
+                sizes[i] <= free[b] + 1e-12 && !w.would_pingpong(items[i].app, bins[b], w.tick)
+            })?;
+            free[b] -= sizes[i];
+            plan.push((items[i], bins[b]));
+        }
+        Some(plan)
+    }
+
+    /// `Willow::consolidate` under the reactive supply policy, planning
+    /// with [`plan`].
+    fn oracle_round(w: &mut Willow, records: &mut Vec<MigrationRecord>, slept: &mut Vec<NodeId>) {
+        let (tick, threshold) = (w.tick, w.config.consolidation_threshold);
+        let below = |s: &ServerState| s.active && s.utilization() < threshold;
+        let mut victims: Vec<usize> = (0..w.servers.len())
+            .filter(|&i| below(&w.servers[i]) && w.servers[i].fence.is_active())
+            .collect();
+        w.order_victims(&mut victims);
+        let mut received = vec![false; w.servers.len()];
+        for si in victims {
+            if received[si] || !below(&w.servers[si]) {
+                continue;
+            }
+            let evacuated = w.servers[si].apps.is_empty()
+                || plan(w, si).is_some_and(|plan| {
+                    plan.iter().all(|(item, to)| {
+                        let moved = w.attempt_migration(item, *to, tick, records);
+                        received[w.leaf_server[to.index()].unwrap()] |= moved;
+                        moved
+                    })
+                });
+            if evacuated {
+                w.sleep_server(si, tick);
+                slept.push(w.servers[si].node);
+            }
+        }
+        for r in records.iter_mut() {
+            r.reason = MigrationReason::Consolidation;
+        }
+    }
+
+    /// The production round, called the way `step_into` calls it.
+    fn indexed_round(w: &mut Willow, records: &mut Vec<MigrationRecord>, slept: &mut Vec<NodeId>) {
+        let planning = std::mem::take(&mut w.planning);
+        let mut stage = std::mem::take(&mut w.consolidate_stage);
+        w.consolidate(w.tick, &mut stage, records, slept, &planning);
+        w.consolidate_stage = stage;
+        w.planning = planning;
+    }
+
+    fn cp_bits(w: &Willow) -> Vec<u64> {
+        w.power.cp.iter().map(|c| c.0.to_bits()).collect()
+    }
+
+    /// Run one round on `a` through the receiver index and on its twin
+    /// `b` through the oracle, with the same migration outcomes; both
+    /// must emit the same records and sleeps and end in the same state.
+    /// Returns the round's records and slept leaves.
+    fn assert_round_matches(
+        a: &mut Willow,
+        b: &mut Willow,
+        outcomes: &[MigrationOutcome],
+        ctx: &str,
+    ) -> (Vec<MigrationRecord>, Vec<NodeId>) {
+        let d = Disturbances {
+            migration_outcomes: outcomes.to_vec(),
+            ..Disturbances::default()
+        };
+        for w in [&mut *a, &mut *b] {
+            w.disturb.assign_from(&d);
+            w.mig_attempts = 0;
+        }
+        let (mut ra, mut sa, mut rb, mut sb) = (vec![], vec![], vec![], vec![]);
+        indexed_round(a, &mut ra, &mut sa);
+        oracle_round(b, &mut rb, &mut sb);
+        assert_eq!(ra, rb, "{ctx}: records");
+        assert_eq!(sa, sb, "{ctx}: slept");
+        assert_eq!(placement(a), placement(b), "{ctx}: placement");
+        assert_eq!(cp_bits(a), cp_bits(b), "{ctx}: leaf demands");
+        assert_eq!(a.backoffs(), b.backoffs(), "{ctx}: backoffs");
+        (ra, sa)
+    }
+
+    /// Two identical controllers on a random tree: 0–3 apps per server
+    /// and every third server in a 40 °C zone, so caps differ.
+    fn twins(rng: &mut StdRng, policy: ConsolidationPolicyChoice) -> (Willow, Willow, usize) {
+        let branching: Vec<usize> = (0..rng.gen_range(2..=3))
+            .map(|_| rng.gen_range(2..=4))
+            .collect();
+        let tree = Tree::uniform(&branching);
+        let mut next = 0u32;
+        let leaves: Vec<NodeId> = tree.leaves().collect();
+        let specs: Vec<ServerSpec> = (leaves.iter().enumerate())
+            .map(|(k, &leaf)| {
+                let apps = (0..rng.gen_range(0..=3usize))
+                    .map(|_| {
+                        let c = rng.gen_range(0..SIM_APP_CLASSES.len());
+                        next += 1;
+                        Application::new(AppId(next - 1), c, &SIM_APP_CLASSES[c])
+                    })
+                    .collect();
+                let spec = ServerSpec::simulation_default(leaf).with_apps(apps);
+                if k % 3 == 0 {
+                    spec.with_ambient(Celsius(40.0))
+                } else {
+                    spec
+                }
+            })
+            .collect();
+        let cfg = ControllerConfig {
+            consolidation_policy: policy,
+            consolidation_threshold: 0.45,
+            eta2: 1000, // rounds run only where the test calls them
+            ..ControllerConfig::default()
+        };
+        let a = Willow::new(tree.clone(), specs.clone(), cfg.clone()).unwrap();
+        let b = Willow::new(tree, specs, cfg).unwrap();
+        (a, b, next as usize)
+    }
+
+    fn step_both(a: &mut Willow, b: &mut Willow, rng: &mut StdRng, n_apps: usize) {
+        let d: Vec<Watts> = (0..n_apps)
+            .map(|_| Watts(rng.gen_range(5.0..80.0)))
+            .collect();
+        let supply = Watts(a.servers.len() as f64 * rng.gen_range(200.0..450.0));
+        assert_eq!(a.step(&d, supply), b.step(&d, supply));
+    }
+
+    /// Wake every sleeper and scatter apps from multi-app servers onto
+    /// random servers (identically on both twins), so the next round has
+    /// loaded victims as well as empty ones.
+    fn scatter(a: &mut Willow, b: &mut Willow, rng: &mut StdRng) {
+        let n = a.servers.len();
+        for si in 0..n {
+            a.force_wake(si);
+            b.force_wake(si);
+        }
+        for si in 0..n {
+            while a.servers[si].apps.len() > 1 && rng.gen_bool(0.6) {
+                let to = rng.gen_range(0..n);
+                if to == si || !a.servers[to].active {
+                    break;
+                }
+                for w in [&mut *a, &mut *b] {
+                    let (app, demand) = w.servers[si].take_app(0);
+                    w.servers[to].host_app(app, demand);
+                }
+            }
+        }
+    }
+
+    fn outcomes(rng: &mut StdRng) -> Vec<MigrationOutcome> {
+        (0..64)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => MigrationOutcome::Reject,
+                1 => MigrationOutcome::Abort,
+                _ => MigrationOutcome::Success,
+            })
+            .collect()
+    }
+
+    /// Random trees, loads and migration faults, both receiver policies:
+    /// the receiver index plans exactly what re-sorting per victim did.
+    /// Rounds every fourth tick stay inside the 50-tick ping-pong window,
+    /// and a scatter before each gives it fresh victims and receivers.
+    #[test]
+    fn rounds_match_per_victim_resort() {
+        let (mut moves, mut sleeps) = (0, 0);
+        for seed in 0..10u64 {
+            for policy in [
+                ConsolidationPolicyChoice::HotZonesFirst,
+                ConsolidationPolicyChoice::MostHeadroomReceivers,
+            ] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (mut a, mut b, n_apps) = twins(&mut rng, policy);
+                for t in 0..40u64 {
+                    if t % 4 == 2 {
+                        scatter(&mut a, &mut b, &mut rng);
+                    }
+                    step_both(&mut a, &mut b, &mut rng, n_apps);
+                    if t % 4 != 3 {
+                        continue;
+                    }
+                    let fail = outcomes(&mut rng);
+                    let ctx = format!("seed {seed} {policy:?} tick {t}");
+                    let (m, s) = assert_round_matches(&mut a, &mut b, &fail, &ctx);
+                    moves += m.len();
+                    sleeps += s.len();
+                }
+            }
+        }
+        assert!(
+            moves > 500 && sleeps > 200,
+            "{moves} moves, {sleeps} sleeps"
+        );
+    }
+
+    /// Rounds right after a server joins and after one is retired: the
+    /// stage scratch, receiver index included, was rebuilt for the new
+    /// arena.
+    #[test]
+    fn rounds_match_after_topology_edits() {
+        for policy in [
+            ConsolidationPolicyChoice::HotZonesFirst,
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
+        ] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let (mut a, mut b, n_apps) = twins(&mut rng, policy);
+            step_both(&mut a, &mut b, &mut rng, n_apps);
+            let parent = a.tree.nodes_at_level(1)[0];
+            for w in [&mut a, &mut b] {
+                w.submit_command(Command::AddServer {
+                    parent,
+                    name: "added".into(),
+                });
+            }
+            step_both(&mut a, &mut b, &mut rng, n_apps);
+            let added = a.servers.len() - 1;
+            assert_eq!(a.servers[added].fence, crate::server::FenceState::Active);
+            assert_round_matches(&mut a, &mut b, &outcomes(&mut rng), "after add");
+
+            // Drain a server until it is fenced, then retire it.
+            let gone = 1;
+            for w in [&mut a, &mut b] {
+                w.force_wake(gone);
+                w.submit_command(Command::Drain { server: gone });
+            }
+            while a.servers[gone].fence != crate::server::FenceState::Fenced {
+                step_both(&mut a, &mut b, &mut rng, n_apps);
+            }
+            for w in [&mut a, &mut b] {
+                w.submit_command(Command::RemoveServer { server: gone });
+            }
+            scatter(&mut a, &mut b, &mut rng);
+            step_both(&mut a, &mut b, &mut rng, n_apps);
+            assert_eq!(a.servers[gone].fence, crate::server::FenceState::Retired);
+            let (moves, _) =
+                assert_round_matches(&mut a, &mut b, &outcomes(&mut rng), "after remove");
+            assert!(!moves.is_empty(), "{policy:?}: the round must plan");
+        }
+    }
+
+    /// The hottest server is woken empty, so it is the round's first
+    /// victim: it sleeps and must never receive load afterwards.
+    #[test]
+    fn empty_first_victim_sleeps_and_leaves_the_receivers() {
+        for policy in [
+            ConsolidationPolicyChoice::HotZonesFirst,
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
+        ] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let (mut a, mut b, n_apps) = twins(&mut rng, policy);
+            for _ in 0..3 {
+                step_both(&mut a, &mut b, &mut rng, n_apps);
+            }
+            // Empty one hot-zone server by hand (on both twins), then
+            // wake every sleeper: it is the lowest-cap emptiest victim.
+            let first = 0;
+            for w in [&mut a, &mut b] {
+                w.force_wake(first);
+                let to = (1..w.servers.len()).find(|&i| w.servers[i].active).unwrap();
+                for _ in 0..w.servers[first].apps.len() {
+                    let (app, demand) = w.servers[first].take_app(0);
+                    w.servers[to].host_app(app, demand);
+                }
+                for si in 0..w.servers.len() {
+                    w.force_wake(si);
+                }
+            }
+            let mut victims: Vec<usize> = (0..a.servers.len())
+                .filter(|&i| a.servers[i].utilization() < a.config.consolidation_threshold)
+                .collect();
+            a.order_victims(&mut victims);
+            assert_eq!(victims[0], first, "{policy:?}");
+            let leaf = a.servers[first].node;
+            let (moves, slept) = assert_round_matches(&mut a, &mut b, &[], "empty first victim");
+            assert_eq!(slept[0], leaf);
+            assert!(
+                !moves.is_empty(),
+                "{policy:?}: the round must go on to plan"
+            );
+            assert!(moves.iter().all(|m| m.to != leaf), "{policy:?}");
+        }
+    }
+
+    /// `drain_server` between ticks plans against a fresh receiver index,
+    /// and the next round still matches.
+    #[test]
+    fn drain_outside_a_round_matches() {
+        for policy in [
+            ConsolidationPolicyChoice::HotZonesFirst,
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
+        ] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let (mut a, mut b, n_apps) = twins(&mut rng, policy);
+            step_both(&mut a, &mut b, &mut rng, n_apps);
+            let fail = outcomes(&mut rng);
+            assert_round_matches(&mut a, &mut b, &fail, "round before drain");
+            for t in 0..3 {
+                // The round left its index behind; waking and moving apps
+                // makes every entry of it stale.
+                scatter(&mut a, &mut b, &mut rng);
+                step_both(&mut a, &mut b, &mut rng, n_apps);
+                let server = (0..a.servers.len())
+                    .max_by_key(|&i| (a.servers[i].active, a.servers[i].apps.len()))
+                    .unwrap();
+                let drained = a.drain_server(server);
+                let tick = b.tick;
+                let oracle = plan(&b, server).is_some_and(|plan| {
+                    let mut records = vec![];
+                    plan.iter()
+                        .all(|(item, to)| b.attempt_migration(item, *to, tick, &mut records))
+                });
+                if oracle {
+                    b.sleep_server(server, tick);
+                }
+                assert_eq!(drained, oracle, "{policy:?} drain {t}");
+                assert_eq!(placement(&a), placement(&b), "{policy:?} drain {t}");
+                assert_eq!(cp_bits(&a), cp_bits(&b), "{policy:?} drain {t}");
+            }
+            assert_round_matches(&mut a, &mut b, &fail, "round after drains");
+        }
+    }
+}

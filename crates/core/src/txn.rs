@@ -129,13 +129,18 @@ impl MigrationJournal {
     }
 
     /// The journal entry for `id`, if it has not been pruned.
+    ///
+    /// Searched newest first (ids are unique): a migration works on the
+    /// transaction it just began, so its lookups cost O(1). Searching from
+    /// the oldest entry costs O(transactions this tick) per lookup, which
+    /// is quadratic over a large consolidation round.
     #[must_use]
     pub fn entry(&self, id: TxnId) -> Option<&MigrationTxn> {
-        self.entries.iter().find(|e| e.id == id)
+        self.entries.iter().rev().find(|e| e.id == id)
     }
 
     fn entry_mut(&mut self, id: TxnId) -> Option<&mut MigrationTxn> {
-        self.entries.iter_mut().find(|e| e.id == id)
+        self.entries.iter_mut().rev().find(|e| e.id == id)
     }
 
     /// Record the copy work: [`TxnPhase::Prepared`] → `Transferred`.
