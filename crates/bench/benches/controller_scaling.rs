@@ -60,8 +60,7 @@ fn bench_step_scaling(c: &mut Criterion) {
 }
 
 fn bench_steady_tick(c: &mut Criterion) {
-    // The recorded BENCH_controller.json sweep, as a criterion benchmark:
-    // steady-state (no-migration) tick cost over the allocation-free
+    // Steady-state (no-migration) tick cost over the allocation-free
     // `step_into` path, 3 levels × {27, 243, 2187} servers.
     use willow_core::migration::TickReport;
     use willow_core::Disturbances;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p willow-bench --bin repro -- all
-//! cargo run --release -p willow-bench --bin repro -- fig5 fig9 tab3
+//! cargo run --release -p willow-bench --bin repro -- fig5 fig9 fig19_tab3
 //! ```
 //!
 //! Experiment ids: fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 tab1 fig14
@@ -15,98 +15,134 @@ use willow_sim::experiments as sim_exp;
 use willow_testbed::experiments as tb_exp;
 
 mod ablate_cmd;
-mod bench_controller;
 mod chaos_cmd;
 mod federate_cmd;
 mod liveops_cmd;
 mod telemetry_cmd;
 
-/// Counting global allocator: lets the `bench` subcommand report
-/// allocations per control tick (the steady-state invariant is zero).
-#[global_allocator]
-static GLOBAL: bench_controller::CountingAllocator = bench_controller::CountingAllocator;
-
 const SEED: u64 = 2011; // the paper's year; any fixed seed works
 const TICKS: usize = 300;
 const N_SEEDS: usize = 5;
 
+/// Every experiment id `repro` accepts besides `all`.
+const EXPERIMENTS: &str = "fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 tab1 fig14 tab2 fig15_16 \
+     fig17_18 fig19_tab3 ext_imbalance ext_baseline";
+
+const USAGE: &str = "usage: repro [all | <experiment id>...] | ablate [--smoke] [--ticks N] \
+     [--seeds N] | chaos [--seeds N] [--ticks N] [--sweep] [--threads N] | federate [--seeds N] \
+     [--ticks N] [--smoke] [--threads N] | liveops [--seeds N] [--ticks N] [--timeline PATH] \
+     [--threads N] | telemetry";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "bench") {
-        let quick = args.iter().any(|a| a == "--quick");
-        bench_controller::run(quick);
-        return;
+    if let Err(e) = run(&args) {
+        eprintln!("repro: {e}; {USAGE}");
+        std::process::exit(2);
     }
-    if args.iter().any(|a| a == "ablate") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let flag = |name: &str, default: usize| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let (ticks, seeds) = if smoke { (80, 1) } else { (TICKS, N_SEEDS) };
-        ablate_cmd::run(SEED, flag("--ticks", ticks), flag("--seeds", seeds), smoke);
-        return;
+}
+
+/// The flags of one subcommand, checked against the ones it accepts.
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    /// Parses `args` as `switches` (bare) and `valued` flags (each followed
+    /// by its value); anything else is an error.
+    fn parse(args: &'a [String], switches: &[&str], valued: &[&str]) -> Result<Self, String> {
+        let mut flags = Vec::new();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if switches.contains(&arg) {
+                flags.push((arg, None));
+            } else if valued.contains(&arg) {
+                let value = args.next().ok_or(format!("{arg} needs a value"))?;
+                flags.push((arg, Some(value)));
+            } else {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+        }
+        Ok(Flags(flags))
     }
-    if args.iter().any(|a| a == "telemetry") {
-        telemetry_cmd::run(SEED);
-        return;
+
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|&(flag, _)| flag == name)
     }
-    if args.iter().any(|a| a == "chaos") {
-        let flag = |name: &str, default: usize| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        chaos_cmd::run(
-            flag("--seeds", 8) as u64,
-            flag("--ticks", 200),
-            args.iter().any(|a| a == "--sweep"),
-            flag("--threads", 1),
-        );
-        return;
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().find(|&&(flag, _)| flag == name)?.1
     }
-    if args.iter().any(|a| a == "federate") {
-        let flag = |name: &str, default: usize| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        federate_cmd::run(
-            flag("--seeds", 6) as u64,
-            flag("--ticks", 250),
-            args.iter().any(|a| a == "--smoke"),
-            flag("--threads", 1),
-        );
-        return;
+
+    fn num(&self, name: &str, default: usize) -> Result<usize, String> {
+        self.value(name).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|_| format!("{name} needs a non-negative integer, got `{v}`"))
+        })
     }
-    if args.iter().any(|a| a == "liveops") {
-        let flag = |name: &str, default: usize| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let timeline = args
-            .iter()
-            .position(|a| a == "--timeline")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str);
-        liveops_cmd::run(
-            flag("--seeds", 8) as u64,
-            flag("--ticks", 200),
-            timeline,
-            flag("--threads", 1),
-        );
-        return;
+}
+
+/// Dispatches on the first argument. Every argument is checked before
+/// anything runs.
+fn run(args: &[String]) -> Result<(), String> {
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("ablate") => {
+            let f = Flags::parse(rest, &["--smoke"], &["--ticks", "--seeds"])?;
+            let smoke = f.has("--smoke");
+            let (ticks, seeds) = if smoke { (80, 1) } else { (TICKS, N_SEEDS) };
+            ablate_cmd::run(
+                SEED,
+                f.num("--ticks", ticks)?,
+                f.num("--seeds", seeds)?,
+                smoke,
+            );
+        }
+        Some("telemetry") => {
+            Flags::parse(rest, &[], &[])?;
+            telemetry_cmd::run(SEED);
+        }
+        Some("chaos") => {
+            let f = Flags::parse(rest, &["--sweep"], &["--seeds", "--ticks", "--threads"])?;
+            chaos_cmd::run(
+                f.num("--seeds", 8)? as u64,
+                f.num("--ticks", 200)?,
+                f.has("--sweep"),
+                f.num("--threads", 1)?,
+            );
+        }
+        Some("federate") => {
+            let f = Flags::parse(rest, &["--smoke"], &["--seeds", "--ticks", "--threads"])?;
+            federate_cmd::run(
+                f.num("--seeds", 6)? as u64,
+                f.num("--ticks", 250)?,
+                f.has("--smoke"),
+                f.num("--threads", 1)?,
+            );
+        }
+        Some("liveops") => {
+            let f = Flags::parse(
+                rest,
+                &[],
+                &["--seeds", "--ticks", "--timeline", "--threads"],
+            )?;
+            liveops_cmd::run(
+                f.num("--seeds", 8)? as u64,
+                f.num("--ticks", 200)?,
+                f.value("--timeline"),
+                f.num("--threads", 1)?,
+            );
+        }
+        _ => {
+            let known = |a: &&String| *a == "all" || EXPERIMENTS.split(' ').any(|id| id == *a);
+            if let Some(bad) = args.iter().find(|a| !known(a)) {
+                return Err(format!("unknown subcommand or experiment id `{bad}`"));
+            }
+            experiments(args);
+        }
     }
+    Ok(())
+}
+
+/// Prints the requested experiments (every one for `all` or no ids).
+fn experiments(args: &[String]) {
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || args.iter().any(|a| a == id);
 

@@ -28,9 +28,9 @@ const ROUNDS: u64 = 64;
 /// Metric families that must appear in the Prometheus rendition; one per
 /// instrumented subsystem, so a broken wire fails the smoke test.
 const REQUIRED_FAMILIES: [&str; 10] = [
-    "willow_controller_phase_aggregate_seconds_bucket",
-    "willow_controller_phase_plan_migrations_seconds_bucket",
-    "willow_controller_phase_thermal_update_seconds_bucket",
+    "willow_controller_phase_measure_seconds_bucket",
+    "willow_controller_phase_demand_seconds_bucket",
+    "willow_controller_phase_physics_seconds_bucket",
     "willow_controller_migrations_total",
     "willow_controller_level_deficit_watts_l0",
     "willow_fabric_query_traffic_units",

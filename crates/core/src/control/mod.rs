@@ -89,8 +89,8 @@ use physics::PhysicsStage;
 use shard::ShardPool;
 use supply::SupplyStage;
 use telemetry::{
-    ControllerTelemetry, SLOT_AGGREGATE, SLOT_ALLOCATE, SLOT_CONSOLIDATE, SLOT_GAUGES,
-    SLOT_PLAN_MIGRATIONS, SLOT_THERMAL_UPDATE,
+    ControllerTelemetry, SLOT_CONSOLIDATE, SLOT_DEMAND, SLOT_GAUGES, SLOT_MEASURE, SLOT_PHYSICS,
+    SLOT_SUPPLY,
 };
 
 /// Errors from [`Willow::new`].
@@ -814,9 +814,9 @@ impl Willow {
         self.fabric.reset_epoch();
 
         // ------------------------------------------------ 1. measurement
-        let t0 = self.tel.span_start(SLOT_AGGREGATE, tick);
+        let t0 = self.tel.span_start(SLOT_MEASURE, tick);
         self.measure(app_demand);
-        self.tel.span_aggregate.record_since(t0);
+        self.tel.span_measure.record_since(t0);
         // Upward demand reports: one message per tree link.
         report.control_messages += self.tree.len() - 1;
         self.stats.messages += (self.tree.len() - 1) as u64;
@@ -845,11 +845,11 @@ impl Willow {
 
         // ------------------------------------------- 2. supply adaptation
         if supply_tick && !self.paused {
-            let t0 = self.tel.span_start(SLOT_ALLOCATE, tick);
+            let t0 = self.tel.span_start(SLOT_SUPPLY, tick);
             let mut stage = std::mem::take(&mut self.supply_stage);
             self.supply_adaptation(supply, &mut stage, &planning);
             self.supply_stage = stage;
-            self.tel.span_allocate.record_since(t0);
+            self.tel.span_supply.record_since(t0);
             // Downward budget directives: one message per tree link.
             report.control_messages += self.tree.len() - 1;
             self.stats.messages += (self.tree.len() - 1) as u64;
@@ -857,11 +857,11 @@ impl Willow {
 
         // ------------------------------------------- 3. demand adaptation
         if !self.paused {
-            let t0 = self.tel.span_start(SLOT_PLAN_MIGRATIONS, tick);
+            let t0 = self.tel.span_start(SLOT_DEMAND, tick);
             let mut stage = std::mem::take(&mut self.demand_stage);
             self.demand_adaptation(tick, &mut stage, &mut report.migrations);
             self.demand_stage = stage;
-            self.tel.span_plan_migrations.record_since(t0);
+            self.tel.span_demand.record_since(t0);
         }
 
         // --------------------------------------------- 4. consolidation
@@ -885,7 +885,7 @@ impl Willow {
         self.planning = planning;
 
         // ------------------------------------------------- 5. physics
-        let t0 = self.tel.span_start(SLOT_THERMAL_UPDATE, tick);
+        let t0 = self.tel.span_start(SLOT_PHYSICS, tick);
         // Re-aggregate interior demands only if a leaf CP changed since
         // the measurement phase aggregated them: executed migrations and
         // aborts charge costs, sleeping zeroes the leaf. On a clean tick
@@ -898,7 +898,7 @@ impl Willow {
             self.power.aggregate_demands(&self.tree);
         }
         self.physics_phase(report);
-        self.tel.span_thermal_update.record_since(t0);
+        self.tel.span_physics.record_since(t0);
 
         self.tel.migrations.add(report.migrations.len() as u64);
         self.tel

@@ -10,11 +10,11 @@
 pub const SPAN_SAMPLE_PERIOD: u64 = 16;
 
 /// Sampling slots: five phase spans plus the gauge refresh.
-pub(super) const SLOT_AGGREGATE: usize = 0;
-pub(super) const SLOT_ALLOCATE: usize = 1;
-pub(super) const SLOT_PLAN_MIGRATIONS: usize = 2;
+pub(super) const SLOT_MEASURE: usize = 0;
+pub(super) const SLOT_SUPPLY: usize = 1;
+pub(super) const SLOT_DEMAND: usize = 2;
 pub(super) const SLOT_CONSOLIDATE: usize = 3;
-pub(super) const SLOT_THERMAL_UPDATE: usize = 4;
+pub(super) const SLOT_PHYSICS: usize = 4;
 pub(super) const SLOT_GAUGES: usize = 5;
 
 /// Telemetry handles for the controller's hot path. All handles come from
@@ -27,11 +27,11 @@ pub(super) const SLOT_GAUGES: usize = 5;
 pub(crate) struct ControllerTelemetry {
     /// Kept for span start tokens (`TelemetryRegistry::now`).
     pub(super) registry: willow_telemetry::TelemetryRegistry,
-    pub(super) span_aggregate: willow_telemetry::Histogram,
-    pub(super) span_allocate: willow_telemetry::Histogram,
-    pub(super) span_plan_migrations: willow_telemetry::Histogram,
+    pub(super) span_measure: willow_telemetry::Histogram,
+    pub(super) span_supply: willow_telemetry::Histogram,
+    pub(super) span_demand: willow_telemetry::Histogram,
     pub(super) span_consolidate: willow_telemetry::Histogram,
-    pub(super) span_thermal_update: willow_telemetry::Histogram,
+    pub(super) span_physics: willow_telemetry::Histogram,
     pub(super) migrations: willow_telemetry::Counter,
     pub(super) migration_aborts: willow_telemetry::Counter,
     pub(super) migration_rejects: willow_telemetry::Counter,
@@ -57,11 +57,11 @@ impl ControllerTelemetry {
             )
         };
         ControllerTelemetry {
-            span_aggregate: span("aggregate"),
-            span_allocate: span("allocate"),
-            span_plan_migrations: span("plan_migrations"),
+            span_measure: span("measure"),
+            span_supply: span("supply"),
+            span_demand: span("demand"),
             span_consolidate: span("consolidate"),
-            span_thermal_update: span("thermal_update"),
+            span_physics: span("physics"),
             migrations: registry.counter(
                 "willow_controller_migrations_total",
                 "Migrations executed (both reasons)",

@@ -1,0 +1,236 @@
+//! The controller's steady-tick contract:
+//!
+//! * **(a)** the serial steady-state tick makes 0 heap allocations at 27 /
+//!   243 / 2,187 servers, with and without an attached telemetry
+//!   registry;
+//! * **(b)** the same holds on the serial path of the 5-level trees at
+//!   19,683 / 52,488 / 104,976 servers;
+//! * **(c)** on those trees, a `threads = 4` controller stepped in
+//!   lockstep with a serial twin under migration pressure emits the same
+//!   `TickReport` bit for bit every tick and ends in the same snapshot.
+//!
+//! (a) runs with `cargo test`. (b) and (c) are too slow for a debug build
+//! and run together as one ignored test:
+//!
+//! ```text
+//! cargo test --release -p willow-core --test steady_tick -- --ignored --nocapture
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use willow_core::config::{AllocationPolicy, ControllerConfig};
+use willow_core::controller::Willow;
+use willow_core::migration::TickReport;
+use willow_core::server::ServerSpec;
+use willow_core::Disturbances;
+use willow_telemetry::TelemetryRegistry;
+use willow_thermal::units::Watts;
+use willow_topology::Tree;
+use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
+
+/// Forwards to the system allocator while counting allocation calls per
+/// thread, so tests running in parallel do not leak counts into each
+/// other's measured windows.
+struct CountingAllocator;
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread may still allocate while its thread-locals are
+    // being torn down; such allocations are simply not counted.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// A controller with one app of each class per server (their
+/// full-utilization power sums to the 450 W rating) and each app's
+/// demand at `utilization` of its class mean.
+fn build(branching: &[usize], config: ControllerConfig, utilization: f64) -> (Willow, Vec<Watts>) {
+    let tree = Tree::uniform(branching);
+    let mut id = 0u32;
+    let specs: Vec<ServerSpec> = tree
+        .leaves()
+        .map(|leaf| {
+            let apps: Vec<Application> = (0..4)
+                .map(|_| {
+                    let class = id as usize % SIM_APP_CLASSES.len();
+                    let a = Application::new(AppId(id), class, &SIM_APP_CLASSES[class]);
+                    id += 1;
+                    a
+                })
+                .collect();
+            ServerSpec::simulation_default(leaf).with_apps(apps)
+        })
+        .collect();
+    let willow = Willow::new(tree, specs, config).unwrap();
+    let demands = (0..id)
+        .map(|i| SIM_APP_CLASSES[i as usize % SIM_APP_CLASSES.len()].mean_power * utilization)
+        .collect();
+    (willow, demands)
+}
+
+/// Allocations made over `ticks` ticks of the serial steady state: 40 %
+/// utilization (above the 20 % consolidation threshold) under ample
+/// supply, so no thermal, supply or consolidation pressure moves an app.
+fn steady_allocs(
+    branching: &[usize],
+    warmup: usize,
+    ticks: usize,
+    registry: Option<&TelemetryRegistry>,
+) -> u64 {
+    let (mut willow, demands) = build(branching, ControllerConfig::default(), 0.4);
+    // Attached before the window: registering handles allocates once,
+    // recording never does.
+    if let Some(registry) = registry {
+        willow.attach_telemetry(registry);
+    }
+    let supply = Watts(willow.servers().len() as f64 * 450.0);
+    let quiet = Disturbances::none();
+    let mut report = TickReport::default();
+    for _ in 0..warmup {
+        willow.step_into(&demands, supply, &quiet, &mut report);
+    }
+    let before = allocations();
+    for _ in 0..ticks {
+        willow.step_into(&demands, supply, &quiet, &mut report);
+    }
+    allocations() - before
+}
+
+#[test]
+fn steady_tick_allocates_nothing() {
+    for branching in [&[3, 3, 3][..], &[3, 9, 9], &[3, 27, 27]] {
+        let servers: usize = branching.iter().product();
+        let plain = steady_allocs(branching, 32, 64, None);
+        assert_eq!(plain, 0, "steady-state tick allocated at {servers} servers");
+        let registry = TelemetryRegistry::new();
+        let instrumented = steady_allocs(branching, 32, 64, Some(&registry));
+        assert_eq!(
+            instrumented, 0,
+            "telemetry recording allocated at {servers} servers"
+        );
+    }
+}
+
+/// Pressure factor in `[0.4, 1.7)` for one app on one tick, from a fixed
+/// integer hash of (app index, tick): no RNG state, same in every run.
+fn pressure(app: usize, tick: usize) -> f64 {
+    let mut h = ((app as u64) << 32 | tick as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^= h >> 31;
+    let r = (h >> 11) as f64 / (1u64 << 53) as f64;
+    0.4 + 1.3 * r
+}
+
+/// Steps a serial controller and a `threads`-thread twin in lockstep
+/// under migration pressure, asserting every `TickReport` and the final
+/// snapshots are bit-identical (`config.threads` is the one intended
+/// difference and is normalised before comparing). Returns the total
+/// migrations the serial run executed.
+///
+/// The pressure: equal-share caps of 185 W per server over apps at a 25 %
+/// base utilisation, and every app's demand redrawn each tick as
+/// `base × pressure(app, tick)`. A flat server draws 112.5 W; the
+/// independent per-app draws spread that from 45 W to 191 W, so each
+/// tick the servers whose draws came out high exceed their cap while most
+/// others have room, and the demand stage moves apps from the first to
+/// the second: about one migration per ten servers per tick.
+fn lockstep_migrations(branching: &[usize], threads: usize, ticks: usize) -> usize {
+    let config = |threads| ControllerConfig {
+        threads,
+        allocation: AllocationPolicy::EqualShare,
+        ..ControllerConfig::default()
+    };
+    let (mut serial, base) = build(branching, config(1), 0.25);
+    let (mut sharded, _) = build(branching, config(threads), 0.25);
+    let supply = Watts(serial.servers().len() as f64 * 185.0);
+    let quiet = Disturbances::none();
+    let mut r_serial = TickReport::default();
+    let mut r_sharded = TickReport::default();
+    // Settle both into the flat steady state first: caps are set on the
+    // first supply tick.
+    for _ in 0..3 {
+        serial.step_into(&base, supply, &quiet, &mut r_serial);
+        sharded.step_into(&base, supply, &quiet, &mut r_sharded);
+    }
+    let mut demands = base.clone();
+    let mut migrations = 0;
+    for tick in 0..ticks {
+        for (app, d) in demands.iter_mut().enumerate() {
+            *d = base[app] * pressure(app, tick);
+        }
+        serial.step_into(&demands, supply, &quiet, &mut r_serial);
+        sharded.step_into(&demands, supply, &quiet, &mut r_sharded);
+        assert!(
+            r_serial == r_sharded && format!("{r_serial:?}") == format!("{r_sharded:?}"),
+            "{threads}-thread tick {tick} diverged from the serial tick at {branching:?}"
+        );
+        migrations += r_serial.migrations.len();
+    }
+    let snap_serial = serial.snapshot();
+    let mut snap_sharded = sharded.snapshot();
+    snap_sharded.config.threads = snap_serial.config.threads;
+    assert!(
+        snap_serial == snap_sharded,
+        "{threads}-thread final snapshot diverged from the serial one at {branching:?}"
+    );
+    migrations
+}
+
+#[test]
+#[ignore = "release-only: 5-level trees up to 104,976 servers"]
+fn large_trees_allocate_nothing_and_shard_bit_for_bit() {
+    // 19,683, 52,488 and 104,976 servers: 9-ary below a widening root.
+    for branching in [&[3, 9, 9, 9, 9], &[8, 9, 9, 9, 9], &[16, 9, 9, 9, 9]] {
+        let servers: usize = branching.iter().product();
+        let allocs = steady_allocs(branching, 16, 64, None);
+        assert_eq!(
+            allocs, 0,
+            "serial steady-state tick allocated at {servers} servers"
+        );
+        let migrations = lockstep_migrations(branching, 4, 12);
+        println!(
+            "{servers:>7} servers: 0 allocs/tick, serial == 4 threads, {migrations} migrations"
+        );
+        // Without migrations the lockstep never reaches the sharded
+        // demand stage's planning and execution, and would pass however
+        // that path diverged.
+        assert!(
+            migrations > 0,
+            "lockstep at {servers} servers migrated nothing, so it does not check the migration path"
+        );
+    }
+}

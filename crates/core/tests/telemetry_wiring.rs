@@ -80,21 +80,21 @@ fn phase_spans_and_counters_record() {
     };
     // Spans are sampled once per phase per window: every-tick phases
     // record exactly one sample per elapsed window, conditional phases
-    // (allocate on η₁ ticks, consolidate on η₂ ticks) at most that.
+    // (supply on η₁ ticks, consolidate on η₂ ticks) at most that.
     let sampled = ticks / period;
     assert_eq!(
-        hist_count("willow_controller_phase_aggregate_seconds"),
+        hist_count("willow_controller_phase_measure_seconds"),
         sampled
     );
     assert_eq!(
-        hist_count("willow_controller_phase_plan_migrations_seconds"),
+        hist_count("willow_controller_phase_demand_seconds"),
         sampled
     );
     assert_eq!(
-        hist_count("willow_controller_phase_thermal_update_seconds"),
+        hist_count("willow_controller_phase_physics_seconds"),
         sampled
     );
-    for phase in ["allocate", "consolidate"] {
+    for phase in ["supply", "consolidate"] {
         let count = hist_count(&format!("willow_controller_phase_{phase}_seconds"));
         assert!(
             (1..=sampled).contains(&count),
@@ -128,7 +128,7 @@ fn phase_spans_and_counters_record() {
     }
     // And the Prometheus rendition carries all of it.
     let text = registry.render_prometheus();
-    assert!(text.contains("willow_controller_phase_aggregate_seconds_bucket"));
+    assert!(text.contains("willow_controller_phase_measure_seconds_bucket"));
     assert!(text.contains("willow_controller_migrations_total"));
     assert!(!text.contains("NaN"));
 }
