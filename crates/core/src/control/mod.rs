@@ -50,7 +50,7 @@ use crate::server::FenceState;
 use crate::server::{ServerSpec, ServerState};
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use willow_network::Fabric;
 use willow_thermal::model::decay_factor;
 use willow_thermal::units::{Celsius, Watts};
@@ -148,6 +148,19 @@ impl std::fmt::Display for WillowError {
 }
 
 impl std::error::Error for WillowError {}
+
+/// [`WillowError::SnapshotShape`] unless `found == expected`.
+fn snapshot_shape(field: &'static str, found: usize, expected: usize) -> Result<(), WillowError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(WillowError::SnapshotShape {
+            field,
+            found,
+            expected,
+        })
+    }
+}
 
 /// Fault and defense events observed during the current period.
 #[derive(Debug, Clone, Copy, Default)]
@@ -267,91 +280,44 @@ pub struct Willow {
 
 impl Willow {
     /// Build a controller for `tree` with one [`ServerSpec`] per leaf,
-    /// running the policies `config` selects.
+    /// running the policies `config` selects: the tick-0 image of the
+    /// controller (no memory, no planning state yet), restored through the
+    /// same validation as any checkpoint.
     pub fn new(
         tree: Tree,
         specs: Vec<ServerSpec>,
         config: ControllerConfig,
     ) -> Result<Self, WillowError> {
+        // The smoothers are built from the config, so it must hold first.
         config.validate().map_err(WillowError::Config)?;
-        let leaves: Vec<NodeId> = tree.leaves().collect();
-        if specs.len() != leaves.len() {
-            return Err(WillowError::LeafCoverage {
-                leaves: leaves.len(),
-                specs: specs.len(),
-            });
-        }
-        let mut leaf_server = vec![None; tree.len()];
-        let mut servers = Vec::with_capacity(specs.len());
-        let mut seen_apps = HashMap::new();
-        for spec in &specs {
-            if !tree.is_leaf(spec.node) {
-                return Err(WillowError::NotALeaf(spec.node));
-            }
-            if leaf_server[spec.node.index()].is_some() {
-                return Err(WillowError::DuplicateLeaf(spec.node));
-            }
-            for app in &spec.apps {
-                if seen_apps.insert(app.id, spec.node).is_some() {
-                    return Err(WillowError::DuplicateApp(app.id));
-                }
-            }
-            leaf_server[spec.node.index()] = Some(servers.len());
-            servers.push(ServerState::from_spec_with_smoother(
-                spec,
-                crate::server::DemandSmoother::new(config.smoother, config.alpha),
-            ));
-        }
-        let power = PowerState::new(&tree);
-        let fabric = Fabric::new(&tree);
-        let accepted_temp = servers.iter().map(|s| s.thermal.temperature()).collect();
-        let decay_dd = servers
+        let servers: Vec<ServerState> = specs
             .iter()
-            .map(|s| decay_factor(s.thermal.params(), config.delta_d))
+            .map(|spec| {
+                ServerState::from_spec_with_smoother(
+                    spec,
+                    crate::server::DemandSmoother::new(config.smoother, config.alpha),
+                )
+            })
             .collect();
-        let decay_ds = servers
-            .iter()
-            .map(|s| decay_factor(s.thermal.params(), config.delta_s()))
-            .collect();
-        let watchdog = vec![Watchdog::default(); servers.len()];
-        let local_cp = vec![Watts::ZERO; tree.len()];
-        let supply_stage = SupplyStage::for_tree(&tree);
-        let demand_stage = DemandStage::for_tree(&tree);
-        let consolidate_stage = ConsolidateStage::for_tree(&tree, servers.len());
-        let physics_stage = PhysicsStage::for_tree(&tree, servers.len());
-        let pool = ShardPool::new(shard::resolve_threads(config.threads));
-        let planning = PlanningContext::for_servers(servers.len());
-        Ok(Willow {
-            tree,
-            config,
-            servers,
-            leaf_server,
-            power,
-            fabric,
+        let n = servers.len();
+        Willow::from_parts(crate::snapshot::WillowSnapshot {
+            power: PowerState::new(&tree),
             tick: 0,
-            last_move: HashMap::new(),
+            last_moves: Vec::new(),
             last_dropped: Watts::ZERO,
+            local_cp: vec![Watts::ZERO; tree.len()],
+            watchdog: vec![Watchdog::default(); n],
+            accepted_temp: servers.iter().map(|s| s.thermal.temperature()).collect(),
+            backoff: Vec::new(),
             stats: ControlStats::default(),
-            local_cp,
-            watchdog,
-            accepted_temp,
-            decay_dd,
-            decay_ds,
-            backoff: HashMap::new(),
             journal: MigrationJournal::default(),
-            disturb: Disturbances::default(),
-            mig_attempts: 0,
-            counters: FaultCounters::default(),
-            supply_stage,
-            demand_stage,
-            consolidate_stage,
-            physics_stage,
-            pool,
-            planning,
-            tel: ControllerTelemetry::default(),
             pending: Vec::new(),
             next_command_id: 0,
             paused: false,
+            planning: None,
+            tree,
+            config,
+            servers,
         })
     }
 
@@ -488,9 +454,11 @@ impl Willow {
     }
 
     /// Rebuild a controller from a previously captured snapshot (the
-    /// checkpoint/restore path — see `crate::snapshot`). Validates the
-    /// config, the leaf coverage of the server states, and the shape of
-    /// every auxiliary state vector against the snapshot's own topology.
+    /// checkpoint/restore path — see `crate::snapshot`), or from the tick-0
+    /// image [`Willow::new`] assembles. Validates the config, the leaf
+    /// coverage of the server states, app uniqueness, and the shape of
+    /// every state vector against the snapshot's own topology, so a
+    /// malformed image is an error here rather than a panic in `step`.
     ///
     /// Policies are selected by the snapshot's config alone, so the
     /// restored controller runs the policies it was checkpointed with.
@@ -530,41 +498,50 @@ impl Willow {
                 specs: live,
             });
         }
-        let shape = |field: &'static str, found: usize, expected: usize| {
-            if found == expected {
-                Ok(())
-            } else {
-                Err(WillowError::SnapshotShape {
-                    field,
-                    found,
-                    expected,
-                })
-            }
-        };
-        shape("local_cp", local_cp.len(), tree.len())?;
-        shape("watchdog", watchdog.len(), servers.len())?;
-        shape("accepted_temp", accepted_temp.len(), servers.len())?;
+        snapshot_shape("local_cp", local_cp.len(), tree.len())?;
+        snapshot_shape("power.cp", power.cp.len(), tree.len())?;
+        snapshot_shape("power.tp", power.tp.len(), tree.len())?;
+        snapshot_shape("power.tp_old", power.tp_old.len(), tree.len())?;
+        snapshot_shape("power.cap", power.cap.len(), tree.len())?;
+        snapshot_shape("power.reduced", power.reduced.len(), tree.len())?;
+        snapshot_shape("watchdog", watchdog.len(), servers.len())?;
+        snapshot_shape("accepted_temp", accepted_temp.len(), servers.len())?;
         // Pre-planning snapshots carry no context; restart the forecasts
         // from scratch rather than rejecting the checkpoint.
         let planning = match planning {
             Some(p) => {
-                shape("planning", p.leaves.len(), servers.len())?;
+                snapshot_shape("planning", p.leaves.len(), servers.len())?;
                 p
             }
             None => PlanningContext::for_servers(servers.len()),
         };
         let mut leaf_server = vec![None; tree.len()];
+        let mut seen_apps = HashSet::new();
         for (si, server) in servers.iter().enumerate() {
-            if server.fence == FenceState::Retired {
-                continue;
-            }
-            if !tree.is_leaf(server.node) {
+            snapshot_shape(
+                "servers.app_demand",
+                server.app_demand.len(),
+                server.apps.len(),
+            )?;
+            // Even a retired row's node must be a tree slot: recovery
+            // indexes the slot table by it.
+            if server.node.index() >= tree.len() {
                 return Err(WillowError::NotALeaf(server.node));
             }
-            if leaf_server[server.node.index()].is_some() {
-                return Err(WillowError::DuplicateLeaf(server.node));
+            if server.fence != FenceState::Retired {
+                if !tree.is_leaf(server.node) {
+                    return Err(WillowError::NotALeaf(server.node));
+                }
+                if leaf_server[server.node.index()].is_some() {
+                    return Err(WillowError::DuplicateLeaf(server.node));
+                }
+                leaf_server[server.node.index()] = Some(si);
             }
-            leaf_server[server.node.index()] = Some(si);
+            for app in &server.apps {
+                if !seen_apps.insert(app.id) {
+                    return Err(WillowError::DuplicateApp(app.id));
+                }
+            }
         }
         let fabric = Fabric::new(&tree);
         let decay_dd = servers
@@ -660,21 +637,10 @@ impl Willow {
         field: &Willow,
     ) -> Result<Willow, WillowError> {
         let mut w = Willow::from_parts(checkpoint)?;
-        let shape = |field_name: &'static str, found: usize, expected: usize| {
-            if found == expected {
-                Ok(())
-            } else {
-                Err(WillowError::SnapshotShape {
-                    field: field_name,
-                    found,
-                    expected,
-                })
-            }
-        };
-        shape("recover.tree", w.tree.len(), field.tree.len())?;
-        shape("recover.servers", w.servers.len(), field.servers.len())?;
+        snapshot_shape("recover.tree", w.tree.len(), field.tree.len())?;
+        snapshot_shape("recover.servers", w.servers.len(), field.servers.len())?;
         for (ours, theirs) in w.servers.iter().zip(&field.servers) {
-            shape("recover.leaf", ours.node.index(), theirs.node.index())?;
+            snapshot_shape("recover.leaf", ours.node.index(), theirs.node.index())?;
         }
 
         // Physical truth from the field.

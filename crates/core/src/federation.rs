@@ -1,14 +1,16 @@
-//! Multi-zone federation: N independent [`Willow`] controllers under a
-//! thin, fault-tolerant supply broker.
+//! Multi-zone supply broker: splits one total supply across N
+//! independent [`Willow`](crate::control::Willow) zone controllers.
 //!
-//! One `Willow` controls one PMU tree. A [`Federation`] owns several —
-//! one per data-center zone — and a [`SupplyBroker`] splits the total
-//! supply across zones in proportion to each zone's aggregate reported
-//! demand, reusing the same capped proportional water-filling
+//! One `Willow` controls one PMU tree. The [`SupplyBroker`] sits one level
+//! above several — one per data-center zone — and splits the total supply
+//! across zones in proportion to each zone's aggregate reported demand,
+//! reusing the same capped proportional water-filling
 //! ([`willow_power::allocation::allocate_proportional_into`]) that every
 //! interior PMU node already runs. The broker is deliberately *thin*:
 //! it holds one [`ZoneLink`] ledger entry per zone and never reaches
-//! into a zone's tree — zones stay fully independent controllers.
+//! into a zone's tree — zones stay fully independent controllers. The
+//! multi-zone tick loop that drives it (conditions, outages, broker
+//! checkpoints and zone rejoins) is `willow_sim::federate`.
 //!
 //! ## Failure model and defenses (mirroring the leaf-side watchdog)
 //!
@@ -47,10 +49,7 @@ use serde::{Deserialize, Serialize};
 use willow_power::allocation::{allocate_proportional_into, AllocationScratch};
 use willow_thermal::units::Watts;
 
-use crate::control::{PlanSeries, Willow, WillowError};
-use crate::disturbance::Disturbances;
-use crate::migration::TickReport;
-use crate::snapshot::WillowSnapshot;
+use crate::control::PlanSeries;
 
 /// Tolerance for the conservation double-check: float summation of many
 /// grants may differ from the analytic bound by a few ULPs.
@@ -467,11 +466,7 @@ impl SupplyBroker {
                 link.tripped = true;
                 self.counters.link_trips += 1;
             }
-            *grant = if link.tripped {
-                Watts(link.last_grant.0 * self.config.fallback_fraction)
-            } else {
-                link.last_grant
-            };
+            *grant = link.open_loop_supply(&self.config);
         }
         &self.grants
     }
@@ -568,7 +563,7 @@ impl SupplyBroker {
     }
 }
 
-/// Errors from building or restoring a [`Federation`].
+/// Errors from building or restoring a [`SupplyBroker`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum FederationError {
     /// A federation needs at least one zone.
@@ -578,14 +573,7 @@ pub enum FederationError {
         /// Which rule was violated.
         reason: &'static str,
     },
-    /// A zone controller failed to build or restore.
-    Zone {
-        /// Zone index.
-        index: usize,
-        /// The underlying controller error.
-        source: WillowError,
-    },
-    /// A snapshot's shape does not match the federation.
+    /// A broker snapshot's shape does not match the federation.
     Shape {
         /// Which field is malformed.
         field: &'static str,
@@ -601,16 +589,13 @@ impl std::fmt::Display for FederationError {
         match self {
             FederationError::NoZones => write!(f, "a federation needs at least one zone"),
             FederationError::Config { reason } => write!(f, "invalid broker config: {reason}"),
-            FederationError::Zone { index, source } => {
-                write!(f, "zone {index}: {source}")
-            }
             FederationError::Shape {
                 field,
                 found,
                 expected,
             } => write!(
                 f,
-                "federation snapshot field `{field}` has {found} entries, expected {expected}"
+                "broker snapshot field `{field}` has {found} entries, expected {expected}"
             ),
         }
     }
@@ -618,244 +603,26 @@ impl std::fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
-/// Serializable image of a whole federation: every zone controller plus
-/// the broker ledger. JSON-lossless, like [`WillowSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FederationSnapshot {
-    /// One controller snapshot per zone, in zone order.
-    pub zones: Vec<WillowSnapshot>,
-    /// The broker's ledger and counters.
-    pub broker: BrokerSnapshot,
-}
-
-/// N independent zone controllers under one [`SupplyBroker`].
-pub struct Federation {
-    zones: Vec<Willow>,
-    broker: SupplyBroker,
-    // Per-tick scratch (reused, no steady-state allocation).
-    reports: Vec<Option<Watts>>,
-}
-
-impl Federation {
-    /// Build a federation from per-zone controllers.
-    ///
-    /// # Errors
-    /// Rejects an empty zone list or invalid broker config.
-    pub fn new(zones: Vec<Willow>, config: BrokerConfig) -> Result<Self, FederationError> {
-        let broker = SupplyBroker::new(zones.len(), config)?;
-        let n = zones.len();
-        Ok(Federation {
-            zones,
-            broker,
-            reports: vec![None; n],
-        })
-    }
-
-    /// Number of zones.
-    #[must_use]
-    pub fn n_zones(&self) -> usize {
-        self.zones.len()
-    }
-
-    /// The zone controllers, in zone order.
-    #[must_use]
-    pub fn zones(&self) -> &[Willow] {
-        &self.zones
-    }
-
-    /// One zone controller.
-    #[must_use]
-    pub fn zone(&self, i: usize) -> &Willow {
-        &self.zones[i]
-    }
-
-    /// Mutable access to one zone controller (live-ops commands, etc.).
-    pub fn zone_mut(&mut self, i: usize) -> &mut Willow {
-        &mut self.zones[i]
-    }
-
-    /// The broker.
-    #[must_use]
-    pub fn broker(&self) -> &SupplyBroker {
-        &self.broker
-    }
-
-    /// A zone's aggregate demand as the broker would read it: the CP
-    /// (current power demand) at the zone's root, i.e. last period's
-    /// measured, smoothed total — reports reach the broker one period
-    /// behind, exactly like reports inside a tree reach the root.
-    #[must_use]
-    pub fn zone_demand(&self, i: usize) -> Watts {
-        let zone = &self.zones[i];
-        zone.power().cp[zone.tree().root().index()]
-    }
-
-    /// Advance every zone one demand period.
-    ///
-    /// `broker_up` is false while the broker itself is crashed: no
-    /// apportionment runs and every zone self-applies the open-loop
-    /// protocol. `app_demands[i]` / `disturbs[i]` / `reports[i]` are zone
-    /// *i*'s inputs and output, with the same semantics as
-    /// [`Willow::step_into`]. Zones whose condition is
-    /// [`ZoneCondition::Down`] step open-loop (their leaves free-run);
-    /// all others step closed-loop on the supply from
-    /// [`SupplyBroker::zone_supply`].
-    ///
-    /// # Panics
-    /// Panics if the slice lengths do not match the zone count.
-    pub fn step(
-        &mut self,
-        total_supply: Watts,
-        broker_up: bool,
-        conditions: &[ZoneCondition],
-        app_demands: &[Vec<Watts>],
-        disturbs: &[Disturbances],
-        reports: &mut [TickReport],
-    ) {
-        let n = self.zones.len();
-        assert_eq!(conditions.len(), n, "one condition per zone");
-        assert_eq!(app_demands.len(), n, "one demand slice per zone");
-        assert_eq!(disturbs.len(), n, "one disturbance set per zone");
-        assert_eq!(reports.len(), n, "one report buffer per zone");
-
-        if broker_up {
-            for (i, cond) in conditions.iter().enumerate() {
-                let fresh = cond.report_fresh().then(|| self.zone_demand(i));
-                self.reports[i] = fresh;
-            }
-            self.broker
-                .apportion(total_supply, conditions, &self.reports);
-        } else {
-            self.broker.broker_down_tick();
-        }
-
-        for (i, zone) in self.zones.iter_mut().enumerate() {
-            let condition = if broker_up {
-                conditions[i]
-            } else if conditions[i] == ZoneCondition::Down {
-                // A crashed zone stays crashed whoever else is down.
-                ZoneCondition::Down
-            } else {
-                // From the zone's side a broker outage is
-                // indistinguishable from isolation.
-                ZoneCondition::Isolated
-            };
-            if condition == ZoneCondition::Down {
-                zone.step_open_loop(&app_demands[i], &disturbs[i], &mut reports[i]);
-            } else {
-                let supply = self.broker.zone_supply(i, condition);
-                zone.step_into(&app_demands[i], supply, &disturbs[i], &mut reports[i]);
-            }
-        }
-    }
-
-    /// Recover zone `i` from a checkpoint, [`Willow::recover`]-style:
-    /// the checkpoint supplies control memory, the zone's current state
-    /// is the field truth, and the broker ledger is reconciled with the
-    /// recovered zone's fresh demand ([`SupplyBroker::rejoin`]).
-    ///
-    /// # Errors
-    /// Whatever [`Willow::recover`] reports, wrapped with the zone index.
-    pub fn recover_zone(
-        &mut self,
-        i: usize,
-        checkpoint: WillowSnapshot,
-    ) -> Result<(), FederationError> {
-        let recovered = Willow::recover(checkpoint, &self.zones[i])
-            .map_err(|source| FederationError::Zone { index: i, source })?;
-        self.zones[i] = recovered;
-        let fresh = self.zone_demand(i);
-        self.broker.rejoin(i, fresh);
-        Ok(())
-    }
-
-    /// Recover the broker from a checkpoint after a broker crash,
-    /// reconciling every zone marked reachable against field truth. No
-    /// zone is stranded: unreachable zones keep their (restored) ledger
-    /// entries and continue on the open-loop protocol.
-    ///
-    /// # Errors
-    /// Rejects a snapshot whose zone count does not match.
-    pub fn recover_broker(
-        &mut self,
-        snapshot: BrokerSnapshot,
-        reachable: &[bool],
-    ) -> Result<(), FederationError> {
-        assert_eq!(
-            reachable.len(),
-            self.zones.len(),
-            "one reachability flag per zone"
-        );
-        self.broker.recover(snapshot)?;
-        for (i, &up) in reachable.iter().enumerate() {
-            if up {
-                let fresh = self.zone_demand(i);
-                self.broker.rejoin(i, fresh);
-            }
-        }
-        Ok(())
-    }
-
-    /// Capture the complete mutable state of the federation.
-    #[must_use]
-    pub fn snapshot(&self) -> FederationSnapshot {
-        FederationSnapshot {
-            zones: self.zones.iter().map(Willow::snapshot).collect(),
-            broker: self.broker.snapshot(),
-        }
-    }
-
-    /// Rebuild a federation from a snapshot.
-    ///
-    /// # Errors
-    /// Rejects mismatched shapes and whatever zone restoration reports.
-    pub fn restore(snapshot: FederationSnapshot) -> Result<Self, FederationError> {
-        if snapshot.zones.is_empty() {
-            return Err(FederationError::NoZones);
-        }
-        if snapshot.broker.links.len() != snapshot.zones.len() {
-            return Err(FederationError::Shape {
-                field: "broker.links",
-                found: snapshot.broker.links.len(),
-                expected: snapshot.zones.len(),
-            });
-        }
-        let mut zones = Vec::with_capacity(snapshot.zones.len());
-        for (index, zs) in snapshot.zones.into_iter().enumerate() {
-            zones.push(
-                Willow::restore(zs).map_err(|source| FederationError::Zone { index, source })?,
-            );
-        }
-        let broker = SupplyBroker::restore(snapshot.broker)?;
-        let n = zones.len();
-        Ok(Federation {
-            zones,
-            broker,
-            reports: vec![None; n],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ControllerConfig;
+    use crate::control::Willow;
+    use crate::disturbance::Disturbances;
+    use crate::migration::TickReport;
     use crate::server::ServerSpec;
     use willow_topology::Tree;
     use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
 
-    /// A small 6-server zone controller with one app per server. App ids
-    /// start at `app_id_base` per zone — zones are independent controllers,
-    /// so ids may repeat across zones (each zone indexes its own demand
-    /// slice by id).
-    fn zone_willow(app_id_base: u32) -> Willow {
+    /// A small 6-server zone controller with one app per server.
+    fn zone_willow() -> Willow {
         let tree = Tree::uniform(&[2, 3]);
         let specs: Vec<ServerSpec> = tree
             .leaves()
             .enumerate()
             .map(|(i, leaf)| {
                 let app = Application::new(
-                    AppId(app_id_base + i as u32),
+                    AppId(i as u32),
                     0,
                     &SIM_APP_CLASSES[i % SIM_APP_CLASSES.len()],
                 );
@@ -871,32 +638,84 @@ mod tests {
             .collect()
     }
 
+    /// A zone's aggregate demand report: its root's smoothed demand.
+    fn zone_report(w: &Willow) -> Watts {
+        w.power().cp[w.tree().root().index()]
+    }
+
     #[test]
     fn single_zone_federation_is_bit_for_bit_standalone() {
-        let mut solo = zone_willow(0);
-        let mut fed =
-            Federation::new(vec![zone_willow(0)], BrokerConfig::default()).expect("one zone");
+        let mut solo = zone_willow();
+        let mut zone = zone_willow();
+        let mut broker = SupplyBroker::new(1, BrokerConfig::default()).expect("one zone");
         let mut solo_report = TickReport::default();
-        let mut fed_reports = vec![TickReport::default()];
+        let mut zone_report_buf = TickReport::default();
         let supply = Watts(2_000.0);
         for t in 0..60 {
             let d = demands(6, t, 1.0);
             solo.step_into(&d, supply, &Disturbances::none(), &mut solo_report);
-            fed.step(
+            broker.apportion(
                 supply,
-                true,
                 &[ZoneCondition::Healthy],
-                &[d],
-                &[Disturbances::none()],
-                &mut fed_reports,
+                &[Some(zone_report(&zone))],
             );
-            assert_eq!(
-                solo.snapshot(),
-                fed.zone(0).snapshot(),
-                "diverged at tick {t}"
-            );
+            let grant = broker.zone_supply(0, ZoneCondition::Healthy);
+            zone.step_into(&d, grant, &Disturbances::none(), &mut zone_report_buf);
+            assert_eq!(solo.snapshot(), zone.snapshot(), "diverged at tick {t}");
         }
-        assert_eq!(fed.broker().counters().conservation_violations, 0);
+        assert_eq!(broker.counters().conservation_violations, 0);
+    }
+
+    #[test]
+    fn broker_crash_strands_no_zone_and_recovers() {
+        let mut zones = [zone_willow(), zone_willow()];
+        let mut broker = SupplyBroker::new(2, BrokerConfig::default()).expect("two zones");
+        let mut reports = [TickReport::default(), TickReport::default()];
+        let healthy = [ZoneCondition::Healthy, ZoneCondition::Healthy];
+        let total = Watts(4_000.0);
+        let mut checkpoint = broker.snapshot();
+        for t in 0..30 {
+            let d = [demands(6, t, 1.0), demands(6, t, 1.2)];
+            let broker_up = !(10..16).contains(&t);
+            if t == 16 {
+                // First tick back up: restore the ledger and reconcile
+                // every zone against field truth.
+                broker.recover(checkpoint.clone()).expect("recovers");
+                for (i, z) in zones.iter().enumerate() {
+                    broker.rejoin(i, zone_report(z));
+                }
+            }
+            let condition = if broker_up {
+                let r = [Some(zone_report(&zones[0])), Some(zone_report(&zones[1]))];
+                broker.apportion(total, &healthy, &r);
+                ZoneCondition::Healthy
+            } else {
+                broker.broker_down_tick();
+                ZoneCondition::Isolated
+            };
+            let mut applied = Watts::ZERO;
+            for (i, z) in zones.iter_mut().enumerate() {
+                let supply = broker.zone_supply(i, condition);
+                // No zone is stranded: it always applies a positive
+                // supply, the open-loop protocol value while the broker
+                // is down.
+                assert!(supply.0 > 0.0, "zone {i} stranded at tick {t}");
+                applied += supply;
+                z.step_into(&d[i], supply, &Disturbances::none(), &mut reports[i]);
+            }
+            assert!(
+                applied.0 <= total.0 * (1.0 + CONSERVATION_EPS),
+                "zones drew {applied:?} of {total:?} at tick {t}"
+            );
+            if t == 9 {
+                checkpoint = broker.snapshot();
+            }
+        }
+        assert_eq!(broker.counters().broker_down_ticks, 6);
+        assert_eq!(broker.counters().conservation_violations, 0);
+        // Post-recovery apportionment resumed: grants track demand again.
+        assert!(broker.grants().iter().all(|g| g.0 > 0.0));
+        assert!(broker.links().iter().all(|l| !l.tripped));
     }
 
     #[test]
@@ -1169,64 +988,6 @@ mod tests {
         assert_eq!(restored.counters(), broker.counters());
         assert_eq!(restored.grants(), broker.grants());
         assert_eq!(restored.forecasts(), broker.forecasts());
-    }
-
-    #[test]
-    fn federation_snapshot_restore_locksteps() {
-        let mut fed = Federation::new(
-            vec![zone_willow(0), zone_willow(0)],
-            BrokerConfig::default(),
-        )
-        .expect("two zones");
-        let mut reports = vec![TickReport::default(), TickReport::default()];
-        let conditions = [ZoneCondition::Healthy, ZoneCondition::Healthy];
-        let total = Watts(4_000.0);
-        for t in 0..20 {
-            let d = vec![demands(6, t, 1.0), demands(6, t, 1.4)];
-            let dist = vec![Disturbances::none(), Disturbances::none()];
-            fed.step(total, true, &conditions, &d, &dist, &mut reports);
-        }
-        let snap = fed.snapshot();
-        let mut twin = Federation::restore(snap.clone()).expect("restores");
-        assert_eq!(twin.snapshot(), snap);
-        for t in 20..40 {
-            let d = vec![demands(6, t, 1.0), demands(6, t, 1.4)];
-            let dist = vec![Disturbances::none(), Disturbances::none()];
-            fed.step(total, true, &conditions, &d, &dist, &mut reports);
-            twin.step(total, true, &conditions, &d, &dist, &mut reports);
-        }
-        assert_eq!(twin.snapshot(), fed.snapshot());
-    }
-
-    #[test]
-    fn broker_crash_strands_no_zone_and_recovers() {
-        let mut fed = Federation::new(
-            vec![zone_willow(0), zone_willow(0)],
-            BrokerConfig::default(),
-        )
-        .expect("two zones");
-        let mut reports = vec![TickReport::default(), TickReport::default()];
-        let healthy = [ZoneCondition::Healthy, ZoneCondition::Healthy];
-        let total = Watts(4_000.0);
-        let mut checkpoint = fed.broker().snapshot();
-        for t in 0..30 {
-            let d = vec![demands(6, t, 1.0), demands(6, t, 1.2)];
-            let dist = vec![Disturbances::none(), Disturbances::none()];
-            let broker_up = !(10..16).contains(&t);
-            fed.step(total, broker_up, &healthy, &d, &dist, &mut reports);
-            if t == 9 {
-                checkpoint = fed.broker().snapshot();
-            }
-            if t == 15 {
-                // First tick back up: restore the ledger and reconcile.
-                fed.recover_broker(checkpoint.clone(), &[true, true])
-                    .expect("recovers");
-            }
-        }
-        assert_eq!(fed.broker().counters().broker_down_ticks, 6);
-        assert_eq!(fed.broker().counters().conservation_violations, 0);
-        // Post-recovery apportionment resumed: grants track demand again.
-        assert!(fed.broker().grants().iter().all(|g| g.0 > 0.0));
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub use config::ControllerConfig;
 pub use controller::{Backoff, Watchdog, Willow};
 pub use disturbance::{Disturbances, MigrationOutcome};
 pub use federation::{
-    BrokerConfig, BrokerCounters, BrokerSnapshot, Federation, FederationError, FederationSnapshot,
-    SupplyBroker, ZoneCondition, ZoneLink,
+    BrokerConfig, BrokerCounters, BrokerSnapshot, FederationError, SupplyBroker, ZoneCondition,
+    ZoneLink,
 };
 pub use migration::{MigrationReason, MigrationRecord, TickReport};
 pub use server::ServerSpec;

@@ -401,24 +401,87 @@ mod tests {
         assert!(Willow::restore(snap).is_err());
     }
 
+    /// Every malformed image is rejected by `restore` itself: none may
+    /// restore and then panic in `step` (or panic while restoring).
     #[test]
     fn restore_validates_state_vector_shapes() {
         let (w, _) = setup();
-        for mutate in [
-            (|s: &mut WillowSnapshot| {
-                s.local_cp.pop();
-            }) as fn(&mut WillowSnapshot),
-            |s| {
-                s.watchdog.pop();
-            },
-            |s| s.accepted_temp.push(willow_thermal::units::Celsius(25.0)),
+        let shape = |e: &WillowError| matches!(e, WillowError::SnapshotShape { .. });
+        for (mutate, expected) in [
+            (
+                (|s: &mut WillowSnapshot| {
+                    s.local_cp.pop();
+                }) as fn(&mut WillowSnapshot),
+                shape as fn(&WillowError) -> bool,
+            ),
+            (
+                |s| {
+                    s.watchdog.pop();
+                },
+                shape,
+            ),
+            (
+                |s| s.accepted_temp.push(willow_thermal::units::Celsius(25.0)),
+                shape,
+            ),
+            (
+                |s| {
+                    s.power.cp.pop();
+                },
+                shape,
+            ),
+            (
+                |s| {
+                    s.power.tp.pop();
+                },
+                shape,
+            ),
+            (
+                |s| {
+                    s.power.tp_old.pop();
+                },
+                shape,
+            ),
+            (
+                |s| {
+                    s.power.cap.pop();
+                },
+                shape,
+            ),
+            (
+                |s| {
+                    s.power.reduced.pop();
+                },
+                shape,
+            ),
+            // Demand slots out of step with the hosted apps.
+            (
+                |s| {
+                    s.servers[2].app_demand.pop();
+                },
+                shape,
+            ),
+            // A server on the first slot past the tree.
+            (
+                |s| s.servers[0].node = NodeId(s.tree.len() as u32),
+                |e| matches!(e, WillowError::NotALeaf(_)),
+            ),
+            // One app hosted on two servers.
+            (
+                |s| {
+                    let app = s.servers[0].apps[0].clone();
+                    s.servers[1].apps.push(app);
+                    s.servers[1].app_demand.push(Watts::ZERO);
+                },
+                |e| matches!(e, WillowError::DuplicateApp(_)),
+            ),
         ] {
             let mut snap = w.snapshot();
             mutate(&mut snap);
-            assert!(matches!(
-                Willow::restore(snap),
-                Err(WillowError::SnapshotShape { .. })
-            ));
+            match Willow::restore(snap) {
+                Err(e) => assert!(expected(&e), "unexpected error {e:?}"),
+                Ok(_) => panic!("malformed snapshot restored"),
+            }
         }
     }
 

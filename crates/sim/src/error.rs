@@ -93,8 +93,9 @@ pub enum SimError {
         /// Zones in the federation.
         zones: usize,
     },
-    /// A federation was configured with no zones, or with per-zone
-    /// configurations that disagree on a field that must match.
+    /// A federation was configured with no zones, with per-zone
+    /// configurations that disagree on a field that must match, or with
+    /// broker tunables out of range.
     Federation {
         /// What is wrong with the federation shape.
         reason: &'static str,

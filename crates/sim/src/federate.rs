@@ -1,6 +1,11 @@
 //! Multi-zone federation driver: N independent zone simulations under one
 //! fault-tolerant supply broker.
 //!
+//! [`FederatedSimulation`] is the one multi-zone tick loop: the
+//! [`willow_core::federation`] module holds only the broker's ledger and
+//! split, and everything that sequences it — zone conditions, broker
+//! outages, broker checkpoints, recovery and zone rejoins — lives here.
+//!
 //! Each zone is a complete [`Simulation`] — its own controller, workload,
 //! fault injector, auditor and (when zone crashes are scheduled)
 //! checkpoint machinery. The [`willow_core::SupplyBroker`] sits above
@@ -39,6 +44,11 @@
 //! standalone [`Simulation`] on the same config: the broker grants the
 //! pooled total verbatim (single-zone fast path) and the engine applies
 //! it through the same float expression it would have computed itself.
+//!
+//! `tests/federation_props.rs` property-tests this loop (two runs under
+//! random zone faults, outages and broker crashes replay tick for tick)
+//! and the broker ledger's checkpoint path (a JSON-restored broker stays
+//! in lockstep through an outage).
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
@@ -46,7 +56,7 @@ use crate::error::SimError;
 use crate::faults::{FaultPlan, ZoneOutagePlan};
 use crate::metrics::{FabricSnapshot, MetricsAccumulator, RunMetrics};
 use serde::{Deserialize, Serialize};
-use willow_core::federation::{BrokerConfig, BrokerCounters, BrokerSnapshot, FederationSnapshot};
+use willow_core::federation::{BrokerConfig, BrokerCounters, BrokerSnapshot, FederationError};
 use willow_core::migration::TickReport;
 use willow_core::{SupplyBroker, ZoneCondition};
 use willow_thermal::units::Watts;
@@ -85,8 +95,9 @@ impl FederateConfig {
     /// [`Simulation::new`] when the federation is built).
     ///
     /// # Errors
-    /// [`SimError::Federation`] for shape inconsistencies, or the plan's
-    /// own validation errors.
+    /// [`SimError::Federation`] for shape inconsistencies or a broker
+    /// config [`BrokerConfig::validate`] rejects (with the broker's own
+    /// reason), or the plan's own validation errors.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.zones.is_empty() {
             return Err(SimError::Federation {
@@ -114,11 +125,19 @@ impl FederateConfig {
         if let Some(plan) = &self.plan {
             plan.validate(self.zones.len())?;
         }
-        self.broker.validate().map_err(|_| SimError::Federation {
-            reason: "invalid broker config (threshold must be >= 1, fraction in [0,1])",
-        })?;
-        Ok(())
+        self.broker.validate().map_err(broker_error)
     }
+}
+
+/// A broker construction error as the federation reports it, keeping the
+/// broker's own statement of the rule that failed.
+fn broker_error(e: FederationError) -> SimError {
+    let reason = match e {
+        FederationError::Config { reason } => reason,
+        FederationError::NoZones => "a federation needs at least one zone",
+        FederationError::Shape { .. } => "broker snapshot does not match the federation",
+    };
+    SimError::Federation { reason }
 }
 
 /// Per-zone federation gauges plus broker counter mirrors. Disabled by
@@ -208,9 +227,7 @@ impl FederatedSimulation {
             }
             zones.push(Simulation::new(zone_cfg)?);
         }
-        let broker = SupplyBroker::new(n, config.broker).map_err(|_| SimError::Federation {
-            reason: "invalid broker config (threshold must be >= 1, fraction in [0,1])",
-        })?;
+        let broker = SupplyBroker::new(n, config.broker).map_err(broker_error)?;
         Ok(FederatedSimulation {
             zones,
             broker,
@@ -332,16 +349,6 @@ impl FederatedSimulation {
     pub fn zone_demand(&self, i: usize) -> Watts {
         let w = self.zones[i].willow();
         w.power().cp[w.tree().root().index()]
-    }
-
-    /// Capture the federation's controller-level state: every zone's
-    /// [`willow_core::snapshot::WillowSnapshot`] plus the broker ledger.
-    #[must_use]
-    pub fn federation_snapshot(&self) -> FederationSnapshot {
-        FederationSnapshot {
-            zones: self.zones.iter().map(|z| z.willow().snapshot()).collect(),
-            broker: self.broker.snapshot(),
-        }
     }
 
     /// Advance every zone one demand period, writing zone *i*'s controller
@@ -799,5 +806,25 @@ mod tests {
             cfg.validate(),
             Err(SimError::ZoneOutageZone { .. })
         ));
+        // Broker tunables: the error carries the broker's own rule, from
+        // `validate` and from `FederatedSimulation::new` alike.
+        for (threshold, fraction, rule) in [
+            (3, 0.0, "fallback_fraction must be in (0, 1]"),
+            (3, 1.5, "fallback_fraction must be in (0, 1]"),
+            (0, 0.5, "missed_grant_threshold must be at least 1"),
+        ] {
+            let mut cfg = FederateConfig::new(vec![zone_cfg(1, 0.5, 50)]);
+            cfg.broker.missed_grant_threshold = threshold;
+            cfg.broker.fallback_fraction = fraction;
+            assert_eq!(
+                cfg.validate(),
+                Err(SimError::Federation { reason: rule }),
+                "threshold {threshold}, fraction {fraction}"
+            );
+            assert_eq!(
+                FederatedSimulation::new(cfg).err(),
+                Some(SimError::Federation { reason: rule })
+            );
+        }
     }
 }

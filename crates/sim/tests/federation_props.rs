@@ -1,255 +1,261 @@
-//! Property-based tests for federated checkpoint/restore: a
-//! [`FederationSnapshot`] survives a JSON round trip and the restored
-//! federation — zone controllers *and* broker ledger — continues the run
-//! bit-for-bit identically, even when the snapshot is taken with a zone
-//! mid-outage (crashed, isolated, or serving stale reports), and across a
-//! broker crash + checkpoint recovery. Mirrors the single-controller
-//! proptests in `snapshot_props.rs`, one level up.
+//! Property-based tests for the multi-zone federation, at both of its
+//! levels:
+//!
+//! * the driver — [`FederatedSimulation`], the one multi-zone tick loop —
+//!   replays identically under random zone faults, a zone outage and a
+//!   broker crash, conserving supply, apps and every zone invariant while
+//!   counting its outages, recoveries and rejoins exactly;
+//! * the broker ledger — a [`SupplyBroker`] checkpointed mid-outage,
+//!   round-tripped through JSON and restored the way the driver restores
+//!   it (`new` + `recover`) stays in lockstep with the original.
+//!
+//! Zones share no state except the broker's grants, so these two plus the
+//! zone-controller round trip in `snapshot_props.rs` cover federated
+//! checkpoint/restore.
 
 use proptest::prelude::*;
-use willow_core::config::ControllerConfig;
-use willow_core::controller::Willow;
-use willow_core::disturbance::Disturbances;
-use willow_core::federation::{BrokerConfig, Federation, FederationSnapshot};
+use willow_core::federation::{BrokerConfig, BrokerSnapshot, SupplyBroker};
 use willow_core::migration::TickReport;
-use willow_core::server::ServerSpec;
 use willow_core::ZoneCondition;
-use willow_sim::faults::{FaultInjector, FaultPlan};
+use willow_sim::faults::ControllerOutage;
+use willow_sim::metrics::FabricSnapshot;
+use willow_sim::{
+    FaultPlan, FederateConfig, FederatedSimulation, SimConfig, ZoneOutage, ZoneOutageKind,
+    ZoneOutagePlan,
+};
 use willow_thermal::units::Watts;
-use willow_topology::Tree;
-use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
 
-/// Build one zone controller over `branching` with `apps_per_server`
-/// apps, ids offset so zones stay distinguishable in debug output.
-fn build_zone(branching: &[usize], apps_per_server: usize, id_base: u32) -> Willow {
-    let tree = Tree::uniform(branching);
-    let mut next = id_base;
-    let specs: Vec<ServerSpec> = tree
-        .leaves()
-        .map(|leaf| {
-            let apps: Vec<Application> = (0..apps_per_server)
-                .map(|_| {
-                    let class = next as usize % SIM_APP_CLASSES.len();
-                    let a = Application::new(AppId(next), class, &SIM_APP_CLASSES[class]);
-                    next += 1;
-                    a
-                })
-                .collect();
-            ServerSpec::simulation_default(leaf).with_apps(apps)
-        })
-        .collect();
-    Willow::new(tree, specs, ControllerConfig::default()).expect("valid build")
-}
+/// Demand periods every driver-level run lasts; every generated window
+/// ends before it.
+const DRIVER_TICKS: u64 = 48;
 
-/// Deterministic per-app demand for zone `z` at tick `t`.
-fn demands(n_apps: usize, z: usize, t: u64) -> Vec<Watts> {
-    (0..n_apps)
-        .map(|i| Watts(10.0 + ((i as u64 * 13 + t * 7 + z as u64 * 29) % 17) as f64 * 8.0))
+/// Apps hosted in each zone.
+fn hosted_apps(fed: &FederatedSimulation) -> Vec<usize> {
+    fed.zones()
+        .iter()
+        .map(|z| z.willow().servers().iter().map(|s| s.apps.len()).sum())
         .collect()
 }
 
-/// The condition of each zone at tick `t`: `outage_zone` is under
-/// `outage_kind` inside its window, everyone else is healthy.
-fn conditions_at(
-    n_zones: usize,
-    t: u64,
-    outage_zone: usize,
-    outage_kind: ZoneCondition,
-    window: (u64, u64),
-) -> Vec<ZoneCondition> {
-    (0..n_zones)
-        .map(|i| {
-            if i == outage_zone && (window.0..window.1).contains(&t) {
-                outage_kind
+/// Deterministic demand report for zone `z` at tick `t`.
+fn zone_demand(z: usize, t: u64) -> Watts {
+    Watts(40.0 + ((z as u64 * 37 + t * 11) % 23) as f64 * 9.0)
+}
+
+/// The broker's view of zone `z` at `t` under `windows` of
+/// `(zone, condition, from, until)`: the most severe active condition.
+fn condition_at(windows: &[(usize, ZoneCondition, u64, u64)], z: usize, t: u64) -> ZoneCondition {
+    let severity = |c: ZoneCondition| match c {
+        ZoneCondition::Healthy => 0,
+        ZoneCondition::StaleReport => 1,
+        ZoneCondition::Isolated => 2,
+        ZoneCondition::Down => 3,
+    };
+    windows
+        .iter()
+        .filter(|&&(zone, _, from, until)| zone == z && (from..until).contains(&t))
+        .map(|&(_, c, _, _)| c)
+        .fold(ZoneCondition::Healthy, |a, b| {
+            if severity(b) > severity(a) {
+                b
             } else {
-                ZoneCondition::Healthy
+                a
             }
         })
-        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Two federated runs from one config — zone fault plans with message
+    /// loss and migration failures, one zone outage of random kind and an
+    /// optional broker crash, every zone auditor panicking on a violation
+    /// — agree tick for tick on every zone's report and fabric, conserve
+    /// supply and apps, and account for the schedule exactly: one broker
+    /// recovery per crash window, and one zone rejoin when an isolation or
+    /// controller crash ends on a tick the broker is up for (a zone whose
+    /// outage ends inside or at the end of a broker crash is reconciled by
+    /// the broker's own recovery instead).
+    #[test]
+    fn federated_driver_replays_identically_under_faults(
+        n_zones in 2usize..4,
+        branching in prop::collection::vec(2usize..4, 2..4),
+        apps in 1usize..3,
+        utilization in 0.3f64..0.8,
+        loss in 0.0f64..0.3,
+        migration_failure in 0.0f64..0.5,
+        outage_zone_frac in 0.0f64..1.0,
+        kind_pick in 0u8..3,
+        outage_from in 1u64..20,
+        outage_len in 1u64..15,
+        broker_crash in prop::option::of((1u64..30, 1u64..10)),
+        checkpoint_period in 1u64..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let outage_zone = ((outage_zone_frac * n_zones as f64) as usize).min(n_zones - 1);
+        let kind = match kind_pick {
+            0 => ZoneOutageKind::ControllerCrash,
+            1 => ZoneOutageKind::Isolation,
+            _ => ZoneOutageKind::StaleReports,
+        };
+        let outage = ZoneOutage {
+            zone: outage_zone,
+            kind,
+            from: outage_from,
+            until: outage_from + outage_len,
+        };
+        let broker_window = broker_crash.map(|(from, len)| ControllerOutage {
+            from,
+            until: from + len,
+        });
+        let plan = ZoneOutagePlan {
+            checkpoint_period,
+            broker_crash: broker_window.iter().copied().collect(),
+            outages: vec![outage],
+        };
+        let zones: Vec<SimConfig> = (0..n_zones)
+            .map(|z| {
+                let mut cfg = SimConfig::paper_default(seed + z as u64, utilization);
+                cfg.branching = branching.clone();
+                cfg.apps_per_server = apps;
+                cfg.ticks = DRIVER_TICKS as usize;
+                cfg.warmup = 0;
+                cfg.audit_panic = true;
+                cfg.faults = Some(FaultPlan {
+                    seed: seed ^ (z as u64 + 1),
+                    report_loss: loss,
+                    directive_loss: loss,
+                    migration_failure,
+                    abort_fraction: 0.5,
+                    ..FaultPlan::default()
+                });
+                cfg
+            })
+            .collect();
+        let config = FederateConfig {
+            zones,
+            broker: BrokerConfig::default(),
+            plan: Some(plan),
+        };
+        let mut a = FederatedSimulation::new(config.clone()).expect("valid federation");
+        let mut b = FederatedSimulation::new(config).expect("valid federation");
+        let hosted = hosted_apps(&a);
+
+        let mut reports_a = vec![TickReport::default(); n_zones];
+        let mut reports_b = vec![TickReport::default(); n_zones];
+        let mut fabrics_a = vec![FabricSnapshot::default(); n_zones];
+        let mut fabrics_b = vec![FabricSnapshot::default(); n_zones];
+        for t in 0..DRIVER_TICKS {
+            a.step_into_buffers(&mut reports_a, &mut fabrics_a);
+            b.step_into_buffers(&mut reports_b, &mut fabrics_b);
+            for z in 0..n_zones {
+                prop_assert_eq!(&reports_a[z], &reports_b[z], "zone {} report, tick {}", z, t);
+                prop_assert_eq!(&fabrics_a[z], &fabrics_b[z], "zone {} fabric, tick {}", z, t);
+            }
+            prop_assert_eq!(&hosted_apps(&a), &hosted, "apps lost or duplicated at tick {}", t);
+        }
+
+        let counters = a.broker().counters();
+        prop_assert_eq!(counters.conservation_violations, 0);
+        let violations: usize = a.zones().iter().map(|z| z.invariant_violations()).sum();
+        prop_assert_eq!(violations, 0);
+        let down_ticks = broker_window.map_or(0, |w| w.until - w.from);
+        prop_assert_eq!(counters.broker_down_ticks, down_ticks);
+        prop_assert_eq!(a.broker_recoveries(), usize::from(broker_window.is_some()));
+        let broker_down = |t: u64| broker_window.is_some_and(|w| (w.from..w.until).contains(&t));
+        let rejoins = kind != ZoneOutageKind::StaleReports
+            && !broker_down(outage.until - 1)
+            && !broker_down(outage.until);
+        prop_assert_eq!(a.zone_rejoins(), usize::from(rejoins));
+        let crashed = kind == ZoneOutageKind::ControllerCrash;
+        prop_assert_eq!(a.zone(outage_zone).controller_recoveries(), usize::from(crashed));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Snapshot the federation while one zone is mid-outage, round-trip
-    /// the snapshot through JSON, restore, and drive original and
-    /// restoree in lockstep on the same demand and disturbance streams:
-    /// every subsequent per-zone tick report must match exactly, through
-    /// the rest of the outage window and past its end (where the broker's
-    /// ledger-upkeep auto-untrip must replay identically from the
-    /// restored counters).
+    /// Checkpoint a broker mid-outage — zones down, isolated or serving
+    /// stale reports, the broker itself possibly down — round-trip the
+    /// snapshot through JSON, and restore a twin the way the federated
+    /// driver does after a broker crash (`SupplyBroker::new` +
+    /// `recover`). The twin's ledger and grants must equal the
+    /// original's at once and after every tick through the rest of the
+    /// outage and past its end: no missed-grant count, trip or forecast
+    /// may be lost on the way.
     #[test]
-    fn federated_json_round_trip_restores_lockstep(
-        n_zones in 2usize..4,
-        shape in prop::collection::vec(1usize..4, 1..3),
-        apps_per_server in 1usize..3,
-        outage_zone_frac in 0.0f64..1.0,
-        kind_pick in 0u8..3,
-        checkpoint_at in 4u64..20,
-        outage_len in 2u64..10,
-        supply_frac in 0.3f64..1.0,
-        fault_seed in 0u64..1_000_000,
+    fn broker_json_round_trip_restores_lockstep(
+        n_zones in 2usize..5,
+        threshold in 1u32..5,
+        fallback_fraction in 0.1f64..1.0,
+        forecast_pick in 0u8..2,
+        supply_frac in 0.3f64..1.2,
+        windows in prop::collection::vec((0usize..4, 0u8..4, 1u64..30, 1u64..12), 1..5),
     ) {
-        let outage_zone = ((outage_zone_frac * n_zones as f64) as usize).min(n_zones - 1);
-        let outage_kind = match kind_pick {
-            0 => ZoneCondition::Down,
-            1 => ZoneCondition::Isolated,
-            _ => ZoneCondition::StaleReport,
+        let config = BrokerConfig {
+            missed_grant_threshold: threshold,
+            fallback_fraction,
+            forecast_apportionment: forecast_pick == 1,
         };
-        // The snapshot lands strictly inside the outage window.
-        let window = (checkpoint_at.saturating_sub(outage_len / 2).max(1), checkpoint_at + outage_len);
-        let total_ticks = window.1 + 15;
-
-        let zones: Vec<Willow> = (0..n_zones)
-            .map(|_| build_zone(&shape, apps_per_server, 0))
-            .collect();
-        let n_servers = zones[0].servers().len();
-        let n_apps = n_servers * apps_per_server;
-        let rating: f64 = zones
+        // Kind 3 is a broker-down window; the others are zone windows.
+        let zone_windows: Vec<(usize, ZoneCondition, u64, u64)> = windows
             .iter()
-            .flat_map(|z| z.servers().iter())
-            .map(|s| s.thermal.rating().0)
-            .sum();
-        let supply = Watts(rating * supply_frac);
-
-        let plan_for = |z: usize| FaultPlan {
-            seed: fault_seed ^ z as u64,
-            report_loss: 0.15,
-            directive_loss: 0.15,
-            migration_failure: 0.3,
-            abort_fraction: 0.5,
-            ..FaultPlan::default()
-        };
-        let mut fed = Federation::new(zones, BrokerConfig::default()).expect("valid federation");
-        let mut injectors: Vec<FaultInjector> = (0..n_zones)
-            .map(|z| FaultInjector::new(plan_for(z), n_servers).expect("valid plan"))
+            .filter(|w| w.1 < 3)
+            .map(|&(z, kind, from, len)| {
+                let condition = match kind {
+                    0 => ZoneCondition::Down,
+                    1 => ZoneCondition::Isolated,
+                    _ => ZoneCondition::StaleReport,
+                };
+                (z % n_zones, condition, from, from + len)
+            })
             .collect();
-
-        let mut reports = vec![TickReport::default(); n_zones];
-        let step = |fed: &mut Federation,
-                    injectors: &mut [FaultInjector],
-                    reports: &mut [TickReport],
-                    t: u64| {
-            let conds = conditions_at(n_zones, t, outage_zone, outage_kind, window);
-            let dm: Vec<Vec<Watts>> = (0..n_zones).map(|z| demands(n_apps, z, t)).collect();
-            let ds: Vec<Disturbances> = injectors
-                .iter_mut()
-                .map(|inj| inj.disturbances_for(t))
-                .collect();
-            fed.step(supply, true, &conds, &dm, &ds, reports);
+        let broker_down = |t: u64| {
+            windows
+                .iter()
+                .any(|&(_, kind, from, len)| kind == 3 && (from..from + len).contains(&t))
         };
-        for t in 0..checkpoint_at {
-            step(&mut fed, &mut injectors, &mut reports, t);
-        }
-
-        // JSON round trip must be lossless — zone snapshots and the
-        // broker ledger (links, counters, grants) alike.
-        let snap = fed.snapshot();
-        let json = serde_json::to_string(&snap).expect("snapshot serializes");
-        let parsed: FederationSnapshot = serde_json::from_str(&json).expect("snapshot parses");
-        prop_assert_eq!(&parsed, &snap);
-
-        // The restoree continues bit-for-bit: same grants during the rest
-        // of the outage, same auto-untrip when the window ends.
-        let mut restored = Federation::restore(parsed).expect("snapshot restores");
-        let mut injectors_b: Vec<FaultInjector> = (0..n_zones)
-            .map(|z| FaultInjector::new(plan_for(z), n_servers).expect("valid plan"))
-            .collect();
-        // Fast-forward the twin injectors to the checkpoint tick.
-        for t in 0..checkpoint_at {
-            for inj in injectors_b.iter_mut() {
-                let _ = inj.disturbances_for(t);
+        let total = Watts(
+            (0..n_zones).map(|z| zone_demand(z, 0).0).sum::<f64>() * supply_frac,
+        );
+        let step = |broker: &mut SupplyBroker, t: u64| {
+            if broker_down(t) {
+                broker.broker_down_tick();
+            } else {
+                let conditions: Vec<ZoneCondition> =
+                    (0..n_zones).map(|z| condition_at(&zone_windows, z, t)).collect();
+                let reports: Vec<Option<Watts>> = (0..n_zones)
+                    .map(|z| conditions[z].report_fresh().then(|| zone_demand(z, t)))
+                    .collect();
+                broker.apportion(total, &conditions, &reports);
             }
-        }
-        let mut reports_b = vec![TickReport::default(); n_zones];
-        for t in checkpoint_at..total_ticks {
-            step(&mut fed, &mut injectors, &mut reports, t);
-            step(&mut restored, &mut injectors_b, &mut reports_b, t);
-            for z in 0..n_zones {
-                prop_assert_eq!(
-                    format!("{:?}", reports[z]),
-                    format!("{:?}", reports_b[z]),
-                    "zone {} diverged at tick {}",
-                    z,
-                    t
-                );
-            }
-            prop_assert_eq!(fed.broker().grants(), restored.broker().grants(), "grants diverged at tick {}", t);
-        }
-        prop_assert_eq!(fed.snapshot(), restored.snapshot());
-    }
-
-    /// Broker crash mid-run: both the original and a snapshot-restored
-    /// twin ride through the same broker-down window (open-loop protocol
-    /// in every zone), recover the broker from the same pre-crash ledger
-    /// checkpoint, and must agree bit-for-bit throughout — a broker crash
-    /// strands no zone and loses no determinism.
-    #[test]
-    fn broker_crash_recovery_replays_identically(
-        n_zones in 2usize..4,
-        shape in prop::collection::vec(1usize..4, 1..3),
-        apps_per_server in 1usize..3,
-        checkpoint_at in 4u64..16,
-        down_len in 1u64..8,
-        supply_frac in 0.3f64..1.0,
-    ) {
-        let down_window = (checkpoint_at + 2, checkpoint_at + 2 + down_len);
-        let total_ticks = down_window.1 + 12;
-        let zones: Vec<Willow> = (0..n_zones)
-            .map(|_| build_zone(&shape, apps_per_server, 0))
-            .collect();
-        let n_servers = zones[0].servers().len();
-        let n_apps = n_servers * apps_per_server;
-        let rating: f64 = zones
-            .iter()
-            .flat_map(|z| z.servers().iter())
-            .map(|s| s.thermal.rating().0)
-            .sum();
-        let supply = Watts(rating * supply_frac);
-
-        let mut fed = Federation::new(zones, BrokerConfig::default()).expect("valid federation");
-        let healthy = vec![ZoneCondition::Healthy; n_zones];
-        let none = Disturbances::none();
-        let ds: Vec<Disturbances> = vec![none; n_zones];
-        let mut reports = vec![TickReport::default(); n_zones];
-        let drive = |fed: &mut Federation, reports: &mut [TickReport], t: u64, up: bool| {
-            let dm: Vec<Vec<Watts>> = (0..n_zones).map(|z| demands(n_apps, z, t)).collect();
-            fed.step(supply, up, &healthy, &dm, &ds, reports);
         };
-        for t in 0..checkpoint_at {
-            drive(&mut fed, &mut reports, t, true);
-        }
-        let broker_ckpt = fed.broker().snapshot();
-        let snap = fed.snapshot();
-        let mut twin = Federation::restore(snap).expect("snapshot restores");
-        let mut reports_b = vec![TickReport::default(); n_zones];
 
-        for t in checkpoint_at..total_ticks {
-            let up = !(down_window.0..down_window.1).contains(&t);
-            if up && t == down_window.1 {
-                // First healthy tick: both recover the broker from the
-                // same pre-crash checkpoint, all zones reachable.
-                let reachable = vec![true; n_zones];
-                fed.recover_broker(broker_ckpt.clone(), &reachable)
-                    .expect("recovery succeeds");
-                twin.recover_broker(broker_ckpt.clone(), &reachable)
-                    .expect("recovery succeeds");
-            }
-            drive(&mut fed, &mut reports, t, up);
-            drive(&mut twin, &mut reports_b, t, up);
-            for z in 0..n_zones {
-                prop_assert_eq!(
-                    format!("{:?}", reports[z]),
-                    format!("{:?}", reports_b[z]),
-                    "zone {} diverged at tick {} (up={})",
-                    z,
-                    t,
-                    up
-                );
-            }
+        // The checkpoint lands strictly inside the first window.
+        let (_, _, from, len) = windows[0];
+        let checkpoint_at = from + len / 2;
+        let end = windows.iter().map(|w| w.2 + w.3).max().unwrap_or(0) + 10;
+
+        let mut broker = SupplyBroker::new(n_zones, config).expect("valid broker");
+        for t in 0..checkpoint_at {
+            step(&mut broker, t);
         }
-        prop_assert_eq!(fed.snapshot(), twin.snapshot());
-        prop_assert_eq!(fed.broker().counters(), twin.broker().counters());
+        let snapshot = broker.snapshot();
+        let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
+        let parsed: BrokerSnapshot = serde_json::from_str(&json).expect("snapshot parses");
+        prop_assert_eq!(&parsed, &snapshot);
+        let mut twin = SupplyBroker::new(n_zones, config).expect("valid broker");
+        twin.recover(parsed).expect("zone counts match");
+        prop_assert_eq!(twin.links(), broker.links(), "ledger lost on restore");
+        prop_assert_eq!(twin.grants(), broker.grants(), "grants lost on restore");
+        prop_assert_eq!(twin.forecasts(), broker.forecasts(), "forecasts lost on restore");
+
+        for t in checkpoint_at..end {
+            step(&mut broker, t);
+            step(&mut twin, t);
+            prop_assert_eq!(twin.links(), broker.links(), "ledger diverged at tick {}", t);
+            prop_assert_eq!(twin.grants(), broker.grants(), "grants diverged at tick {}", t);
+        }
     }
 
     /// Forecast-driven apportionment keeps the broker's safety envelope
