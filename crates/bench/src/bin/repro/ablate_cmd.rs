@@ -1,17 +1,26 @@
-//! `repro ablate` — race the packer × target-policy × consolidation-policy
-//! grid head-to-head.
+//! `repro ablate` — score every ablation through one loop.
 //!
-//! The paper picks FFDLR and its hot-zones-first orderings by argument, not
-//! by measurement; this subcommand measures. Every combination of
-//! `ControllerConfig::{packer, target_policy, consolidation_policy}` runs
-//! the paper's hot/cold scenario (§V-B3, at the Fig. 7 consolidation
-//! operating point U = 40 %) and a brownout scenario (the same fleet at
-//! U = 60 % under the Fig. 15 supply-plunge profile), scored on
-//! dropped demand, demand/consolidation migration counts, ping-pongs,
-//! energy saved relative to the paper's default combo, and worst-case
-//! thermal slack. Results are averaged over seeds, printed as a table, and
-//! (outside `--smoke`) written to `BENCH_policy_race.json`; `EXPERIMENTS.md`
-//! § Policy race records the committed numbers.
+//! The paper picks FFDLR, its hot-zones-first orderings, the `P_min`
+//! margin, tightening-only triggers, demand-proportional budgets and the
+//! η1/η2 granularities by argument, not by measurement; this subcommand
+//! measures. Three families of rows share one seed-averaging scorer
+//! ([`score`]):
+//!
+//! * the policy grid: every combination of
+//!   `ControllerConfig::{packer, target_policy, consolidation_policy}`;
+//! * the knob sweeps ([`KNOBS`]): one controller setting varied at a time
+//!   around the paper's defaults;
+//! * the reactive-vs-predictive supply-policy race.
+//!
+//! The grid and the knob sweeps run the paper's hot/cold scenario (§V-B3,
+//! at the Fig. 7 consolidation operating point U = 40 %) and a brownout
+//! scenario (the same fleet at U = 60 % under the Fig. 15 supply-plunge
+//! profile). Every row is scored on dropped demand, demand/consolidation
+//! migration counts, ping-pongs, cluster power (energy saved relative to
+//! the paper's default config) and worst-case thermal slack. Results are
+//! averaged over seeds, printed as tables, and (outside `--smoke`) written
+//! to `BENCH_policy_race.json`; `EXPERIMENTS.md` § Ablation results and
+//! § Policy race record the committed numbers.
 //!
 //! The subcommand exits non-zero if any run trips the invariant auditor or
 //! if the default-enum combo fails to reproduce a plain default-config run
@@ -19,7 +28,8 @@
 
 use serde::Value;
 use willow_core::config::{
-    ConsolidationPolicyChoice, PackerChoice, SupplyPolicyChoice, TargetPolicyChoice,
+    AllocationPolicy, ConsolidationPolicyChoice, ControllerConfig, PackerChoice, ReducedTargetRule,
+    SmootherKind, SupplyPolicyChoice, TargetPolicyChoice, ThermalEstimate,
 };
 use willow_power::SupplyTrace;
 use willow_sim::{RunMetrics, SimConfig, Simulation};
@@ -57,11 +67,8 @@ const SCENARIOS: [Scenario; 2] = [
     },
 ];
 
-/// Mean scores of one combo on one scenario, averaged over seeds.
-struct Row {
-    packer: PackerChoice,
-    target: TargetPolicyChoice,
-    consolidation: ConsolidationPolicyChoice,
+/// Mean scores of one configuration on one scenario, averaged over seeds.
+struct Scores {
     dropped: f64,
     demand_migs: f64,
     consolidation_migs: f64,
@@ -83,19 +90,10 @@ fn scenario_config(sc: Scenario, seed: u64, ticks: usize) -> SimConfig {
     cfg
 }
 
-fn run_combo(
-    sc: Scenario,
-    seed: u64,
-    ticks: usize,
-    n_seeds: usize,
-    packer: PackerChoice,
-    target: TargetPolicyChoice,
-    consolidation: ConsolidationPolicyChoice,
-) -> Row {
-    let mut row = Row {
-        packer,
-        target,
-        consolidation,
+/// Runs `config(s)` for the `n_seeds` seeds from `seed` on and averages
+/// the runs' metrics into one row of scores.
+fn score(seed: u64, n_seeds: usize, config: impl Fn(u64) -> SimConfig) -> Scores {
+    let mut row = Scores {
         dropped: 0.0,
         demand_migs: 0.0,
         consolidation_migs: 0.0,
@@ -107,11 +105,9 @@ fn run_combo(
     let mut peak = f64::NEG_INFINITY;
     let mut saw_temps = false;
     for k in 0..n_seeds {
-        let mut cfg = scenario_config(sc, seed + k as u64, ticks);
-        cfg.controller.packer = packer;
-        cfg.controller.target_policy = target;
-        cfg.controller.consolidation_policy = consolidation;
-        let m = Simulation::new(cfg).expect("valid ablate config").run();
+        let m = Simulation::new(config(seed + k as u64))
+            .expect("valid ablate config")
+            .run();
         let n = n_seeds as f64;
         row.dropped += m.avg_dropped / n;
         row.demand_migs += m.demand_migrations as f64 / n;
@@ -129,6 +125,112 @@ fn run_combo(
     }
     row
 }
+
+/// Column headers matching [`Scores::cells`].
+const SCORE_HEADERS: [&str; 4] = ["drop(W)", "d-migs", "c-migs", "pp"];
+
+impl Scores {
+    /// The dropped-demand, migration and ping-pong table cells.
+    fn cells(&self) -> String {
+        format!(
+            "{:>10.1} {:>8.1} {:>8.1} {:>6.1}",
+            self.dropped, self.demand_migs, self.consolidation_migs, self.pingpongs
+        )
+    }
+
+    /// The thermal-slack table cell.
+    fn slack_cell(&self) -> String {
+        self.thermal_slack
+            .map_or_else(|| "n/a".to_string(), |s| format!("{s:.1}"))
+    }
+
+    /// Prints a failure and counts it when any run tripped the invariant
+    /// auditor.
+    fn audit(&self, scenario: &str, label: &str, failures: &mut usize) {
+        if self.violations > 0 {
+            println!(
+                "FAIL [{scenario}]: {label} tripped the invariant auditor {} time(s)",
+                self.violations
+            );
+            *failures += 1;
+        }
+    }
+
+    /// One JSON row: `labels`, then the scores; `saved` (energy saved
+    /// against the scenario's default config) precedes the slack when
+    /// given.
+    fn json(&self, mut labels: Vec<(&str, Value)>, saved: Option<f64>) -> Value {
+        labels.extend([
+            ("avg_dropped_w", Value::F64(self.dropped)),
+            ("demand_migrations", Value::F64(self.demand_migs)),
+            (
+                "consolidation_migrations",
+                Value::F64(self.consolidation_migs),
+            ),
+            ("pingpongs", Value::F64(self.pingpongs)),
+            ("cluster_power_w", Value::F64(self.cluster_power)),
+        ]);
+        if let Some(saved) = saved {
+            labels.push(("energy_saved_w", Value::F64(saved)));
+        }
+        labels.push((
+            "thermal_slack_c",
+            self.thermal_slack.map_or(Value::Null, Value::F64),
+        ));
+        obj(labels)
+    }
+}
+
+/// One single-knob ablation: the knob, the value it takes, and how to set
+/// it on the paper's default controller config.
+type Knob = (&'static str, &'static str, fn(&mut ControllerConfig));
+
+/// The knob sweeps. Each knob's values include the paper's default
+/// (margin 5 W, Disproportionate, ProportionalToDemand, WindowPrediction,
+/// η = (4, 7), Exponential).
+const KNOBS: &[Knob] = &[
+    // `P_min` (Property 4): larger margins tighten the deficit threshold.
+    ("margin", "0 W", |c| c.margin = Watts(0.0)),
+    ("margin", "5 W", |c| c.margin = Watts(5.0)),
+    ("margin", "20 W", |c| c.margin = Watts(20.0)),
+    ("margin", "60 W", |c| c.margin = Watts(60.0)),
+    // Tightening-only triggers: which budget cuts disqualify a target.
+    ("reduced_rule", "Disproportionate", |c| {
+        c.reduced_rule = ReducedTargetRule::Disproportionate;
+    }),
+    ("reduced_rule", "Strict", |c| {
+        c.reduced_rule = ReducedTargetRule::Strict;
+    }),
+    ("reduced_rule", "Off", |c| {
+        c.reduced_rule = ReducedTargetRule::Off
+    }),
+    ("allocation", "ProportionalToDemand", |c| {
+        c.allocation = AllocationPolicy::ProportionalToDemand;
+    }),
+    ("allocation", "EqualShare", |c| {
+        c.allocation = AllocationPolicy::EqualShare;
+    }),
+    ("allocation", "ProportionalToCapacity", |c| {
+        c.allocation = AllocationPolicy::ProportionalToCapacity;
+    }),
+    ("thermal_estimate", "WindowPrediction", |c| {
+        c.thermal_estimate = ThermalEstimate::WindowPrediction;
+    }),
+    ("thermal_estimate", "NaiveThrottle", |c| {
+        c.thermal_estimate = ThermalEstimate::NaiveThrottle;
+    }),
+    // Time granularities: Δ_S = η1·Δ_D, Δ_A = η2·Δ_D, halved and doubled.
+    ("eta1,eta2", "2,3", |c| (c.eta1, c.eta2) = (2, 3)),
+    ("eta1,eta2", "4,7", |c| (c.eta1, c.eta2) = (4, 7)),
+    ("eta1,eta2", "8,14", |c| (c.eta1, c.eta2) = (8, 14)),
+    // Eq.-4 smoothing vs Holt level + trend (§IV-C's "ARIMA type" option).
+    ("smoother", "Exponential", |c| {
+        c.smoother = SmootherKind::Exponential;
+    }),
+    ("smoother", "Holt(0.2)", |c| {
+        c.smoother = SmootherKind::Holt { beta: 0.2 };
+    }),
+];
 
 /// One plain default-config run — the neutrality reference: the default
 /// policy enums must reproduce this bit-for-bit through the plumbing.
@@ -242,58 +344,6 @@ fn predictive_scenario_config(
     cfg
 }
 
-/// Mean scores of one supply policy on one predictive scenario.
-struct PolicyRow {
-    policy: SupplyPolicyChoice,
-    dropped: f64,
-    demand_migs: f64,
-    consolidation_migs: f64,
-    pingpongs: f64,
-    cluster_power: f64,
-    thermal_slack: Option<f64>,
-    violations: usize,
-}
-
-fn run_supply_policy(
-    sc: PredictiveScenario,
-    seed: u64,
-    ticks: usize,
-    n_seeds: usize,
-    policy: SupplyPolicyChoice,
-) -> PolicyRow {
-    let mut row = PolicyRow {
-        policy,
-        dropped: 0.0,
-        demand_migs: 0.0,
-        consolidation_migs: 0.0,
-        pingpongs: 0.0,
-        cluster_power: 0.0,
-        thermal_slack: None,
-        violations: 0,
-    };
-    let mut peak = f64::NEG_INFINITY;
-    let mut saw_temps = false;
-    for k in 0..n_seeds {
-        let cfg = predictive_scenario_config(sc, seed + k as u64, ticks, policy);
-        let m = Simulation::new(cfg).expect("valid predictive config").run();
-        let n = n_seeds as f64;
-        row.dropped += m.avg_dropped / n;
-        row.demand_migs += m.demand_migrations as f64 / n;
-        row.consolidation_migs += m.consolidation_migrations as f64 / n;
-        row.pingpongs += m.pingpongs as f64 / n;
-        row.cluster_power += m.avg_server_power.iter().sum::<f64>() / n;
-        row.violations += m.invariant_violations;
-        if !m.peak_server_temp.is_empty() {
-            saw_temps = true;
-            peak = m.peak_server_temp.iter().fold(peak, |a: f64, &b| a.max(b));
-        }
-    }
-    if saw_temps {
-        row.thermal_slack = Some(T_LIMIT_C - peak);
-    }
-    row
-}
-
 pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
     let packers: &[PackerChoice] = if smoke {
         &[PackerChoice::Ffdlr, PackerChoice::BestFitDecreasing]
@@ -314,13 +364,19 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
         ConsolidationPolicyChoice::HotZonesFirst,
         ConsolidationPolicyChoice::MostHeadroomReceivers,
     ];
+    let default_combo = (
+        PackerChoice::Ffdlr,
+        TargetPolicyChoice::AscendingId,
+        ConsolidationPolicyChoice::HotZonesFirst,
+    );
 
     println!(
-        "policy race: {} packers x {} target x {} consolidation x {} scenarios, \
-         {} ticks, {} seed(s){}",
+        "policy race: {} packers x {} target x {} consolidation + {} knob settings \
+         x {} scenarios, {} ticks, {} seed(s){}",
         packers.len(),
         targets.len(),
         consolidations.len(),
+        KNOBS.len(),
         SCENARIOS.len(),
         ticks,
         n_seeds,
@@ -329,14 +385,17 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
 
     let mut failures = 0usize;
     let mut json_rows = Vec::new();
+    let mut knob_rows = Vec::new();
     for sc in SCENARIOS {
         // Neutrality check: the default combo must be indistinguishable
         // from a config that never mentions the policy fields.
         let reference = default_reference(sc, seed, ticks);
         let mut cfg = scenario_config(sc, seed, ticks);
-        cfg.controller.packer = PackerChoice::Ffdlr;
-        cfg.controller.target_policy = TargetPolicyChoice::AscendingId;
-        cfg.controller.consolidation_policy = ConsolidationPolicyChoice::HotZonesFirst;
+        (
+            cfg.controller.packer,
+            cfg.controller.target_policy,
+            cfg.controller.consolidation_policy,
+        ) = default_combo;
         let explicit = Simulation::new(cfg).expect("valid").run();
         if explicit != reference {
             println!(
@@ -350,84 +409,87 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
         for &packer in packers {
             for &target in targets.iter() {
                 for &consolidation in consolidations.iter() {
-                    rows.push(run_combo(
-                        sc,
-                        seed,
-                        ticks,
-                        n_seeds,
-                        packer,
-                        target,
-                        consolidation,
-                    ));
+                    let scores = score(seed, n_seeds, |s| {
+                        let mut cfg = scenario_config(sc, s, ticks);
+                        cfg.controller.packer = packer;
+                        cfg.controller.target_policy = target;
+                        cfg.controller.consolidation_policy = consolidation;
+                        cfg
+                    });
+                    rows.push(((packer, target, consolidation), scores));
                 }
             }
         }
         let baseline_power = rows
             .iter()
-            .find(|r| {
-                r.packer == PackerChoice::Ffdlr
-                    && r.target == TargetPolicyChoice::AscendingId
-                    && r.consolidation == ConsolidationPolicyChoice::HotZonesFirst
-            })
-            .map_or(0.0, |r| r.cluster_power);
+            .find(|(combo, _)| *combo == default_combo)
+            .map_or(0.0, |(_, r)| r.cluster_power);
 
         println!("\n== scenario: {} ==", sc.name);
+        let [drop, dmigs, cmigs, pp] = SCORE_HEADERS;
         println!(
-            "  {:<18} {:<16} {:<22} {:>10} {:>8} {:>8} {:>6} {:>10} {:>10}",
-            "packer",
-            "targets",
-            "consolidation",
-            "drop(W)",
-            "d-migs",
-            "c-migs",
-            "pp",
-            "saved(W)",
-            "slack(°C)"
+            "  {:<18} {:<16} {:<22} {drop:>10} {dmigs:>8} {cmigs:>8} {pp:>6} {:>10} {:>10}",
+            "packer", "targets", "consolidation", "saved(W)", "slack(°C)"
         );
-        for r in &rows {
-            if r.violations > 0 {
-                println!(
-                    "FAIL [{}]: {:?}/{:?}/{:?} tripped the invariant auditor {} time(s)",
-                    sc.name, r.packer, r.target, r.consolidation, r.violations
-                );
-                failures += 1;
-            }
-            let saved = baseline_power - r.cluster_power;
-            let slack = r
-                .thermal_slack
-                .map_or_else(|| "n/a".to_string(), |s| format!("{s:.1}"));
-            println!(
-                "  {:<18} {:<16} {:<22} {:>10.1} {:>8.1} {:>8.1} {:>6.1} {:>10.1} {:>10}",
-                format!("{:?}", r.packer),
-                format!("{:?}", r.target),
-                format!("{:?}", r.consolidation),
-                r.dropped,
-                r.demand_migs,
-                r.consolidation_migs,
-                r.pingpongs,
-                saved,
-                slack
+        for ((packer, target, consolidation), r) in &rows {
+            r.audit(
+                sc.name,
+                &format!("{packer:?}/{target:?}/{consolidation:?}"),
+                &mut failures,
             );
-            json_rows.push(obj(vec![
-                ("scenario", Value::Str(sc.name.to_owned())),
-                ("utilization", Value::F64(sc.utilization)),
-                ("packer", Value::Str(format!("{:?}", r.packer))),
-                ("target_policy", Value::Str(format!("{:?}", r.target))),
-                (
-                    "consolidation_policy",
-                    Value::Str(format!("{:?}", r.consolidation)),
-                ),
-                ("avg_dropped_w", Value::F64(r.dropped)),
-                ("demand_migrations", Value::F64(r.demand_migs)),
-                ("consolidation_migrations", Value::F64(r.consolidation_migs)),
-                ("pingpongs", Value::F64(r.pingpongs)),
-                ("cluster_power_w", Value::F64(r.cluster_power)),
-                ("energy_saved_w", Value::F64(saved)),
-                (
-                    "thermal_slack_c",
-                    r.thermal_slack.map_or(Value::Null, Value::F64),
-                ),
-            ]));
+            let saved = baseline_power - r.cluster_power;
+            println!(
+                "  {:<18} {:<16} {:<22} {} {:>10.1} {:>10}",
+                format!("{packer:?}"),
+                format!("{target:?}"),
+                format!("{consolidation:?}"),
+                r.cells(),
+                saved,
+                r.slack_cell()
+            );
+            json_rows.push(r.json(
+                vec![
+                    ("scenario", Value::Str(sc.name.to_owned())),
+                    ("utilization", Value::F64(sc.utilization)),
+                    ("packer", Value::Str(format!("{packer:?}"))),
+                    ("target_policy", Value::Str(format!("{target:?}"))),
+                    (
+                        "consolidation_policy",
+                        Value::Str(format!("{consolidation:?}")),
+                    ),
+                ],
+                Some(saved),
+            ));
+        }
+
+        // ----- single-knob sweeps around the paper's defaults -----
+        println!("\n== knob sweeps: {} ==", sc.name);
+        println!(
+            "  {:<18} {:<22} {drop:>10} {dmigs:>8} {cmigs:>8} {pp:>6} {:>10} {:>10}",
+            "knob", "value", "saved(W)", "slack(°C)"
+        );
+        for &(knob, value, set) in KNOBS {
+            let r = score(seed, n_seeds, |s| {
+                let mut cfg = scenario_config(sc, s, ticks);
+                set(&mut cfg.controller);
+                cfg
+            });
+            r.audit(sc.name, &format!("{knob}={value}"), &mut failures);
+            let saved = baseline_power - r.cluster_power;
+            println!(
+                "  {knob:<18} {value:<22} {} {saved:>10.1} {:>10}",
+                r.cells(),
+                r.slack_cell()
+            );
+            knob_rows.push(r.json(
+                vec![
+                    ("scenario", Value::Str(sc.name.to_owned())),
+                    ("utilization", Value::F64(sc.utilization)),
+                    ("knob", Value::Str(knob.to_owned())),
+                    ("value", Value::Str(value.to_owned())),
+                ],
+                Some(saved),
+            ));
         }
     }
 
@@ -457,54 +519,42 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
             failures += 1;
         }
 
-        let reactive = run_supply_policy(sc, seed, ticks, n_seeds, SupplyPolicyChoice::Reactive);
-        let predictive =
-            run_supply_policy(sc, seed, ticks, n_seeds, SupplyPolicyChoice::Predictive);
+        let [reactive, predictive] = [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive]
+            .map(|policy| {
+                let scores = score(seed, n_seeds, |s| {
+                    predictive_scenario_config(sc, s, ticks, policy)
+                });
+                (policy, scores)
+            });
 
         println!("\n== supply-policy race: {} ==", sc.name);
+        let [drop, dmigs, cmigs, pp] = SCORE_HEADERS;
         println!(
-            "  {:<12} {:>10} {:>8} {:>8} {:>6} {:>12} {:>10}",
-            "policy", "drop(W)", "d-migs", "c-migs", "pp", "power(W)", "slack(°C)"
+            "  {:<12} {drop:>10} {dmigs:>8} {cmigs:>8} {pp:>6} {:>12} {:>10}",
+            "policy", "power(W)", "slack(°C)"
         );
-        for r in [&reactive, &predictive] {
-            if r.violations > 0 {
-                println!(
-                    "FAIL [{}]: {:?} supply policy tripped the invariant auditor {} time(s)",
-                    sc.name, r.policy, r.violations
-                );
-                failures += 1;
-            }
-            let slack = r
-                .thermal_slack
-                .map_or_else(|| "n/a".to_string(), |s| format!("{s:.1}"));
+        for (policy, r) in [&reactive, &predictive] {
+            r.audit(sc.name, &format!("{policy:?} supply policy"), &mut failures);
             println!(
-                "  {:<12} {:>10.1} {:>8.1} {:>8.1} {:>6.1} {:>12.1} {:>10}",
-                format!("{:?}", r.policy),
-                r.dropped,
-                r.demand_migs,
-                r.consolidation_migs,
-                r.pingpongs,
+                "  {:<12} {} {:>12.1} {:>10}",
+                format!("{policy:?}"),
+                r.cells(),
                 r.cluster_power,
-                slack
+                r.slack_cell()
             );
-            supply_rows.push(obj(vec![
-                ("scenario", Value::Str(sc.name.to_owned())),
-                ("supply_policy", Value::Str(format!("{:?}", r.policy))),
-                ("avg_dropped_w", Value::F64(r.dropped)),
-                ("demand_migrations", Value::F64(r.demand_migs)),
-                ("consolidation_migrations", Value::F64(r.consolidation_migs)),
-                ("pingpongs", Value::F64(r.pingpongs)),
-                ("cluster_power_w", Value::F64(r.cluster_power)),
-                (
-                    "thermal_slack_c",
-                    r.thermal_slack.map_or(Value::Null, Value::F64),
-                ),
-            ]));
+            supply_rows.push(r.json(
+                vec![
+                    ("scenario", Value::Str(sc.name.to_owned())),
+                    ("supply_policy", Value::Str(format!("{policy:?}"))),
+                ],
+                None,
+            ));
         }
 
         // The headline claim — forecasts beat measurements where the
         // future is knowable — is gated in full runs only: smoke runs are
         // too short for the averages to be stable.
+        let (reactive, predictive) = (&reactive.1, &predictive.1);
         if !smoke && sc.scheduled_brownout && predictive.dropped >= reactive.dropped {
             println!(
                 "FAIL [{}]: predictive dropped {:.1} W >= reactive {:.1} W",
@@ -523,6 +573,7 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
             ("thermal_limit_c", Value::F64(T_LIMIT_C)),
             ("rows", Value::Array(json_rows)),
             ("supply_policy_rows", Value::Array(supply_rows)),
+            ("knob_rows", Value::Array(knob_rows)),
         ]);
         let path = "BENCH_policy_race.json";
         std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")

@@ -1,13 +1,14 @@
 //! Benchmark & reproduction harness for the Willow workspace.
 //!
-//! * The `repro` binary regenerates every table and figure of the paper's
-//!   evaluation (`cargo run -p willow-bench --bin repro -- all`). Its
-//!   output is recorded against the paper in `EXPERIMENTS.md`.
-//! * The Criterion benches under `benches/` measure component performance
-//!   (packers, thermal math, controller step scaling) and run the ablation
-//!   studies listed in `DESIGN.md`.
+//! The `repro` binary regenerates every table and figure of the paper's
+//! evaluation (`cargo run -p willow-bench --bin repro -- all`); its output
+//! is recorded against the paper in `EXPERIMENTS.md`. Its subcommands run
+//! the beyond-the-paper checks: `ablate` scores the policy grid, the knob
+//! sweeps behind the ablations listed in `DESIGN.md` and the supply-policy
+//! race; `chaos`, `liveops`, `federate` and `telemetry` exercise the
+//! robustness and observability layers. Timing lives in `perfbench/`.
 //!
-//! This library hosts the small formatting helpers both share.
+//! This library hosts the small formatting helpers `repro` uses.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //! Best-Fit Decreasing, generalized to variable-sized bins.
 //!
 //! These exist (a) as comparison points for the FFDLR choice the paper makes
-//! (ablation `ablation_packers`) and (b) because Willow's consolidation path
-//! reuses BFD internally.
+//! (the packer axis of the `repro ablate` policy grid) and (b) because
+//! Willow's consolidation path reuses BFD internally.
 
 use crate::packing::{desc_order, validate_instance, Packer, Packing, FIT_EPSILON};
 

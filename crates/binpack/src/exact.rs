@@ -1,6 +1,6 @@
 //! Exact (exponential) reference solver for small instances.
 //!
-//! Used only by tests and benches to verify the FFDLR approximation bound of
+//! Used only by tests to verify the FFDLR approximation bound of
 //! `(3/2)·OPT + 1` bins; do not call on instances with more than ~10 items.
 
 use crate::packing::validate_instance;

@@ -86,9 +86,9 @@ pub enum ReducedTargetRule {
     /// matches the paper's experiments and is the default.
     Disproportionate,
     /// Literal reading: any budget decrease disqualifies the node as a
-    /// target (used by the `ablation_unidirectional` bench).
+    /// target (a `repro ablate` knob row).
     Strict,
-    /// Rule disabled (used by ablations).
+    /// Rule disabled (a `repro ablate` knob row).
     Off,
 }
 
@@ -135,7 +135,7 @@ pub enum ThermalEstimate {
     /// end-of-window prediction; default).
     WindowPrediction,
     /// Naive reactive throttling: full rating while under the limit, zero
-    /// once over it — the strawman the `ablation_thermal` bench compares
+    /// once over it — the strawman a `repro ablate` knob row compares
     /// against (oscillates and can overshoot between supply ticks).
     NaiveThrottle,
 }

