@@ -18,8 +18,8 @@
 //! profile). Every row is scored on dropped demand, demand/consolidation
 //! migration counts, ping-pongs, cluster power (energy saved relative to
 //! the paper's default config) and worst-case thermal slack. Results are
-//! averaged over seeds, printed as tables, and (outside `--smoke`) written
-//! to `BENCH_policy_race.json`; `EXPERIMENTS.md` § Ablation results and
+//! averaged over seeds, printed as tables, and written to
+//! `BENCH_policy_race.json`; `EXPERIMENTS.md` § Ablation results and
 //! § Policy race record the committed numbers.
 //!
 //! The subcommand exits non-zero if any run trips the invariant auditor or
@@ -344,17 +344,13 @@ fn predictive_scenario_config(
     cfg
 }
 
-pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
-    let packers: &[PackerChoice] = if smoke {
-        &[PackerChoice::Ffdlr, PackerChoice::BestFitDecreasing]
-    } else {
-        &[
-            PackerChoice::Ffdlr,
-            PackerChoice::FirstFitDecreasing,
-            PackerChoice::BestFitDecreasing,
-            PackerChoice::NextFit,
-        ]
-    };
+pub fn run(seed: u64, ticks: usize, n_seeds: usize) {
+    let packers = [
+        PackerChoice::Ffdlr,
+        PackerChoice::FirstFitDecreasing,
+        PackerChoice::BestFitDecreasing,
+        PackerChoice::NextFit,
+    ];
     let targets = [
         TargetPolicyChoice::AscendingId,
         TargetPolicyChoice::BestFit,
@@ -372,7 +368,7 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
 
     println!(
         "policy race: {} packers x {} target x {} consolidation + {} knob settings \
-         x {} scenarios, {} ticks, {} seed(s){}",
+         x {} scenarios, {} ticks, {} seed(s)",
         packers.len(),
         targets.len(),
         consolidations.len(),
@@ -380,7 +376,6 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
         SCENARIOS.len(),
         ticks,
         n_seeds,
-        if smoke { " [smoke]" } else { "" }
     );
 
     let mut failures = 0usize;
@@ -406,7 +401,7 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
         }
 
         let mut rows = Vec::new();
-        for &packer in packers {
+        for &packer in &packers {
             for &target in targets.iter() {
                 for &consolidation in consolidations.iter() {
                     let scores = score(seed, n_seeds, |s| {
@@ -551,11 +546,10 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
             ));
         }
 
-        // The headline claim — forecasts beat measurements where the
-        // future is knowable — is gated in full runs only: smoke runs are
-        // too short for the averages to be stable.
+        // The headline claim: forecasts beat measurements where the
+        // future is knowable.
         let (reactive, predictive) = (&reactive.1, &predictive.1);
-        if !smoke && sc.scheduled_brownout && predictive.dropped >= reactive.dropped {
+        if sc.scheduled_brownout && predictive.dropped >= reactive.dropped {
             println!(
                 "FAIL [{}]: predictive dropped {:.1} W >= reactive {:.1} W",
                 sc.name, predictive.dropped, reactive.dropped
@@ -564,22 +558,20 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize, smoke: bool) {
         }
     }
 
-    if !smoke {
-        let doc = obj(vec![
-            ("kind", Value::Str("policy_race".to_owned())),
-            ("seed", Value::U64(seed)),
-            ("ticks", Value::U64(ticks as u64)),
-            ("n_seeds", Value::U64(n_seeds as u64)),
-            ("thermal_limit_c", Value::F64(T_LIMIT_C)),
-            ("rows", Value::Array(json_rows)),
-            ("supply_policy_rows", Value::Array(supply_rows)),
-            ("knob_rows", Value::Array(knob_rows)),
-        ]);
-        let path = "BENCH_policy_race.json";
-        std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")
-            .expect("write policy race json");
-        println!("\nwrote {path}");
-    }
+    let doc = obj(vec![
+        ("kind", Value::Str("policy_race".to_owned())),
+        ("seed", Value::U64(seed)),
+        ("ticks", Value::U64(ticks as u64)),
+        ("n_seeds", Value::U64(n_seeds as u64)),
+        ("thermal_limit_c", Value::F64(T_LIMIT_C)),
+        ("rows", Value::Array(json_rows)),
+        ("supply_policy_rows", Value::Array(supply_rows)),
+        ("knob_rows", Value::Array(knob_rows)),
+    ]);
+    let path = "BENCH_policy_race.json";
+    std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")
+        .expect("write policy race json");
+    println!("\nwrote {path}");
 
     if failures > 0 {
         println!("\nablate: {failures} failure(s)");

@@ -28,7 +28,7 @@ const N_SEEDS: usize = 5;
 const EXPERIMENTS: &str = "fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 tab1 fig14 tab2 fig15_16 \
      fig17_18 fig19_tab3 ext_imbalance ext_baseline";
 
-const USAGE: &str = "usage: repro [all | <experiment id>...] | ablate [--smoke] [--ticks N] \
+const USAGE: &str = "usage: repro [all | <experiment id>...] | ablate [--ticks N] \
      [--seeds N] | chaos [--seeds N] [--ticks N] [--sweep] [--threads N] | federate [--seeds N] \
      [--ticks N] [--smoke] [--threads N] | liveops [--seeds N] [--ticks N] [--timeline PATH] \
      [--threads N] | telemetry";
@@ -85,15 +85,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("ablate") => {
-            let f = Flags::parse(rest, &["--smoke"], &["--ticks", "--seeds"])?;
-            let smoke = f.has("--smoke");
-            let (ticks, seeds) = if smoke { (80, 1) } else { (TICKS, N_SEEDS) };
-            ablate_cmd::run(
-                SEED,
-                f.num("--ticks", ticks)?,
-                f.num("--seeds", seeds)?,
-                smoke,
-            );
+            let f = Flags::parse(rest, &[], &["--ticks", "--seeds"])?;
+            ablate_cmd::run(SEED, f.num("--ticks", TICKS)?, f.num("--seeds", N_SEEDS)?);
         }
         Some("telemetry") => {
             Flags::parse(rest, &[], &[])?;

@@ -77,9 +77,7 @@ mod tests;
 mod testutil;
 
 pub use migrate::Backoff;
-pub use planning::{
-    ForecastModel, Forecaster, HistoryRing, PlanSeries, PlanningContext, HISTORY_DEPTH,
-};
+pub use planning::PlanningContext;
 pub use supply::Watchdog;
 pub use telemetry::SPAN_SAMPLE_PERIOD;
 
@@ -259,11 +257,10 @@ pub struct Willow {
     /// count shards per-server and per-leaf loops bit-for-bit identically
     /// (see [`shard`]).
     pub(super) pool: ShardPool,
-    /// The horizon-aware planning seam (see [`planning`]): history rings
-    /// and forecasters for root supply, root demand, and every roster
-    /// server, updated once per tick and handed read-only to stages 2
-    /// and 4. Checkpointed, so restored controllers keep forecasting
-    /// bit-for-bit.
+    /// The horizon-aware planning seam (see [`planning`]): forecasters
+    /// for root supply, root demand, and every roster server, updated
+    /// once per tick and handed read-only to stages 2 and 4.
+    /// Checkpointed, so restored controllers keep forecasting bit-for-bit.
     pub(super) planning: PlanningContext,
     /// Telemetry handles (disabled until [`Willow::attach_telemetry`]).
     pub(super) tel: ControllerTelemetry,
@@ -446,8 +443,8 @@ impl Willow {
         &self.journal
     }
 
-    /// The controller's planning memory: demand/supply history rings and
-    /// forecaster state (see [`crate::control::planning`]).
+    /// The controller's planning memory: demand/supply forecaster state
+    /// (see [`crate::control::planning`]).
     #[must_use]
     pub fn planning(&self) -> &PlanningContext {
         &self.planning
@@ -798,7 +795,7 @@ impl Willow {
         // inside the sharded measure loop); supply only when a value is
         // actually applied, so the supply series' horizon unit stays one
         // supply period. The context is then lent to stages 2 and 4 —
-        // `mem::take` leaves the inert zero-capacity placeholder, which
+        // `mem::take` leaves the inert leafless placeholder, which
         // nothing observes until the real context returns.
         let root = self.tree.root();
         self.planning

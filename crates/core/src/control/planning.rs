@@ -1,29 +1,21 @@
-//! The horizon-aware planning seam: per-node demand/supply history and
-//! forecasts, read by the predictive supply policy in stages 2 and 4.
+//! The horizon-aware planning seam: per-node demand/supply forecasts,
+//! read by the predictive supply policy in stages 2 and 4.
 //!
 //! The paper's controller is purely reactive — each stage decides from the
-//! current tick's measurements. The ROADMAP's predictive (MPC-style)
-//! policy and the broker's zone-demand forecasting both need the same
-//! structural ingredient: decision seams that can see *history* and a
-//! *forecast*, not just an instantaneous scalar. This module provides it:
-//!
-//! * [`HistoryRing`] — a fixed-capacity ring of recent observations,
-//!   overwritten in place (zero allocations after construction);
-//! * [`Forecaster`] — the horizon-`h` prediction interface, with
-//!   [`ForecastModel`] adapting the existing `willow-workload` smoothers
-//!   ([`ExpSmoother`] forecasts flat, [`HoltSmoother`] extrapolates its
-//!   trend);
-//! * [`PlanSeries`] — one tracked series: a ring plus a model, fed
-//!   together;
-//! * [`PlanningContext`] — the controller's full planning state: root
-//!   supply, root aggregate demand, and one series per roster server. The
-//!   measure stage updates it once per tick; stages 2 and 4 receive it as
-//!   `&PlanningContext`.
+//! current tick's measurements. The predictive (MPC-style) policy and the
+//! broker's zone-demand forecasting both need a *forecast*, not just an
+//! instantaneous scalar. Every planning series is one
+//! [`HoltSmoother`] built with [`PLANNING_ALPHA`]/[`PLANNING_BETA`]: Holt's
+//! level + trend is the simplest estimator that anticipates a ramp, and
+//! its state is two `Copy` scalars. [`PlanningContext`] holds the
+//! controller's series — root supply, root aggregate demand, and one per
+//! roster server. The measure stage updates it once per tick; stages 2
+//! and 4 receive it as `&PlanningContext`.
 //!
 //! **Horizon semantics.** Leaf and root-demand series observe once per
-//! demand period, so `predict(h)` is `h` demand periods (`h·Δ_D`) ahead.
+//! demand period, so `forecast(h)` is `h` demand periods (`h·Δ_D`) ahead.
 //! The supply series observes once per *supply* tick (when a supply value
-//! is actually applied), so its horizon unit is `η1·Δ_D`. Predictions are
+//! is actually applied), so its horizon unit is `η1·Δ_D`. Forecasts are
 //! `None` until a series has seen its first observation — callers must
 //! treat "no forecast" as "fall back to reactive", never as zero.
 //!
@@ -35,13 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use willow_thermal::units::Watts;
-use willow_workload::smoothing::{ExpSmoother, HoltSmoother};
-
-/// Observations retained per tracked series. Sixteen demand periods cover
-/// four supply periods (`η1 = 4`) and two consolidation periods
-/// (`η2 = 7`) of context — enough for any built-in policy's look-behind —
-/// while keeping the per-server footprint at 128 bytes.
-pub const HISTORY_DEPTH: usize = 16;
+use willow_workload::smoothing::HoltSmoother;
 
 /// Level gain of the planning forecasters. Matches the controller's
 /// default demand-smoothing `α`; fixed (not configurable) because the
@@ -64,202 +50,9 @@ pub const PLANNING_BETA: f64 = 0.3;
 /// thermally-capped servers a supply period early.
 pub const PREDICTIVE_HEADROOM: f64 = 1.1;
 
-/// A fixed-capacity ring of recent power observations. Pushing overwrites
-/// the oldest entry once full; the buffer is sized at construction and
-/// never reallocates.
-///
-/// The [`Default`] ring has capacity zero and silently drops pushes — it
-/// exists so [`PlanningContext`] can be `std::mem::take`n around the
-/// pipeline stages without allocating a real replacement. Every ring that
-/// is actually observed comes from [`HistoryRing::new`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HistoryRing {
-    /// Backing store, pre-filled at construction.
-    buf: Vec<Watts>,
-    /// Next write position.
-    head: usize,
-    /// Valid entries (`≤ buf.len()`).
-    len: usize,
-}
-
-impl HistoryRing {
-    /// A ring holding up to `capacity` observations.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0` — use [`HistoryRing::default`] for the
-    /// deliberate empty placeholder.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "history ring capacity must be positive");
-        HistoryRing {
-            buf: vec![Watts::ZERO; capacity],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Record one observation, overwriting the oldest once full. A
-    /// zero-capacity (placeholder) ring drops the observation.
-    pub fn push(&mut self, value: Watts) {
-        if self.buf.is_empty() {
-            return;
-        }
-        self.buf[self.head] = value;
-        self.head = (self.head + 1) % self.buf.len();
-        self.len = (self.len + 1).min(self.buf.len());
-    }
-
-    /// Observations currently held (saturates at the capacity).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True before the first observation.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum observations the ring can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The observation `age` pushes ago: `get(0)` is the newest, up to
-    /// `get(len() - 1)` for the oldest retained. `None` beyond that.
-    #[must_use]
-    pub fn get(&self, age: usize) -> Option<Watts> {
-        if age >= self.len {
-            return None;
-        }
-        let cap = self.buf.len();
-        Some(self.buf[(self.head + cap - 1 - age) % cap])
-    }
-
-    /// The most recent observation, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<Watts> {
-        self.get(0)
-    }
-
-    /// Forget every observation (capacity is retained).
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
-}
-
-/// The prediction interface of the planning seam: feed observations in
-/// series order, ask for a horizon-`h` forecast. The horizon's time unit
-/// is whatever interval the series is observed at (see the module docs).
-pub trait Forecaster {
-    /// Feed one observation.
-    fn observe(&mut self, raw: Watts);
-    /// Forecast `h` observation intervals ahead (`h ≥ 1`). `None` until
-    /// the model has something to extrapolate from.
-    fn predict(&self, h: u32) -> Option<Watts>;
-    /// Forget all history.
-    fn reset(&mut self);
-}
-
-/// A serializable [`Forecaster`] over the `willow-workload` smoothers.
-/// The same adapter idiom as `DemandSmoother` in `crate::server`: a
-/// closed enum rather than a boxed trait object, so the model state can
-/// live inside [`WillowSnapshot`](crate::snapshot::WillowSnapshot) and
-/// restore bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ForecastModel {
-    /// Plain exponential smoothing: the forecast is flat at the current
-    /// smoothed level, for any horizon (no trend model).
-    Exponential(ExpSmoother),
-    /// Holt level + trend: the forecast extrapolates the trend linearly,
-    /// floored at zero watts.
-    Holt(HoltSmoother),
-}
-
-impl Default for ForecastModel {
-    /// The planning default: Holt with the fixed planning gains — the
-    /// whole point of the seam is anticipating ramps, which need a trend.
-    fn default() -> Self {
-        ForecastModel::Holt(HoltSmoother::new(PLANNING_ALPHA, PLANNING_BETA))
-    }
-}
-
-impl Forecaster for ForecastModel {
-    fn observe(&mut self, raw: Watts) {
-        match self {
-            ForecastModel::Exponential(s) => {
-                s.observe(raw);
-            }
-            ForecastModel::Holt(s) => {
-                s.observe(raw);
-            }
-        }
-    }
-
-    fn predict(&self, h: u32) -> Option<Watts> {
-        debug_assert!(h >= 1, "a zero horizon is the latest observation");
-        match self {
-            ForecastModel::Exponential(s) => s.value(),
-            ForecastModel::Holt(s) => s.forecast(h),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            ForecastModel::Exponential(s) => s.reset(),
-            ForecastModel::Holt(s) => s.reset(),
-        }
-    }
-}
-
-/// One tracked series: raw history (for policies that want to look back)
-/// plus a forecast model (for policies that want to look forward), fed
-/// together by a single [`PlanSeries::observe`] call.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PlanSeries {
-    /// The last [`HISTORY_DEPTH`] observations.
-    pub history: HistoryRing,
-    /// The forecast model, fed the same observations.
-    pub model: ForecastModel,
-}
-
-impl PlanSeries {
-    /// A standard planning series: [`HISTORY_DEPTH`]-deep ring and the
-    /// default Holt model.
-    #[must_use]
-    pub fn standard() -> Self {
-        PlanSeries {
-            history: HistoryRing::new(HISTORY_DEPTH),
-            model: ForecastModel::default(),
-        }
-    }
-
-    /// Record one observation into both the ring and the model.
-    pub fn observe(&mut self, value: Watts) {
-        self.history.push(value);
-        self.model.observe(value);
-    }
-
-    /// Forecast `h` observation intervals ahead (see [`Forecaster`]).
-    #[must_use]
-    pub fn predict(&self, h: u32) -> Option<Watts> {
-        self.model.predict(h)
-    }
-
-    /// The most recent observation, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<Watts> {
-        self.history.latest()
-    }
-
-    /// Forget all history and model state (capacity retained).
-    pub fn reset(&mut self) {
-        self.history.clear();
-        self.model.reset();
-    }
+/// A planning series (controller or broker) with no observations yet.
+pub(crate) fn series() -> HoltSmoother {
+    HoltSmoother::new(PLANNING_ALPHA, PLANNING_BETA)
 }
 
 /// The controller's complete planning state, updated once per tick by the
@@ -269,22 +62,49 @@ impl PlanSeries {
 /// bit-for-bit); `recover` keeps the checkpoint's context — forecaster
 /// state is controller *memory*, like the pending-command queue, not
 /// field-observable physical truth.
-///
-/// The [`Default`] context is the empty placeholder `std::mem::take`
-/// leaves behind while a pipeline stage borrows the real one; it holds
-/// zero-capacity series and no leaves, and is never observed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanningContext {
     /// Root supply, observed once per applied supply tick. Horizon unit:
     /// supply periods (`η1·Δ_D`).
-    pub supply: PlanSeries,
+    pub supply: HoltSmoother,
     /// Aggregate smoothed demand at the tree root, observed every tick.
     /// Horizon unit: demand periods (`Δ_D`).
-    pub root_demand: PlanSeries,
+    pub root_demand: HoltSmoother,
     /// Per-server demand series, indexed by roster (server) order like
     /// `Willow::servers` — including retired slots, which observe zero.
     /// Horizon unit: demand periods (`Δ_D`).
-    pub leaves: Vec<PlanSeries>,
+    pub leaves: Vec<HoltSmoother>,
+}
+
+impl Default for PlanningContext {
+    /// The placeholder `std::mem::take` leaves behind while a pipeline
+    /// stage borrows the real context: no leaves, so it allocates nothing,
+    /// and it is never observed.
+    fn default() -> Self {
+        PlanningContext {
+            supply: series(),
+            root_demand: series(),
+            leaves: Vec::new(),
+        }
+    }
+}
+
+impl Clone for PlanningContext {
+    fn clone(&self) -> Self {
+        PlanningContext {
+            supply: self.supply,
+            root_demand: self.root_demand,
+            leaves: self.leaves.clone(),
+        }
+    }
+
+    /// Field by field, so a checkpoint's `leaves` buffer is reused: a
+    /// derived `clone_from` would rebuild it on every capture.
+    fn clone_from(&mut self, source: &Self) {
+        self.supply = source.supply;
+        self.root_demand = source.root_demand;
+        self.leaves.clone_from(&source.leaves);
+    }
 }
 
 impl PlanningContext {
@@ -292,35 +112,34 @@ impl PlanningContext {
     #[must_use]
     pub fn for_servers(n: usize) -> Self {
         PlanningContext {
-            supply: PlanSeries::standard(),
-            root_demand: PlanSeries::standard(),
-            leaves: (0..n).map(|_| PlanSeries::standard()).collect(),
+            leaves: vec![series(); n],
+            ..PlanningContext::default()
         }
     }
 
     /// Grow the per-server series alongside a roster addition (the
     /// live-ops `AddServer` path). The new series starts with no history.
     pub fn push_server(&mut self) {
-        self.leaves.push(PlanSeries::standard());
+        self.leaves.push(series());
     }
 
     /// Forecast the root supply `h` *supply periods* ahead.
     #[must_use]
     pub fn predicted_supply(&self, h: u32) -> Option<Watts> {
-        self.supply.predict(h)
+        self.supply.forecast(h)
     }
 
     /// Forecast the root aggregate demand `h` demand periods ahead.
     #[must_use]
     pub fn predicted_root_demand(&self, h: u32) -> Option<Watts> {
-        self.root_demand.predict(h)
+        self.root_demand.forecast(h)
     }
 
     /// Forecast server `si`'s demand `h` demand periods ahead. `None` for
     /// out-of-roster indices or series without observations.
     #[must_use]
     pub fn predicted_leaf_demand(&self, si: usize, h: u32) -> Option<Watts> {
-        self.leaves.get(si).and_then(|s| s.predict(h))
+        self.leaves.get(si).and_then(|s| s.forecast(h))
     }
 }
 
@@ -329,63 +148,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_fills_then_wraps() {
-        let mut r = HistoryRing::new(3);
-        assert!(r.is_empty());
-        assert_eq!(r.latest(), None);
-        r.push(Watts(1.0));
-        r.push(Watts(2.0));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.get(0), Some(Watts(2.0)));
-        assert_eq!(r.get(1), Some(Watts(1.0)));
-        assert_eq!(r.get(2), None);
-        r.push(Watts(3.0));
-        r.push(Watts(4.0)); // overwrites 1.0
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.capacity(), 3);
-        assert_eq!(r.get(0), Some(Watts(4.0)));
-        assert_eq!(r.get(1), Some(Watts(3.0)));
-        assert_eq!(r.get(2), Some(Watts(2.0)));
-        assert_eq!(r.get(3), None, "overwritten entries are gone");
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.capacity(), 3);
-    }
-
-    #[test]
-    fn placeholder_ring_drops_pushes() {
-        let mut r = HistoryRing::default();
-        r.push(Watts(5.0));
-        assert!(r.is_empty());
-        assert_eq!(r.capacity(), 0);
-        assert_eq!(r.latest(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_construction_rejected() {
-        let _ = HistoryRing::new(0);
-    }
-
-    #[test]
-    fn exponential_model_forecasts_flat() {
-        let mut m = ForecastModel::Exponential(ExpSmoother::new(0.5));
-        assert_eq!(m.predict(1), None);
-        m.observe(Watts(100.0));
-        m.observe(Watts(200.0));
-        let level = m.predict(1).unwrap();
-        assert_eq!(m.predict(10), Some(level), "no trend: flat at any horizon");
-    }
-
-    #[test]
     fn holt_model_extrapolates_ramps() {
-        let mut s = PlanSeries::standard();
+        let mut ctx = PlanningContext::for_servers(0);
         for k in 0..40 {
-            s.observe(Watts(f64::from(k) * 5.0));
+            ctx.root_demand.observe(Watts(f64::from(k) * 5.0));
         }
-        let last = s.latest().unwrap();
-        let one = s.predict(1).unwrap();
-        let four = s.predict(4).unwrap();
+        let last = Watts(39.0 * 5.0);
+        let one = ctx.predicted_root_demand(1).unwrap();
+        let four = ctx.predicted_root_demand(4).unwrap();
         assert!(one > last, "upward trend must extrapolate upward");
         assert!(four > one, "longer horizons extend the trend further");
         // The converged Holt trend on a 5 W/step ramp is ~5 W/step.
@@ -394,11 +164,12 @@ mod tests {
 
     #[test]
     fn model_reset_forgets() {
-        let mut s = PlanSeries::standard();
+        let mut s = series();
         s.observe(Watts(50.0));
+        assert_eq!(s.forecast(1), Some(Watts(50.0)));
         s.reset();
-        assert!(s.history.is_empty());
-        assert_eq!(s.predict(1), None);
+        assert_eq!(s.level(), None);
+        assert_eq!(s.forecast(1), None);
     }
 
     #[test]
@@ -437,8 +208,22 @@ mod tests {
     fn default_context_is_an_inert_placeholder() {
         let ctx = PlanningContext::default();
         assert!(ctx.leaves.is_empty());
-        assert_eq!(ctx.supply.history.capacity(), 0);
+        assert_eq!(
+            ctx.leaves.capacity(),
+            0,
+            "the placeholder allocates nothing"
+        );
         assert_eq!(ctx.predicted_supply(1), None);
         assert_eq!(ctx.predicted_root_demand(1), None);
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        let mut src = PlanningContext::for_servers(4);
+        src.supply.observe(Watts(900.0));
+        src.leaves[1].observe(Watts(30.0));
+        let mut dst = PlanningContext::for_servers(2);
+        dst.clone_from(&src);
+        assert_eq!(dst, src.clone());
     }
 }

@@ -48,8 +48,9 @@
 use serde::{Deserialize, Serialize};
 use willow_power::allocation::{allocate_proportional_into, AllocationScratch};
 use willow_thermal::units::Watts;
+use willow_workload::smoothing::HoltSmoother;
 
-use crate::control::PlanSeries;
+use crate::control::planning;
 
 /// Tolerance for the conservation double-check: float summation of many
 /// grants may differ from the analytic bound by a few ULPs.
@@ -67,7 +68,7 @@ pub struct BrokerConfig {
     /// (and the broker reserves). In `(0, 1]`.
     pub fallback_fraction: f64,
     /// Split on *predicted* zone demand instead of the last report. The
-    /// broker keeps one [`PlanSeries`] per zone, fed by fresh reports, and
+    /// broker keeps one Holt forecaster per zone, fed by fresh reports, and
     /// apportions on each zone's one-period-ahead forecast; a zone whose
     /// report is stale is forecast further out (`1 + stale periods`), so
     /// the reactive stale rule — freeze on the last report — becomes the
@@ -213,12 +214,12 @@ pub struct BrokerSnapshot {
     /// Grants from the last apportionment, per zone.
     #[serde(default)]
     pub grants: Vec<Watts>,
-    /// Per-zone demand history and forecaster state (one entry per zone,
-    /// fed by fresh reports). Absent in pre-forecast checkpoints, in which
-    /// case restore re-seeds empty series — predictions fall back to the
-    /// last report until the rings refill.
+    /// Per-zone Holt forecaster state (one entry per zone, fed by fresh
+    /// reports). Empty in pre-forecast checkpoints, in which case restore
+    /// re-seeds empty forecasters — predictions fall back to the last
+    /// report until each zone's next fresh report.
     #[serde(default)]
-    pub forecasts: Vec<PlanSeries>,
+    pub forecasts: Vec<HoltSmoother>,
 }
 
 /// Splits total supply across zones proportional to aggregate reported
@@ -231,11 +232,10 @@ pub struct SupplyBroker {
     counters: BrokerCounters,
     /// Ledger of the last apportionment, per zone.
     grants: Vec<Watts>,
-    /// Per-zone demand history and forecaster state, fed by fresh
-    /// reports. Always maintained (it is cheap and keeps checkpoints
-    /// mode-agnostic); only read when
-    /// [`BrokerConfig::forecast_apportionment`] is set.
-    forecasts: Vec<PlanSeries>,
+    /// Per-zone Holt forecaster state, fed by fresh reports. Always
+    /// maintained (it is cheap and keeps checkpoints mode-agnostic); only
+    /// read when [`BrokerConfig::forecast_apportionment`] is set.
+    forecasts: Vec<HoltSmoother>,
     // Scratch for the proportional split (reused across calls).
     demands: Vec<Watts>,
     caps: Vec<Watts>,
@@ -259,7 +259,7 @@ impl SupplyBroker {
             links: vec![ZoneLink::default(); n_zones],
             counters: BrokerCounters::default(),
             grants: vec![Watts::ZERO; n_zones],
-            forecasts: vec![PlanSeries::standard(); n_zones],
+            forecasts: vec![planning::series(); n_zones],
             demands: Vec::with_capacity(n_zones),
             caps: Vec::with_capacity(n_zones),
             budgets: Vec::with_capacity(n_zones),
@@ -302,7 +302,7 @@ impl SupplyBroker {
     /// Per-zone demand forecasts (fed by fresh reports; read by the
     /// split only when [`BrokerConfig::forecast_apportionment`] is set).
     #[must_use]
-    pub fn forecasts(&self) -> &[PlanSeries] {
+    pub fn forecasts(&self) -> &[HoltSmoother] {
         &self.forecasts
     }
 
@@ -411,7 +411,7 @@ impl SupplyBroker {
                 // report — exactly the reactive rule.
                 let horizon = 1 + link.stale_reports;
                 self.forecasts[i]
-                    .predict(horizon)
+                    .forecast(horizon)
                     .map_or(link.last_report, Watts::non_negative)
             } else {
                 link.last_report
@@ -513,23 +513,15 @@ impl SupplyBroker {
         }
     }
 
-    /// Rebuild a broker from a snapshot.
+    /// Rebuild a broker from a snapshot, counters included.
     ///
     /// # Errors
-    /// Rejects an empty or invalid snapshot (see [`SupplyBroker::new`]).
+    /// Rejects an empty or invalid snapshot (see [`SupplyBroker::new`])
+    /// and a malformed ledger (see [`SupplyBroker::recover`]).
     pub fn restore(snapshot: BrokerSnapshot) -> Result<Self, FederationError> {
         let mut broker = SupplyBroker::new(snapshot.links.len(), snapshot.config)?;
-        broker.links = snapshot.links;
         broker.counters = snapshot.counters;
-        if snapshot.grants.len() == broker.links.len() {
-            broker.grants = snapshot.grants;
-        }
-        // Pre-forecast checkpoints carry no series: keep the freshly
-        // seeded empty ones and let predictions fall back to the last
-        // report until the rings refill.
-        if snapshot.forecasts.len() == broker.links.len() {
-            broker.forecasts = snapshot.forecasts;
-        }
+        broker.recover(snapshot)?;
         Ok(broker)
     }
 
@@ -537,15 +529,22 @@ impl SupplyBroker {
     /// The caller should then [`rejoin`](Self::rejoin) every currently
     /// reachable zone to reconcile the restored ledger with field truth.
     ///
+    /// Pre-forecast checkpoints may carry no `grants` or `forecasts`: an
+    /// empty vector keeps the broker's current entries (forecasts then fall
+    /// back to the last report until each zone's next fresh report).
+    ///
     /// # Errors
-    /// Rejects a snapshot whose zone count does not match.
+    /// Rejects a snapshot whose `links`, or whose non-empty `grants` or
+    /// `forecasts`, do not hold one entry per zone. A rejected snapshot
+    /// leaves the broker untouched.
     pub fn recover(&mut self, snapshot: BrokerSnapshot) -> Result<(), FederationError> {
-        if snapshot.links.len() != self.links.len() {
-            return Err(FederationError::Shape {
-                field: "broker.links",
-                found: snapshot.links.len(),
-                expected: self.links.len(),
-            });
+        let n = self.links.len();
+        zone_shape("broker.links", snapshot.links.len(), n)?;
+        if !snapshot.grants.is_empty() {
+            zone_shape("broker.grants", snapshot.grants.len(), n)?;
+        }
+        if !snapshot.forecasts.is_empty() {
+            zone_shape("broker.forecasts", snapshot.forecasts.len(), n)?;
         }
         // Only the ledger is control state and restored verbatim. The
         // counters are cumulative telemetry: the running tally (which
@@ -553,13 +552,26 @@ impl SupplyBroker {
         // rather than rolled back to the checkpoint's.
         self.config = snapshot.config;
         self.links = snapshot.links;
-        if snapshot.grants.len() == self.links.len() {
+        if !snapshot.grants.is_empty() {
             self.grants = snapshot.grants;
         }
-        if snapshot.forecasts.len() == self.links.len() {
+        if !snapshot.forecasts.is_empty() {
             self.forecasts = snapshot.forecasts;
         }
         Ok(())
+    }
+}
+
+/// `Ok` when a snapshot vector holds one entry per zone.
+fn zone_shape(field: &'static str, found: usize, expected: usize) -> Result<(), FederationError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(FederationError::Shape {
+            field,
+            found,
+            expected,
+        })
     }
 }
 
@@ -930,24 +942,21 @@ mod tests {
             let reports = [Some(Watts(400.0 - 30.0 * f64::from(t))), Some(Watts(200.0))];
             broker.apportion(Watts(500.0), &conditions, &reports);
         }
-        let before = broker.forecasts()[0].latest().expect("has history");
+        let before = broker.forecasts()[0];
+        assert!(before.level().is_some(), "has history");
         // Report goes stale: the frozen downtrend keeps shrinking zone
         // 0's share of the split, period after period.
         let stale = [ZoneCondition::StaleReport, ZoneCondition::Healthy];
         let g1 = broker.apportion(Watts(500.0), &stale, &[None, Some(Watts(200.0))])[0];
         let g2 = broker.apportion(Watts(500.0), &stale, &[None, Some(Watts(200.0))])[0];
-        assert_eq!(
-            broker.forecasts()[0].latest(),
-            Some(before),
-            "history frozen"
-        );
+        assert_eq!(broker.forecasts()[0], before, "history frozen");
         assert!(g2 < g1, "deeper staleness must extrapolate further down");
         assert_eq!(broker.counters().conservation_violations, 0);
     }
 
     /// Pre-forecast broker checkpoints carry no `forecasts` key: they
     /// must still parse and restore, with predictions falling back to
-    /// the reactive rule until the rings refill.
+    /// the reactive rule until the next fresh report.
     #[test]
     fn broker_snapshot_without_forecasts_restores() {
         let mut broker = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
@@ -964,7 +973,56 @@ mod tests {
         assert!(snap.forecasts.is_empty());
         let restored = SupplyBroker::restore(snap).expect("restore");
         assert_eq!(restored.links(), broker.links());
-        assert!(restored.forecasts().iter().all(|s| s.latest().is_none()));
+        assert!(restored.forecasts().iter().all(|s| s.level().is_none()));
+    }
+
+    /// A non-empty `grants` or `forecasts` vector of the wrong length is a
+    /// malformed ledger: `restore` and `recover` reject it by field name,
+    /// and a rejected `recover` leaves the broker as it was.
+    #[test]
+    fn broker_snapshot_with_wrong_length_ledger_is_rejected() {
+        let mut broker = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
+        broker.apportion(
+            Watts(600.0),
+            &[ZoneCondition::Healthy, ZoneCondition::Healthy],
+            &[Some(Watts(100.0)), Some(Watts(200.0))],
+        );
+        let good = broker.snapshot();
+        for (field, found) in [
+            ("broker.grants", 1),
+            ("broker.grants", 3),
+            ("broker.forecasts", 1),
+            ("broker.forecasts", 3),
+        ] {
+            let mut bad = good.clone();
+            if field == "broker.grants" {
+                bad.grants.resize(found, Watts(1.0));
+            } else {
+                bad.forecasts.resize(found, bad.forecasts[0]);
+            }
+            let expected = FederationError::Shape {
+                field,
+                found,
+                expected: 2,
+            };
+            assert_eq!(
+                SupplyBroker::restore(bad.clone()).err(),
+                Some(expected.clone())
+            );
+            let mut twin = SupplyBroker::restore(good.clone()).expect("restore");
+            twin.apportion(
+                Watts(600.0),
+                &[ZoneCondition::Healthy, ZoneCondition::Healthy],
+                &[Some(Watts(300.0)), Some(Watts(100.0))],
+            );
+            let before = twin.snapshot();
+            assert_eq!(twin.recover(bad), Err(expected));
+            assert_eq!(
+                twin.snapshot(),
+                before,
+                "rejected recover mutated the broker"
+            );
+        }
     }
 
     #[test]

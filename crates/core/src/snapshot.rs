@@ -67,11 +67,12 @@ pub struct WillowSnapshot {
     /// Whether adaptation was paused by [`crate::command::Command::Pause`].
     #[serde(default)]
     pub paused: bool,
-    /// Planning memory: demand/supply history rings and forecaster state
-    /// (see [`crate::control::planning`]). Absent in pre-planning
-    /// checkpoints, in which case restore re-seeds empty forecasts sized
-    /// to the roster — predictions fall back to reactive until the rings
-    /// refill, exactly as on a cold start.
+    /// Planning memory: one Holt forecaster per series — root supply, root
+    /// demand and each roster server (see [`crate::control::planning`]).
+    /// Absent in pre-planning checkpoints, in which case restore re-seeds
+    /// empty forecasters sized to the roster — predictions fall back to
+    /// reactive until each series sees its first observation, exactly as
+    /// on a cold start.
     #[serde(default)]
     pub planning: Option<crate::control::PlanningContext>,
 }
@@ -126,6 +127,8 @@ impl Willow {
         snap.pending.extend_from_slice(self.pending_commands());
         snap.next_command_id = self.next_command_id();
         snap.paused = self.is_paused();
+        // `PlanningContext::clone_from` copies field by field, reusing the
+        // checkpoint's `leaves` buffer.
         match &mut snap.planning {
             Some(p) => p.clone_from(self.planning()),
             None => snap.planning = Some(self.planning().clone()),
@@ -256,8 +259,7 @@ mod tests {
     /// The predictive supply policy reads the checkpointed forecaster
     /// state every stage, so a snapshot that dropped it would diverge the
     /// moment a prediction differed from a cold-started one. Drive far
-    /// enough that the history rings are full and forecasts are live
-    /// before snapshotting.
+    /// enough that the forecasts have built trends before snapshotting.
     #[test]
     fn restore_preserves_forecaster_state_under_predictive_policy() {
         use crate::config::SupplyPolicyChoice;
@@ -282,7 +284,7 @@ mod tests {
         cfg.supply_policy = SupplyPolicyChoice::Predictive;
         let mut original = Willow::new(tree, specs, cfg).unwrap();
         let n_apps = id as usize;
-        let _ = drive(&mut original, n_apps, 43); // > HISTORY_DEPTH supply ticks
+        let _ = drive(&mut original, n_apps, 43); // 11 supply ticks at η1 = 4
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
         let snap: WillowSnapshot = serde_json::from_str(&json).expect("deserialize");

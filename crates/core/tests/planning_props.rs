@@ -1,101 +1,52 @@
-//! Property tests for the planning seam: the fixed-capacity history
-//! rings must behave like the last-`capacity` suffix of the pushed
-//! sequence under any push/read interleaving, and a [`PlanningContext`]
-//! must keep that contract per leaf across roster growth and JSON round
-//! trips.
+//! Property tests for the planning seam: every leaf of a
+//! [`PlanningContext`] is a plain Holt forecaster fed only its own stream,
+//! and the whole context survives a JSON round trip bit for bit.
 
 use proptest::prelude::*;
-use willow_core::control::{HistoryRing, PlanningContext, HISTORY_DEPTH};
+use willow_core::control::planning::{PLANNING_ALPHA, PLANNING_BETA};
+use willow_core::control::PlanningContext;
 use willow_thermal::units::Watts;
+use willow_workload::smoothing::HoltSmoother;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A ring of any capacity, after any sequence of pushes, reads back
-    /// (via `get(age)`) exactly the reversed suffix a plain Vec keeps —
-    /// wraparound included — and reports matching len/latest.
-    #[test]
-    fn ring_matches_vec_suffix_under_wraparound(
-        capacity in 1usize..12,
-        values in prop::collection::vec(0.0f64..1e6, 0..64),
-    ) {
-        let mut ring = HistoryRing::new(capacity);
-        let mut shadow: Vec<f64> = Vec::new();
-        for &v in &values {
-            ring.push(Watts(v));
-            shadow.push(v);
-            let kept = shadow.len().min(capacity);
-            prop_assert_eq!(ring.len(), kept);
-            for age in 0..kept {
-                let expect = shadow[shadow.len() - 1 - age];
-                prop_assert_eq!(
-                    ring.get(age),
-                    Some(Watts(expect)),
-                    "age {} after {} pushes (capacity {})",
-                    age,
-                    shadow.len(),
-                    capacity
-                );
-            }
-            prop_assert_eq!(ring.get(kept), None, "reads past len must miss");
-            prop_assert_eq!(ring.latest(), Some(Watts(*shadow.last().unwrap())));
-        }
-    }
-
-    /// Clearing a ring forgets everything but keeps the capacity, and the
-    /// refilled ring behaves exactly like a fresh one.
-    #[test]
-    fn cleared_ring_is_a_fresh_ring(
-        capacity in 1usize..12,
-        first in prop::collection::vec(0.0f64..1e6, 1..32),
-        second in prop::collection::vec(0.0f64..1e6, 1..32),
-    ) {
-        let mut reused = HistoryRing::new(capacity);
-        for &v in &first {
-            reused.push(Watts(v));
-        }
-        reused.clear();
-        prop_assert!(reused.is_empty());
-        prop_assert_eq!(reused.capacity(), capacity);
-        let mut fresh = HistoryRing::new(capacity);
-        for &v in &second {
-            reused.push(Watts(v));
-            fresh.push(Watts(v));
-        }
-        // Equality of the observable state, not the backing buffer: the
-        // reused ring may keep pre-clear values in slots past `len`.
-        prop_assert_eq!(reused.len(), fresh.len());
-        for age in 0..fresh.len() {
-            prop_assert_eq!(reused.get(age), fresh.get(age), "age {}", age);
-        }
-        prop_assert_eq!(reused.get(fresh.len()), None);
-    }
-
-    /// Per-leaf histories in a [`PlanningContext`] are independent: each
-    /// leaf's ring holds the last `HISTORY_DEPTH` of *its own* stream,
-    /// whatever was interleaved into the others, and the whole context —
-    /// wrapped rings included — survives a JSON round trip.
+    /// Per-leaf forecasters are independent: after any interleaving of
+    /// observations across leaves (roster growth included), each leaf
+    /// equals a standalone `HoltSmoother` with the planning gains fed that
+    /// leaf's own stream. The context then round-trips through JSON with
+    /// every level and trend bit intact.
     #[test]
     fn context_leaves_are_independent_and_serializable(
         n_servers in 1usize..6,
-        rounds in 1usize..40,
+        added in 0usize..3,
+        observations in prop::collection::vec((0usize..8, 0.0f64..1e6), 0..96),
     ) {
         let mut ctx = PlanningContext::for_servers(n_servers);
-        for r in 0..rounds {
-            for (si, leaf) in ctx.leaves.iter_mut().enumerate() {
-                // A distinct, reconstructible stream per leaf.
-                leaf.observe(Watts((si * 1000 + r) as f64));
+        let mut shadow = vec![HoltSmoother::new(PLANNING_ALPHA, PLANNING_BETA); n_servers];
+        for (k, &(leaf, value)) in observations.iter().enumerate() {
+            // Grow the roster part-way through the run.
+            if shadow.len() < n_servers + added && k % 16 == 15 {
+                ctx.push_server();
+                shadow.push(HoltSmoother::new(PLANNING_ALPHA, PLANNING_BETA));
             }
+            let leaf = leaf % shadow.len();
+            ctx.leaves[leaf].observe(Watts(value));
+            shadow[leaf].observe(Watts(value));
         }
-        for (si, leaf) in ctx.leaves.iter().enumerate() {
-            let kept = rounds.min(HISTORY_DEPTH);
-            for age in 0..kept {
-                let expect = (si * 1000 + (rounds - 1 - age)) as f64;
-                prop_assert_eq!(leaf.history.get(age), Some(Watts(expect)));
-            }
+        prop_assert_eq!(&ctx.leaves, &shadow);
+        for (si, leaf) in shadow.iter().enumerate() {
+            prop_assert_eq!(ctx.predicted_leaf_demand(si, 3), leaf.forecast(3));
         }
+
         let json = serde_json::to_string(&ctx).expect("context serializes");
         let back: PlanningContext = serde_json::from_str(&json).expect("context parses");
+        for (a, b) in back.leaves.iter().zip(&ctx.leaves) {
+            let bits = |s: &HoltSmoother| {
+                (s.level().map(|w| w.0.to_bits()), s.trend().map(|w| w.0.to_bits()))
+            };
+            prop_assert_eq!(bits(a), bits(b));
+        }
         prop_assert_eq!(back, ctx);
     }
 }

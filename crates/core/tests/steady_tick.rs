@@ -7,10 +7,12 @@
 //!   19,683 / 52,488 / 104,976 servers;
 //! * **(c)** on those trees, a `threads = 4` controller stepped in
 //!   lockstep with a serial twin under migration pressure emits the same
-//!   `TickReport` bit for bit every tick and ends in the same snapshot.
+//!   `TickReport` bit for bit every tick and ends in the same snapshot;
+//! * **(d)** once a checkpoint exists, capturing the planning context into
+//!   it again makes 0 heap allocations.
 //!
-//! (a) runs with `cargo test`. (b) and (c) are too slow for a debug build
-//! and run together as one ignored test:
+//! (a) and (d) run with `cargo test`. (b) and (c) are too slow for a debug
+//! build and run together as one ignored test:
 //!
 //! ```text
 //! cargo test --release -p willow-core --test steady_tick -- --ignored --nocapture
@@ -142,6 +144,30 @@ fn steady_tick_allocates_nothing() {
             "telemetry recording allocated at {servers} servers"
         );
     }
+}
+
+/// `snapshot_into` copies the planning context with
+/// `PlanningContext::clone_from`: into a warm checkpoint that copy must
+/// reuse the checkpoint's `leaves` buffer rather than rebuild it.
+#[test]
+fn warm_planning_capture_allocates_nothing() {
+    let (mut willow, demands) = build(&[3, 9, 9], ControllerConfig::default(), 0.4);
+    let supply = Watts(willow.servers().len() as f64 * 450.0);
+    let quiet = Disturbances::none();
+    let mut report = TickReport::default();
+    for _ in 0..8 {
+        willow.step_into(&demands, supply, &quiet, &mut report);
+    }
+    let mut snap = willow.snapshot();
+    for _ in 0..8 {
+        willow.step_into(&demands, supply, &quiet, &mut report);
+    }
+    let warm = snap.planning.as_mut().expect("a snapshot carries planning");
+    let before = allocations();
+    warm.clone_from(willow.planning());
+    let allocs = allocations() - before;
+    assert_eq!(allocs, 0, "copying a warm planning context allocated");
+    assert_eq!(warm, willow.planning());
 }
 
 /// Pressure factor in `[0.4, 1.7)` for one app on one tick, from a fixed
