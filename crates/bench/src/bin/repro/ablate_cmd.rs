@@ -7,7 +7,7 @@
 //! ([`score`]):
 //!
 //! * the policy grid: every combination of
-//!   `ControllerConfig::{packer, target_policy, consolidation_policy}`;
+//!   `ControllerConfig::{packer, consolidation_policy}`;
 //! * the knob sweeps ([`KNOBS`]): one controller setting varied at a time
 //!   around the paper's defaults;
 //! * the reactive-vs-predictive supply-policy race.
@@ -29,7 +29,7 @@
 use serde::Value;
 use willow_core::config::{
     AllocationPolicy, ConsolidationPolicyChoice, ControllerConfig, PackerChoice, ReducedTargetRule,
-    SmootherKind, SupplyPolicyChoice, TargetPolicyChoice, ThermalEstimate,
+    SmootherKind, SupplyPolicyChoice, ThermalEstimate,
 };
 use willow_power::SupplyTrace;
 use willow_sim::{RunMetrics, SimConfig, Simulation};
@@ -351,26 +351,19 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize) {
         PackerChoice::BestFitDecreasing,
         PackerChoice::NextFit,
     ];
-    let targets = [
-        TargetPolicyChoice::AscendingId,
-        TargetPolicyChoice::BestFit,
-        TargetPolicyChoice::ThermalHeadroom,
-    ];
     let consolidations = [
         ConsolidationPolicyChoice::HotZonesFirst,
         ConsolidationPolicyChoice::MostHeadroomReceivers,
     ];
     let default_combo = (
         PackerChoice::Ffdlr,
-        TargetPolicyChoice::AscendingId,
         ConsolidationPolicyChoice::HotZonesFirst,
     );
 
     println!(
-        "policy race: {} packers x {} target x {} consolidation + {} knob settings \
+        "policy race: {} packers x {} consolidation + {} knob settings \
          x {} scenarios, {} ticks, {} seed(s)",
         packers.len(),
-        targets.len(),
         consolidations.len(),
         KNOBS.len(),
         SCENARIOS.len(),
@@ -386,11 +379,7 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize) {
         // from a config that never mentions the policy fields.
         let reference = default_reference(sc, seed, ticks);
         let mut cfg = scenario_config(sc, seed, ticks);
-        (
-            cfg.controller.packer,
-            cfg.controller.target_policy,
-            cfg.controller.consolidation_policy,
-        ) = default_combo;
+        (cfg.controller.packer, cfg.controller.consolidation_policy) = default_combo;
         let explicit = Simulation::new(cfg).expect("valid").run();
         if explicit != reference {
             println!(
@@ -402,17 +391,14 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize) {
 
         let mut rows = Vec::new();
         for &packer in &packers {
-            for &target in targets.iter() {
-                for &consolidation in consolidations.iter() {
-                    let scores = score(seed, n_seeds, |s| {
-                        let mut cfg = scenario_config(sc, s, ticks);
-                        cfg.controller.packer = packer;
-                        cfg.controller.target_policy = target;
-                        cfg.controller.consolidation_policy = consolidation;
-                        cfg
-                    });
-                    rows.push(((packer, target, consolidation), scores));
-                }
+            for &consolidation in &consolidations {
+                let scores = score(seed, n_seeds, |s| {
+                    let mut cfg = scenario_config(sc, s, ticks);
+                    cfg.controller.packer = packer;
+                    cfg.controller.consolidation_policy = consolidation;
+                    cfg
+                });
+                rows.push(((packer, consolidation), scores));
             }
         }
         let baseline_power = rows
@@ -423,20 +409,19 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize) {
         println!("\n== scenario: {} ==", sc.name);
         let [drop, dmigs, cmigs, pp] = SCORE_HEADERS;
         println!(
-            "  {:<18} {:<16} {:<22} {drop:>10} {dmigs:>8} {cmigs:>8} {pp:>6} {:>10} {:>10}",
-            "packer", "targets", "consolidation", "saved(W)", "slack(°C)"
+            "  {:<18} {:<22} {drop:>10} {dmigs:>8} {cmigs:>8} {pp:>6} {:>10} {:>10}",
+            "packer", "consolidation", "saved(W)", "slack(°C)"
         );
-        for ((packer, target, consolidation), r) in &rows {
+        for ((packer, consolidation), r) in &rows {
             r.audit(
                 sc.name,
-                &format!("{packer:?}/{target:?}/{consolidation:?}"),
+                &format!("{packer:?}/{consolidation:?}"),
                 &mut failures,
             );
             let saved = baseline_power - r.cluster_power;
             println!(
-                "  {:<18} {:<16} {:<22} {} {:>10.1} {:>10}",
+                "  {:<18} {:<22} {} {:>10.1} {:>10}",
                 format!("{packer:?}"),
-                format!("{target:?}"),
                 format!("{consolidation:?}"),
                 r.cells(),
                 saved,
@@ -447,7 +432,6 @@ pub fn run(seed: u64, ticks: usize, n_seeds: usize) {
                     ("scenario", Value::Str(sc.name.to_owned())),
                     ("utilization", Value::F64(sc.utilization)),
                     ("packer", Value::Str(format!("{packer:?}"))),
-                    ("target_policy", Value::Str(format!("{target:?}"))),
                     (
                         "consolidation_policy",
                         Value::Str(format!("{consolidation:?}")),

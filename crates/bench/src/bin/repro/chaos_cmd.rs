@@ -111,7 +111,6 @@ fn schedule_for(seed: u64, ticks: usize, n_servers: usize) -> Schedule {
             checkpoint_period: rng.gen_range(4..=32),
             windows,
         }),
-        ..FaultPlan::default()
     };
     Schedule { utilization, plan }
 }

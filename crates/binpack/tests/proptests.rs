@@ -130,6 +130,38 @@ proptest! {
         }
     }
 
+    /// Why the order of the bins handed to FFDLR, FFD and BFD only matters
+    /// in ties: each chooses bins by capacity (FFD and FFDLR's first pass
+    /// by initial capacity, BFD by remaining capacity, FFDLR's repack by
+    /// smallest fit) and uses the bin index only to break exact ties. With
+    /// pairwise-distinct capacities (and, at random reals, no tied
+    /// remainders or group totals), permuting the bins leaves every item in
+    /// a bin of the same capacity.
+    #[test]
+    fn sorting_packers_ignore_bin_order(
+        (items, bins) in instance(),
+        keys in prop::collection::vec(0u64..u64::MAX, 12),
+    ) {
+        let mut caps = bins.clone();
+        caps.sort_by(f64::total_cmp);
+        prop_assume!(caps.windows(2).all(|w| w[0] != w[1]));
+        let mut perm: Vec<usize> = (0..bins.len()).collect();
+        perm.sort_by_key(|&b| keys[b]);
+        let permuted: Vec<f64> = perm.iter().map(|&b| bins[b]).collect();
+        let sorting: [Box<dyn Packer>; 3] =
+            [Box::new(Ffdlr), Box::new(FirstFitDecreasing), Box::new(BestFitDecreasing)];
+        for p in sorting {
+            let capacity_of = |packing: Packing, bins: &[f64]| -> Vec<Option<u64>> {
+                packing.assignment.iter().map(|a| a.map(|b| bins[b].to_bits())).collect()
+            };
+            prop_assert_eq!(
+                capacity_of(p.pack(&items, &bins), &bins),
+                capacity_of(p.pack(&items, &permuted), &permuted),
+                "{} depends on bin order", p.name()
+            );
+        }
+    }
+
     /// Packing round-trip sanity for `Packing::from_assignment`.
     #[test]
     fn packing_unplaced_matches_assignment(assignment in prop::collection::vec(prop::option::of(0usize..5), 0..20)) {

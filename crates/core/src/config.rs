@@ -15,31 +15,14 @@ use willow_thermal::units::{Seconds, Watts};
 /// experiment configs are unaffected by the aliasing.
 pub use willow_binpack::PackerStrategy as PackerChoice;
 
-/// How the eligible target bins of each demand-side packing instance are
-/// ordered before packing.
-///
-/// Like [`PackerChoice`], this selects a deterministic, stateless ordering
-/// that the demand stage matches on directly, so checkpoint restore needs
-/// no policy state beyond the config. The default reproduces the paper's
-/// behavior bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum TargetPolicyChoice {
-    /// Ascending arena id — "first eligible server in tree order" (the
-    /// paper's evaluation order; default).
-    #[default]
-    AscendingId,
-    /// Tightest surplus first; ties to the more utilized server.
-    BestFit,
-    /// Coolest server (largest gap between thermal cap and demand) first.
-    ThermalHeadroom,
-}
-
 /// How consolidation orders the receiver bins it evacuates victims into.
 /// Victims always evacuate thermally constrained (hot-zone) servers first,
 /// emptiest first within a zone.
 ///
-/// Selected the same way as [`TargetPolicyChoice`]; the default reproduces
-/// the paper's behavior bit-for-bit.
+/// Like [`PackerChoice`], this selects a deterministic, stateless ordering
+/// that the consolidation stage matches on directly, so checkpoint restore
+/// needs no policy state beyond the config. The default reproduces the
+/// paper's behavior bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ConsolidationPolicyChoice {
     /// Coolest receivers (largest hard cap) first, fullest first within a
@@ -200,8 +183,11 @@ impl RobustnessConfig {
     }
 }
 
-/// All Willow tunables.
+/// All Willow tunables. A persisted config naming a key that is not a
+/// field here (a retired knob, a misspelling) fails to load rather than
+/// running with that key ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ControllerConfig {
     /// Exponential-smoothing parameter `α` of Eq. 4, `0 < α < 1`.
     pub alpha: f64,
@@ -253,14 +239,9 @@ pub struct ControllerConfig {
     /// threads with fixed shard boundaries and a deterministic reduction
     /// order, so results are bit-for-bit identical to the serial path at
     /// any thread count. Absent in persisted configs from before this
-    /// field existed, which deserialize as `0` (auto).
-    #[serde(default)]
+    /// field existed, which deserialize as the in-code default (`1`).
+    #[serde(default = "default_threads")]
     pub threads: usize,
-    /// Target-bin ordering for demand-side packing instances. Absent in
-    /// persisted configs from before this field existed, which deserialize
-    /// as the paper's default ordering.
-    #[serde(default)]
-    pub target_policy: TargetPolicyChoice,
     /// Victim/receiver ordering for consolidation. Absent in persisted
     /// configs from before this field existed, which deserialize as the
     /// paper's default ordering.
@@ -293,11 +274,16 @@ impl Default for ControllerConfig {
             query_traffic_per_watt: 1.0,
             robustness: RobustnessConfig::default(),
             threads: 1,
-            target_policy: TargetPolicyChoice::AscendingId,
             consolidation_policy: ConsolidationPolicyChoice::HotZonesFirst,
             supply_policy: SupplyPolicyChoice::Reactive,
         }
     }
+}
+
+/// The `threads` value of [`ControllerConfig::default`], for configs that
+/// omit the key.
+fn default_threads() -> usize {
+    ControllerConfig::default().threads
 }
 
 impl ControllerConfig {
@@ -468,7 +454,6 @@ mod tests {
                 c.smoother = SmootherKind::Holt { beta: 0.25 };
                 c.thermal_estimate = ThermalEstimate::NaiveThrottle;
                 c.allocation = AllocationPolicy::ProportionalToCapacity;
-                c.target_policy = TargetPolicyChoice::ThermalHeadroom;
                 c.consolidation_policy = ConsolidationPolicyChoice::MostHeadroomReceivers;
                 let json = serde_json::to_string(&c).unwrap();
                 let back: ControllerConfig = serde_json::from_str(&json).unwrap();
@@ -476,24 +461,17 @@ mod tests {
             }
         }
         // And every policy-choice variant individually.
-        for target in [
-            TargetPolicyChoice::AscendingId,
-            TargetPolicyChoice::BestFit,
-            TargetPolicyChoice::ThermalHeadroom,
+        for consolidation in [
+            ConsolidationPolicyChoice::HotZonesFirst,
+            ConsolidationPolicyChoice::MostHeadroomReceivers,
         ] {
-            for consolidation in [
-                ConsolidationPolicyChoice::HotZonesFirst,
-                ConsolidationPolicyChoice::MostHeadroomReceivers,
-            ] {
-                for supply in [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive] {
-                    let mut c = ControllerConfig::default();
-                    c.target_policy = target;
-                    c.consolidation_policy = consolidation;
-                    c.supply_policy = supply;
-                    let json = serde_json::to_string(&c).unwrap();
-                    let back: ControllerConfig = serde_json::from_str(&json).unwrap();
-                    assert_eq!(c, back);
-                }
+            for supply in [SupplyPolicyChoice::Reactive, SupplyPolicyChoice::Predictive] {
+                let mut c = ControllerConfig::default();
+                c.consolidation_policy = consolidation;
+                c.supply_policy = supply;
+                let json = serde_json::to_string(&c).unwrap();
+                let back: ControllerConfig = serde_json::from_str(&json).unwrap();
+                assert_eq!(c, back);
             }
         }
     }
@@ -501,17 +479,15 @@ mod tests {
     #[test]
     fn policy_fields_default_when_absent() {
         // Persisted configs from before the policy race existed have no
-        // `target_policy`/`consolidation_policy` keys; they must still load
-        // as the paper's default orderings.
+        // `consolidation_policy`/`supply_policy` keys; they must still load
+        // as the paper's default policies.
         let c = ControllerConfig::default();
         let json = serde_json::to_string(&c).unwrap();
         let stripped = json
-            .replacen(",\"target_policy\":\"AscendingId\"", "", 1)
             .replacen(",\"consolidation_policy\":\"HotZonesFirst\"", "", 1)
             .replacen(",\"supply_policy\":\"Reactive\"", "", 1);
         assert_ne!(stripped, json, "policy keys found in serialized config");
         let back: ControllerConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.target_policy, TargetPolicyChoice::AscendingId);
         assert_eq!(
             back.consolidation_policy,
             ConsolidationPolicyChoice::HotZonesFirst
@@ -548,15 +524,45 @@ mod tests {
     #[test]
     fn threads_field_defaults_when_absent() {
         // Persisted configs from before the sharded pipeline existed have
-        // no `threads` key; they must still load (as 0 = auto).
+        // no `threads` key; they load with the in-code default.
         let c = ControllerConfig::default();
         assert_eq!(c.threads, 1, "in-code default stays serial");
         let json = serde_json::to_string(&c).unwrap();
         let stripped = json.replacen(",\"threads\":1", "", 1);
         assert_ne!(stripped, json, "threads key found in serialized config");
         let back: ControllerConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.threads, 0);
-        back.validate().unwrap();
+        assert_eq!(back, c);
+    }
+
+    /// The error from loading the default config with `edit` applied to
+    /// its JSON.
+    fn load_error(edit: impl FnOnce(&str) -> String) -> String {
+        let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
+        let edited = edit(&json);
+        assert_ne!(edited, json, "edit left the config unchanged");
+        serde_json::from_str::<ControllerConfig>(&edited)
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn retired_target_policy_key_is_rejected() {
+        // The target-order axis was inert in the policy race and is gone:
+        // a config naming it fails instead of silently running the default.
+        let err = load_error(|json| json.replacen('{', "{\"target_policy\":\"BestFit\",", 1));
+        assert!(
+            err.contains("unknown field `target_policy` for ControllerConfig"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn misspelt_key_is_rejected() {
+        let err = load_error(|json| json.replacen("\"threads\":1", "\"therads\":4", 1));
+        assert!(
+            err.contains("unknown field `therads` for ControllerConfig"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

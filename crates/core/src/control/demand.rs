@@ -1,10 +1,9 @@
 //! Pipeline stage 3 — demand adaptation (§IV-E): per-level bottom-up bin
 //! packing of deficit parcels into surpluses, sibling subtrees first,
-//! leftovers passed up for non-local placement. Two of the pipeline's
-//! policy decision points live here: the packing heuristic
-//! (`ControllerConfig::packer`) and the candidate-target ordering
-//! (`ControllerConfig::target_policy`), each matched on its config enum at
-//! the point of use.
+//! leftovers passed up for non-local placement. One of the pipeline's
+//! policy decision points lives here: the packing heuristic
+//! (`ControllerConfig::packer`), matched on its config enum at the point of
+//! use. Candidate targets are always offered in ascending arena id.
 //!
 //! Sharded sub-steps (bit-for-bit identical to serial at any thread
 //! count):
@@ -26,7 +25,6 @@
 
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
-use crate::config::TargetPolicyChoice;
 use crate::migration::{MigrationReason, MigrationRecord};
 use willow_binpack::packer_for;
 use willow_thermal::units::Watts;
@@ -358,41 +356,28 @@ impl Willow {
         });
     }
 
-    /// Order the eligible target bins of one packing instance by
-    /// `config.target_policy`. `targets` arrives in DFS (Euler-tour) order.
-    /// The packer sees the bins in this order, so for order-sensitive
-    /// packers (next-fit) it decides which surplus absorbs a parcel; the
-    /// capacity-sorting packers (FFDLR, FFD, BFD) re-sort bins internally,
-    /// so for them it only breaks equal-capacity ties.
-    pub(super) fn order_targets(&self, targets: &mut [NodeId]) {
-        let power = &self.power;
-        match self.config.target_policy {
-            // Ascending arena id — "first eligible server in tree order",
-            // the paper's evaluation order.
-            TargetPolicyChoice::AscendingId => targets.sort_unstable(),
-            // Tightest surplus first, so a parcel lands in the server it
-            // fills most completely and large surpluses stay whole; ties go
-            // to the more utilized server.
-            TargetPolicyChoice::BestFit => {
-                let margin = self.config.margin.0;
-                let surplus =
-                    |n: NodeId| (power.tp[n.index()].0 - power.cp[n.index()].0 - margin).max(0.0);
-                let util = self.leaf_utilization();
-                targets.sort_unstable_by(|a, b| {
-                    surplus(*a)
-                        .total_cmp(&surplus(*b))
-                        .then(util(*b).total_cmp(&util(*a)))
-                        .then(a.cmp(b))
-                });
-            }
-            // Coolest first: the largest gap between the hard (thermal) cap
-            // and current demand.
-            TargetPolicyChoice::ThermalHeadroom => {
-                let headroom = |n: NodeId| power.cap[n.index()].0 - power.cp[n.index()].0;
-                targets
-                    .sort_unstable_by(|a, b| headroom(*b).total_cmp(&headroom(*a)).then(a.cmp(b)));
+    /// Collect into `bins` the eligible target leaves of one packing
+    /// instance — `pmu`'s leaves outside `child`'s subtree — in ascending
+    /// arena id: "first eligible server in tree order", the paper's
+    /// evaluation order. The cached Euler-tour range is DFS order, which a
+    /// topology edit can take out of id order. The packer sees the bins in
+    /// this order: next-fit in full, while the capacity-sorting packers
+    /// (FFDLR, FFD, BFD) re-sort by capacity and keep it only among
+    /// equal-capacity bins.
+    pub(super) fn target_bins(
+        &self,
+        pmu: NodeId,
+        child: NodeId,
+        eligibility: &Eligibility,
+        bins: &mut Vec<NodeId>,
+    ) {
+        bins.clear();
+        for &leaf in self.tree.leaf_range(pmu) {
+            if !self.tree.subtree_contains(child, leaf) && eligibility.get(leaf) {
+                bins.push(leaf);
             }
         }
+        bins.sort_unstable();
     }
 
     /// Pack `items` (already backoff-filtered) into eligible surpluses
@@ -412,15 +397,7 @@ impl Willow {
         tick: u64,
         records: &mut Vec<MigrationRecord>,
     ) {
-        // Candidate bins come off the cached Euler-tour range in DFS order;
-        // the target policy then fixes their ordering.
-        bins.clear();
-        for &leaf in self.tree.leaf_range(pmu) {
-            if !self.tree.subtree_contains(child, leaf) && eligibility.get(leaf) {
-                bins.push(leaf);
-            }
-        }
-        self.order_targets(bins);
+        self.target_bins(pmu, child, eligibility, bins);
         if bins.is_empty() {
             leftovers.extend_from_slice(items);
             return;

@@ -34,8 +34,7 @@
 //!
 //! Every policy decision inside the stages is one enum on
 //! [`ControllerConfig`], matched at its decision point: `packer` (which
-//! packing heuristic matches deficits with surpluses) and `target_policy`
-//! (how candidate migration targets are ordered) in stage 3,
+//! packing heuristic matches deficits with surpluses) in stage 3,
 //! `consolidation_policy` (how evacuation receivers are ordered) in stage
 //! 4, and `supply_policy` (reactive or forecast-driven) across stages 2
 //! and 4. Config is the only policy state, so a controller restored from a

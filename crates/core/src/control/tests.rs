@@ -421,43 +421,32 @@ fn locate_app_finds_hosts() {
     assert_eq!(w.locate_app(AppId(99)), None);
 }
 
-/// Every target × consolidation policy combination must drive the pipeline
-/// through demand churn, deficit and consolidation without panicking or
-/// losing apps, and the selection must be deterministic (same config ⇒ same
-/// trajectory).
+/// Every consolidation policy must drive the pipeline through demand
+/// churn, deficit and consolidation without panicking or losing apps, and
+/// the selection must be deterministic (same config ⇒ same trajectory).
 #[test]
 fn every_policy_combo_is_deterministic_and_conserves_apps() {
-    use crate::config::{ConsolidationPolicyChoice, TargetPolicyChoice};
+    use crate::config::ConsolidationPolicyChoice;
 
-    for target in [
-        TargetPolicyChoice::AscendingId,
-        TargetPolicyChoice::BestFit,
-        TargetPolicyChoice::ThermalHeadroom,
+    for consolidation in [
+        ConsolidationPolicyChoice::HotZonesFirst,
+        ConsolidationPolicyChoice::MostHeadroomReceivers,
     ] {
-        for consolidation in [
-            ConsolidationPolicyChoice::HotZonesFirst,
-            ConsolidationPolicyChoice::MostHeadroomReceivers,
-        ] {
-            let (tree, specs, n_apps) = small_setup(2);
-            let mut cfg = ControllerConfig::default();
-            cfg.target_policy = target;
-            cfg.consolidation_policy = consolidation;
-            let mut a = Willow::new(tree.clone(), specs.clone(), cfg.clone()).unwrap();
-            let mut b = Willow::new(tree, specs, cfg).unwrap();
-            for t in 0..60u64 {
-                let d: Vec<Watts> = (0..n_apps)
-                    .map(|i| Watts(20.0 + ((i as u64 * 3 + t) % 9) as f64 * 35.0))
-                    .collect();
-                let supply = Watts(if t % 13 < 6 { 800.0 } else { 2600.0 });
-                let ra = a.step(&d, supply);
-                let rb = b.step(&d, supply);
-                assert_eq!(
-                    ra, rb,
-                    "{target:?}/{consolidation:?} nondeterministic at {t}"
-                );
-                let hosted: usize = a.servers().iter().map(|s| s.apps.len()).sum();
-                assert_eq!(hosted, n_apps, "{target:?}/{consolidation:?} lost apps");
-            }
+        let (tree, specs, n_apps) = small_setup(2);
+        let mut cfg = ControllerConfig::default();
+        cfg.consolidation_policy = consolidation;
+        let mut a = Willow::new(tree.clone(), specs.clone(), cfg.clone()).unwrap();
+        let mut b = Willow::new(tree, specs, cfg).unwrap();
+        for t in 0..60u64 {
+            let d: Vec<Watts> = (0..n_apps)
+                .map(|i| Watts(20.0 + ((i as u64 * 3 + t) % 9) as f64 * 35.0))
+                .collect();
+            let supply = Watts(if t % 13 < 6 { 800.0 } else { 2600.0 });
+            let ra = a.step(&d, supply);
+            let rb = b.step(&d, supply);
+            assert_eq!(ra, rb, "{consolidation:?} nondeterministic at {t}");
+            let hosted: usize = a.servers().iter().map(|s| s.apps.len()).sum();
+            assert_eq!(hosted, n_apps, "{consolidation:?} lost apps");
         }
     }
 }
@@ -511,27 +500,44 @@ fn ordering_fixture() -> (Willow, Vec<NodeId>) {
     (w, leaves)
 }
 
-/// Each target-policy arm, fed the bins in reverse id order.
+/// Target bins come out in ascending arena id even where the tree's DFS
+/// order is not: a leaf inserted under the first pod takes the next free
+/// id but sits between the pods in the Euler tour.
 #[test]
 fn target_orderings_are_exact() {
-    use crate::config::TargetPolicyChoice;
+    use super::demand::Eligibility;
 
-    let (mut w, l) = ordering_fixture();
-    let pick = |ks: [usize; 6]| ks.map(|k| l[k]).to_vec();
-    for (policy, expected) in [
-        (TargetPolicyChoice::AscendingId, [0, 1, 2, 3, 4, 5]),
-        // Surplus tp − cp − margin(5): 35, 5, 55, 15, 35, 75; the 35 W tie
-        // goes to the more utilized server 4.
-        (TargetPolicyChoice::BestFit, [1, 3, 4, 0, 2, 5]),
-        // Thermal headroom cap − cp: 90, 10, 80, 80, 40, 100; the 80 W tie
-        // goes to the lower id.
-        (TargetPolicyChoice::ThermalHeadroom, [5, 0, 2, 3, 4, 1]),
-    ] {
-        w.config.target_policy = policy;
-        let mut bins: Vec<NodeId> = l.iter().rev().copied().collect();
-        w.order_targets(&mut bins);
-        assert_eq!(bins, pick(expected), "{policy:?}");
-    }
+    let mut tree = Tree::uniform(&[2, 3]);
+    let pods = tree.nodes_at_level(1).to_vec();
+    let late = tree.insert_leaf(pods[0], "late").unwrap();
+    let dfs = tree.leaf_range(tree.root()).to_vec();
+    assert!(
+        dfs.windows(2).any(|w| w[0] > w[1]),
+        "DFS order already sorted"
+    );
+    let specs: Vec<ServerSpec> = tree
+        .leaves()
+        .enumerate()
+        .map(|(i, leaf)| {
+            ServerSpec::simulation_default(leaf).with_apps(vec![Application::new(
+                AppId(i as u32),
+                0,
+                &SIM_APP_CLASSES[0],
+            )])
+        })
+        .collect();
+    let w = Willow::new(tree, specs, ControllerConfig::default()).unwrap();
+    let mut eligibility = Eligibility::for_tree(&w.tree);
+    w.resolve_eligibility(&mut eligibility);
+    // Exclude the last leaf of the second pod, so the late leaf is neither
+    // first nor last in DFS order.
+    let excluded = *dfs.last().unwrap();
+    let mut bins = Vec::new();
+    w.target_bins(w.tree.root(), excluded, &eligibility, &mut bins);
+    let mut expected: Vec<NodeId> = dfs.into_iter().filter(|&l| l != excluded).collect();
+    expected.sort_unstable();
+    assert_eq!(bins, expected);
+    assert_eq!(bins.last(), Some(&late));
 }
 
 /// Each consolidation receiver arm, fed the bins in reverse id order.

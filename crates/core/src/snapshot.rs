@@ -190,14 +190,13 @@ mod tests {
     }
 
     /// Policies carry no serialized state: a restored controller must run
-    /// *non-default* packer, target and receiver orderings from the
-    /// snapshot's config alone and continue in lockstep. Next-fit honors
-    /// the target order fully, so both orderings shape this trajectory.
+    /// a *non-default* packer and receiver ordering from the snapshot's
+    /// config alone and continue in lockstep.
     #[test]
     fn restore_reconstructs_nondefault_policies_from_config() {
-        use crate::config::{ConsolidationPolicyChoice, PackerChoice, TargetPolicyChoice};
+        use crate::config::{ConsolidationPolicyChoice, PackerChoice};
 
-        let build = |target, receivers| {
+        let build = |receivers| {
             let tree = Tree::uniform(&[2, 3]);
             let mut id = 0u32;
             let specs: Vec<ServerSpec> = tree
@@ -216,14 +215,10 @@ mod tests {
                 .collect();
             let mut cfg = ControllerConfig::default();
             cfg.packer = PackerChoice::NextFit;
-            cfg.target_policy = target;
             cfg.consolidation_policy = receivers;
             (Willow::new(tree, specs, cfg).unwrap(), id as usize)
         };
-        let (mut original, n_apps) = build(
-            TargetPolicyChoice::ThermalHeadroom,
-            ConsolidationPolicyChoice::MostHeadroomReceivers,
-        );
+        let (mut original, n_apps) = build(ConsolidationPolicyChoice::MostHeadroomReceivers);
         let warm = drive(&mut original, n_apps, 37);
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
@@ -234,26 +229,15 @@ mod tests {
         let b = drive(&mut restored, n_apps, 50);
         assert_eq!(a, b, "restored controller must continue identically");
 
-        // Both orderings are live in this run: putting either one back to
+        // The receiver ordering is live in this run: putting it back to
         // its default changes the trajectory.
         let full: Vec<u64> = warm.into_iter().chain(a).collect();
-        for (target, receivers) in [
-            (
-                TargetPolicyChoice::AscendingId,
-                ConsolidationPolicyChoice::MostHeadroomReceivers,
-            ),
-            (
-                TargetPolicyChoice::ThermalHeadroom,
-                ConsolidationPolicyChoice::HotZonesFirst,
-            ),
-        ] {
-            let (mut w, _) = build(target, receivers);
-            assert_ne!(
-                drive(&mut w, n_apps, 87),
-                full,
-                "{target:?}/{receivers:?} is inert here"
-            );
-        }
+        let (mut w, _) = build(ConsolidationPolicyChoice::HotZonesFirst);
+        assert_ne!(
+            drive(&mut w, n_apps, 87),
+            full,
+            "the receiver ordering is inert here"
+        );
     }
 
     /// The predictive supply policy reads the checkpointed forecaster

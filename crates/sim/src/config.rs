@@ -5,7 +5,6 @@ use crate::error::SimError;
 use crate::faults::FaultPlan;
 use serde::{Deserialize, Serialize};
 use willow_core::config::ControllerConfig;
-use willow_network::SwitchPowerModel;
 use willow_power::SupplyTrace;
 use willow_thermal::units::{Celsius, Watts};
 
@@ -21,8 +20,11 @@ pub struct ThermalZone {
     pub ambient: Celsius,
 }
 
-/// Full configuration of one simulation run.
+/// Full configuration of one simulation run. A config naming a key that
+/// is not a field here fails to load rather than running with that key
+/// ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimConfig {
     /// RNG seed — every stochastic choice in the run derives from it.
     pub seed: u64,
@@ -40,8 +42,6 @@ pub struct SimConfig {
     pub zones: Vec<ThermalZone>,
     /// Controller tunables.
     pub controller: ControllerConfig,
-    /// Switch power model for the fabric figures.
-    pub switch_model: SwitchPowerModel,
     /// Total supply per period; `None` means constant supply
     /// `supply_factor × servers × 450 W` (the paper's §V-C5 remark that the
     /// simulations run the supply *close to* the servers' maximum power
@@ -93,7 +93,6 @@ impl SimConfig {
             apps_per_server: 4,
             zones: Vec::new(),
             controller: ControllerConfig::default(),
-            switch_model: SwitchPowerModel::simulation_default(),
             supply: None,
             supply_factor: 0.92,
             demand_drift: 0.35,
@@ -284,5 +283,20 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn retired_switch_model_key_is_rejected() {
+        // The fabric figures read the switch model from code; a config
+        // still carrying the retired key fails instead of ignoring it.
+        let json = serde_json::to_string(&SimConfig::paper_default(1, 0.4)).unwrap();
+        let legacy = json.replacen('{', "{\"switch_model\":{},", 1);
+        let err = serde_json::from_str::<SimConfig>(&legacy)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unknown field `switch_model` for SimConfig"),
+            "unexpected error: {err}"
+        );
     }
 }

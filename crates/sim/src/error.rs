@@ -77,8 +77,6 @@ pub enum SimError {
     /// A scheduled supply-override command with a non-finite or negative
     /// factor.
     SupplyOverrideFactor(f64),
-    /// A link-flap with a non-positive or non-finite period.
-    FaultFlapPeriod(f64),
     /// A zone-outage schedule violating its structural rules (zero
     /// checkpoint period, broker/zone window at tick 0, unsorted or
     /// overlapping windows of the same kind).
@@ -170,12 +168,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::SupplyOverrideFactor(v) => {
                 write!(f, "command timeline: supply override factor invalid: {v}")
-            }
-            SimError::FaultFlapPeriod(v) => {
-                write!(
-                    f,
-                    "fault plan: flap period must be positive and finite, got {v}"
-                )
             }
             SimError::ZoneOutagePlan { reason } => {
                 write!(f, "zone-outage plan: {reason}")

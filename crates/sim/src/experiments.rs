@@ -11,6 +11,7 @@ use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::metrics::RunMetrics;
 use serde::{Deserialize, Serialize};
+use willow_network::SwitchPowerModel;
 use willow_thermal::calibration::{headroom_curve, limit_curve};
 use willow_thermal::model::ThermalParams;
 use willow_thermal::units::{Celsius, Seconds, Watts};
@@ -233,9 +234,7 @@ pub struct MigrationRow {
 /// `n_seeds` placements.
 #[must_use]
 pub fn fig9_fig10(seed: u64, ticks: usize, n_seeds: usize) -> Vec<MigrationRow> {
-    let capacity = SimConfig::paper_hot_cold(seed, 0.5)
-        .switch_model
-        .capacity_units;
+    let capacity = SwitchPowerModel::simulation_default().capacity_units;
     UTILIZATION_GRID
         .iter()
         .zip(sweep_runs(seed, ticks, n_seeds))
@@ -278,7 +277,7 @@ pub fn fig11_fig12(seed: u64, ticks: usize, n_seeds: usize) -> Vec<SwitchRow> {
     let n_l1: usize = template.branching[..template.branching.len() - 1]
         .iter()
         .product();
-    let model = template.switch_model;
+    let model = SwitchPowerModel::simulation_default();
     let cost = template.controller.cost_model;
     UTILIZATION_GRID
         .iter()

@@ -15,7 +15,6 @@
 //!    reproduces the fault-free trajectory bit for bit.
 
 use crate::error::SimError;
-use crate::messaging::MessageFaults;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -364,8 +363,11 @@ impl SensorFault {
     }
 }
 
-/// A complete, self-contained description of the faults in one run.
+/// A complete, self-contained description of the faults in one run. A
+/// plan naming a key that is not a field here fails to load rather than
+/// running with that fault silently absent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// Seed for the injector's own RNG (separate from the workload RNG).
     pub seed: u64,
@@ -383,10 +385,6 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashWindow>,
     /// Scheduled sensor faults.
     pub sensor_faults: Vec<SensorFault>,
-    /// Control-plane message faults for `emulate_round_with_faults`
-    /// experiments (loss / duplication / delay per message).
-    #[serde(default)]
-    pub message_faults: MessageFaults,
     /// Central-controller crash/restart schedule, if any. `None` keeps the
     /// controller up for the whole run (and skips checkpointing).
     #[serde(default)]
@@ -422,27 +420,6 @@ impl FaultPlan {
         probability("directive_loss", self.directive_loss)?;
         probability("migration_failure", self.migration_failure)?;
         probability("abort_fraction", self.abort_fraction)?;
-        // A message loss rate of 1 would retransmit forever.
-        if !(0.0..1.0).contains(&self.message_faults.loss) {
-            return Err(SimError::FaultProbability {
-                field: "message loss",
-                value: self.message_faults.loss,
-            });
-        }
-        probability("message duplication", self.message_faults.duplication)?;
-        probability("message delay", self.message_faults.delay)?;
-        if let Some(flap) = &self.message_faults.flap {
-            if !flap.period.is_positive() || !flap.period.0.is_finite() {
-                return Err(SimError::FaultFlapPeriod(flap.period.0));
-            }
-            // A down fraction of 1 would leave no up window to defer into.
-            if !(0.0..1.0).contains(&flap.down_fraction) {
-                return Err(SimError::FaultProbability {
-                    field: "flap down_fraction",
-                    value: flap.down_fraction,
-                });
-            }
-        }
 
         for c in &self.crashes {
             if c.server >= n_servers {
@@ -777,15 +754,22 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(sound.validate(n).is_ok());
-        let certain_message_loss = FaultPlan {
-            message_faults: MessageFaults {
-                loss: 1.0,
-                ..MessageFaults::default()
-            },
-            ..FaultPlan::default()
-        };
-        assert!(certain_message_loss.validate(n).is_err());
         assert!(FaultPlan::quiet(0).validate(n).is_ok());
+    }
+
+    #[test]
+    fn retired_message_faults_key_is_rejected() {
+        // Message faults were validated but never injected; a plan still
+        // naming them fails instead of running without them.
+        let json = serde_json::to_string(&FaultPlan::quiet(0)).unwrap();
+        let legacy = json.replacen('{', "{\"message_faults\":{\"loss\":0.5},", 1);
+        let err = serde_json::from_str::<FaultPlan>(&legacy)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unknown field `message_faults` for FaultPlan"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use willow_thermal::units::{Seconds, Watts};
@@ -86,7 +85,7 @@ impl PartialOrd for InFlight {
 /// [`MessageFaults::dead_link`] — a flapping link delays convergence but
 /// can never prevent it, as long as `down_fraction < 1` leaves an up
 /// window in every period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFlap {
     /// The affected node pair (both directions, like `dead_link`).
     pub link: (NodeId, NodeId),
@@ -129,7 +128,7 @@ impl LinkFlap {
 }
 
 /// Per-message fault probabilities for the control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MessageFaults {
     /// Probability a transmission attempt is lost. Lost attempts are
     /// detected by timeout and retransmitted, costing 2α each (one α for
@@ -144,11 +143,9 @@ pub struct MessageFaults {
     /// direction) is dropped outright — no timeout/retransmission can save
     /// it, so the round genuinely fails to converge. This is the 100%-loss
     /// case that probabilistic `loss` (capped below 1) cannot express.
-    #[serde(default)]
     pub dead_link: Option<(NodeId, NodeId)>,
     /// An intermittently dead link: periodically down, deferring (never
     /// dropping) transmissions. See [`LinkFlap`].
-    #[serde(default)]
     pub flap: Option<LinkFlap>,
 }
 
