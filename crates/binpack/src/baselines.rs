@@ -1,9 +1,9 @@
-//! Classic packing baselines: Next-Fit, First-Fit, First-Fit Decreasing and
-//! Best-Fit Decreasing, generalized to variable-sized bins.
+//! Classic packing baselines: Next-Fit, First-Fit Decreasing and Best-Fit
+//! Decreasing, generalized to variable-sized bins.
 //!
-//! These exist (a) as comparison points for the FFDLR choice the paper makes
-//! (the packer axis of the `repro ablate` policy grid) and (b) because
-//! Willow's consolidation path reuses BFD internally.
+//! They are the alternatives [`crate::PackerStrategy`] offers to the FFDLR
+//! choice the paper makes: comparison points on the packer axis of the
+//! `repro ablate` policy grid.
 
 use crate::packing::{desc_order, validate_instance, Packer, Packing, FIT_EPSILON};
 
@@ -34,29 +34,6 @@ impl Packer for NextFit {
 
     fn name(&self) -> &'static str {
         "next-fit"
-    }
-}
-
-/// First-Fit: place each item into the lowest-indexed bin where it fits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FirstFit;
-
-impl Packer for FirstFit {
-    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
-        validate_instance(items, bins);
-        let mut free: Vec<f64> = bins.to_vec();
-        let mut assignment = vec![None; items.len()];
-        for (i, &size) in items.iter().enumerate() {
-            if let Some(b) = free.iter().position(|&f| size <= f + FIT_EPSILON) {
-                assignment[i] = Some(b);
-                free[b] -= size;
-            }
-        }
-        Packing::from_assignment(assignment)
-    }
-
-    fn name(&self) -> &'static str {
-        "first-fit"
     }
 }
 
@@ -126,7 +103,6 @@ mod tests {
     fn all_packers() -> Vec<Box<dyn Packer>> {
         vec![
             Box::new(NextFit),
-            Box::new(FirstFit),
             Box::new(FirstFitDecreasing),
             Box::new(BestFitDecreasing),
         ]
@@ -188,20 +164,14 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_revisits_earlier_bins() {
-        let out = FirstFit.pack(&[3.0, 8.0, 5.0], &[10.0, 8.0]);
-        assert_eq!(out.assignment, vec![Some(0), Some(1), Some(0)]);
-    }
-
-    #[test]
-    fn ffd_beats_ff_on_classic_instance() {
-        // Classic: sizes where FF fragments but FFD packs tight.
+    fn ffd_beats_next_fit_on_classic_instance() {
+        // Classic: sizes where arrival order fragments but FFD packs tight.
         let items = [4.0, 4.0, 6.0, 6.0];
         let bins = [10.0, 10.0, 10.0];
         let ffd = FirstFitDecreasing.pack(&items, &bins);
         assert_eq!(ffd.bins_used(), 2, "FFD pairs 6+4 twice");
-        let ff = FirstFit.pack(&items, &bins);
-        assert_eq!(ff.bins_used(), 3, "FF wastes a bin");
+        let nf = NextFit.pack(&items, &bins);
+        assert_eq!(nf.bins_used(), 3, "NF wastes a bin");
     }
 
     #[test]
@@ -224,7 +194,7 @@ mod tests {
         }
     }
 
-    /// Every packer (the four baselines plus FFDLR) must reject malformed
+    /// Every packer (the three baselines plus FFDLR) must reject malformed
     /// instances — negative, NaN or infinite sizes on either side.
     #[test]
     fn invalid_instances_rejected_by_every_packer() {

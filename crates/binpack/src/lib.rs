@@ -10,9 +10,9 @@
 //! consolidation.
 //!
 //! This crate implements FFDLR plus the classic baselines (First-Fit
-//! Decreasing, Best-Fit Decreasing, Next-Fit, First-Fit) behind one
-//! [`Packer`] trait, an exact brute-force reference for small instances, and
-//! instance generators for benchmarking. All packers are deterministic.
+//! Decreasing, Best-Fit Decreasing, Next-Fit) behind one [`Packer`] trait,
+//! selected by [`PackerStrategy`], and an exact brute-force reference for
+//! small instances. All packers are deterministic.
 //!
 //! Sizes are plain non-negative `f64`s — callers normalize from watts; the
 //! algorithms never assume unit bins except where the underlying guarantee
@@ -35,11 +35,10 @@
 pub mod baselines;
 pub mod exact;
 pub mod ffdlr;
-pub mod generators;
 pub mod packing;
 pub mod select;
 
-pub use baselines::{BestFitDecreasing, FirstFit, FirstFitDecreasing, NextFit};
+pub use baselines::{BestFitDecreasing, FirstFitDecreasing, NextFit};
 pub use exact::optimal_bins_used;
 pub use ffdlr::Ffdlr;
 pub use packing::{Packer, Packing, FIT_EPSILON};

@@ -97,37 +97,6 @@ impl Packing {
     pub fn unplaced_size(&self, items: &[f64]) -> f64 {
         self.unplaced.iter().map(|&i| items[i]).sum()
     }
-
-    /// Capacity wasted in *used* bins: Σ(capacity − load) over bins that
-    /// received at least one item. The quantity FFDLR's repacking stage
-    /// minimizes so emptied servers can sleep.
-    #[must_use]
-    pub fn waste(&self, items: &[f64], bins: &[f64]) -> f64 {
-        let loads = self.bin_loads(items, bins.len());
-        loads
-            .iter()
-            .zip(bins)
-            .filter(|(load, _)| **load > 0.0)
-            .map(|(load, cap)| (cap - load).max(0.0))
-            .sum()
-    }
-
-    /// Fragmentation: waste as a fraction of the used bins' capacity
-    /// (0 = every used bin exactly full; 0 for an empty packing).
-    #[must_use]
-    pub fn fragmentation(&self, items: &[f64], bins: &[f64]) -> f64 {
-        let loads = self.bin_loads(items, bins.len());
-        let used_cap: f64 = loads
-            .iter()
-            .zip(bins)
-            .filter(|(load, _)| **load > 0.0)
-            .map(|(_, cap)| *cap)
-            .sum();
-        if used_cap <= 0.0 {
-            return 0.0;
-        }
-        self.waste(items, bins) / used_cap
-    }
 }
 
 impl fmt::Display for Packing {
@@ -210,22 +179,6 @@ mod tests {
         assert!(!Packing::from_assignment(vec![Some(2), None]).is_valid(&items, &[7.0, 3.0]));
         // Wrong assignment length.
         assert!(!Packing::from_assignment(vec![Some(0)]).is_valid(&items, &[7.0]));
-    }
-
-    #[test]
-    fn waste_and_fragmentation() {
-        let items = [5.0, 3.0];
-        let bins = [10.0, 8.0, 6.0];
-        // Both items in bin 0: waste 2 in one used bin of cap 10.
-        let p = Packing::from_assignment(vec![Some(0), Some(0)]);
-        assert!((p.waste(&items, &bins) - 2.0).abs() < 1e-12);
-        assert!((p.fragmentation(&items, &bins) - 0.2).abs() < 1e-12);
-        // Unused bins don't count as waste.
-        let spread = Packing::from_assignment(vec![Some(0), Some(2)]);
-        assert!((spread.waste(&items, &bins) - (5.0 + 3.0)).abs() < 1e-12);
-        // Empty packing has zero fragmentation by definition.
-        let empty = Packing::from_assignment(vec![None, None]);
-        assert_eq!(empty.fragmentation(&items, &bins), 0.0);
     }
 
     #[test]

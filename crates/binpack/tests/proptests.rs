@@ -2,14 +2,12 @@
 
 use proptest::prelude::*;
 use willow_binpack::{
-    optimal_bins_used, BestFitDecreasing, Ffdlr, FirstFit, FirstFitDecreasing, NextFit, Packer,
-    Packing,
+    optimal_bins_used, BestFitDecreasing, Ffdlr, FirstFitDecreasing, NextFit, Packer, Packing,
 };
 
 fn packers() -> Vec<Box<dyn Packer>> {
     vec![
         Box::new(NextFit),
-        Box::new(FirstFit),
         Box::new(FirstFitDecreasing),
         Box::new(BestFitDecreasing),
         Box::new(Ffdlr),

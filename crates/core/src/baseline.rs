@@ -144,7 +144,7 @@ impl GreedyGlobal {
             let (app, demand) = self.servers[src].take_app(ai);
             let from = self.servers[src].node;
             let to = self.servers[dst].node;
-            self.servers[dst].host_app(app.clone(), demand);
+            self.servers[dst].host_app(app, demand);
             let local = self.tree.are_siblings(from, to);
             report.migrations.push(MigrationRecord {
                 tick,

@@ -658,7 +658,7 @@ mod audit_detection {
         let mut w = settled();
         let mut a = Auditor::new(&w);
         // Clone server 1's first app onto server 3: one duplicate.
-        let app = w.servers[1].apps[0].clone();
+        let app = w.servers[1].apps[0];
         let dup = app.id;
         w.servers[3].apps.push(app);
         assert!(has(a.check(&w), |v| matches!(
@@ -687,7 +687,7 @@ mod audit_detection {
             .push(Application::new(AppId(999), 0, &SIM_APP_CLASSES[0]));
         // Server 3's first app is lost; server 1's first is duplicated.
         let lost = w.servers[3].apps.remove(0).id;
-        let dup = w.servers[1].apps[0].clone();
+        let dup = w.servers[1].apps[0];
         let dup_id = dup.id;
         w.servers[3].apps.push(dup);
         let mut tail = [

@@ -138,8 +138,7 @@ impl Willow {
                         // Degraded operation: attribute the shed demand to
                         // QoS classes, lowest priority first (§IV-E / §VI).
                         shed[off] =
-                            crate::shedding::shed_by_priority(&server.apps, &server.app_demand, sf)
-                                .by_class;
+                            crate::shedding::shed_by_priority(&server.apps, &server.app_demand, sf);
                     }
                     server.thermal.advance_with_decay(drawn, decay_dd[si]);
                     // Sensor plausibility filter: accept the (possibly

@@ -29,7 +29,7 @@ fn constructor_validates() {
     ));
     // Duplicate app id.
     let mut dup_app = specs.clone();
-    let a = dup_app[0].apps[0].clone();
+    let a = dup_app[0].apps[0];
     dup_app[1].apps = vec![a];
     assert!(matches!(
         Willow::new(tree.clone(), dup_app, ControllerConfig::default()),

@@ -384,9 +384,9 @@ impl ReferenceWillow {
             if shortfall.0 > 0.0 {
                 // Degraded operation: attribute the shed demand to QoS
                 // classes, lowest priority first (§IV-E / §VI).
-                let plan =
+                let by_class =
                     crate::shedding::shed_by_priority(&server.apps, &server.app_demand, shortfall);
-                for (acc, class_shed) in report.shed_by_priority.iter_mut().zip(plan.by_class) {
+                for (acc, class_shed) in report.shed_by_priority.iter_mut().zip(by_class) {
                     *acc += class_shed;
                 }
             }

@@ -7,35 +7,21 @@
 //! future work; this module implements the natural policy: shortfall is
 //! absorbed by the lowest priority class first, spread proportionally to
 //! demand *within* a class (every low-priority app degrades a little
-//! before any normal-priority app degrades at all).
+//! before any normal-priority app degrades at all). The controller accounts
+//! only the power shed per class, so that is all this module computes.
 
 use willow_thermal::units::Watts;
 use willow_workload::app::{Application, Priority};
 
-/// Outcome of shedding a shortfall across one server's applications.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShedPlan {
-    /// Power shed from each priority class (indexed by
-    /// [`Priority::index`]: Low, Normal, High).
-    pub by_class: [Watts; 3],
-    /// Power actually served to each application after shedding, aligned
-    /// with the input order.
-    pub served: Vec<Watts>,
-    /// Shortfall that could not be attributed to any application (e.g. the
-    /// budget does not even cover the server's non-migratable base load).
-    pub unattributed: Watts,
-}
-
-impl ShedPlan {
-    /// Total power shed across all classes.
-    #[must_use]
-    pub fn total_shed(&self) -> Watts {
-        self.by_class.iter().copied().sum()
-    }
-}
-
 /// Absorb `shortfall` watts by degrading applications, lowest priority
-/// class first, proportionally within a class.
+/// class first, and return the power shed from each class (indexed by
+/// [`Priority::index`]: Low, Normal, High).
+///
+/// One pass totals each class's positive demands; the classes then absorb
+/// the shortfall in order, each up to its total. Whatever exceeds every
+/// class (e.g. a budget that does not even cover the server's
+/// non-migratable base load) is attributed to no class, so the sum of the
+/// result is `min(shortfall, Σ positive demands)`.
 ///
 /// `apps` and `demands` must be aligned.
 ///
@@ -43,36 +29,30 @@ impl ShedPlan {
 /// Panics (debug) if the slices disagree in length or the shortfall is
 /// negative.
 #[must_use]
-pub fn shed_by_priority(apps: &[Application], demands: &[Watts], shortfall: Watts) -> ShedPlan {
+pub fn shed_by_priority(apps: &[Application], demands: &[Watts], shortfall: Watts) -> [Watts; 3] {
     debug_assert_eq!(apps.len(), demands.len());
     debug_assert!(shortfall.0 >= -1e-9, "shortfall must be non-negative");
-    let mut plan = ShedPlan {
-        by_class: [Watts::ZERO; 3],
-        served: demands.to_vec(),
-        unattributed: Watts::ZERO,
-    };
+    let mut class_total = [Watts::ZERO; 3];
+    for (app, &demand) in apps.iter().zip(demands) {
+        if demand.0 > 0.0 {
+            class_total[app.priority.index()] += demand;
+        }
+    }
+    let mut by_class = [Watts::ZERO; 3];
     let mut remaining = shortfall.non_negative();
     for class in Priority::ALL {
         if remaining.0 <= 1e-12 {
             break;
         }
-        let members: Vec<usize> = (0..apps.len())
-            .filter(|&i| apps[i].priority == class && demands[i].0 > 0.0)
-            .collect();
-        let class_total: Watts = members.iter().map(|&i| demands[i]).sum();
-        if class_total.0 <= 0.0 {
+        let total = class_total[class.index()];
+        if total.0 <= 0.0 {
             continue;
         }
-        let class_shed = remaining.min(class_total);
-        let fraction = class_shed / class_total;
-        for &i in &members {
-            plan.served[i] = demands[i] * (1.0 - fraction);
-        }
-        plan.by_class[class.index()] = class_shed;
+        let class_shed = remaining.min(total);
+        by_class[class.index()] = class_shed;
         remaining -= class_shed;
     }
-    plan.unattributed = remaining;
-    plan
+    by_class
 }
 
 #[cfg(test)]
@@ -88,14 +68,16 @@ mod tests {
         Application::new(AppId(id), 0, &class).with_priority(priority)
     }
 
+    fn total(by_class: [Watts; 3]) -> Watts {
+        by_class.iter().copied().sum()
+    }
+
     #[test]
     fn zero_shortfall_sheds_nothing() {
         let apps = vec![app(0, Priority::Low), app(1, Priority::High)];
         let demands = vec![Watts(30.0), Watts(40.0)];
-        let plan = shed_by_priority(&apps, &demands, Watts::ZERO);
-        assert_eq!(plan.total_shed(), Watts::ZERO);
-        assert_eq!(plan.served, demands);
-        assert_eq!(plan.unattributed, Watts::ZERO);
+        let by_class = shed_by_priority(&apps, &demands, Watts::ZERO);
+        assert_eq!(total(by_class), Watts::ZERO);
     }
 
     #[test]
@@ -107,13 +89,10 @@ mod tests {
         ];
         let demands = vec![Watts(20.0), Watts(30.0), Watts(40.0)];
         // Shortfall smaller than the Low tier: only Low degrades.
-        let plan = shed_by_priority(&apps, &demands, Watts(15.0));
-        assert!((plan.by_class[0].0 - 15.0).abs() < 1e-9);
-        assert_eq!(plan.by_class[1], Watts::ZERO);
-        assert_eq!(plan.by_class[2], Watts::ZERO);
-        assert!((plan.served[0].0 - 5.0).abs() < 1e-9);
-        assert_eq!(plan.served[1], Watts(30.0));
-        assert_eq!(plan.served[2], Watts(40.0));
+        let by_class = shed_by_priority(&apps, &demands, Watts(15.0));
+        assert!((by_class[0].0 - 15.0).abs() < 1e-9);
+        assert_eq!(by_class[1], Watts::ZERO);
+        assert_eq!(by_class[2], Watts::ZERO);
     }
 
     #[test]
@@ -125,44 +104,29 @@ mod tests {
         ];
         let demands = vec![Watts(20.0), Watts(30.0), Watts(40.0)];
         // 20 (all of Low) + 10 of Normal.
-        let plan = shed_by_priority(&apps, &demands, Watts(30.0));
-        assert!((plan.by_class[0].0 - 20.0).abs() < 1e-9);
-        assert!((plan.by_class[1].0 - 10.0).abs() < 1e-9);
-        assert_eq!(plan.by_class[2], Watts::ZERO);
-        assert_eq!(plan.served[0], Watts(0.0));
-        assert!((plan.served[1].0 - 20.0).abs() < 1e-9);
-        assert_eq!(plan.served[2], Watts(40.0));
-    }
-
-    #[test]
-    fn proportional_within_class() {
-        let apps = vec![app(0, Priority::Low), app(1, Priority::Low)];
-        let demands = vec![Watts(10.0), Watts(30.0)];
-        let plan = shed_by_priority(&apps, &demands, Watts(20.0));
-        // Half the class total is shed ⇒ each app degrades 50 %.
-        assert!((plan.served[0].0 - 5.0).abs() < 1e-9);
-        assert!((plan.served[1].0 - 15.0).abs() < 1e-9);
+        let by_class = shed_by_priority(&apps, &demands, Watts(30.0));
+        assert!((by_class[0].0 - 20.0).abs() < 1e-9);
+        assert!((by_class[1].0 - 10.0).abs() < 1e-9);
+        assert_eq!(by_class[2], Watts::ZERO);
     }
 
     #[test]
     fn high_class_is_last_resort() {
         let apps = vec![app(0, Priority::High)];
         let demands = vec![Watts(50.0)];
-        let plan = shed_by_priority(&apps, &demands, Watts(20.0));
-        assert!((plan.by_class[2].0 - 20.0).abs() < 1e-9);
-        assert!((plan.served[0].0 - 30.0).abs() < 1e-9);
+        let by_class = shed_by_priority(&apps, &demands, Watts(20.0));
+        assert!((by_class[2].0 - 20.0).abs() < 1e-9);
     }
 
     #[test]
-    fn unattributed_shortfall_is_reported() {
+    fn shed_is_capped_at_sheddable_demand() {
         let apps = vec![app(0, Priority::Low)];
         let demands = vec![Watts(10.0)];
         // Shortfall exceeds everything sheddable (e.g. base load exceeds
-        // the budget): the excess is unattributed, not silently lost.
-        let plan = shed_by_priority(&apps, &demands, Watts(25.0));
-        assert!((plan.by_class[0].0 - 10.0).abs() < 1e-9);
-        assert!((plan.unattributed.0 - 15.0).abs() < 1e-9);
-        assert_eq!(plan.served[0], Watts(0.0));
+        // the budget): only the app's own demand is attributed.
+        let by_class = shed_by_priority(&apps, &demands, Watts(25.0));
+        assert!((by_class[0].0 - 10.0).abs() < 1e-9);
+        assert_eq!(total(by_class), by_class[0]);
     }
 
     #[test]
@@ -174,24 +138,22 @@ mod tests {
             app(3, Priority::High),
         ];
         let demands = vec![Watts(5.0), Watts(25.0), Watts(15.0), Watts(55.0)];
+        let sheddable: f64 = demands.iter().map(|w| w.0).filter(|&d| d > 0.0).sum();
         for shortfall in [0.0, 3.0, 20.0, 60.0, 100.0, 200.0] {
-            let plan = shed_by_priority(&apps, &demands, Watts(shortfall));
-            let served: f64 = plan.served.iter().map(|w| w.0).sum();
-            let total: f64 = demands.iter().map(|w| w.0).sum();
-            let accounted = served + plan.total_shed().0;
+            let by_class = shed_by_priority(&apps, &demands, Watts(shortfall));
+            let shed = total(by_class).0;
+            let expected = shortfall.min(sheddable);
             assert!(
-                (accounted - total).abs() < 1e-9,
-                "shortfall {shortfall}: served {served} + shed {} ≠ {total}",
-                plan.total_shed()
+                (shed - expected).abs() < 1e-9,
+                "shortfall {shortfall}: shed {shed} ≠ min(shortfall, {sheddable})"
             );
-            assert!(plan.served.iter().all(|w| w.0 >= -1e-12));
+            assert!(by_class.iter().all(|w| w.0 >= 0.0));
         }
     }
 
     #[test]
     fn empty_apps_everything_unattributed() {
-        let plan = shed_by_priority(&[], &[], Watts(40.0));
-        assert_eq!(plan.unattributed, Watts(40.0));
-        assert_eq!(plan.total_shed(), Watts::ZERO);
+        let by_class = shed_by_priority(&[], &[], Watts(40.0));
+        assert_eq!(total(by_class), Watts::ZERO);
     }
 }

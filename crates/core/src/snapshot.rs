@@ -455,7 +455,7 @@ mod tests {
             // One app hosted on two servers.
             (
                 |s| {
-                    let app = s.servers[0].apps[0].clone();
+                    let app = s.servers[0].apps[0];
                     s.servers[1].apps.push(app);
                     s.servers[1].app_demand.push(Watts::ZERO);
                 },

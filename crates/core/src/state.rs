@@ -162,5 +162,9 @@ mod tests {
         assert_eq!(s.level_imbalance(&tree, 0), Watts(40.0));
         // Level 1 untouched (all zero) ⇒ balanced.
         assert_eq!(s.level_imbalance(&tree, 1), Watts(0.0));
+        // A surplus smaller than the deficit counts in full: 50 + 10.
+        s.cp[leaves[0].index()] = Watts(150.0); // deficit 50
+        s.cp[leaves[1].index()] = Watts(90.0); // surplus 10
+        assert_eq!(s.level_imbalance(&tree, 0), Watts(60.0));
     }
 }

@@ -9,10 +9,11 @@
 //!   `willow-thermal`), and
 //! * **soft constraints** — the proportional split among siblings.
 //!
-//! This crate provides:
+//! The deficit / surplus / imbalance definitions of Eqs. 5–9 are evaluated
+//! where the controller keeps its per-node state (`willow-core`'s
+//! `PowerState`), and the §IV-E migration-margin rule where it plans
+//! migrations. This crate provides:
 //!
-//! * [`metrics`] — the deficit / surplus / imbalance definitions of
-//!   Eqs. 5–9 and the power-margin rule,
 //! * [`allocation`] — capped proportional (water-filling) budget division
 //!   and the three surplus actions of §IV-D,
 //! * [`supply`] — total-supply traces: the paper's energy-deficient
@@ -26,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod allocation;
-pub mod metrics;
 pub mod renewable;
 pub mod storage;
 pub mod supply;
@@ -34,7 +34,6 @@ pub mod supply;
 pub use allocation::{
     allocate_proportional, allocate_proportional_into, AllocationError, AllocationScratch,
 };
-pub use metrics::{deficit, imbalance, level_deficit, level_surplus, surplus, NodePower};
 pub use renewable::SolarModel;
 pub use storage::Battery;
 pub use supply::SupplyTrace;

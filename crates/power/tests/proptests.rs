@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use willow_power::allocation::allocate_proportional;
-use willow_power::metrics::{imbalance, NodePower};
 use willow_power::storage::Battery;
 use willow_thermal::units::{Seconds, Watts};
 
@@ -59,23 +58,6 @@ proptest! {
         let b = allocate_proportional(total * k, &sd, &sc).unwrap();
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x.0 * k - y.0).abs() < 1e-6 * (1.0 + x.0 * k));
-        }
-    }
-
-    /// Eq. 9 sanity: imbalance is zero iff no node is in deficit, and is
-    /// always within [P_def, 2·P_def].
-    #[test]
-    fn imbalance_bounds(pairs in prop::collection::vec((0.0f64..300.0, 0.0f64..300.0), 1..10)) {
-        let nodes: Vec<NodePower> = pairs
-            .iter()
-            .map(|(d, b)| NodePower::new(Watts(*d), Watts(*b)))
-            .collect();
-        let p_def = nodes.iter().map(NodePower::deficit).fold(Watts::ZERO, Watts::max);
-        let imb = imbalance(&nodes);
-        prop_assert!(imb >= p_def);
-        prop_assert!(imb.0 <= 2.0 * p_def.0 + 1e-9);
-        if p_def.0 == 0.0 {
-            prop_assert_eq!(imb, Watts::ZERO);
         }
     }
 

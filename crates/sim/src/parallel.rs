@@ -2,7 +2,7 @@
 //!
 //! Each simulation is deterministic and single-threaded; a sweep (9
 //! utilizations × several seeds) is embarrassingly parallel. This module
-//! fans contiguous input stripes out across scoped crossbeam threads —
+//! fans contiguous input stripes out across `std::thread::scope` threads —
 //! each worker exclusively owns its input and output stripe (via
 //! `chunks_mut`), so no locks or atomics are needed — preserving input
 //! order in the output.
@@ -41,17 +41,16 @@ where
     let stripe = n.div_ceil(workers);
     let f = &f;
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (ins, outs) in work.chunks_mut(stripe).zip(results.chunks_mut(stripe)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (slot, out) in ins.iter_mut().zip(outs.iter_mut()) {
                     let input = slot.take().expect("stripe visited once");
                     *out = Some(f(input));
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
 
     results
         .into_iter()

@@ -77,6 +77,7 @@ mod tests {
         assert_eq!(c.id, AppId(2));
         assert_eq!(f.count(), 3);
         assert_eq!(b.mean_power, Watts(15.0));
-        assert_eq!(c.class_name, "A2");
+        assert_eq!(c.class_index, 1);
+        assert_eq!(c.mean_power, Watts(10.0));
     }
 }

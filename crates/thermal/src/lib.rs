@@ -24,8 +24,6 @@
 //! * [`model`] — [`ThermalParams`], [`DeviceThermal`] and the exact
 //!   closed-form temperature update.
 //! * [`limit`] — the power-limit solver (Eq. 3) and steady-state helpers.
-//! * [`integrator`] — integration of piecewise-constant power traces into
-//!   temperature time series.
 //! * [`calibration`] — constant-selection sweeps reproducing the paper's
 //!   Fig. 4 (simulation constants c1=0.08, c2=0.05) and Fig. 14
 //!   (experimental fit c1=0.2, c2=0.1), plus a least-squares fitter that
@@ -59,7 +57,6 @@
 #![forbid(unsafe_code)]
 
 pub mod calibration;
-pub mod integrator;
 pub mod limit;
 pub mod model;
 pub mod units;

@@ -103,14 +103,12 @@ pub const TESTBED_APP_CLASSES: [AppClass; 3] = [
 ];
 
 /// A concrete application instance hosted somewhere in the data center.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Application {
     /// Unique id.
     pub id: AppId,
     /// Index into the class table the instance was created from.
     pub class_index: usize,
-    /// Class label (denormalized for logging).
-    pub class_name: String,
     /// Average power requirement at full offered load.
     pub mean_power: Watts,
     /// QoS priority class (shed lowest first).
@@ -125,7 +123,6 @@ impl Application {
         Application {
             id,
             class_index,
-            class_name: class.name.to_owned(),
             mean_power: class.mean_power,
             priority: Priority::default(),
         }
