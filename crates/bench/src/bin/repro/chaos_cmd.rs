@@ -20,6 +20,7 @@
 //! `--sweep` appends the crash-duration sweep table recorded in
 //! `EXPERIMENTS.md`.
 
+use crate::placed_apps;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use willow_sim::config::SimConfig;
@@ -31,7 +32,6 @@ use willow_sim::messaging::{emulate_round_with_faults_into, MessageFaults, Round
 use willow_sim::metrics::RunMetrics;
 use willow_thermal::units::{Celsius, Seconds, Watts};
 use willow_topology::Tree;
-use willow_workload::app::AppId;
 
 /// Faulted reporting rounds emulated per seed in the message-plane leg.
 const ROUNDS: u64 = 16;
@@ -115,18 +115,6 @@ fn schedule_for(seed: u64, ticks: usize, n_servers: usize) -> Schedule {
     Schedule { utilization, plan }
 }
 
-/// Sorted application ids currently placed on the controller's servers.
-fn placed_apps(sim: &Simulation) -> Vec<AppId> {
-    let mut ids: Vec<AppId> = sim
-        .willow()
-        .servers()
-        .iter()
-        .flat_map(|s| s.apps.iter().map(|a| a.id))
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
 /// Run one seed's schedule; returns the failure descriptions (empty =
 /// pass).
 fn run_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
@@ -208,7 +196,6 @@ fn run_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         duplication: rng.gen_range(0.0..0.3),
         delay: rng.gen_range(0.0..0.3),
         dead_link: None,
-        flap: None,
     };
     let mut scratch = RoundScratch::default();
     for round in 0..ROUNDS {

@@ -23,6 +23,7 @@
 //! `--smoke` shrinks ticks/seeds for CI. A failing run exits 1 with the
 //! seed printed, so `repro federate --seeds <n> --ticks <t>` is the repro.
 
+use crate::placed_apps;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use willow_core::federation::BrokerConfig;
@@ -37,18 +38,6 @@ use willow_workload::app::AppId;
 
 /// Zones per federated run.
 const ZONES: usize = 3;
-
-/// Sorted application ids currently placed in one zone.
-fn placed_apps(sim: &Simulation) -> Vec<AppId> {
-    let mut ids: Vec<AppId> = sim
-        .willow()
-        .servers()
-        .iter()
-        .flat_map(|s| s.apps.iter().map(|a| a.id))
-        .collect();
-    ids.sort_unstable();
-    ids
-}
 
 /// A paper-default zone with `ticks` periods and no warm-up exclusion.
 fn zone_cfg(seed: u64, utilization: f64, ticks: usize, threads: usize) -> SimConfig {

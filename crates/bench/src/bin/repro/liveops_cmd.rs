@@ -23,6 +23,7 @@
 //! unknown). Everything is seeded: `repro liveops --seeds <n> --ticks <t>`
 //! re-runs the exact schedules.
 
+use crate::placed_apps;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use willow_core::config::PackerChoice;
@@ -32,19 +33,6 @@ use willow_sim::engine::Simulation;
 use willow_sim::faults::{ControllerCrashPlan, ControllerOutage, FaultPlan};
 use willow_sim::{RunMetrics, ScheduledCommand, SimCommand};
 use willow_thermal::units::Watts;
-use willow_workload::app::AppId;
-
-/// Sorted application ids currently placed on the controller's servers.
-fn placed_apps(sim: &Simulation) -> Vec<AppId> {
-    let mut ids: Vec<AppId> = sim
-        .willow()
-        .servers()
-        .iter()
-        .flat_map(|s| s.apps.iter().map(|a| a.id))
-        .collect();
-    ids.sort_unstable();
-    ids
-}
 
 /// The built-in scripted timeline: drain three servers, hot-swap the
 /// packer, add a three-server rack under switch `l1-0`, retire one of the

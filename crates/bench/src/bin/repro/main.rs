@@ -11,8 +11,10 @@
 //! paper.
 
 use willow_bench::{r1, r3};
+use willow_sim::engine::Simulation;
 use willow_sim::experiments as sim_exp;
 use willow_testbed::experiments as tb_exp;
+use willow_workload::app::AppId;
 
 mod ablate_cmd;
 mod chaos_cmd;
@@ -23,6 +25,20 @@ mod telemetry_cmd;
 const SEED: u64 = 2011; // the paper's year; any fixed seed works
 const TICKS: usize = 300;
 const N_SEEDS: usize = 5;
+
+/// Sorted application ids currently placed on a simulation's servers —
+/// the no-app-lost check of the `chaos`, `federate` and `liveops`
+/// harnesses.
+fn placed_apps(sim: &Simulation) -> Vec<AppId> {
+    let mut ids: Vec<AppId> = sim
+        .willow()
+        .servers()
+        .iter()
+        .flat_map(|s| s.apps.iter().map(|a| a.id))
+        .collect();
+    ids.sort_unstable();
+    ids
+}
 
 /// Every experiment id `repro` accepts besides `all`.
 const EXPERIMENTS: &str = "fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 tab1 fig14 tab2 fig15_16 \

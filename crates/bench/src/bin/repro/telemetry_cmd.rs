@@ -68,7 +68,6 @@ pub fn run(seed: u64) {
         duplication: 0.1,
         delay: 0.2,
         dead_link: None,
-        flap: None,
     };
     let first_leaf = tree.leaves().next().expect("tree has leaves");
     let severed = MessageFaults {

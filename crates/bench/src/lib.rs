@@ -8,23 +8,10 @@
 //! race; `chaos`, `liveops`, `federate` and `telemetry` exercise the
 //! robustness and observability layers. Timing lives in `perfbench/`.
 //!
-//! This library hosts the small formatting helpers `repro` uses.
+//! This library hosts the small rounding helpers `repro` uses.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-/// Format a numeric series as an aligned two-column table.
-#[must_use]
-pub fn format_series<X: std::fmt::Display, Y: std::fmt::Display>(
-    header: (&str, &str),
-    rows: impl IntoIterator<Item = (X, Y)>,
-) -> String {
-    let mut out = format!("{:>12}  {:>14}\n", header.0, header.1);
-    for (x, y) in rows {
-        out.push_str(&format!("{x:>12}  {y:>14}\n"));
-    }
-    out
-}
 
 /// Round to one decimal for stable textual output.
 #[must_use]
@@ -46,12 +33,5 @@ mod tests {
     fn rounding() {
         assert_eq!(r1(1.26), 1.3);
         assert_eq!(r3(0.27549), 0.275);
-    }
-
-    #[test]
-    fn series_formatting() {
-        let s = format_series(("u", "power"), vec![(10, 100.5), (20, 200.0)]);
-        assert!(s.contains("u"));
-        assert!(s.lines().count() == 3);
     }
 }

@@ -27,7 +27,7 @@
 //! run it after every tick; [`Auditor::panic_on_violation`] turns any
 //! violation into a panic for CI.
 
-use crate::controller::Willow;
+use crate::control::Willow;
 use willow_thermal::units::Watts;
 use willow_topology::NodeId;
 use willow_workload::app::AppId;

@@ -128,6 +128,7 @@ pub enum ThermalEstimate {
 /// behavior when faults actually occur; fault-free trajectories are
 /// identical for any valid setting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RobustnessConfig {
     /// Number of consecutive *missed* budget directives after which a
     /// server's watchdog trips and falls back to the conservative local
@@ -321,12 +322,6 @@ impl ControllerConfig {
     pub fn delta_s(&self) -> Seconds {
         self.delta_d * f64::from(self.eta1)
     }
-
-    /// The consolidation period `Δ_A` in seconds.
-    #[must_use]
-    pub fn delta_a(&self) -> Seconds {
-        self.delta_d * f64::from(self.eta2)
-    }
 }
 
 /// Configuration validation errors.
@@ -400,7 +395,6 @@ mod tests {
     fn derived_periods() {
         let c = ControllerConfig::default();
         assert_eq!(c.delta_s(), Seconds(4.0));
-        assert_eq!(c.delta_a(), Seconds(7.0));
     }
 
     #[test]

@@ -106,7 +106,6 @@ fn aborted_migration_restores_source_and_charges_both_ends() {
         migration_outcomes: vec![MigrationOutcome::Abort; 8],
         ..Disturbances::default()
     };
-    let all_nodes: Vec<NodeId> = w.tree().ids().collect();
     let r = w.step_with(&d, Watts(400.0), &abort);
     assert!(r.migration_aborts > 0, "plunge must provoke an attempt");
     assert!(r.migrations.is_empty(), "aborted moves must not complete");
@@ -122,9 +121,7 @@ fn aborted_migration_restores_source_and_charges_both_ends() {
         .filter(|s| s.pending_cost.0 > 0.0)
         .count();
     assert!(charged >= 2, "both end nodes must be charged");
-    let carried = w
-        .fabric()
-        .sum_traffic(&all_nodes, willow_network::TrafficKind::Migration);
+    let carried = w.fabric().total_migration();
     assert!(carried > 0.0, "the fabric must have carried the copy");
 }
 

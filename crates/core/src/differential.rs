@@ -1,12 +1,12 @@
 //! Differential equivalence test: the optimized, scratch-workspace
-//! [`crate::controller::Willow`] must be **bit-for-bit** identical to the
+//! [`crate::control::Willow`] must be **bit-for-bit** identical to the
 //! frozen pre-optimization copy in [`crate::reference`] — same
 //! `TickReport`s, same budget (`TP`) and demand (`CP`) vectors — over long
 //! faulted runs on randomized trees. Any divergence means the optimization
 //! changed behavior, not just speed.
 
 use crate::config::ControllerConfig;
-use crate::controller::Willow;
+use crate::control::Willow;
 use crate::disturbance::{Disturbances, MigrationOutcome};
 use crate::reference::ReferenceWillow;
 use crate::server::ServerSpec;

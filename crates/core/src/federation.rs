@@ -48,9 +48,6 @@
 use serde::{Deserialize, Serialize};
 use willow_power::allocation::{allocate_proportional_into, AllocationScratch};
 use willow_thermal::units::Watts;
-use willow_workload::smoothing::HoltSmoother;
-
-use crate::control::planning;
 
 /// Tolerance for the conservation double-check: float summation of many
 /// grants may differ from the analytic bound by a few ULPs.
@@ -67,16 +64,6 @@ pub struct BrokerConfig {
     /// Fraction of the last delivered grant a *tripped* zone self-applies
     /// (and the broker reserves). In `(0, 1]`.
     pub fallback_fraction: f64,
-    /// Split on *predicted* zone demand instead of the last report. The
-    /// broker keeps one Holt forecaster per zone, fed by fresh reports, and
-    /// apportions on each zone's one-period-ahead forecast; a zone whose
-    /// report is stale is forecast further out (`1 + stale periods`), so
-    /// the reactive stale rule — freeze on the last report — becomes the
-    /// degenerate "no forecast available" case. Off by default: a reactive
-    /// broker's split is bit-for-bit what it was before this field
-    /// existed. Absent in pre-forecast configs.
-    #[serde(default)]
-    pub forecast_apportionment: bool,
 }
 
 impl Default for BrokerConfig {
@@ -84,7 +71,6 @@ impl Default for BrokerConfig {
         BrokerConfig {
             missed_grant_threshold: 3,
             fallback_fraction: 0.5,
-            forecast_apportionment: false,
         }
     }
 }
@@ -214,12 +200,6 @@ pub struct BrokerSnapshot {
     /// Grants from the last apportionment, per zone.
     #[serde(default)]
     pub grants: Vec<Watts>,
-    /// Per-zone Holt forecaster state (one entry per zone, fed by fresh
-    /// reports). Empty in pre-forecast checkpoints, in which case restore
-    /// re-seeds empty forecasters — predictions fall back to the last
-    /// report until each zone's next fresh report.
-    #[serde(default)]
-    pub forecasts: Vec<HoltSmoother>,
 }
 
 /// Splits total supply across zones proportional to aggregate reported
@@ -232,10 +212,6 @@ pub struct SupplyBroker {
     counters: BrokerCounters,
     /// Ledger of the last apportionment, per zone.
     grants: Vec<Watts>,
-    /// Per-zone Holt forecaster state, fed by fresh reports. Always
-    /// maintained (it is cheap and keeps checkpoints mode-agnostic); only
-    /// read when [`BrokerConfig::forecast_apportionment`] is set.
-    forecasts: Vec<HoltSmoother>,
     // Scratch for the proportional split (reused across calls).
     demands: Vec<Watts>,
     caps: Vec<Watts>,
@@ -259,7 +235,6 @@ impl SupplyBroker {
             links: vec![ZoneLink::default(); n_zones],
             counters: BrokerCounters::default(),
             grants: vec![Watts::ZERO; n_zones],
-            forecasts: vec![planning::series(); n_zones],
             demands: Vec::with_capacity(n_zones),
             caps: Vec::with_capacity(n_zones),
             budgets: Vec::with_capacity(n_zones),
@@ -297,13 +272,6 @@ impl SupplyBroker {
     #[must_use]
     pub fn grants(&self) -> &[Watts] {
         &self.grants
-    }
-
-    /// Per-zone demand forecasts (fed by fresh reports; read by the
-    /// split only when [`BrokerConfig::forecast_apportionment`] is set).
-    #[must_use]
-    pub fn forecasts(&self) -> &[HoltSmoother] {
-        &self.forecasts
     }
 
     /// Split `total` across the zones for one control period.
@@ -346,7 +314,6 @@ impl SupplyBroker {
             if conditions[i].report_fresh() {
                 link.last_report = reports[i].expect("healthy zone must carry a report");
                 link.stale_reports = 0;
-                self.forecasts[i].observe(link.last_report);
             } else {
                 link.stale_reports += 1;
                 if conditions[i].grant_deliverable() {
@@ -403,19 +370,7 @@ impl SupplyBroker {
                 continue;
             }
             self.reachable.push(i);
-            self.demands.push(if self.config.forecast_apportionment {
-                // Split on where the zone's demand is *going*. A stale
-                // zone's history is frozen, so its forecast extrapolates
-                // further out the longer the report stays missing; with
-                // no history at all the forecast degenerates to the last
-                // report — exactly the reactive rule.
-                let horizon = 1 + link.stale_reports;
-                self.forecasts[i]
-                    .forecast(horizon)
-                    .map_or(link.last_report, Watts::non_negative)
-            } else {
-                link.last_report
-            });
+            self.demands.push(link.last_report);
             self.caps.push(if conditions[i].report_fresh() {
                 // No broker-side cap for a healthy zone: its own root
                 // clips to the zone thermal/circuit limits.
@@ -495,10 +450,6 @@ impl SupplyBroker {
         link.stale_reports = 0;
         link.missed_grants = 0;
         link.tripped = false;
-        // The rejoining zone's demand re-enters the forecast history too:
-        // an outage is a gap in observations, not a reason to forget the
-        // zone's demand shape.
-        self.forecasts[zone].observe(fresh_report);
     }
 
     /// Capture the broker's complete mutable state.
@@ -509,7 +460,6 @@ impl SupplyBroker {
             links: self.links.clone(),
             counters: self.counters,
             grants: self.grants.clone(),
-            forecasts: self.forecasts.clone(),
         }
     }
 
@@ -529,22 +479,19 @@ impl SupplyBroker {
     /// The caller should then [`rejoin`](Self::rejoin) every currently
     /// reachable zone to reconcile the restored ledger with field truth.
     ///
-    /// Pre-forecast checkpoints may carry no `grants` or `forecasts`: an
-    /// empty vector keeps the broker's current entries (forecasts then fall
-    /// back to the last report until each zone's next fresh report).
+    /// Older checkpoints may carry no `grants`: an empty vector keeps the
+    /// broker's current entries. Keys this broker no longer reads (such as
+    /// a retired per-zone `forecasts` vector) are ignored.
     ///
     /// # Errors
-    /// Rejects a snapshot whose `links`, or whose non-empty `grants` or
-    /// `forecasts`, do not hold one entry per zone. A rejected snapshot
-    /// leaves the broker untouched.
+    /// Rejects a snapshot whose `links`, or whose non-empty `grants`, do
+    /// not hold one entry per zone. A rejected snapshot leaves the broker
+    /// untouched.
     pub fn recover(&mut self, snapshot: BrokerSnapshot) -> Result<(), FederationError> {
         let n = self.links.len();
         zone_shape("broker.links", snapshot.links.len(), n)?;
         if !snapshot.grants.is_empty() {
             zone_shape("broker.grants", snapshot.grants.len(), n)?;
-        }
-        if !snapshot.forecasts.is_empty() {
-            zone_shape("broker.forecasts", snapshot.forecasts.len(), n)?;
         }
         // Only the ledger is control state and restored verbatim. The
         // counters are cumulative telemetry: the running tally (which
@@ -554,9 +501,6 @@ impl SupplyBroker {
         self.links = snapshot.links;
         if !snapshot.grants.is_empty() {
             self.grants = snapshot.grants;
-        }
-        if !snapshot.forecasts.is_empty() {
-            self.forecasts = snapshot.forecasts;
         }
         Ok(())
     }
@@ -783,7 +727,6 @@ mod tests {
         let cfg = BrokerConfig {
             missed_grant_threshold: 2,
             fallback_fraction: 0.5,
-            ..BrokerConfig::default()
         };
         let mut broker = SupplyBroker::new(2, cfg).expect("broker");
         broker.apportion(
@@ -849,7 +792,6 @@ mod tests {
         let cfg = BrokerConfig {
             missed_grant_threshold: 3,
             fallback_fraction: 0.5,
-            ..BrokerConfig::default()
         };
         let mut broker = SupplyBroker::new(2, cfg).expect("broker");
         broker.apportion(
@@ -871,114 +813,49 @@ mod tests {
         assert_eq!(broker.counters().broker_down_ticks, 4);
     }
 
-    /// On flat demand Holt's trend is exactly zero and its level is
-    /// exactly the input, so the forecast split degenerates to the
-    /// reactive proportional split bit-for-bit.
+    /// Checkpoints written while the broker could split on forecasts
+    /// carry a `forecast_apportionment` config key and a per-zone
+    /// `forecasts` vector. Both are ignored on restore, and the restored
+    /// broker apportions exactly like one that never stopped.
     #[test]
-    fn forecast_split_on_flat_demand_matches_reactive() {
-        let forecast_cfg = BrokerConfig {
-            forecast_apportionment: true,
-            ..BrokerConfig::default()
-        };
-        let mut predictive = SupplyBroker::new(2, forecast_cfg).expect("broker");
-        let mut reactive = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
+    fn broker_snapshot_with_retired_forecast_keys_restores() {
         let conditions = [ZoneCondition::Healthy, ZoneCondition::Healthy];
-        let reports = [Some(Watts(100.0)), Some(Watts(200.0))];
-        for _ in 0..10 {
-            let a = predictive
-                .apportion(Watts(900.0), &conditions, &reports)
-                .to_vec();
-            let b = reactive
-                .apportion(Watts(900.0), &conditions, &reports)
-                .to_vec();
-            assert_eq!(a, b, "flat demand must split identically");
-        }
-    }
-
-    /// A zone on a steady ramp is granted *ahead* of its last report:
-    /// the forecast split gives the ramping zone strictly more than the
-    /// reactive split computed from the same reports.
-    #[test]
-    fn forecast_split_anticipates_a_demand_ramp() {
-        let forecast_cfg = BrokerConfig {
-            forecast_apportionment: true,
-            ..BrokerConfig::default()
-        };
-        let mut predictive = SupplyBroker::new(2, forecast_cfg).expect("broker");
-        let mut reactive = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
-        let conditions = [ZoneCondition::Healthy, ZoneCondition::Healthy];
-        let total = Watts(500.0);
-        let mut last = (Watts::ZERO, Watts::ZERO);
-        for t in 0..12u32 {
-            // Zone 0 ramps 100 → 320 W; zone 1 holds flat at 300 W. The
-            // total stays scarce so the split actually arbitrates.
-            let reports = [Some(Watts(100.0 + 20.0 * f64::from(t))), Some(Watts(300.0))];
-            let a = predictive.apportion(total, &conditions, &reports)[0];
-            let b = reactive.apportion(total, &conditions, &reports)[0];
-            last = (a, b);
-        }
-        assert!(
-            last.0 > last.1,
-            "forecast split must lead the ramp: predictive {:?} <= reactive {:?}",
-            last.0,
-            last.1
-        );
-        assert_eq!(predictive.counters().conservation_violations, 0);
-    }
-
-    /// While a zone's report is stale its history is frozen: the forecast
-    /// keeps extrapolating the last known trend further out each period,
-    /// and the tightening-only grant cap still applies on top.
-    #[test]
-    fn forecast_stale_zone_extrapolates_frozen_history() {
-        let forecast_cfg = BrokerConfig {
-            forecast_apportionment: true,
-            ..BrokerConfig::default()
-        };
-        let mut broker = SupplyBroker::new(2, forecast_cfg).expect("broker");
-        let conditions = [ZoneCondition::Healthy, ZoneCondition::Healthy];
-        // Zone 0 demand is *falling*; zone 1 flat.
-        for t in 0..8u32 {
-            let reports = [Some(Watts(400.0 - 30.0 * f64::from(t))), Some(Watts(200.0))];
-            broker.apportion(Watts(500.0), &conditions, &reports);
-        }
-        let before = broker.forecasts()[0];
-        assert!(before.level().is_some(), "has history");
-        // Report goes stale: the frozen downtrend keeps shrinking zone
-        // 0's share of the split, period after period.
-        let stale = [ZoneCondition::StaleReport, ZoneCondition::Healthy];
-        let g1 = broker.apportion(Watts(500.0), &stale, &[None, Some(Watts(200.0))])[0];
-        let g2 = broker.apportion(Watts(500.0), &stale, &[None, Some(Watts(200.0))])[0];
-        assert_eq!(broker.forecasts()[0], before, "history frozen");
-        assert!(g2 < g1, "deeper staleness must extrapolate further down");
-        assert_eq!(broker.counters().conservation_violations, 0);
-    }
-
-    /// Pre-forecast broker checkpoints carry no `forecasts` key: they
-    /// must still parse and restore, with predictions falling back to
-    /// the reactive rule until the next fresh report.
-    #[test]
-    fn broker_snapshot_without_forecasts_restores() {
         let mut broker = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
         broker.apportion(
             Watts(600.0),
-            &[ZoneCondition::Healthy, ZoneCondition::Healthy],
+            &conditions,
             &[Some(Watts(100.0)), Some(Watts(200.0))],
         );
+        let mut series = crate::control::planning::series();
+        series.observe(Watts(100.0));
+        let forecast = serde_json::to_string(&series).expect("serialize");
         let json = serde_json::to_string(&broker.snapshot()).expect("serialize");
-        let needle = ",\"forecasts\":";
-        let start = json.find(needle).expect("forecasts key present");
-        let stripped = format!("{}}}", &json[..start]);
-        let snap: BrokerSnapshot = serde_json::from_str(&stripped).expect("legacy parse");
-        assert!(snap.forecasts.is_empty());
-        let restored = SupplyBroker::restore(snap).expect("restore");
+        let json = json.replace(
+            "\"fallback_fraction\":0.5",
+            "\"fallback_fraction\":0.5,\"forecast_apportionment\":true",
+        );
+        let legacy = format!(
+            "{},\"forecasts\":[{forecast},{forecast}]}}",
+            &json[..json.len() - 1]
+        );
+        assert!(legacy.contains("\"forecast_apportionment\":true"));
+        let snap: BrokerSnapshot = serde_json::from_str(&legacy).expect("legacy parse");
+        assert_eq!(snap, broker.snapshot());
+        let mut restored = SupplyBroker::restore(snap).expect("restore");
+        let reports = [Some(Watts(300.0)), Some(Watts(100.0))];
+        let want = broker
+            .apportion(Watts(700.0), &conditions, &reports)
+            .to_vec();
+        let got = restored
+            .apportion(Watts(700.0), &conditions, &reports)
+            .to_vec();
+        assert_eq!(got, want);
         assert_eq!(restored.links(), broker.links());
-        assert!(restored.forecasts().iter().all(|s| s.level().is_none()));
     }
 
-    /// A non-empty `grants` or `forecasts` vector of the wrong length is a
-    /// malformed ledger: `restore` and `recover` reject it by field name,
-    /// and a rejected `recover` leaves the broker as it was.
+    /// A non-empty `grants` vector of the wrong length is a malformed
+    /// ledger: `restore` and `recover` reject it by field name, and a
+    /// rejected `recover` leaves the broker as it was.
     #[test]
     fn broker_snapshot_with_wrong_length_ledger_is_rejected() {
         let mut broker = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
@@ -988,20 +865,11 @@ mod tests {
             &[Some(Watts(100.0)), Some(Watts(200.0))],
         );
         let good = broker.snapshot();
-        for (field, found) in [
-            ("broker.grants", 1),
-            ("broker.grants", 3),
-            ("broker.forecasts", 1),
-            ("broker.forecasts", 3),
-        ] {
+        for found in [1, 3] {
             let mut bad = good.clone();
-            if field == "broker.grants" {
-                bad.grants.resize(found, Watts(1.0));
-            } else {
-                bad.forecasts.resize(found, bad.forecasts[0]);
-            }
+            bad.grants.resize(found, Watts(1.0));
             let expected = FederationError::Shape {
-                field,
+                field: "broker.grants",
                 found,
                 expected: 2,
             };
@@ -1045,7 +913,6 @@ mod tests {
         assert_eq!(restored.links(), broker.links());
         assert_eq!(restored.counters(), broker.counters());
         assert_eq!(restored.grants(), broker.grants());
-        assert_eq!(restored.forecasts(), broker.forecasts());
     }
 
     #[test]
@@ -1056,7 +923,6 @@ mod tests {
             BrokerConfig {
                 missed_grant_threshold: 0,
                 fallback_fraction: 0.5,
-                ..BrokerConfig::default()
             }
         )
         .is_err());
@@ -1065,7 +931,6 @@ mod tests {
             BrokerConfig {
                 missed_grant_threshold: 3,
                 fallback_fraction: 0.0,
-                ..BrokerConfig::default()
             }
         )
         .is_err());
@@ -1074,7 +939,6 @@ mod tests {
             BrokerConfig {
                 missed_grant_threshold: 3,
                 fallback_fraction: 1.5,
-                ..BrokerConfig::default()
             }
         )
         .is_err());

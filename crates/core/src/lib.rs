@@ -40,14 +40,13 @@
 //!   at a fixed point in the tick.
 //! * [`control`] — [`control::Willow`] itself: `step()` once per `Δ_D`
 //!   with measured app demands and the current total supply, staged as a
-//!   five-phase pipeline with config-selected policies (also reachable under
-//!   its historical name, `controller`).
+//!   five-phase pipeline with config-selected policies.
 //!
 //! ## Minimal use
 //!
 //! ```
 //! use willow_core::config::ControllerConfig;
-//! use willow_core::controller::Willow;
+//! use willow_core::control::Willow;
 //! use willow_core::server::ServerSpec;
 //! use willow_thermal::units::Watts;
 //! use willow_topology::Tree;
@@ -85,6 +84,8 @@ pub mod baseline;
 pub mod command;
 pub mod config;
 pub mod control;
+/// The historical name of [`control`]. Only `perfbench/` still imports
+/// through it; the workspace uses `control` or the crate-root re-exports.
 pub use self::control as controller;
 pub mod convergence;
 #[cfg(test)]
@@ -106,7 +107,7 @@ pub use command::{
     Command, CommandError, CommandId, CommandOutcome, CommandStatus, PendingCommand,
 };
 pub use config::ControllerConfig;
-pub use controller::{Backoff, Watchdog, Willow};
+pub use control::{Backoff, Watchdog, Willow};
 pub use disturbance::{Disturbances, MigrationOutcome};
 pub use federation::{
     BrokerConfig, BrokerCounters, BrokerSnapshot, FederationError, SupplyBroker, ZoneCondition,

@@ -129,7 +129,7 @@ pub struct TickReport {
 }
 
 impl TickReport {
-    /// Reset for reuse by [`crate::controller::Willow::step_into`]: every
+    /// Reset for reuse by [`crate::control::Willow::step_into`]: every
     /// list is cleared (capacity retained) and every scalar zeroed, leaving
     /// the report equal to `TickReport::default()` with the given tick
     /// flags applied.

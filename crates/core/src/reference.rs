@@ -4,7 +4,7 @@
 //! to this implementation on any input. Test-only; never ships.
 
 use crate::config::{AllocationPolicy, ControllerConfig, ReducedTargetRule};
-use crate::controller::{ControlStats, WillowError};
+use crate::control::{ControlStats, WillowError};
 use crate::disturbance::{Disturbances, MigrationOutcome};
 use crate::migration::{MigrationReason, MigrationRecord, TickReport};
 use crate::server::{ServerSpec, ServerState};

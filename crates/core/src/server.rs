@@ -132,13 +132,6 @@ impl ServerSpec {
         }
     }
 
-    /// Builder-style: set the non-migratable base load.
-    #[must_use]
-    pub fn with_base_load(mut self, base_load: Watts) -> Self {
-        self.base_load = base_load;
-        self
-    }
-
     /// Builder-style: set the utilization denominator (CPU-utilization
     /// semantics for the testbed hosts).
     #[must_use]

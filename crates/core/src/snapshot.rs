@@ -12,7 +12,7 @@
 
 use crate::command::PendingCommand;
 use crate::config::ControllerConfig;
-use crate::controller::{Backoff, ControlStats, Watchdog, Willow, WillowError};
+use crate::control::{Backoff, ControlStats, Watchdog, Willow, WillowError};
 use crate::server::ServerState;
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;

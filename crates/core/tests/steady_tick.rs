@@ -21,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use willow_core::config::{AllocationPolicy, ControllerConfig};
-use willow_core::controller::Willow;
+use willow_core::control::Willow;
 use willow_core::migration::TickReport;
 use willow_core::server::ServerSpec;
 use willow_core::Disturbances;

@@ -2,7 +2,7 @@
 //! phase timings and counters without perturbing the control trajectory.
 
 use willow_core::config::ControllerConfig;
-use willow_core::controller::Willow;
+use willow_core::control::Willow;
 use willow_core::server::ServerSpec;
 use willow_core::Disturbances;
 use willow_telemetry::{MetricValue, TelemetryRegistry};
@@ -58,7 +58,7 @@ fn phase_spans_and_counters_record() {
     let quiet = Disturbances::none();
     // Several full sampling windows, each wide enough to contain supply
     // (η₁) and consolidation (η₂) ticks.
-    let period = willow_core::controller::SPAN_SAMPLE_PERIOD;
+    let period = willow_core::control::SPAN_SAMPLE_PERIOD;
     let windows = 4;
     let ticks = windows
         * period

@@ -5,23 +5,15 @@
 //! with the servers, level-2 above them, …). Query traffic for a server
 //! enters at the root and traverses every switch down to the server's
 //! level-1 switch; migration traffic traverses the switches on the
-//! source→LCA→target path. "In the presence of redundant paths with two
-//! switches, the load is balanced evenly between the switches" — modelled
-//! as a per-node redundancy divisor.
+//! source→LCA→target path. Query and migration traffic are counted
+//! separately so the experiments can report query load, migration load
+//! (Fig. 10) and migration cost (Fig. 12) independently.
+//!
+//! Fig. 8's balancing over redundant paths is not modelled: every switch
+//! carries the whole load of the paths through it, as every figure ran.
 
 use serde::{Deserialize, Serialize};
 use willow_topology::{NodeId, Tree};
-
-/// Classes of traffic tracked separately so the experiments can report
-/// query load, migration load (Fig. 10) and migration cost (Fig. 12)
-/// independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TrafficKind {
-    /// User-query traffic serving the applications (indirect impact).
-    Query,
-    /// VM-state transfer during migrations (direct impact).
-    Migration,
-}
 
 /// Per-epoch traffic counters for every switch in the fabric.
 ///
@@ -37,68 +29,24 @@ pub struct Fabric {
     /// Highest combined per-epoch traffic ever seen at each switch
     /// (survives [`Fabric::reset_epoch`]) — capacity-planning signal.
     peak: Vec<f64>,
-    /// Redundant-path divisor per node (≥ 1): traffic recorded at a node is
-    /// divided by this, modelling even balancing across parallel switches.
-    redundancy: Vec<f64>,
     n_nodes: usize,
 }
 
 impl Fabric {
-    /// Build a fabric for `tree` with no redundancy (one switch per
-    /// interior node).
+    /// Build a fabric for `tree`: one switch per interior node.
     #[must_use]
     pub fn new(tree: &Tree) -> Self {
-        Fabric::with_redundancy(tree, 1)
-    }
-
-    /// Build a fabric where every interior node has `paths` parallel
-    /// switches sharing load evenly.
-    ///
-    /// # Panics
-    /// Panics if `paths == 0`.
-    #[must_use]
-    pub fn with_redundancy(tree: &Tree, paths: usize) -> Self {
-        assert!(paths > 0, "need at least one path");
         let n = tree.len();
         Fabric {
             query: vec![0.0; n],
             migration: vec![0.0; n],
             peak: vec![0.0; n],
-            redundancy: vec![paths as f64; n],
-            n_nodes: n,
-        }
-    }
-
-    /// Build a fabric with a *per-level* redundancy profile: `levels[l]`
-    /// parallel switches at tree level `l`. Data centers typically deploy
-    /// more path redundancy toward the core (Fig. 8's higher levels) than
-    /// at the access layer; levels beyond the slice default to 1.
-    ///
-    /// # Panics
-    /// Panics if any entry is zero.
-    #[must_use]
-    pub fn with_level_redundancy(tree: &Tree, levels: &[usize]) -> Self {
-        assert!(
-            levels.iter().all(|&p| p > 0),
-            "need at least one path per level"
-        );
-        let n = tree.len();
-        let mut redundancy = vec![1.0; n];
-        for id in tree.ids() {
-            let l = tree.level(id) as usize;
-            redundancy[id.index()] = *levels.get(l).unwrap_or(&1) as f64;
-        }
-        Fabric {
-            query: vec![0.0; n],
-            migration: vec![0.0; n],
-            peak: vec![0.0; n],
-            redundancy,
             n_nodes: n,
         }
     }
 
     /// Grow the fabric to cover `n` arena slots (online topology growth):
-    /// new slots start with zero traffic, zero peak and a single path.
+    /// new slots start with zero traffic and zero peak.
     /// Asking for fewer slots than currently covered is a no-op — node
     /// removal leaves tombstone slots behind, so the arena never shrinks.
     pub fn ensure_len(&mut self, n: usize) {
@@ -108,7 +56,6 @@ impl Fabric {
         self.query.resize(n, 0.0);
         self.migration.resize(n, 0.0);
         self.peak.resize(n, 0.0);
-        self.redundancy.resize(n, 1.0);
         self.n_nodes = n;
     }
 
@@ -125,24 +72,12 @@ impl Fabric {
         }
     }
 
-    /// Highest combined per-epoch traffic ever observed at `node`
-    /// (including the current, unfinished epoch).
-    #[must_use]
-    pub fn peak_traffic(&self, node: NodeId) -> f64 {
-        self.peak[node.index()].max(self.total_traffic(node))
-    }
-
     /// Record `units` of query traffic destined to `server`: it traverses
     /// every switch on the root→server path (all ancestors of the leaf).
     pub fn record_query(&mut self, tree: &Tree, server: NodeId, units: f64) {
         debug_assert!(units >= 0.0);
         for anc in tree.ancestors(server) {
-            let i = anc.index();
-            let r = self.redundancy[i];
-            // `x / 1.0 == x` bit-exactly, and division dominates this hot
-            // per-server-per-tick loop in the common no-redundancy fabric,
-            // so skip it when it cannot change the value.
-            self.query[i] += if r == 1.0 { units } else { units / r };
+            self.query[anc.index()] += units;
         }
     }
 
@@ -173,10 +108,7 @@ impl Fabric {
                     s += sums[c.index()];
                 }
                 sums[i] = s;
-                if s != 0.0 {
-                    let r = self.redundancy[i];
-                    self.query[i] += if r == 1.0 { s } else { s / r };
-                }
+                self.query[i] += s;
             }
         }
     }
@@ -195,7 +127,7 @@ impl Fabric {
             while n != lca {
                 n = tree.parent(n).expect("lca is an ancestor");
                 if n != lca || include_lca {
-                    self.migration[n.index()] += units / self.redundancy[n.index()];
+                    self.migration[n.index()] += units;
                 }
             }
         };
@@ -213,23 +145,6 @@ impl Fabric {
     #[must_use]
     pub fn migration_traffic(&self, node: NodeId) -> f64 {
         self.migration[node.index()]
-    }
-
-    /// Combined traffic through the switch at `node` this epoch.
-    #[must_use]
-    pub fn total_traffic(&self, node: NodeId) -> f64 {
-        self.query[node.index()] + self.migration[node.index()]
-    }
-
-    /// Sum of a traffic kind across a set of switches (e.g. all level-1
-    /// switches for Figs. 10–12).
-    #[must_use]
-    pub fn sum_traffic(&self, nodes: &[NodeId], kind: TrafficKind) -> f64 {
-        let source = match kind {
-            TrafficKind::Query => &self.query,
-            TrafficKind::Migration => &self.migration,
-        };
-        nodes.iter().map(|n| source[n.index()]).sum()
     }
 
     /// Total query traffic across every switch this epoch.
@@ -319,8 +234,7 @@ mod tests {
             assert_eq!(f.migration_traffic(sw), 4.0, "switch {sw}");
         }
         // Total = 5 switches × 4 units.
-        let all: Vec<NodeId> = t.ids().collect();
-        assert_eq!(f.sum_traffic(&all, TrafficKind::Migration), 20.0);
+        assert_eq!(f.total_migration(), 20.0);
     }
 
     #[test]
@@ -329,22 +243,7 @@ mod tests {
         let mut f = Fabric::new(&t);
         let a = t.find("server3").unwrap();
         f.record_migration(&t, a, a, 100.0);
-        let all: Vec<NodeId> = t.ids().collect();
-        assert_eq!(f.sum_traffic(&all, TrafficKind::Migration), 0.0);
-    }
-
-    #[test]
-    fn redundancy_halves_per_switch_load() {
-        let t = tree();
-        let mut single = Fabric::new(&t);
-        let mut dual = Fabric::with_redundancy(&t, 2);
-        let a = t.find("server1").unwrap();
-        let b = t.find("server4").unwrap(); // same half, different pod
-        single.record_migration(&t, a, b, 8.0);
-        dual.record_migration(&t, a, b, 8.0);
-        let l2 = t.lca(a, b);
-        assert_eq!(single.migration_traffic(l2), 8.0);
-        assert_eq!(dual.migration_traffic(l2), 4.0);
+        assert_eq!(f.total_migration(), 0.0);
     }
 
     #[test]
@@ -355,23 +254,8 @@ mod tests {
         f.record_query(&t, a, 3.0);
         f.record_migration(&t, a, t.find("server2").unwrap(), 3.0);
         f.reset_epoch();
-        let all: Vec<NodeId> = t.ids().collect();
-        assert_eq!(f.sum_traffic(&all, TrafficKind::Query), 0.0);
-        assert_eq!(f.sum_traffic(&all, TrafficKind::Migration), 0.0);
-    }
-
-    #[test]
-    fn level_redundancy_profile() {
-        let t = tree();
-        // Double paths at level 2, quadruple at the root level (3).
-        let mut f = Fabric::with_level_redundancy(&t, &[1, 1, 2, 4]);
-        let a = t.find("server1").unwrap();
-        f.record_query(&t, a, 8.0);
-        let l1 = t.parent(a).unwrap();
-        let l2 = t.parent(l1).unwrap();
-        assert_eq!(f.query_traffic(l1), 8.0, "level 1 has a single path");
-        assert_eq!(f.query_traffic(l2), 4.0, "level 2 splits across 2 paths");
-        assert_eq!(f.query_traffic(t.root()), 2.0, "root splits across 4");
+        assert_eq!(f.total_query(), 0.0);
+        assert_eq!(f.total_migration(), 0.0);
     }
 
     #[test]
@@ -384,26 +268,20 @@ mod tests {
         f.reset_epoch();
         f.record_query(&t, a, 4.0);
         assert_eq!(f.query_traffic(l1), 4.0, "epoch counter reset");
-        assert_eq!(f.peak_traffic(l1), 10.0, "peak remembers the busy epoch");
+        assert_eq!(f.max_peak(), 10.0, "peak remembers the busy epoch");
         // A busier current epoch raises the reported peak immediately.
         f.record_query(&t, a, 20.0);
-        assert_eq!(f.peak_traffic(l1), 24.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "per level")]
-    fn zero_level_redundancy_rejected() {
-        let t = tree();
-        let _ = Fabric::with_level_redundancy(&t, &[1, 0]);
+        assert_eq!(f.max_peak(), 24.0);
     }
 
     #[test]
     fn bulk_query_matches_per_server_recording() {
         let t = tree();
         // Integer units: both accumulation orders are exact, so the
-        // structural equivalence shows up as bit equality.
-        let mut per_server = Fabric::with_level_redundancy(&t, &[1, 1, 2, 4]);
-        let mut bulk = Fabric::with_level_redundancy(&t, &[1, 1, 2, 4]);
+        // structural equivalence shows up as bit equality. The units differ
+        // per leaf, so a switch fed the wrong subtree shows up too.
+        let mut per_server = Fabric::new(&t);
+        let mut bulk = Fabric::new(&t);
         let mut leaf_units = vec![0.0; t.len()];
         for (k, leaf) in t.leaves().enumerate() {
             let units = (k * 3 + 1) as f64;
@@ -434,6 +312,7 @@ mod tests {
         f.record_migration(&t, a, t.find("server2").unwrap(), 2.0);
         assert_eq!(f.query_traffic(l1), 7.0);
         assert_eq!(f.migration_traffic(l1), 2.0);
-        assert_eq!(f.total_traffic(l1), 9.0);
+        assert_eq!(f.total_query(), 7.0 * 3.0, "three switches on the path");
+        assert_eq!(f.total_migration(), 2.0, "one shared switch");
     }
 }

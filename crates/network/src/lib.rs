@@ -6,8 +6,10 @@
 //! a switch hierarchy congruent to the power-control hierarchy: level-1
 //! switches sit with the servers, level-2 switches above them, and so on;
 //! switches draw their power budget from the level above and their power is
-//! `static + dynamic`, the dynamic part proportional to traffic, with even
-//! balancing across redundant paths.
+//! `static + dynamic`, the dynamic part proportional to traffic. The paper
+//! balances that traffic evenly across redundant paths; this crate does not
+//! model the balancing, so every switch carries its whole path's load, as
+//! every figure ran.
 //!
 //! * [`switch`] — the static+dynamic switch power model.
 //! * [`fabric`] — per-epoch traffic accounting over the switch tree
@@ -23,7 +25,7 @@ pub mod migration;
 pub mod switch;
 pub mod telemetry;
 
-pub use fabric::{Fabric, TrafficKind};
+pub use fabric::Fabric;
 pub use migration::MigrationCostModel;
 pub use switch::SwitchPowerModel;
 pub use telemetry::FabricTelemetry;

@@ -12,6 +12,7 @@ use willow_thermal::units::Watts;
 
 /// Linear migration-cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MigrationCostModel {
     /// Temporary power demand added to *each* end node, as a fraction of
     /// the migrated demand.
@@ -107,12 +108,6 @@ impl MigrationCostModel {
     pub fn switch_cost(&self, moved: Watts) -> Watts {
         moved * self.switch_overhead
     }
-
-    /// Total switch-side power cost for a path of `hops` switches.
-    #[must_use]
-    pub fn path_cost(&self, moved: Watts, hops: usize) -> Watts {
-        self.switch_cost(moved) * hops as f64
-    }
 }
 
 #[cfg(test)]
@@ -143,25 +138,18 @@ mod tests {
         let m = MigrationCostModel::free();
         assert_eq!(m.node_cost(Watts(500.0)), Watts(0.0));
         assert_eq!(m.traffic_units(Watts(500.0)), 0.0);
-        assert_eq!(m.path_cost(Watts(500.0), 5), Watts(0.0));
-    }
-
-    #[test]
-    fn path_cost_multiplies_hops() {
-        let m = MigrationCostModel::default();
-        let per = m.switch_cost(Watts(40.0));
-        assert_eq!(m.path_cost(Watts(40.0), 5), per * 5.0);
-        assert_eq!(m.path_cost(Watts(40.0), 0), Watts(0.0));
+        assert_eq!(m.switch_cost(Watts(500.0)), Watts(0.0));
     }
 
     #[test]
     fn local_cheaper_than_nonlocal() {
         // The locality preference of §IV-E in numbers: a local migration
         // (1 switch) costs less fabric power than a non-local one (5
-        // switches) for the same VM, and avoids the IP reconfiguration
-        // charge at the end nodes.
+        // switches) for the same VM, since every switch on the path is
+        // charged, and avoids the IP reconfiguration charge at the end
+        // nodes.
         let m = MigrationCostModel::default();
-        assert!(m.path_cost(Watts(60.0), 1) < m.path_cost(Watts(60.0), 5));
+        assert!(m.switch_cost(Watts(60.0)) > Watts(0.0));
         assert!(m.end_node_cost(Watts(60.0), true) < m.end_node_cost(Watts(60.0), false));
         assert_eq!(
             m.end_node_cost(Watts(60.0), false) - m.end_node_cost(Watts(60.0), true),

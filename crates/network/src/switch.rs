@@ -65,18 +65,6 @@ impl SwitchPowerModel {
     pub fn utilization(&self, traffic: f64) -> f64 {
         traffic / self.capacity_units
     }
-
-    /// Maximum traffic a budget admits: inverting `power_for`. A budget
-    /// below static power admits no traffic (the switch would have to turn
-    /// off).
-    #[must_use]
-    pub fn traffic_budget(&self, budget: Watts) -> f64 {
-        if self.per_unit.0 <= 0.0 {
-            return self.capacity_units;
-        }
-        (((budget - self.static_power).non_negative()) / self.per_unit)
-            .clamp(0.0, self.capacity_units)
-    }
 }
 
 #[cfg(test)]
@@ -107,21 +95,6 @@ mod tests {
         assert_eq!(m.utilization(0.0), 0.0);
         assert!((m.utilization(500.0) - 0.5).abs() < 1e-12);
         assert!((m.utilization(1000.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn traffic_budget_inverts_power() {
-        let m = SwitchPowerModel::simulation_default();
-        let t = 640.0;
-        let p = m.power_for(t);
-        assert!((m.traffic_budget(p) - t).abs() < 1e-9);
-    }
-
-    #[test]
-    fn traffic_budget_clamps() {
-        let m = SwitchPowerModel::simulation_default();
-        assert_eq!(m.traffic_budget(Watts(0.0)), 0.0);
-        assert_eq!(m.traffic_budget(Watts(1e6)), m.capacity_units);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! near the power needed for all servers at 100 % utilization — plus seeded
 //! synthetic generators for larger simulations.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use willow_thermal::units::Watts;
 
@@ -93,29 +92,6 @@ impl SupplyTrace {
         SupplyTrace::new(values)
     }
 
-    /// Seeded bounded random walk between `floor` and `ceil`, for stress
-    /// runs. Steps are uniform within ±`max_step`.
-    #[must_use]
-    pub fn random_walk<R: Rng + ?Sized>(
-        rng: &mut R,
-        start: Watts,
-        floor: Watts,
-        ceil: Watts,
-        max_step: Watts,
-        len: usize,
-    ) -> Self {
-        assert!(floor.0 <= ceil.0, "floor must not exceed ceil");
-        let mut v = start.clamp(floor, ceil);
-        let values = (0..len)
-            .map(|_| {
-                let step = rng.gen_range(-max_step.0..=max_step.0);
-                v = Watts(v.0 + step).clamp(floor, ceil);
-                v
-            })
-            .collect();
-        SupplyTrace::new(values)
-    }
-
     /// Supply at period `t`; the trace holds its last value forever
     /// (supplies don't vanish when an experiment runs long).
     #[must_use]
@@ -168,8 +144,6 @@ impl SupplyTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_trace() {
@@ -221,28 +195,6 @@ mod tests {
             assert!(v.0 > 750.0 * 0.97 && v.0 < 750.0 * 1.03, "{v}");
         }
         assert!((t.mean().0 - 750.0).abs() < 750.0 * 0.02);
-    }
-
-    #[test]
-    fn random_walk_respects_bounds_and_seed() {
-        let make = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            SupplyTrace::random_walk(
-                &mut rng,
-                Watts(500.0),
-                Watts(300.0),
-                Watts(700.0),
-                Watts(50.0),
-                100,
-            )
-        };
-        let a = make(42);
-        let b = make(42);
-        assert_eq!(a, b);
-        for v in a.iter() {
-            assert!(v.0 >= 300.0 && v.0 <= 700.0);
-        }
-        assert_ne!(make(42), make(43));
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub enum SimCommand {
 
 /// A command bound to the demand period at which it is submitted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScheduledCommand {
     /// Demand period the command is submitted at.
     pub tick: u64,

@@ -11,6 +11,7 @@ use willow_thermal::units::{Celsius, Watts};
 /// A contiguous range of servers (0-based, half-open) placed in a thermal
 /// zone with the given ambient temperature.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ThermalZone {
     /// First server index in the zone.
     pub start: usize,
@@ -296,6 +297,49 @@ mod tests {
             .to_string();
         assert!(
             err.contains("unknown field `switch_model` for SimConfig"),
+            "unexpected error: {err}"
+        );
+    }
+
+    /// Parse `cfg` after renaming one key in its JSON; the load must fail
+    /// naming the misspelt key and the nested struct that rejects it.
+    fn misspelt_key_error(cfg: &SimConfig, key: &str, typo: &str) -> String {
+        let json = serde_json::to_string(cfg).unwrap();
+        let needle = format!("\"{key}\":");
+        assert!(json.contains(&needle), "{key} missing from {json}");
+        let typoed = json.replacen(&needle, &format!("\"{typo}\":"), 1);
+        serde_json::from_str::<SimConfig>(&typoed)
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn misspelt_sensor_fault_key_is_rejected() {
+        // `stuck` for `stuck_at` used to parse as a fault-free sensor.
+        let mut cfg = SimConfig::paper_hot_cold(1, 0.6);
+        cfg.faults = Some(crate::faults::FaultPlan {
+            sensor_faults: vec![crate::faults::SensorFault {
+                server: 0,
+                from: 0,
+                until: 300,
+                stuck_at: Some(Celsius(90.0)),
+                noise_sigma: 0.0,
+            }],
+            ..crate::faults::FaultPlan::default()
+        });
+        let err = misspelt_key_error(&cfg, "stuck_at", "stuck");
+        assert!(
+            err.contains("unknown field `stuck` for SensorFault"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn misspelt_cost_model_key_is_rejected() {
+        let cfg = SimConfig::paper_hot_cold(1, 0.6);
+        let err = misspelt_key_error(&cfg, "nonlocal_reconfig", "nonlocal_reconfg");
+        assert!(
+            err.contains("unknown field `nonlocal_reconfg` for MigrationCostModel"),
             "unexpected error: {err}"
         );
     }

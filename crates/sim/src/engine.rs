@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use willow_core::audit::Auditor;
 use willow_core::command::{Command, CommandError, CommandStatus};
-use willow_core::controller::Willow;
+use willow_core::control::Willow;
 use willow_core::migration::TickReport;
 use willow_core::server::ServerSpec;
 use willow_core::snapshot::WillowSnapshot;

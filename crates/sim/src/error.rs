@@ -6,7 +6,7 @@
 //! cause instead of parsing prose.
 
 use willow_core::config::ConfigError;
-use willow_core::controller::WillowError;
+use willow_core::control::WillowError;
 
 /// Everything that can go wrong building or validating a simulation.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,7 +12,7 @@ use crate::engine::Simulation;
 use crate::metrics::RunMetrics;
 use serde::{Deserialize, Serialize};
 use willow_network::SwitchPowerModel;
-use willow_thermal::calibration::{headroom_curve, limit_curve};
+use willow_thermal::calibration::limit_curve;
 use willow_thermal::model::ThermalParams;
 use willow_thermal::units::{Celsius, Seconds, Watts};
 
@@ -83,23 +83,6 @@ pub fn fig14() -> Vec<(f64, f64)> {
             (gap, p.c2 * gap / p.c1)
         })
         .collect()
-}
-
-/// Fig. 14 companion: the same relationship read off the full Eq.-3 window
-/// limit — the window-based limit at `T0 = Ta + gap` with the thermal limit
-/// held at 70 °C, showing the affine headroom curve the controller actually
-/// uses.
-#[must_use]
-pub fn fig14_window_curve() -> Vec<(f64, f64)> {
-    headroom_curve(
-        ThermalParams::EXPERIMENTAL,
-        Celsius(25.0),
-        Seconds(1.0),
-        (0..=9).map(|g| f64::from(g) * 5.0),
-    )
-    .into_iter()
-    .map(|(gap, w)| (gap, w.0))
-    .collect()
 }
 
 /// One row of the Fig. 5 / Fig. 6 sweeps.
@@ -403,7 +386,7 @@ pub fn ext_baseline(seed: u64, ticks: usize) -> Vec<BaselineRow> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use willow_core::baseline::GreedyGlobal;
-    use willow_core::controller::Willow;
+    use willow_core::control::Willow;
     use willow_core::server::ServerSpec;
     use willow_workload::demand::DemandModel;
     use willow_workload::mix::{place_random_mix, MixConfig};
@@ -520,11 +503,6 @@ mod tests {
         assert_eq!(pts[0], (0.0, 0.0));
         for (gap, p) in &pts {
             assert!((p - 0.5 * gap).abs() < 1e-12, "slope must be c2/c1 = 0.5");
-        }
-        // The window-based curve is affine and increasing too.
-        let win = fig14_window_curve();
-        for w in win.windows(2) {
-            assert!(w[1].1 > w[0].1);
         }
     }
 

@@ -30,6 +30,7 @@ const MIGRATION_ROLLS: usize = 32;
 /// `from <= tick < until` — its report and directive are lost every period
 /// in the window and it cannot be a migration target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CrashWindow {
     /// Server index (order of `Willow::servers`).
     pub server: usize,
@@ -53,6 +54,7 @@ impl CrashWindow {
 /// designed); at `until` the controller restarts from its last periodic
 /// checkpoint and reconciles against the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ControllerOutage {
     /// First down demand period (inclusive).
     pub from: u64,
@@ -73,6 +75,7 @@ impl ControllerOutage {
 /// or later (tick 0 always checkpoints, so a restart always has a
 /// checkpoint to restore from).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ControllerCrashPlan {
     /// Demand periods between controller checkpoints (tick 0 included).
     pub checkpoint_period: u64,
@@ -342,6 +345,7 @@ fn severity(c: willow_core::ZoneCondition) -> u8 {
 /// zero-mean Gaussian error per period. Both together read stuck-at (the
 /// override wins, matching [`Disturbances::measured_temp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SensorFault {
     /// Server index (order of `Willow::servers`).
     pub server: usize,

@@ -77,56 +77,6 @@ impl PartialOrd for InFlight {
     }
 }
 
-/// An intermittently dead link (a *flapping* link): the link is up for the
-/// first `1 - down_fraction` of every fixed `period` and down for the
-/// rest. A transmission attempted while the link is down is deferred to
-/// the start of the next period (the sender's retry timer fires once the
-/// link is back); nothing is ever dropped outright, so — unlike
-/// [`MessageFaults::dead_link`] — a flapping link delays convergence but
-/// can never prevent it, as long as `down_fraction < 1` leaves an up
-/// window in every period.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFlap {
-    /// The affected node pair (both directions, like `dead_link`).
-    pub link: (NodeId, NodeId),
-    /// Flap cycle length. The link is up at the start of every cycle.
-    pub period: Seconds,
-    /// Fraction of each cycle (its tail) during which the link is down.
-    /// Must be in `[0, 1)`; at `0.0` the flap never fires and the round is
-    /// bit-for-bit identical to a flap-free one.
-    pub down_fraction: f64,
-}
-
-impl LinkFlap {
-    /// Does this flap affect the `from`→`to` hop (either orientation)?
-    #[must_use]
-    pub fn covers(&self, from: NodeId, to: NodeId) -> bool {
-        self.link == (from, to) || self.link == (to, from)
-    }
-
-    /// Is the link down at instant `t`?
-    #[must_use]
-    pub fn down_at(&self, t: f64) -> bool {
-        let p = self.period.0;
-        let pos = t - (t / p).floor() * p;
-        pos >= p * (1.0 - self.down_fraction)
-    }
-
-    /// Gate a scheduled arrival: `at` is one hop latency after its
-    /// transmission instant. If the transmission instant falls in an up
-    /// window, `at` is returned *unchanged* (exact identity — the no-flap
-    /// bit pattern); otherwise the attempt waits for the next period start
-    /// and arrives one hop after it.
-    fn defer_arrival(&self, at: f64, alpha: Seconds) -> f64 {
-        let attempt = at - alpha.0;
-        if !self.down_at(attempt) {
-            return at;
-        }
-        let p = self.period.0;
-        ((attempt / p).floor() + 1.0) * p + alpha.0
-    }
-}
-
 /// Per-message fault probabilities for the control plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MessageFaults {
@@ -144,21 +94,13 @@ pub struct MessageFaults {
     /// it, so the round genuinely fails to converge. This is the 100%-loss
     /// case that probabilistic `loss` (capped below 1) cannot express.
     pub dead_link: Option<(NodeId, NodeId)>,
-    /// An intermittently dead link: periodically down, deferring (never
-    /// dropping) transmissions. See [`LinkFlap`].
-    pub flap: Option<LinkFlap>,
 }
 
 impl MessageFaults {
-    /// True when every probability is zero and no link is severed or
-    /// flapping.
+    /// True when every probability is zero and no link is severed.
     #[must_use]
     pub fn is_quiet(&self) -> bool {
-        self.loss == 0.0
-            && self.duplication == 0.0
-            && self.delay == 0.0
-            && self.dead_link.is_none()
-            && self.flap.is_none()
+        self.loss == 0.0 && self.duplication == 0.0 && self.delay == 0.0 && self.dead_link.is_none()
     }
 
     fn kills(&self, from: NodeId, to: NodeId) -> bool {
@@ -359,16 +301,6 @@ pub fn emulate_round_with_faults_into(
         (0.0..1.0).contains(&faults.loss),
         "loss probability must be in [0,1)"
     );
-    if let Some(flap) = &faults.flap {
-        assert!(
-            flap.period.is_positive() && flap.period.0.is_finite(),
-            "flap period must be positive and finite"
-        );
-        assert!(
-            (0.0..1.0).contains(&flap.down_fraction),
-            "flap down_fraction must be in [0,1) — every period needs an up window"
-        );
-    }
     scratch.leaves.clear();
     scratch.leaves.extend(tree.leaves());
     let leaves = &scratch.leaves;
@@ -410,20 +342,11 @@ pub fn emulate_round_with_faults_into(
         }
         let seq = next_seq;
         next_seq += 1;
-        // A flap on this hop defers attempts made in a down window to the
-        // next period start; the gate is an exact no-op in up windows, so
-        // a flap-free hop (or `flap: None`) keeps its bit pattern.
-        let flap = faults.flap.filter(|fl| fl.covers(from, to));
-        let gate = |at: f64| match &flap {
-            Some(fl) => fl.defer_arrival(at, alpha),
-            None => at,
-        };
-        let mut at = gate(sent_at + alpha.0);
-        // Each lost attempt is detected by timeout and retransmitted (the
-        // retry is itself subject to the flap gate).
+        let mut at = sent_at + alpha.0;
+        // Each lost attempt is detected by timeout and retransmitted.
         while rng.gen_bool(faults.loss) {
             *lost += 1;
-            at = gate(at + 2.0 * alpha.0);
+            at += 2.0 * alpha.0;
         }
         if rng.gen_bool(faults.delay) {
             *delayed += 1;
@@ -670,7 +593,6 @@ mod tests {
             duplication: 0.1,
             delay: 0.15,
             dead_link: None,
-            flap: None,
         };
         let a = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 7);
         let b = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 7);
@@ -695,7 +617,6 @@ mod tests {
             duplication: 0.0,
             delay: 0.0,
             dead_link: None,
-            flap: None,
         };
         let mut any_later = false;
         for seed in 0..10 {
@@ -726,7 +647,6 @@ mod tests {
             duplication: 1.0,
             delay: 0.0,
             dead_link: None,
-            flap: None,
         };
         let f = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 3);
         // Every message duplicated, every duplicate discarded.
@@ -795,7 +715,6 @@ mod tests {
                     duplication: 0.2,
                     delay: 0.25,
                     dead_link: None,
-                    flap: None,
                 },
                 7,
             ),
@@ -836,119 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn link_flap_latency_is_monotone_and_never_deadlocks() {
-        // The satellite regression: convergence latency must degrade
-        // monotonically as the flap's down fraction grows, and the round
-        // must converge at every fraction < 1 (deferral, not loss — the
-        // up window at each period start always drains the backlog).
-        let tree = Tree::paper_fig3();
-        let demands = vec![Watts(10.0); 18];
-        let leaf = tree.leaves().next().unwrap();
-        let parent = tree.parent(leaf).unwrap();
-        let mut last = 0.0f64;
-        for fraction in [0.0, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999] {
-            let faults = MessageFaults {
-                // Period 0.04 puts the downward L1→leaf attempt (t = 0.10,
-                // phase 0.02) in the down window once the fraction passes
-                // 0.5 — a period that divides every hop instant would sit
-                // in the up window at any fraction and show nothing.
-                flap: Some(LinkFlap {
-                    link: (leaf, parent),
-                    period: Seconds(0.04),
-                    down_fraction: fraction,
-                }),
-                ..MessageFaults::default()
-            };
-            let f =
-                emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 0);
-            assert!(
-                f.outcome.converged(),
-                "fraction {fraction}: a flapping link must never deadlock"
-            );
-            let at = f.outcome.leaves_converged_at.unwrap().0;
-            assert!(
-                at >= last - 1e-12,
-                "fraction {fraction}: latency {at} regressed below {last}"
-            );
-            last = at;
-        }
-        // The heaviest flap did strictly delay the round.
-        let clean = emulate_round(&tree, Seconds(0.02), &demands, Watts(500.0));
-        assert!(last > clean.leaves_converged_at.unwrap().0 + 1e-12);
-    }
-
-    #[test]
-    fn zero_fraction_flap_is_bit_for_bit_clean() {
-        // down_fraction = 0 never fires: the gated path must reproduce the
-        // flap-free bit pattern exactly, on every hop it covers.
-        let tree = Tree::uniform(&[2, 3, 3]);
-        let demands = vec![Watts(7.5); 18];
-        let clean = emulate_round(&tree, Seconds(0.02), &demands, Watts(400.0));
-        let root = tree.root();
-        let child = tree.children(root)[1];
-        let faults = MessageFaults {
-            flap: Some(LinkFlap {
-                link: (child, root),
-                period: Seconds(0.1),
-                down_fraction: 0.0,
-            }),
-            ..MessageFaults::default()
-        };
-        assert!(!faults.is_quiet());
-        let f = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(400.0), &faults, 9);
-        assert_eq!(f.outcome, clean);
-        assert_eq!(
-            f.outcome.leaves_converged_at.map(|s| s.0.to_bits()),
-            clean.leaves_converged_at.map(|s| s.0.to_bits())
-        );
-    }
-
-    #[test]
-    fn flap_defers_to_the_next_up_window() {
-        // Hand-checkable timing: α = 0.02, period = 0.1, down for the last
-        // half of each period. A leaf→parent report attempted at t = 0
-        // (up window) sails through; the parent's own forward at t ≈ 0.02
-        // is still up; root directives at 0.06 (up) … the interesting hop
-        // is one scheduled *inside* [0.05, 0.1): it must arrive at
-        // 0.1 + α instead.
-        let flap = LinkFlap {
-            link: (NodeId(0), NodeId(1)),
-            period: Seconds(0.1),
-            down_fraction: 0.5,
-        };
-        assert!(!flap.down_at(0.0) && !flap.down_at(0.049));
-        assert!(flap.down_at(0.05) && flap.down_at(0.099));
-        assert!(!flap.down_at(0.1));
-        let alpha = Seconds(0.02);
-        // Attempt at 0.03 (arrival 0.05): up window, unchanged.
-        assert_eq!(flap.defer_arrival(0.05, alpha), 0.05);
-        // Attempt at 0.06 (arrival 0.08): down window → next period + α.
-        let deferred = flap.defer_arrival(0.08, alpha);
-        assert!((deferred - 0.12).abs() < 1e-12, "got {deferred}");
-    }
-
-    #[test]
-    #[should_panic(expected = "down_fraction")]
-    fn always_down_flap_rejected() {
-        let tree = Tree::uniform(&[2]);
-        let _ = emulate_round_with_faults(
-            &tree,
-            Seconds(0.01),
-            &[Watts(1.0), Watts(1.0)],
-            Watts(10.0),
-            &MessageFaults {
-                flap: Some(LinkFlap {
-                    link: (NodeId(0), NodeId(1)),
-                    period: Seconds(0.1),
-                    down_fraction: 1.0,
-                }),
-                ..MessageFaults::default()
-            },
-            0,
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "loss probability")]
     fn certain_loss_rejected() {
         let tree = Tree::uniform(&[2]);
@@ -962,7 +768,6 @@ mod tests {
                 duplication: 0.0,
                 delay: 0.0,
                 dead_link: None,
-                flap: None,
             },
             0,
         );

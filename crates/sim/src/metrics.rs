@@ -15,17 +15,10 @@ pub struct FabricSnapshot {
 }
 
 impl FabricSnapshot {
-    /// Combined traffic per level-1 switch this period.
-    #[must_use]
-    pub fn l1_total(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.l1_total_into(&mut out);
-        out
-    }
-
-    /// [`FabricSnapshot::l1_total`] writing into a caller-provided buffer —
-    /// the per-tick aggregation path uses this so folding a run's metrics
-    /// stays allocation-free after the buffer's first growth.
+    /// Combined traffic per level-1 switch this period, written into a
+    /// caller-provided buffer — the per-tick aggregation path uses this so
+    /// folding a run's metrics stays allocation-free after the buffer's
+    /// first growth.
     pub fn l1_total_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
@@ -259,17 +252,6 @@ impl RunMetrics {
         self.demand_migrations + self.consolidation_migrations
     }
 
-    /// Total injected fault events of all kinds (lost messages, failed
-    /// migrations, rejected sensor readings).
-    #[must_use]
-    pub fn total_fault_events(&self) -> usize {
-        self.reports_lost
-            + self.directives_lost
-            + self.migration_rejects
-            + self.migration_aborts
-            + self.sensor_rejections
-    }
-
     /// One-line fault/degraded-mode summary for CLI output.
     #[must_use]
     pub fn fault_summary(&self) -> String {
@@ -294,24 +276,6 @@ impl RunMetrics {
             self.topology_rejections,
             self.drain_stranded_app_ticks
         )
-    }
-
-    /// Render the per-server aggregates as CSV (header + one row per
-    /// server) for external plotting.
-    #[must_use]
-    pub fn per_server_csv(&self) -> String {
-        let mut out = String::from("server,avg_power_w,avg_temp_c,peak_temp_c,sleep_fraction\n");
-        for i in 0..self.avg_server_power.len() {
-            out.push_str(&format!(
-                "{},{:.3},{:.3},{:.3},{:.4}\n",
-                i + 1,
-                self.avg_server_power[i],
-                self.avg_server_temp[i],
-                self.peak_server_temp[i],
-                self.sleep_fraction[i]
-            ));
-        }
-        out
     }
 
     /// Migration traffic across all level-1 switches normalized to the
@@ -370,20 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_shape() {
-        let m = RunMetrics::aggregate(vec![fake_tick(100.0, 40.0, true)], 1, 1);
-        let csv = m.per_server_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "server,avg_power_w,avg_temp_c,peak_temp_c,sleep_fraction"
-        );
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("1,100.000,40.000,40.000,"));
-        assert!(lines.next().is_none());
-    }
-
-    #[test]
     fn group_means() {
         let m = RunMetrics {
             avg_server_power: vec![100.0, 200.0, 300.0],
@@ -424,7 +374,6 @@ mod tests {
         assert_eq!(m.watchdog_trips, 1);
         assert_eq!(m.fallback_server_ticks, 5);
         assert_eq!(m.sensor_rejections, 4);
-        assert_eq!(m.total_fault_events(), 8);
         assert!(m.fault_summary().contains("watchdog trips 1"));
     }
 

@@ -181,21 +181,19 @@ proptest! {
     /// driver does after a broker crash (`SupplyBroker::new` +
     /// `recover`). The twin's ledger and grants must equal the
     /// original's at once and after every tick through the rest of the
-    /// outage and past its end: no missed-grant count, trip or forecast
-    /// may be lost on the way.
+    /// outage and past its end: no missed-grant count or trip may be lost
+    /// on the way.
     #[test]
     fn broker_json_round_trip_restores_lockstep(
         n_zones in 2usize..5,
         threshold in 1u32..5,
         fallback_fraction in 0.1f64..1.0,
-        forecast_pick in 0u8..2,
         supply_frac in 0.3f64..1.2,
         windows in prop::collection::vec((0usize..4, 0u8..4, 1u64..30, 1u64..12), 1..5),
     ) {
         let config = BrokerConfig {
             missed_grant_threshold: threshold,
             fallback_fraction,
-            forecast_apportionment: forecast_pick == 1,
         };
         // Kind 3 is a broker-down window; the others are zone windows.
         let zone_windows: Vec<(usize, ZoneCondition, u64, u64)> = windows
@@ -248,7 +246,6 @@ proptest! {
         twin.recover(parsed).expect("zone counts match");
         prop_assert_eq!(twin.links(), broker.links(), "ledger lost on restore");
         prop_assert_eq!(twin.grants(), broker.grants(), "grants lost on restore");
-        prop_assert_eq!(twin.forecasts(), broker.forecasts(), "forecasts lost on restore");
 
         for t in checkpoint_at..end {
             step(&mut broker, t);
@@ -258,15 +255,13 @@ proptest! {
         }
     }
 
-    /// Forecast-driven apportionment keeps the broker's safety envelope
-    /// under arbitrary linear per-zone demand trends and a zone going
-    /// stale mid-run: grants conserve supply every tick (Σ ≤ total, no
-    /// conservation-violation counts), stay non-negative, and a
-    /// stale-report zone only ever tightens relative to its last grant —
-    /// its forecast extrapolates frozen history but can never loosen the
-    /// cap.
+    /// The broker keeps its safety envelope under arbitrary linear
+    /// per-zone demand trends and a zone going stale mid-run: grants
+    /// conserve supply every tick (Σ ≤ total, no conservation-violation
+    /// counts), stay non-negative, and a stale-report zone only ever
+    /// tightens relative to its last grant.
     #[test]
-    fn forecast_broker_conserves_and_stale_tightens(
+    fn broker_conserves_and_stale_tightens_under_trends(
         n_zones in 2usize..5,
         bases in prop::collection::vec(50.0f64..400.0, 1..5),
         slopes in prop::collection::vec(-8.0f64..12.0, 1..5),
@@ -278,11 +273,8 @@ proptest! {
         use willow_core::federation::SupplyBroker;
 
         let stale_zone = ((stale_zone_frac * n_zones as f64) as usize).min(n_zones - 1);
-        let config = BrokerConfig {
-            forecast_apportionment: true,
-            ..BrokerConfig::default()
-        };
-        let mut broker = SupplyBroker::new(n_zones, config).expect("valid broker");
+        let mut broker =
+            SupplyBroker::new(n_zones, BrokerConfig::default()).expect("valid broker");
         let demand_at = |z: usize, t: u64| -> Watts {
             let base = bases[z % bases.len()];
             let slope = slopes[z % slopes.len()];

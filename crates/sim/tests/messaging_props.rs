@@ -96,7 +96,6 @@ proptest! {
             duplication: dup,
             delay,
             dead_link: None,
-            flap: None,
         };
         let f = emulate_round_with_faults(&tree, alpha, &demands, Watts(900.0), &faults, seed);
         prop_assert_eq!(f.outcome.messages, clean.messages);

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use willow_core::command::Command;
 use willow_core::config::{ControllerConfig, PackerChoice};
-use willow_core::controller::Willow;
+use willow_core::control::Willow;
 use willow_core::migration::TickReport;
 use willow_core::server::ServerSpec;
 use willow_sim::faults::{CrashWindow, FaultInjector, FaultPlan, SensorFault};

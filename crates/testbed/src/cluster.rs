@@ -1,10 +1,9 @@
 //! The emulated 3-host cluster with its 2-level control plane (Fig. 13).
 
-use crate::host::HostModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use willow_core::config::{AllocationPolicy, ControllerConfig};
-use willow_core::controller::Willow;
+use willow_core::control::Willow;
 use willow_core::migration::TickReport;
 use willow_core::server::ServerSpec;
 use willow_thermal::units::Watts;
@@ -58,7 +57,6 @@ pub struct TestbedCluster {
     noise: f64,
     swing: f64,
     swing_period: usize,
-    host_model: HostModel,
     tick: usize,
     design_util: [f64; 3],
 }
@@ -98,7 +96,6 @@ impl TestbedCluster {
             noise: config.noise,
             swing: config.swing,
             swing_period: config.swing_period,
-            host_model: HostModel::default(),
             tick: 0,
             design_util,
         }
@@ -116,12 +113,6 @@ impl TestbedCluster {
     #[must_use]
     pub fn willow(&self) -> &Willow {
         &self.willow
-    }
-
-    /// The host ground-truth model.
-    #[must_use]
-    pub fn host_model(&self) -> &HostModel {
-        &self.host_model
     }
 
     /// Current CPU utilization of each host (A, B, C).

@@ -26,16 +26,6 @@ impl HostModel {
     pub fn power_at(&self, u: f64) -> Watts {
         self.power.power_at(u)
     }
-
-    /// CPU utilization contributed by an application whose measured power
-    /// delta is `delta` (Table II): the inverse of the curve's slope.
-    #[must_use]
-    pub fn app_utilization(&self, delta: Watts) -> f64 {
-        if self.power.slope.0 <= 0.0 {
-            return 0.0;
-        }
-        (delta / self.power.slope).clamp(0.0, 1.0)
-    }
 }
 
 /// The rows of Table I: utilization % vs. average power consumed, from the
@@ -63,13 +53,5 @@ mod tests {
         for w in rows.windows(2) {
             assert!(w[1].1 .0 > w[0].1 .0);
         }
-    }
-
-    #[test]
-    fn app_utilization_from_table2_deltas() {
-        let m = HostModel::default();
-        // A1 = 8 W ⇒ ≈16.5 % CPU; A3 = 15 W ⇒ ≈30.9 %.
-        assert!((m.app_utilization(Watts(8.0)) - 0.1647).abs() < 0.001);
-        assert!((m.app_utilization(Watts(15.0)) - 0.3089).abs() < 0.001);
     }
 }

@@ -49,32 +49,6 @@ pub fn limit_curve(
         .collect()
 }
 
-/// Fig. 14-style curve: maximum power accommodated as a function of the gap
-/// between the thermal limit and the current temperature. The paper plots
-/// this for the experimentally fitted constants c1=0.2, c2=0.1.
-#[must_use]
-pub fn headroom_curve(
-    params: ThermalParams,
-    ambient: Celsius,
-    window: Seconds,
-    gaps_kelvin: impl IntoIterator<Item = f64>,
-) -> Vec<(f64, Watts)> {
-    gaps_kelvin
-        .into_iter()
-        .map(|gap| {
-            // Current temperature sits `gap` below the limit; the limit value
-            // itself cancels in Eq. 3 only partially, so anchor the limit at
-            // the paper's 70 °C.
-            let t_limit = Celsius(70.0);
-            let t0 = t_limit - crate::units::Kelvin(gap);
-            (
-                gap,
-                power_limit(params, t0, ambient, t_limit, window).non_negative(),
-            )
-        })
-        .collect()
-}
-
 /// Outcome of checking one `(c1, c2)` candidate against the paper's two
 /// Fig. 4 anchor conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -283,25 +257,6 @@ mod tests {
             assert!(w[1].limit.0 <= w[0].limit.0);
         }
         assert_eq!(curve.len(), 10);
-    }
-
-    #[test]
-    fn headroom_curve_is_linear_in_gap() {
-        // Eq. 3 is affine in T0, so the Fig. 14 curve must be a straight
-        // line in the gap — verify via second differences.
-        let pts = headroom_curve(
-            ThermalParams::EXPERIMENTAL,
-            AMBIENT,
-            Seconds(10.0),
-            (0..=8).map(|g| g as f64 * 5.0),
-        );
-        for w in pts.windows(3) {
-            let d1 = w[1].1 .0 - w[0].1 .0;
-            let d2 = w[2].1 .0 - w[1].1 .0;
-            assert!((d1 - d2).abs() < 1e-9, "curve must be affine");
-        }
-        // Larger gap ⇒ more power accommodated.
-        assert!(pts.last().unwrap().1 .0 > pts[0].1 .0);
     }
 
     #[test]

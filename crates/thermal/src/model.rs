@@ -89,13 +89,6 @@ impl ThermalParams {
         }
         Ok(ThermalParams { c1, c2 })
     }
-
-    /// The thermal time constant `1/c2` — the e-folding time of the decay
-    /// toward ambient.
-    #[must_use]
-    pub fn time_constant(&self) -> Seconds {
-        Seconds(1.0 / self.c2)
-    }
 }
 
 /// Error returned by [`ThermalParams::new`].
@@ -196,24 +189,6 @@ impl DeviceThermal {
         }
     }
 
-    /// Create a device at an explicit starting temperature.
-    #[must_use]
-    pub fn with_temperature(
-        params: ThermalParams,
-        ambient: Celsius,
-        limit: Celsius,
-        rating: Watts,
-        temperature: Celsius,
-    ) -> Self {
-        DeviceThermal {
-            params,
-            ambient,
-            limit,
-            rating,
-            temperature,
-        }
-    }
-
     /// Current component temperature.
     #[must_use]
     pub fn temperature(&self) -> Celsius {
@@ -247,13 +222,6 @@ impl DeviceThermal {
     /// Change the ambient temperature (e.g. a rack moves into a hot zone).
     pub fn set_ambient(&mut self, ambient: Celsius) {
         self.ambient = ambient;
-    }
-
-    /// Reset the component to ambient temperature (deep sleep long enough to
-    /// fully cool, paper §V-B2: "when the power consumption is zero … the
-    /// component is at the ambient temperature").
-    pub fn cool_to_ambient(&mut self) {
-        self.temperature = self.ambient;
     }
 
     /// Advance the state by `dt` with constant power `p`, using the exact
@@ -294,13 +262,6 @@ impl DeviceThermal {
     #[must_use]
     pub fn headroom(&self) -> f64 {
         (self.limit - self.temperature).0
-    }
-
-    /// True if the device currently violates its thermal limit (allowing a
-    /// tiny numerical tolerance).
-    #[must_use]
-    pub fn over_limit(&self) -> bool {
-        self.temperature.0 > self.limit.0 + 1e-9
     }
 }
 
@@ -344,19 +305,20 @@ mod tests {
 
     #[test]
     fn time_constant_is_inverse_c2() {
-        let p = ThermalParams::SIMULATION;
-        assert!((p.time_constant().0 - 20.0).abs() < EPS);
+        // At zero power the excess over ambient e-folds every 1/c2 = 20 s.
+        let mut dev = sim_device();
+        dev.advance(Watts(400.0), Seconds(500.0));
+        let excess = dev.temperature().0 - dev.ambient().0;
+        dev.advance(Watts::ZERO, Seconds(20.0));
+        let after = dev.temperature().0 - dev.ambient().0;
+        assert!((after / excess - (-1.0f64).exp()).abs() < EPS);
     }
 
     #[test]
     fn zero_power_decays_to_ambient() {
-        let mut dev = DeviceThermal::with_temperature(
-            ThermalParams::SIMULATION,
-            Celsius(25.0),
-            Celsius(70.0),
-            Watts(450.0),
-            Celsius(60.0),
-        );
+        let mut dev = sim_device();
+        dev.advance(Watts(450.0), Seconds(100.0));
+        assert!(dev.temperature().0 > 60.0);
         // After many time constants the device must be at ambient.
         dev.advance(Watts::ZERO, Seconds(10_000.0));
         assert!((dev.temperature().0 - 25.0).abs() < 1e-6);
@@ -430,26 +392,15 @@ mod tests {
     }
 
     #[test]
-    fn cool_to_ambient_resets() {
-        let mut dev = sim_device();
-        dev.advance(Watts(400.0), Seconds(500.0));
-        assert!(dev.temperature() > dev.ambient());
-        dev.cool_to_ambient();
-        assert_eq!(dev.temperature(), dev.ambient());
-    }
-
-    #[test]
     fn over_limit_detection() {
-        let mut dev = DeviceThermal::with_temperature(
+        let mut dev = DeviceThermal::new(
             ThermalParams::SIMULATION,
             Celsius(45.0),
             Celsius(70.0),
             Watts(450.0),
-            Celsius(70.0),
         );
-        assert!(!dev.over_limit());
+        assert!(dev.headroom() > 0.0);
         dev.advance(Watts(450.0), Seconds(100.0));
-        assert!(dev.over_limit());
         assert!(dev.headroom() < 0.0);
     }
 

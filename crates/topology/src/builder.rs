@@ -51,13 +51,6 @@ impl TreeBuilder {
         self.inner.add_child(parent, name)
     }
 
-    /// Append `n` children under `parent` with names `prefix1..prefixN`.
-    pub fn add_children(&mut self, parent: NodeId, prefix: &str, n: usize) -> Vec<NodeId> {
-        (1..=n)
-            .map(|i| self.add_child(parent, format!("{prefix}{i}")))
-            .collect()
-    }
-
     /// Finalize into an immutable [`Tree`], validating leaf-depth uniformity.
     pub fn build(self) -> Result<Tree, TreeError> {
         Tree::from_arena(self.inner.nodes, self.inner.root)
@@ -71,9 +64,11 @@ mod tests {
     #[test]
     fn builds_custom_tree() {
         let mut b = TreeBuilder::new("dc");
-        let racks = b.add_children(b.root(), "rack", 3);
-        for &r in &racks {
-            b.add_children(r, "srv", 4);
+        for r in 1..=3 {
+            let rack = b.add_child(b.root(), format!("rack{r}"));
+            for s in 1..=4 {
+                b.add_child(rack, format!("srv{s}"));
+            }
         }
         let t = b.build().unwrap();
         assert_eq!(t.height(), 2);

@@ -57,20 +57,6 @@ impl DemandModel {
         let mean_counts = app.mean_demand_at(u) / self.quantum;
         Watts(sample_poisson(rng, mean_counts) as f64) * self.quantum.0
     }
-
-    /// Sample demands for a whole set of co-hosted applications, returning
-    /// per-app demands in input order. The node's demand is their sum
-    /// (transactional workloads add independently).
-    pub fn sample_node_demands<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        apps: &[Application],
-        u: f64,
-    ) -> Vec<Watts> {
-        apps.iter()
-            .map(|a| self.sample_app_demand(rng, a, u))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -125,24 +111,14 @@ mod tests {
     }
 
     #[test]
-    fn node_demand_is_per_app() {
-        let model = DemandModel::default();
-        let apps = vec![app(0), app(1), app(2), app(3)];
-        let mut rng = StdRng::seed_from_u64(21);
-        let demands = model.sample_node_demands(&mut rng, &apps, 0.5);
-        assert_eq!(demands.len(), 4);
-        assert!(demands.iter().all(|d| d.0 >= 0.0));
-    }
-
-    #[test]
     fn determinism_per_seed() {
         let model = DemandModel::default();
-        let apps = vec![app(0), app(3)];
+        let apps = [app(0), app(3)];
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..16)
-                .flat_map(|_| model.sample_node_demands(&mut rng, &apps, 0.4))
-                .map(|w| w.0)
+                .flat_map(|_| apps.iter())
+                .map(|a| model.sample_app_demand(&mut rng, a, 0.4).0)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(77), run(77));

@@ -23,7 +23,7 @@
 //! * [`power_model`] — utilization↔power curves, including the testbed curve
 //!   reconstructed from the paper's §V-C5 arithmetic.
 //! * [`mix`] — random placement of application mixes onto servers.
-//! * [`trace`] — diurnal utilization profiles and CSV trace import.
+//! * [`trace`] — a trapezoidal diurnal utilization profile.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

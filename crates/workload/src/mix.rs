@@ -7,7 +7,6 @@
 
 use crate::app::{AppClass, AppId, Application};
 use rand::Rng;
-use willow_thermal::units::Watts;
 
 /// Configuration for random app placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,18 +15,6 @@ pub struct MixConfig {
     pub apps_per_server: usize,
     /// The class table to draw from (uniformly).
     pub classes: Vec<AppClass>,
-}
-
-impl MixConfig {
-    /// The paper's simulation setup: four apps per server drawn from the
-    /// {1, 2, 5, 9}-relative-power classes.
-    #[must_use]
-    pub fn paper_simulation() -> Self {
-        MixConfig {
-            apps_per_server: 4,
-            classes: crate::app::SIM_APP_CLASSES.to_vec(),
-        }
-    }
 }
 
 /// Deal applications onto `n_servers` servers; returns one `Vec<Application>`
@@ -62,23 +49,25 @@ pub fn place_random_mix<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Average power demand of a server's mix at full offered load — "the sum of
-/// all the average power requirements of the applications hosted in it".
-#[must_use]
-pub fn server_mean_power(apps: &[Application]) -> Watts {
-    apps.iter().map(|a| a.mean_power).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The paper's simulation setup: four apps per server drawn from the
+    /// {1, 2, 5, 9}-relative-power classes.
+    fn paper_mix() -> MixConfig {
+        MixConfig {
+            apps_per_server: 4,
+            classes: crate::app::SIM_APP_CLASSES.to_vec(),
+        }
+    }
+
     #[test]
     fn placement_shape_and_unique_ids() {
         let mut rng = StdRng::seed_from_u64(4);
-        let placement = place_random_mix(&mut rng, &MixConfig::paper_simulation(), 18);
+        let placement = place_random_mix(&mut rng, &paper_mix(), 18);
         assert_eq!(placement.len(), 18);
         let mut ids: Vec<u32> = placement
             .iter()
@@ -93,7 +82,7 @@ mod tests {
     #[test]
     fn all_classes_appear_eventually() {
         let mut rng = StdRng::seed_from_u64(12);
-        let placement = place_random_mix(&mut rng, &MixConfig::paper_simulation(), 50);
+        let placement = place_random_mix(&mut rng, &paper_mix(), 50);
         let mut seen = [false; 4];
         for app in placement.iter().flatten() {
             seen[app.class_index] = true;
@@ -102,18 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_power_is_sum_of_mix() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let placement = place_random_mix(&mut rng, &MixConfig::paper_simulation(), 1);
-        let total = server_mean_power(&placement[0]);
-        let by_hand: f64 = placement[0].iter().map(|a| a.mean_power.0).sum();
-        assert_eq!(total.0, by_hand);
-        assert!(total.0 > 0.0);
-    }
-
-    #[test]
     fn deterministic_placement_under_seed() {
-        let cfg = MixConfig::paper_simulation();
+        let cfg = paper_mix();
         let a = place_random_mix(&mut StdRng::seed_from_u64(5), &cfg, 18);
         let b = place_random_mix(&mut StdRng::seed_from_u64(5), &cfg, 18);
         assert_eq!(a, b);

@@ -75,12 +75,6 @@ impl LinearPowerModel {
         ((p - self.static_power) / self.slope).clamp(0.0, 1.0)
     }
 
-    /// Power at 100 % utilization.
-    #[must_use]
-    pub fn max_power(&self) -> Watts {
-        self.static_power + self.slope
-    }
-
     /// Rows of the paper's Table I: (utilization %, average power) samples of
     /// this model at 20/40/60/80/100 %.
     #[must_use]
@@ -138,7 +132,7 @@ mod tests {
     fn testbed_max_power_is_plausible() {
         // §V-C2: at 100 % CPU the host drew far less than nameplate; our
         // reconstruction gives ≈219 W.
-        let p = LinearPowerModel::TESTBED.max_power();
+        let p = LinearPowerModel::TESTBED.power_at(1.0);
         assert!(p.0 > 200.0 && p.0 < 260.0, "max power {p}");
     }
 

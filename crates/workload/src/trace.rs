@@ -1,50 +1,18 @@
-//! Utilization-trace utilities: diurnal profiles and CSV import.
+//! Utilization traces: a synthetic diurnal profile.
 //!
 //! §IV-C motivates Willow with workloads "of varying intensity"; real data
-//! centers see strong diurnal patterns. These helpers produce per-period
-//! utilization traces for `SimConfig::utilization_trace`-style replay,
-//! either synthetically or from recorded CSV data.
-
-/// A sinusoidal day: utilization oscillates around `base` with the given
-/// `amplitude`, one full cycle every `period` entries, starting at the
-/// trough (night). Values are clamped into `[0, 1]`.
-///
-/// ```
-/// use willow_workload::trace::diurnal_profile;
-///
-/// let day = diurnal_profile(96, 0.5, 0.3, 96);
-/// assert_eq!(day.len(), 96);
-/// // Night start is low, midday is high.
-/// assert!(day[0] < 0.3);
-/// assert!(day[48] > 0.7);
-/// ```
-///
-/// # Panics
-/// Panics if `period == 0`, `base` is outside `[0, 1]` or `amplitude` is
-/// negative.
-#[must_use]
-pub fn diurnal_profile(len: usize, base: f64, amplitude: f64, period: usize) -> Vec<f64> {
-    assert!(period > 0, "period must be positive");
-    assert!((0.0..=1.0).contains(&base), "base must be a fraction");
-    assert!(amplitude >= 0.0, "amplitude must be non-negative");
-    (0..len)
-        .map(|t| {
-            let phase = 2.0 * std::f64::consts::PI * (t % period) as f64 / period as f64;
-            // −cos starts at the trough: nights are quiet.
-            (base - amplitude * phase.cos()).clamp(0.0, 1.0)
-        })
-        .collect()
-}
+//! centers see strong diurnal patterns. This helper produces a per-period
+//! utilization trace for `SimConfig::utilization_trace`-style replay.
 
 /// A trapezoidal day: utilization holds at `night`, ramps linearly up to
 /// `day` over `ramp` entries, holds at `day`, then ramps back down — one
 /// full cycle every `period` entries, starting at night. The plateau and
 /// trough get equal shares of the non-ramp time.
 ///
-/// Unlike [`diurnal_profile`]'s sinusoid, the ramps here are exactly
-/// linear, which makes the shape the canonical anticipatable load for
-/// trend-based forecasters (Holt's method locks onto a linear ramp with
-/// zero asymptotic lag). Used by the predictive-vs-reactive policy race.
+/// The ramps are exactly linear, which makes the shape the canonical
+/// anticipatable load for trend-based forecasters (Holt's method locks
+/// onto a linear ramp with zero asymptotic lag). Used by the
+/// predictive-vs-reactive policy race.
 ///
 /// ```
 /// use willow_workload::trace::trapezoid_diurnal_profile;
@@ -94,128 +62,14 @@ pub fn trapezoid_diurnal_profile(
         .collect()
 }
 
-/// Errors from [`parse_utilization_csv`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceParseError {
-    /// A line could not be parsed as a number.
-    BadNumber {
-        /// 1-based line number.
-        line: usize,
-        /// Offending text.
-        text: String,
-    },
-    /// A value was outside `[0, 1]` (after optional percent conversion).
-    OutOfRange {
-        /// 1-based line number.
-        line: usize,
-        /// Parsed value.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceParseError::BadNumber { line, text } => {
-                write!(f, "line {line}: cannot parse {text:?} as a number")
-            }
-            TraceParseError::OutOfRange { line, value } => {
-                write!(f, "line {line}: utilization {value} outside [0, 1]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// Parse a one-column CSV (optionally with a `%` suffix per value, blank
-/// lines and `#` comments ignored) into a utilization trace.
-///
-/// ```
-/// use willow_workload::trace::parse_utilization_csv;
-///
-/// let trace = parse_utilization_csv("# load\n0.2\n45%\n0.9\n").unwrap();
-/// assert_eq!(trace, vec![0.2, 0.45, 0.9]);
-/// ```
-pub fn parse_utilization_csv(text: &str) -> Result<Vec<f64>, TraceParseError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = i + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let (body, percent) = match trimmed.strip_suffix('%') {
-            Some(b) => (b.trim(), true),
-            None => (trimmed, false),
-        };
-        let mut value: f64 = body.parse().map_err(|_| TraceParseError::BadNumber {
-            line,
-            text: trimmed.to_owned(),
-        })?;
-        if percent {
-            value /= 100.0;
-        }
-        if !(0.0..=1.0).contains(&value) {
-            return Err(TraceParseError::OutOfRange { line, value });
-        }
-        out.push(value);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn diurnal_shape() {
-        let day = diurnal_profile(96, 0.5, 0.3, 96);
-        // Trough at t = 0, peak mid-day.
-        assert!((day[0] - 0.2).abs() < 1e-9);
-        assert!((day[48] - 0.8).abs() < 1e-9);
-        // Symmetric-ish around midday.
-        assert!((day[24] - day[72]).abs() < 1e-9);
-        // Second day repeats.
-        let two_days = diurnal_profile(192, 0.5, 0.3, 96);
-        assert_eq!(two_days[0], two_days[96]);
-    }
-
-    #[test]
-    fn diurnal_clamps() {
-        let extreme = diurnal_profile(10, 0.9, 0.5, 10);
-        assert!(extreme.iter().all(|u| (0.0..=1.0).contains(u)));
-        assert!(extreme.contains(&1.0), "peak clamps to 1");
-    }
-
-    #[test]
-    fn csv_parsing_variants() {
-        let trace = parse_utilization_csv("0.1\n\n# comment\n 0.5 \n80%\n").unwrap();
-        assert_eq!(trace, vec![0.1, 0.5, 0.8]);
-        assert!(parse_utilization_csv("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn csv_error_reporting() {
-        match parse_utilization_csv("0.5\nnonsense\n") {
-            Err(TraceParseError::BadNumber { line: 2, .. }) => {}
-            other => panic!("expected BadNumber, got {other:?}"),
-        }
-        match parse_utilization_csv("1.5\n") {
-            Err(TraceParseError::OutOfRange { line: 1, value }) => {
-                assert!((value - 1.5).abs() < 1e-12);
-            }
-            other => panic!("expected OutOfRange, got {other:?}"),
-        }
-        // Error display is human-readable.
-        let e = parse_utilization_csv("x\n").unwrap_err();
-        assert!(e.to_string().contains("line 1"));
-    }
-
-    #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
-        let _ = diurnal_profile(10, 0.5, 0.1, 0);
+        let _ = trapezoid_diurnal_profile(10, 0.2, 0.8, 0, 0);
     }
 
     #[test]

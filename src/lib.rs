@@ -49,7 +49,7 @@ pub mod prelude {
         AllocationPolicy, ControllerConfig, PackerChoice, ReducedTargetRule, SmootherKind,
         ThermalEstimate,
     };
-    pub use willow_core::controller::{ControlStats, Willow, WillowError};
+    pub use willow_core::control::{ControlStats, Willow, WillowError};
     pub use willow_core::migration::{MigrationReason, MigrationRecord, TickReport};
     pub use willow_core::server::ServerSpec;
     pub use willow_power::{Battery, SolarModel, SupplyTrace};
