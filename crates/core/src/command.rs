@@ -37,9 +37,12 @@ pub enum Command {
         /// Unique node name for the new leaf.
         name: String,
     },
-    /// Permanently retire a server. The server must already be fenced
-    /// (drained and empty); its tree slot becomes reusable, its server
-    /// slot a permanent tombstone.
+    /// Permanently retire a server. The server must be fenced (drained
+    /// and empty); its tree slot becomes reusable, its server slot a
+    /// permanent tombstone. Aimed at a server whose drain is still
+    /// running, the command stays pending and applies on the tick the
+    /// drain fences it; aimed at an active server it is rejected
+    /// [`CommandError::NotFenced`].
     RemoveServer {
         /// Server index (server order, not node id).
         server: usize,

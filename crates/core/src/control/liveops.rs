@@ -11,6 +11,9 @@
 //! it can place each tick (reporting the rest as stranded) and stays
 //! pending until the server is empty, at which point it fences the server
 //! and completes. Pending drains do not block commands queued behind them.
+//! A [`Command::RemoveServer`] aimed at a server whose drain is still
+//! running waits in the queue too, and applies on the tick the server
+//! fences.
 //!
 //! Online topology edits (server add/remove) grow the per-node state
 //! arrays and rebuild the per-stage scratch; the queue itself is part of
@@ -68,10 +71,11 @@ impl Willow {
 
     /// Process the pending command queue, FIFO and non-blocking: every
     /// command is attempted each tick in submission order; completed and
-    /// rejected commands leave the queue with an outcome on `report`,
-    /// unfinished drains stay for the next tick. With an empty queue this
-    /// is a single branch — the steady-state tick stays allocation-free
-    /// and bit-for-bit identical to a controller without a command plane.
+    /// rejected commands leave the queue with an outcome on `report`;
+    /// unfinished drains, and removals waiting on them, stay for the next
+    /// tick. With an empty queue this is a single branch — the
+    /// steady-state tick stays allocation-free and bit-for-bit identical
+    /// to a controller without a command plane.
     pub(super) fn process_commands(&mut self, report: &mut TickReport) {
         if self.pending.is_empty() {
             return;
@@ -93,6 +97,14 @@ impl Willow {
                         }
                         Err(e) => CommandStatus::Rejected(e),
                     })
+                }
+                Command::RemoveServer { server }
+                    if self
+                        .servers
+                        .get(*server)
+                        .is_some_and(|s| s.fence == FenceState::Draining) =>
+                {
+                    None // a drain is still evacuating it; retry next tick
                 }
                 Command::RemoveServer { server } => Some(match self.exec_remove_server(*server) {
                     Ok(()) => {
@@ -355,5 +367,75 @@ impl Willow {
         self.demand_stage = DemandStage::for_tree(&self.tree);
         self.consolidate_stage = ConsolidateStage::for_tree(&self.tree, self.servers.len());
         self.physics_stage = super::physics::PhysicsStage::for_tree(&self.tree, self.servers.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::{demands, small_setup};
+    use super::*;
+    use crate::config::ControllerConfig;
+
+    /// A removal queued behind a drain that cannot finish yet waits for
+    /// it instead of failing `NotFenced`, and applies on the tick the
+    /// drain fences the server.
+    #[test]
+    fn remove_waits_for_a_running_drain() {
+        let (tree, specs, n_apps) = small_setup(1);
+        let mut cfg = ControllerConfig::default();
+        cfg.robustness.retry_base = 4;
+        let mut w = Willow::new(tree, specs, cfg).unwrap();
+        let d = demands(n_apps, 30.0);
+        for _ in 0..3 {
+            w.step(&d, Watts(2000.0));
+        }
+        // The busiest server's apps sit in retry backoff, so the drain
+        // strands them for a few ticks.
+        let si = (0..w.servers.len())
+            .max_by_key(|&i| w.servers[i].apps.len())
+            .unwrap();
+        let other = (si + 1) % w.servers.len();
+        for i in 0..w.servers[si].apps.len() {
+            w.register_failure(w.servers[si].apps[i].id, w.tick);
+        }
+        w.submit_command(Command::Drain { server: si });
+        w.submit_command(Command::RemoveServer { server: si });
+        let mut held = 0;
+        let report = loop {
+            let r = w.step(&d, Watts(2000.0));
+            if w.servers[si].fence == FenceState::Draining {
+                assert!(r.command_outcomes.is_empty(), "{:?}", r.command_outcomes);
+                assert_eq!(w.pending_commands().len(), 2, "both commands stay queued");
+                held += 1;
+                assert!(held < 20, "the drain never finished");
+            } else {
+                break r;
+            }
+        };
+        assert!(held > 0, "the drain must strand the app at least once");
+        assert_eq!(w.servers[si].fence, FenceState::Retired);
+        let applied: Vec<_> = report
+            .command_outcomes
+            .iter()
+            .map(|o| (o.command.clone(), o.status.is_applied()))
+            .collect();
+        assert_eq!(
+            applied,
+            [
+                (Command::Drain { server: si }, true),
+                (Command::RemoveServer { server: si }, true),
+            ]
+        );
+        assert!(w.pending_commands().is_empty());
+
+        // A server nobody drains is still rejected at once.
+        w.submit_command(Command::RemoveServer { server: other });
+        let r = w.step(&d, Watts(2000.0));
+        assert_eq!(w.servers[other].fence, FenceState::Active);
+        assert_eq!(r.command_outcomes.len(), 1);
+        assert_eq!(
+            r.command_outcomes[0].status,
+            CommandStatus::Rejected(CommandError::NotFenced(other))
+        );
     }
 }

@@ -38,6 +38,8 @@ pub struct Simulation {
     tick: usize,
     /// AR(1) state per application driving slow load drift.
     drift: Vec<f64>,
+    /// This tick's sampled per-application demands, refilled in place.
+    demands: Vec<Watts>,
     /// Rolls the configured fault plan, if any. Uses its own RNG, so a
     /// quiet plan leaves the workload stream — and thus the whole
     /// trajectory — untouched.
@@ -148,6 +150,7 @@ impl Simulation {
             level1,
             tick: 0,
             drift: vec![0.0; n_apps],
+            demands: Vec::with_capacity(n_apps),
             injector,
             registry: willow_telemetry::TelemetryRegistry::disabled(),
             tick_hist: willow_telemetry::Histogram::default(),
@@ -260,17 +263,14 @@ impl Simulation {
         };
         let amp = self.config.demand_drift;
         let innovation = (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt();
-        let demands: Vec<Watts> = self
-            .apps
-            .iter()
-            .zip(self.drift.iter_mut())
-            .map(|(a, x)| {
+        self.demands.clear();
+        self.demands
+            .extend(self.apps.iter().zip(self.drift.iter_mut()).map(|(a, x)| {
                 // Slow per-app intensity drift (stationary, zero-mean).
                 *x = DRIFT_RHO * *x + innovation * (self.rng.gen::<f64>() * 2.0 - 1.0);
                 let eff_u = (u * (1.0 + amp * *x)).clamp(0.0, 1.0);
                 self.demand_model.sample_app_demand(&mut self.rng, a, eff_u)
-            })
-            .collect();
+            }));
         // A federation driver's grant (if any) replaces the nominal supply
         // verbatim — a healthy single-zone federation grants exactly that
         // value, which is what keeps the one-zone differential bit-for-bit.
@@ -319,7 +319,7 @@ impl Simulation {
             // applied budgets; watchdogs count the missing directives.
             self.open_loop_ticks += 1;
             self.was_down = true;
-            self.willow.step_open_loop(&demands, &disturb, report);
+            self.willow.step_open_loop(&self.demands, &disturb, report);
         } else {
             if self.was_down {
                 // First healthy tick after an outage: restart from the
@@ -337,12 +337,14 @@ impl Simulation {
                 self.was_down = false;
             }
             // Submit live-ops commands due now (or held through the
-            // outage), in issue order.
+            // outage), in issue order. The buffer is taken out and put
+            // back, so its capacity is reused across command ticks.
             if !self.held_commands.is_empty() {
-                let due: Vec<SimCommand> = self.held_commands.drain(..).collect();
-                for cmd in due {
+                let mut due = std::mem::take(&mut self.held_commands);
+                for cmd in due.drain(..) {
                     self.submit_command(cmd);
                 }
+                self.held_commands = due;
             }
             if checkpoint_due {
                 match &mut self.checkpoint {
@@ -350,7 +352,8 @@ impl Simulation {
                     None => self.checkpoint = Some(self.willow.snapshot()),
                 }
             }
-            self.willow.step_into(&demands, supply, &disturb, report);
+            self.willow
+                .step_into(&self.demands, supply, &disturb, report);
         }
         self.commands_applied += report.commands_applied;
         self.commands_rejected += report.commands_rejected;

@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn fig7_hot_zone_saves_most() {
         // The hot zone's saving depends on the placement: at this length
-        // some seed pairs (13, 17, 29, 41) never consolidate it and save 0 W.
+        // some seed pairs (13, 21, 29, 41, 47) never consolidate it and save 0 W.
         let saved = fig7(31, TICKS, 2).saved;
         let mean =
             |r: std::ops::Range<usize>| saved[r.clone()].iter().sum::<f64>() / r.len() as f64;

@@ -56,15 +56,21 @@ proptest! {
         }
     }
 
-    /// Poisson sample means track λ across magnitudes (law of large
-    /// numbers with generous tolerance).
+    /// Poisson sample means and variances track λ across magnitudes and
+    /// both sampler branches (five standard errors plus a small floor).
     #[test]
-    fn poisson_mean_tracks_lambda(lambda in 0.1f64..200.0, seed in 0u64..1000) {
+    fn poisson_mean_tracks_lambda(lambda in 0.1f64..1000.0, seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 4000;
-        let mean = (0..n).map(|_| sample_poisson(&mut rng, lambda) as f64).sum::<f64>() / f64::from(n);
-        let tol = 5.0 * (lambda / f64::from(n)).sqrt() + 0.05;
+        let nf = f64::from(n);
+        let xs: Vec<f64> = (0..n).map(|_| sample_poisson(&mut rng, lambda) as f64).collect();
+        let mean = xs.iter().sum::<f64>() / nf;
+        let tol = 5.0 * (lambda / nf).sqrt() + 0.05;
         prop_assert!((mean - lambda).abs() < tol, "mean {mean} vs λ {lambda} (tol {tol})");
+        // Var(s²) ≈ (μ₄ − σ⁴)/n with μ₄ = λ + 3λ² for Poisson(λ).
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (nf - 1.0);
+        let var_tol = 5.0 * ((lambda + 2.0 * lambda * lambda) / nf).sqrt() + 0.05;
+        prop_assert!((var - lambda).abs() < var_tol, "variance {var} vs λ {lambda} (tol {var_tol})");
     }
 
     /// Demand sampling is non-negative, quantized, and zero at zero
