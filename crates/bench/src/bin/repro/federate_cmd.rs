@@ -1,17 +1,18 @@
 //! `repro federate`: multi-zone federation scenarios with the broker's
 //! defenses under fire.
 //!
-//! Four legs, every one seeded and deterministic:
+//! Four legs, every one seeded and deterministic; legs 2–4 run under the
+//! scenario predicate set (see [`crate::scenario`]):
 //!
 //! 1. **Single-zone neutrality**: a federation of one healthy zone is
 //!    bit-for-bit identical to the standalone simulation on the same
 //!    config — per-tick reports, fabric snapshots and the final
-//!    controller snapshot all match exactly.
+//!    controller snapshot all match exactly. This is a differential, not
+//!    a scenario.
 //! 2. **Zone-outage chaos**: per seed, a derived [`ZoneOutagePlan`] over
 //!    three zones mixes controller crashes, network isolation, report
-//!    staleness and a broker crash. Requires zero invariant violations,
-//!    zero conservation violations, zero lost apps, exact recovery and
-//!    rejoin accounting, and quiet-plan bit-for-bit neutrality.
+//!    staleness and a broker crash; a quiet plan must reproduce the
+//!    plan-free run bit for bit.
 //! 3. **Regional brownout**: one zone's supply plunges (the paper's
 //!    Fig. 15 deficit profile) while the others stay ample; the pooled
 //!    broker split shares the pain, and the brownout zone drops less
@@ -20,39 +21,28 @@
 //!    utilization traces; the largest grant rotates across zones as
 //!    demand follows the sun.
 //!
-//! `--smoke` shrinks ticks/seeds for CI. A failing run exits 1 with the
-//! seed printed, so `repro federate --seeds <n> --ticks <t>` is the repro.
+//! A failing run exits 1 with the seed printed, so `repro federate --seeds
+//! <n> --ticks <t>` is the repro.
 
-use crate::placed_apps;
+use crate::scenario::{self, Legs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use willow_core::federation::BrokerConfig;
 use willow_core::migration::TickReport;
 use willow_power::SupplyTrace;
 use willow_sim::config::SimConfig;
 use willow_sim::engine::Simulation;
 use willow_sim::faults::{ControllerOutage, ZoneOutage, ZoneOutageKind, ZoneOutagePlan};
 use willow_sim::federate::{FederateConfig, FederatedSimulation};
-use willow_sim::metrics::{FabricSnapshot, MetricsAccumulator};
-use willow_workload::app::AppId;
+use willow_sim::metrics::FabricSnapshot;
 
 /// Zones per federated run.
 const ZONES: usize = 3;
-
-/// A paper-default zone with `ticks` periods and no warm-up exclusion.
-fn zone_cfg(seed: u64, utilization: f64, ticks: usize, threads: usize) -> SimConfig {
-    let mut cfg = SimConfig::paper_hot_cold(seed, utilization);
-    cfg.ticks = ticks;
-    cfg.warmup = 0;
-    cfg.controller.threads = threads;
-    cfg
-}
 
 /// Leg 1 — single-zone neutrality: federation-of-one vs standalone,
 /// stepped in lockstep and compared bit for bit every tick.
 fn run_differential(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
     let mut failures = Vec::new();
-    let cfg = zone_cfg(seed, 0.5, ticks, threads);
+    let cfg = scenario::zone(seed, 0.5, ticks, threads);
     let mut standalone = Simulation::new(cfg.clone()).expect("valid zone config");
     let mut fed = FederatedSimulation::new(FederateConfig::new(vec![cfg]))
         .expect("valid single-zone federation");
@@ -86,18 +76,12 @@ fn run_differential(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
     failures
 }
 
-/// One seed's federation chaos schedule.
-struct FedSchedule {
-    utilizations: Vec<f64>,
-    plan: ZoneOutagePlan,
-}
-
-/// Derive a zone-outage schedule from `seed`: every zone gets one outage
+/// Derive leg 2's scenario from `seed`: three zones, each with one outage
 /// window of a seed-chosen kind, plus one broker crash, all fully inside
 /// the run so every outage ends in a recovery/rejoin.
-fn fed_schedule_for(seed: u64, ticks: usize) -> FedSchedule {
+fn chaos_config(seed: u64, ticks: usize, threads: usize) -> FederateConfig {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    let utilizations = (0..ZONES).map(|_| rng.gen_range(0.3..0.8)).collect();
+    let utilizations: Vec<f64> = (0..ZONES).map(|_| rng.gen_range(0.3..0.8)).collect();
     let horizon = ticks as u64;
     // Zone windows live in the first 60 % of the run; the broker crash in
     // the back half. Keeping them in disjoint eras bounds the worst case
@@ -129,132 +113,40 @@ fn fed_schedule_for(seed: u64, ticks: usize) -> FedSchedule {
         }],
         outages,
     };
-    FedSchedule { utilizations, plan }
+    let zones = utilizations
+        .iter()
+        .enumerate()
+        .map(|(i, &u)| scenario::zone(seed ^ (i as u64 + 1), u, ticks, threads))
+        .collect();
+    FederateConfig {
+        plan: Some(plan),
+        ..FederateConfig::new(zones)
+    }
 }
 
 /// Leg 2 — seeded zone-outage chaos with full accounting.
 fn run_chaos_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
-    let mut failures = Vec::new();
-    let sched = fed_schedule_for(seed, ticks);
-    let zones: Vec<SimConfig> = sched
-        .utilizations
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| zone_cfg(seed ^ (i as u64 + 1), u, ticks, threads))
-        .collect();
-
-    let mut fed = FederatedSimulation::new(FederateConfig {
-        zones: zones.clone(),
-        broker: BrokerConfig::default(),
-        plan: Some(sched.plan.clone()),
-    })
-    .expect("derived chaos schedule must be valid");
-    let before: Vec<Vec<AppId>> = fed.zones().iter().map(placed_apps).collect();
-    let m = fed.run();
-
-    let violations = m.invariant_violations();
-    if violations != 0 {
-        failures.push(format!("{violations} invariant violations (want 0)"));
-    }
-    if m.broker.conservation_violations != 0 {
-        failures.push(format!(
-            "{} supply-conservation violations (want 0)",
-            m.broker.conservation_violations
-        ));
-    }
-    let after: Vec<Vec<AppId>> = fed.zones().iter().map(placed_apps).collect();
-    for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-        if b != a {
-            failures.push(format!(
-                "zone {i} lost or duplicated apps: {} before vs {} after",
-                b.len(),
-                a.len()
-            ));
-        }
-    }
-
-    // Exact recovery accounting per zone.
-    for (i, zm) in m.zones.iter().enumerate() {
-        let crash_ticks: u64 = sched
-            .plan
-            .outages
-            .iter()
-            .filter(|o| o.zone == i && o.kind == ZoneOutageKind::ControllerCrash)
-            .map(|o| o.until - o.from)
-            .sum();
-        let crash_windows = sched
-            .plan
-            .outages
-            .iter()
-            .filter(|o| o.zone == i && o.kind == ZoneOutageKind::ControllerCrash)
-            .count();
-        if zm.open_loop_ticks as u64 != crash_ticks {
-            failures.push(format!(
-                "zone {i}: {} open-loop ticks (want {crash_ticks})",
-                zm.open_loop_ticks
-            ));
-        }
-        if zm.controller_recoveries != crash_windows {
-            failures.push(format!(
-                "zone {i}: {} recoveries (want {crash_windows})",
-                zm.controller_recoveries
-            ));
-        }
-    }
-    // Broker accounting: down exactly the scheduled width, one recovery,
-    // one rejoin per isolation/crash window (stale zones never detach).
-    let broker_down: u64 = sched
-        .plan
-        .broker_crash
-        .iter()
-        .map(|w| w.until - w.from)
-        .sum();
-    if m.broker.broker_down_ticks != broker_down {
-        failures.push(format!(
-            "{} broker-down ticks (want {broker_down})",
-            m.broker.broker_down_ticks
-        ));
-    }
-    if m.broker_recoveries != sched.plan.broker_crash.len() {
-        failures.push(format!(
-            "{} broker recoveries (want {})",
-            m.broker_recoveries,
-            sched.plan.broker_crash.len()
-        ));
-    }
-    let expect_rejoins = sched
-        .plan
-        .outages
-        .iter()
-        .filter(|o| o.kind != ZoneOutageKind::StaleReports)
-        .count();
-    if m.zone_rejoins != expect_rejoins {
-        failures.push(format!(
-            "{} zone rejoins (want {expect_rejoins})",
-            m.zone_rejoins
-        ));
-    }
+    let cfg = chaos_config(seed, ticks, threads);
+    let (_, m, mut failures) = scenario::run_federation(cfg.clone());
 
     // Quiet-plan neutrality: the same zones with an empty plan reproduce
     // the plan-free federation bit for bit (checkpointing is free).
-    let quiet = FederatedSimulation::new(FederateConfig {
-        zones: zones.clone(),
-        broker: BrokerConfig::default(),
+    let run = |c| FederatedSimulation::new(c).expect("valid").run();
+    let quiet = FederateConfig {
         plan: Some(ZoneOutagePlan::quiet()),
-    })
-    .expect("valid")
-    .run();
-    let plain = FederatedSimulation::new(FederateConfig::new(zones))
-        .expect("valid")
-        .run();
-    if quiet != plain {
-        failures.push("quiet zone-outage plan diverged from the plan-free run".into());
-    }
+        ..cfg.clone()
+    };
+    scenario::twin(
+        &mut failures,
+        &run(FederateConfig::new(cfg.zones.clone())),
+        &run(quiet),
+        "quiet zone-outage plan diverged from the plan-free run",
+    );
 
-    let kinds: Vec<&str> = sched
+    let kinds: Vec<&str> = cfg
         .plan
-        .outages
         .iter()
+        .flat_map(|p| &p.outages)
         .map(|o| match o.kind {
             ZoneOutageKind::ControllerCrash => "crash",
             ZoneOutageKind::Isolation => "isolate",
@@ -263,13 +155,14 @@ fn run_chaos_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         .collect();
     println!(
         "  seed {seed:>3}: kinds=[{}] broker-down={} trips={} stale-ticks={} \
-         rejoins={} violations={violations} -> {}",
+         rejoins={} violations={} -> {}",
         kinds.join(","),
         m.broker.broker_down_ticks,
         m.broker.link_trips,
         m.broker.stale_report_ticks,
         m.zone_rejoins,
-        if failures.is_empty() { "ok" } else { "FAIL" }
+        m.invariant_violations(),
+        scenario::verdict(&failures)
     );
     failures
 }
@@ -278,9 +171,8 @@ fn run_chaos_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
 /// while zones 1–2 stay ample; federation must beat standalone for the
 /// brownout zone.
 fn run_brownout(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
-    let mut failures = Vec::new();
     let mut zones: Vec<SimConfig> = (0..ZONES)
-        .map(|i| zone_cfg(seed ^ (i as u64 + 11), 0.6, ticks, threads))
+        .map(|i| scenario::zone(seed ^ (i as u64 + 11), 0.6, ticks, threads))
         .collect();
     let eta1 = zones[0].controller.eta1 as usize;
     let supply_periods = ticks / eta1 + 1;
@@ -288,27 +180,10 @@ fn run_brownout(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
     zones[0].supply = Some(SupplyTrace::paper_deficit(nominal, supply_periods));
 
     // Standalone baseline: the brownout zone alone, same trace.
-    let mut solo = Simulation::new(zones[0].clone()).expect("valid brownout zone");
-    let solo_m = solo.run();
-
-    let mut fed =
-        FederatedSimulation::new(FederateConfig::new(zones)).expect("valid brownout federation");
-    let before: Vec<Vec<AppId>> = fed.zones().iter().map(placed_apps).collect();
-    let m = fed.run();
-    let after: Vec<Vec<AppId>> = fed.zones().iter().map(placed_apps).collect();
-
-    if m.invariant_violations() != 0 {
-        failures.push(format!(
-            "{} invariant violations (want 0)",
-            m.invariant_violations()
-        ));
-    }
-    if m.broker.conservation_violations != 0 {
-        failures.push("supply-conservation violation during brownout".into());
-    }
-    if before != after {
-        failures.push("brownout lost or duplicated apps".into());
-    }
+    let solo_m = Simulation::new(zones[0].clone())
+        .expect("valid brownout zone")
+        .run();
+    let (_, m, mut failures) = scenario::run_federation(FederateConfig::new(zones));
     // Pooling must not leave the brownout zone worse off than going it
     // alone (the ample zones' headroom covers the plunges).
     if m.zones[0].avg_dropped > solo_m.avg_dropped + 1e-9 {
@@ -324,7 +199,7 @@ fn run_brownout(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         solo_m.avg_dropped,
         m.zones[1].avg_dropped,
         m.zones[2].avg_dropped,
-        if failures.is_empty() { "ok" } else { "FAIL" }
+        scenario::verdict(&failures)
     );
     failures
 }
@@ -332,11 +207,10 @@ fn run_brownout(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
 /// Leg 4 — follow-the-sun: phase-shifted diurnal utilization traces; the
 /// largest grant must rotate across all three zones.
 fn run_follow_the_sun(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
-    let mut failures = Vec::new();
     let day = (ticks / 2).max(30);
     let zones: Vec<SimConfig> = (0..ZONES)
         .map(|i| {
-            let mut cfg = zone_cfg(seed ^ (i as u64 + 21), 0.5, ticks, threads);
+            let mut cfg = scenario::zone(seed ^ (i as u64 + 21), 0.5, ticks, threads);
             let phase = i as f64 / ZONES as f64;
             cfg.utilization_trace = Some(
                 (0..ticks)
@@ -351,74 +225,42 @@ fn run_follow_the_sun(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         .collect();
     let mut fed =
         FederatedSimulation::new(FederateConfig::new(zones)).expect("valid follow-the-sun");
+    let before = scenario::zone_apps(&fed);
 
     let mut reports = vec![TickReport::default(); ZONES];
     let mut fabrics = vec![FabricSnapshot::default(); ZONES];
-    let mut accs: Vec<MetricsAccumulator> = fed
-        .zones()
-        .iter()
-        .map(|z| MetricsAccumulator::new(z.config().n_servers(), z.level1_switches().len()))
-        .collect();
     let mut leaders = [false; ZONES];
     for _ in 0..ticks {
         fed.step_into_buffers(&mut reports, &mut fabrics);
-        for (acc, (r, f)) in accs.iter_mut().zip(reports.iter().zip(&fabrics)) {
-            acc.record(r, f);
-        }
         let grants = fed.broker().grants();
         let lead = (0..ZONES)
             .max_by(|&a, &b| grants[a].partial_cmp(&grants[b]).expect("finite"))
             .expect("non-empty");
         leaders[lead] = true;
     }
-    let violations: usize = (0..ZONES).map(|i| fed.zone(i).invariant_violations()).sum();
-    if violations != 0 {
-        failures.push(format!("{violations} invariant violations (want 0)"));
-    }
-    if fed.broker().counters().conservation_violations != 0 {
-        failures.push("supply-conservation violation in follow-the-sun".into());
-    }
-    if !leaders.iter().all(|&l| l) {
+    let mut failures = scenario::check_federation(&fed, &before);
+    let rotated = leaders.iter().all(|&l| l);
+    if !rotated {
         failures.push(format!(
             "grant leadership never rotated through all zones (saw {leaders:?})"
         ));
     }
     println!(
-        "  follow-the-sun: {ticks} ticks, day={day}, leadership rotated={} -> {}",
-        leaders.iter().all(|&l| l),
-        if failures.is_empty() { "ok" } else { "FAIL" }
+        "  follow-the-sun: {ticks} ticks, day={day}, leadership rotated={rotated} -> {}",
+        scenario::verdict(&failures)
     );
     failures
 }
 
 /// Run the harness; exits 1 if any leg fails.
-pub fn run(seeds: u64, ticks: usize, smoke: bool, threads: usize) {
-    let (seeds, ticks) = if smoke {
-        (1, ticks.min(150))
-    } else {
-        (seeds, ticks)
-    };
+pub fn run(seeds: u64, ticks: usize, threads: usize) {
     println!(
         "federate harness: {ZONES} zones, {seeds} chaos seeds x {ticks} ticks, threads={threads}"
     );
-    let mut failed = 0usize;
-    let mut check = |failures: Vec<String>, label: &str| {
-        for f in &failures {
-            eprintln!("  {label}: {f}");
-        }
-        if !failures.is_empty() {
-            failed += 1;
-        }
-    };
-    check(run_differential(2011, ticks, threads), "differential");
-    for seed in 0..seeds {
-        check(run_chaos_seed(seed, ticks, threads), "chaos");
-    }
-    check(run_brownout(2011, ticks, threads), "brownout");
-    check(run_follow_the_sun(2011, ticks, threads), "follow-the-sun");
-    if failed > 0 {
-        eprintln!("federate: {failed} leg(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("federate: all legs passed (zero violations, zero lost apps, conservation green)");
+    let mut legs = Legs::new("federate");
+    legs.check("differential", run_differential(2011, ticks, threads));
+    legs.seeds(seeds, |seed| run_chaos_seed(seed, ticks, threads));
+    legs.check("brownout", run_brownout(2011, ticks, threads));
+    legs.check("follow-the-sun", run_follow_the_sun(2011, ticks, threads));
+    legs.finish("all legs passed (zero violations, zero lost apps, conservation green)");
 }

@@ -1,29 +1,30 @@
 //! `repro liveops`: live-ops command-plane smoke — reconfigure, drain and
 //! hot-swap a running controller without missing a tick.
 //!
-//! Three legs, all with the always-on invariant auditor:
+//! Three legs, every run under the scenario predicate set (see
+//! [`crate::scenario`]), so commands never cost an open-loop tick, lose an
+//! app or leave a fenced server holding a budget:
 //!
 //! 1. **Scripted timeline under chaos**: drain three servers, hot-swap the
 //!    packer, grow a rack of three servers and retire a drained one, all
 //!    while control messages drop, migrations fail and the controller
-//!    crashes mid-run. Requires zero invariant violations, zero lost
-//!    applications, every command applied (none rejected), and exact
-//!    outage accounting — the command plane never costs a tick.
+//!    crashes mid-run. Every command must apply (none rejected); the
+//!    built-in timeline must apply exactly 8 and leave the drained
+//!    servers fenced and the retired one retired.
 //! 2. **Random command schedules**: per seed, a randomized interleaving of
 //!    drains, adds, removes, pauses, supply overrides and forced
 //!    checkpoints rides on a randomized fault plan. Commands may be
-//!    rejected (rejections must be no-ops); applications must be
-//!    conserved and fenced servers must end empty at zero budget.
+//!    rejected (rejections must be no-ops).
 //! 3. **Idle-queue neutrality**: a timeline whose commands never come due
 //!    must reproduce the command-free run bit for bit.
 //!
 //! `--timeline FILE` replaces the scripted leg's built-in timeline with a
-//! JSON `[{ "tick": .., "command": {..} }, ..]` file (leg 1 then checks
-//! only the safety properties, since the expected command count is
-//! unknown). Everything is seeded: `repro liveops --seeds <n> --ticks <t>`
-//! re-runs the exact schedules.
+//! JSON `[{ "tick": .., "command": {..} }, ..]` file (leg 1 then skips the
+//! built-in timeline's own checks and reports the churn's cost against a
+//! static fleet instead). Everything is seeded: `repro liveops --seeds <n>
+//! --ticks <t>` re-runs the exact schedules.
 
-use crate::placed_apps;
+use crate::scenario::{self, Legs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use willow_core::config::PackerChoice;
@@ -31,46 +32,27 @@ use willow_core::server::FenceState;
 use willow_sim::config::SimConfig;
 use willow_sim::engine::Simulation;
 use willow_sim::faults::{ControllerCrashPlan, ControllerOutage, FaultPlan};
-use willow_sim::{RunMetrics, ScheduledCommand, SimCommand};
-use willow_thermal::units::Watts;
+use willow_sim::{ScheduledCommand, SimCommand};
 
 /// The built-in scripted timeline: drain three servers, hot-swap the
 /// packer, add a three-server rack under switch `l1-0`, retire one of the
 /// drained servers, trim the supply, and force a checkpoint right before
 /// the scheduled controller outage.
 fn scripted_timeline() -> Vec<ScheduledCommand> {
-    let mut tl = vec![
-        ScheduledCommand {
-            tick: 10,
-            command: SimCommand::Drain { server: 2 },
-        },
-        ScheduledCommand {
-            tick: 20,
-            command: SimCommand::Drain { server: 7 },
-        },
-        ScheduledCommand {
-            tick: 30,
-            command: SimCommand::Drain { server: 15 },
-        },
-        ScheduledCommand {
-            tick: 50,
-            command: SimCommand::SwapPacker {
-                packer: PackerChoice::BestFitDecreasing,
-            },
-        },
-        ScheduledCommand {
-            tick: 80,
-            command: SimCommand::RemoveServer { server: 2 },
-        },
-        ScheduledCommand {
-            tick: 90,
-            command: SimCommand::SupplyOverride { factor: 0.9 },
-        },
-        ScheduledCommand {
-            tick: 110,
-            command: SimCommand::Checkpoint,
-        },
-    ];
+    use SimCommand::{Checkpoint, Drain, RemoveServer, SupplyOverride, SwapPacker};
+    let packer = PackerChoice::BestFitDecreasing;
+    let mut tl: Vec<ScheduledCommand> = [
+        (10, Drain { server: 2 }),
+        (20, Drain { server: 7 }),
+        (30, Drain { server: 15 }),
+        (50, SwapPacker { packer }),
+        (80, RemoveServer { server: 2 }),
+        (90, SupplyOverride { factor: 0.9 }),
+        (110, Checkpoint),
+    ]
+    .into_iter()
+    .map(|(tick, command)| ScheduledCommand { tick, command })
+    .collect();
     for (i, name) in ["rack2-1", "rack2-2", "rack2-3"].iter().enumerate() {
         tl.push(ScheduledCommand {
             tick: 60 + i as u64,
@@ -86,10 +68,7 @@ fn scripted_timeline() -> Vec<ScheduledCommand> {
 /// The scripted leg's configuration: paper hot/cold fleet at U=0.5 under
 /// the fixed chaos plan, with `timeline` as the command schedule.
 fn scripted_config(ticks: usize, timeline: &[ScheduledCommand], threads: usize) -> SimConfig {
-    let mut cfg = SimConfig::paper_hot_cold(2011, 0.5);
-    cfg.ticks = ticks;
-    cfg.warmup = 0;
-    cfg.controller.threads = threads;
+    let mut cfg = scenario::zone(2011, 0.5, ticks, threads);
     cfg.commands = timeline.to_vec();
     let outage_from = (ticks as u64 * 3) / 5;
     let outage_len = 15u64.min(ticks as u64 / 10).max(1);
@@ -119,36 +98,12 @@ fn run_scripted(
     builtin: bool,
     threads: usize,
 ) -> Vec<String> {
-    let mut failures = Vec::new();
-    let outage_len = 15u64.min(ticks as u64 / 10).max(1);
-    let mut sim = Simulation::new(scripted_config(ticks, timeline, threads))
-        .expect("scripted liveops config must be valid");
-    let before = placed_apps(&sim);
-    let m = sim.run();
-
-    if m.invariant_violations != 0 {
-        failures.push(format!(
-            "{} invariant violations (want 0)",
-            m.invariant_violations
-        ));
-    }
-    if placed_apps(&sim) != before {
-        failures.push("timeline lost or duplicated applications".into());
-    }
+    let (sim, m, mut failures) = scenario::run_zone(scripted_config(ticks, timeline, threads));
     if m.commands_rejected != 0 {
         failures.push(format!(
             "{} commands rejected (want 0)",
             m.commands_rejected
         ));
-    }
-    if m.open_loop_ticks as u64 != outage_len {
-        failures.push(format!(
-            "{} open-loop ticks (want {outage_len}): commands must not cost ticks",
-            m.open_loop_ticks
-        ));
-    }
-    if m.controller_recoveries != 1 {
-        failures.push(format!("{} recoveries (want 1)", m.controller_recoveries));
     }
     if builtin {
         // 3 drains + 1 swap + 3 adds + 1 remove; SupplyOverride and
@@ -163,8 +118,6 @@ fn run_scripted(
         for si in [7usize, 15] {
             if w.servers()[si].fence != FenceState::Fenced {
                 failures.push(format!("server {si} not fenced after drain"));
-            } else if w.power().tp[w.servers()[si].node.index()] != Watts::ZERO {
-                failures.push(format!("fenced server {si} holds a nonzero budget"));
             }
         }
         if w.tree().find("rack2-3").is_none() {
@@ -180,7 +133,7 @@ fn run_scripted(
         m.open_loop_ticks,
         m.controller_recoveries,
         m.invariant_violations,
-        if failures.is_empty() { "ok" } else { "FAIL" }
+        scenario::verdict(&failures)
     );
     if !builtin {
         // File-supplied timeline: quantify what the live-ops churn cost
@@ -214,18 +167,14 @@ fn run_scripted(
     failures
 }
 
-/// Leg 2: one seed's random command schedule on a random fault plan.
-fn run_random_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
-    let mut failures = Vec::new();
+/// Derive leg 2's scenario from `seed`: a random command schedule on a
+/// random fault plan.
+fn random_config(seed: u64, ticks: usize, threads: usize) -> SimConfig {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    let mut cfg = SimConfig::paper_hot_cold(seed, rng.gen_range(0.3..0.7));
-    cfg.ticks = ticks;
-    cfg.warmup = 0;
-    cfg.controller.threads = threads;
+    let mut cfg = scenario::zone(seed, rng.gen_range(0.3..0.7), ticks, threads);
     let n = cfg.n_servers();
     let horizon = (ticks as u64).saturating_sub(20).max(1);
 
-    let mut commands = Vec::new();
     for i in 0..rng.gen_range(3..=10usize) {
         let tick = rng.gen_range(0..horizon);
         let command = match rng.gen_range(0..7u8) {
@@ -251,9 +200,8 @@ fn run_random_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
                 }
             }
         };
-        commands.push(ScheduledCommand { tick, command });
+        cfg.commands.push(ScheduledCommand { tick, command });
     }
-    cfg.commands = commands;
 
     let outage = if rng.gen_bool(0.5) {
         let from = rng.gen_range(1..horizon);
@@ -276,39 +224,12 @@ fn run_random_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         }),
         ..FaultPlan::default()
     });
+    cfg
+}
 
-    let mut sim = Simulation::new(cfg).expect("random liveops schedule must be valid");
-    let before = placed_apps(&sim);
-    let m = sim.run();
-
-    if m.invariant_violations != 0 {
-        failures.push(format!(
-            "{} invariant violations (want 0)",
-            m.invariant_violations
-        ));
-    }
-    if placed_apps(&sim) != before {
-        failures.push("random schedule lost or duplicated applications".into());
-    }
-    let w = sim.willow();
-    for (si, s) in w.servers().iter().enumerate() {
-        match s.fence {
-            FenceState::Fenced => {
-                if !s.apps.is_empty() {
-                    failures.push(format!("fenced server {si} still hosts apps"));
-                }
-                if w.power().tp[s.node.index()] != Watts::ZERO {
-                    failures.push(format!("fenced server {si} holds a nonzero budget"));
-                }
-            }
-            FenceState::Retired => {
-                if !s.apps.is_empty() {
-                    failures.push(format!("retired server {si} still hosts apps"));
-                }
-            }
-            FenceState::Active | FenceState::Draining => {}
-        }
-    }
+/// Leg 2: one seed's random command schedule on a random fault plan.
+fn run_random_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
+    let (_, m, failures) = scenario::run_zone(random_config(seed, ticks, threads));
     println!(
         "  seed {seed:>3}: applied={} rejected={} (topology {}) stranded={} \
          recoveries={} violations={} -> {}",
@@ -318,17 +239,14 @@ fn run_random_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         m.drain_stranded_app_ticks,
         m.controller_recoveries,
         m.invariant_violations,
-        if failures.is_empty() { "ok" } else { "FAIL" }
+        scenario::verdict(&failures)
     );
     failures
 }
 
 /// Leg 3: a never-due timeline must be bit-for-bit invisible.
 fn run_neutrality(ticks: usize, threads: usize) -> Vec<String> {
-    let mut base = SimConfig::paper_hot_cold(2011, 0.6);
-    base.ticks = ticks;
-    base.warmup = 0;
-    base.controller.threads = threads;
+    let base = scenario::zone(2011, 0.6, ticks, threads);
     let mut with_cmds = base.clone();
     with_cmds.commands = vec![
         ScheduledCommand {
@@ -340,14 +258,17 @@ fn run_neutrality(ticks: usize, threads: usize) -> Vec<String> {
             command: SimCommand::SupplyOverride { factor: 0.5 },
         },
     ];
-    let a: RunMetrics = Simulation::new(base).expect("valid").run();
-    let b: RunMetrics = Simulation::new(with_cmds).expect("valid").run();
-    if a != b {
-        vec!["idle command queue perturbed the trajectory".into()]
-    } else {
+    let mut failures = Vec::new();
+    scenario::twin(
+        &mut failures,
+        &Simulation::new(base).expect("valid").run(),
+        &Simulation::new(with_cmds).expect("valid").run(),
+        "idle command queue perturbed the trajectory",
+    );
+    if failures.is_empty() {
         println!("  neutrality: never-due timeline reproduces the command-free run bit for bit");
-        Vec::new()
     }
+    failures
 }
 
 /// Run the harness; exits the process with status 1 on any failure.
@@ -376,29 +297,9 @@ pub fn run(seeds: u64, ticks: usize, timeline_file: Option<&str>, threads: usize
         }
         None => (scripted_timeline(), true),
     };
-    let mut failed = 0usize;
-    let mut check = |failures: Vec<String>, who: String| {
-        for f in &failures {
-            eprintln!("  {who}: {f}");
-        }
-        if !failures.is_empty() {
-            failed += 1;
-        }
-    };
-    check(
-        run_scripted(ticks, &timeline, builtin, threads),
-        "scripted".into(),
-    );
-    for seed in 0..seeds {
-        check(
-            run_random_seed(seed, ticks, threads),
-            format!("seed {seed}"),
-        );
-    }
-    check(run_neutrality(ticks, threads), "neutrality".into());
-    if failed > 0 {
-        eprintln!("liveops: {failed} leg(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("liveops: all legs passed (zero violations, zero lost apps)");
+    let mut legs = Legs::new("liveops");
+    legs.check("scripted", run_scripted(ticks, &timeline, builtin, threads));
+    legs.seeds(seeds, |seed| run_random_seed(seed, ticks, threads));
+    legs.check("neutrality", run_neutrality(ticks, threads));
+    legs.finish("all legs passed (zero violations, zero lost apps)");
 }

@@ -6,50 +6,39 @@
 //! ```
 //!
 //! Experiment ids: fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 tab1 fig14
-//! tab2 fig15_16 fig17_18 fig19_tab3 ext_imbalance ext_baseline. Output is
-//! deterministic (fixed seeds); `EXPERIMENTS.md` records it against the
-//! paper.
+//! tab2 fig15_16 fig17_18 fig19_tab3 ext_imbalance ext_baseline
+//! ext_crash_sweep. Output is deterministic (fixed seeds);
+//! `EXPERIMENTS.md` records it against the paper.
 
 use willow_bench::{r1, r3};
 use willow_sim::engine::Simulation;
 use willow_sim::experiments as sim_exp;
+use willow_sim::faults::{ControllerCrashPlan, ControllerOutage, FaultPlan};
 use willow_testbed::experiments as tb_exp;
-use willow_workload::app::AppId;
 
 mod ablate_cmd;
 mod chaos_cmd;
 mod federate_cmd;
 mod liveops_cmd;
+mod scenario;
 mod telemetry_cmd;
 
 const SEED: u64 = 2011; // the paper's year; any fixed seed works
 const TICKS: usize = 300;
 const N_SEEDS: usize = 5;
 
-/// Sorted application ids currently placed on a simulation's servers —
-/// the no-app-lost check of the `chaos`, `federate` and `liveops`
-/// harnesses.
-fn placed_apps(sim: &Simulation) -> Vec<AppId> {
-    let mut ids: Vec<AppId> = sim
-        .willow()
-        .servers()
-        .iter()
-        .flat_map(|s| s.apps.iter().map(|a| a.id))
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
 /// Every experiment id `repro` accepts besides `all`.
 const EXPERIMENTS: &str = "fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 tab1 fig14 tab2 fig15_16 \
-     fig17_18 fig19_tab3 ext_imbalance ext_baseline";
+     fig17_18 fig19_tab3 ext_imbalance ext_baseline ext_crash_sweep";
 
 const USAGE: &str = "usage: repro [all | <experiment id>...] | ablate [--ticks N] \
-     [--seeds N] | chaos [--seeds N] [--ticks N] [--sweep] [--threads N] | federate [--seeds N] \
-     [--ticks N] [--smoke] [--threads N] | liveops [--seeds N] [--ticks N] [--timeline PATH] \
+     [--seeds N] | chaos [--seeds N] [--ticks N] [--threads N] | federate [--seeds N] \
+     [--ticks N] [--threads N] | liveops [--seeds N] [--ticks N] [--timeline PATH] \
      [--threads N] | telemetry";
 
 fn main() {
+    #[cfg(unix)]
+    die_on_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = run(&args) {
         eprintln!("repro: {e}; {USAGE}");
@@ -57,34 +46,50 @@ fn main() {
     }
 }
 
+/// Restores the default SIGPIPE action, so that `repro` ends like any
+/// other Unix filter when its reader goes away (`repro all | head -1`).
+/// Rust starts with the signal ignored, which turns the closed pipe into
+/// an EPIPE that makes `println!` panic.
+#[cfg(unix)]
+fn die_on_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: the declaration matches POSIX `signal(int, sighandler_t)`
+    // on Unix targets, where a handler is pointer-sized, `SIG_DFL` is 0 and
+    // SIGPIPE is 13. Restoring the default disposition installs no
+    // handler, so no code of ours ever runs in signal context.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
 /// The flags of one subcommand, checked against the ones it accepts.
-struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
 impl<'a> Flags<'a> {
-    /// Parses `args` as `switches` (bare) and `valued` flags (each followed
-    /// by its value); anything else is an error.
-    fn parse(args: &'a [String], switches: &[&str], valued: &[&str]) -> Result<Self, String> {
+    /// Parses `args` as `valued` flags, each followed by its value;
+    /// anything else is an error.
+    fn parse(args: &'a [String], valued: &[&str]) -> Result<Self, String> {
         let mut flags = Vec::new();
         let mut args = args.iter().map(String::as_str);
         while let Some(arg) = args.next() {
-            if switches.contains(&arg) {
-                flags.push((arg, None));
-            } else if valued.contains(&arg) {
-                let value = args.next().ok_or(format!("{arg} needs a value"))?;
-                flags.push((arg, Some(value)));
-            } else {
+            if !valued.contains(&arg) {
                 return Err(format!("unknown argument `{arg}`"));
             }
+            let value = args.next().ok_or(format!("{arg} needs a value"))?;
+            flags.push((arg, value));
         }
         Ok(Flags(flags))
     }
 
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|&(flag, _)| flag == name)
-    }
-
     fn value(&self, name: &str) -> Option<&'a str> {
-        self.0.iter().find(|&&(flag, _)| flag == name)?.1
+        self.0
+            .iter()
+            .find(|&&(flag, _)| flag == name)
+            .map(|&(_, v)| v)
     }
 
     fn num(&self, name: &str, default: usize) -> Result<usize, String> {
@@ -101,37 +106,31 @@ fn run(args: &[String]) -> Result<(), String> {
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("ablate") => {
-            let f = Flags::parse(rest, &[], &["--ticks", "--seeds"])?;
+            let f = Flags::parse(rest, &["--ticks", "--seeds"])?;
             ablate_cmd::run(SEED, f.num("--ticks", TICKS)?, f.num("--seeds", N_SEEDS)?);
         }
         Some("telemetry") => {
-            Flags::parse(rest, &[], &[])?;
+            Flags::parse(rest, &[])?;
             telemetry_cmd::run(SEED);
         }
         Some("chaos") => {
-            let f = Flags::parse(rest, &["--sweep"], &["--seeds", "--ticks", "--threads"])?;
+            let f = Flags::parse(rest, &["--seeds", "--ticks", "--threads"])?;
             chaos_cmd::run(
                 f.num("--seeds", 8)? as u64,
                 f.num("--ticks", 200)?,
-                f.has("--sweep"),
                 f.num("--threads", 1)?,
             );
         }
         Some("federate") => {
-            let f = Flags::parse(rest, &["--smoke"], &["--seeds", "--ticks", "--threads"])?;
+            let f = Flags::parse(rest, &["--seeds", "--ticks", "--threads"])?;
             federate_cmd::run(
                 f.num("--seeds", 6)? as u64,
                 f.num("--ticks", 250)?,
-                f.has("--smoke"),
                 f.num("--threads", 1)?,
             );
         }
         Some("liveops") => {
-            let f = Flags::parse(
-                rest,
-                &[],
-                &["--seeds", "--ticks", "--timeline", "--threads"],
-            )?;
+            let f = Flags::parse(rest, &["--seeds", "--ticks", "--timeline", "--threads"])?;
             liveops_cmd::run(
                 f.num("--seeds", 8)? as u64,
                 f.num("--ticks", 200)?,
@@ -191,6 +190,50 @@ fn experiments(args: &[String]) {
     if want("ext_baseline") {
         ext_baseline();
     }
+    if want("ext_crash_sweep") {
+        ext_crash_sweep();
+    }
+}
+
+/// Longer controller outages mean more open-loop ticks and watchdog
+/// fallback, while the invariants hold throughout.
+fn ext_crash_sweep() {
+    header("Extension — controller crash-duration sweep (U = 60 %, outage from tick 100)");
+    println!(
+        "  {:>8}  {:>9}  {:>10}  {:>14}  {:>13}  {:>10}",
+        "duration", "open-loop", "recoveries", "watchdog trips", "fallback s-t", "violations"
+    );
+    for duration in [0u64, 10, 20, 40, 60] {
+        let mut cfg = scenario::zone(SEED, 0.6, 200, 1);
+        let windows = if duration == 0 {
+            Vec::new()
+        } else {
+            vec![ControllerOutage {
+                from: 100,
+                until: 100 + duration,
+            }]
+        };
+        cfg.faults = Some(FaultPlan {
+            controller_crash: Some(ControllerCrashPlan {
+                checkpoint_period: 16,
+                windows,
+            }),
+            ..FaultPlan::default()
+        });
+        let m = Simulation::new(cfg).expect("valid sweep config").run();
+        println!(
+            "  {duration:>8}  {:>9}  {:>10}  {:>14}  {:>13}  {:>10}",
+            m.open_loop_ticks,
+            m.controller_recoveries,
+            m.watchdog_trips,
+            m.fallback_server_ticks,
+            m.invariant_violations
+        );
+    }
+    println!(
+        "\n  not a paper figure: open-loop ticks track the outage exactly, and \
+         fallback server-ticks grow with its length at zero violations"
+    );
 }
 
 fn ext_baseline() {

@@ -5,8 +5,10 @@
 //! is recorded against the paper in `EXPERIMENTS.md`. Its subcommands run
 //! the beyond-the-paper checks: `ablate` scores the policy grid, the knob
 //! sweeps behind the ablations listed in `DESIGN.md` and the supply-policy
-//! race; `chaos`, `liveops`, `federate` and `telemetry` exercise the
-//! robustness and observability layers. Timing lives in `perfbench/`.
+//! race; `chaos`, `liveops` and `federate` run seeded fault, command and
+//! zone-outage scenarios through one runner that holds every run to one
+//! predicate set (the binary's `scenario` module); `telemetry` exercises
+//! the observability layer. Timing lives in `perfbench/`.
 //!
 //! This library hosts the small rounding helpers `repro` uses.
 

@@ -270,6 +270,12 @@ impl FederatedSimulation {
         &self.broker
     }
 
+    /// The zone-outage and broker-crash schedule this federation runs.
+    #[must_use]
+    pub fn plan(&self) -> Option<&ZoneOutagePlan> {
+        self.plan.as_ref()
+    }
+
     /// Broker restarts performed so far.
     #[must_use]
     pub fn broker_recoveries(&self) -> usize {
