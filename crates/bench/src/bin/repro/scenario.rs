@@ -130,16 +130,14 @@ fn check_zone(sim: &Simulation, before: &[AppId], f: &mut Vec<String>) {
     );
     let open = w.journal().in_flight().count();
     equal(f, "open migration transactions", open, 0);
-    fences(f, w.servers(), &w.power().tp);
+    fences(f, w.servers(), |si| w.apps().hosts_any(si), &w.power().tp);
 }
 
 /// Sorted ids of the applications placed on a simulation's servers.
 fn placed_apps(sim: &Simulation) -> Vec<AppId> {
-    let mut ids: Vec<AppId> = sim
-        .willow()
-        .servers()
-        .iter()
-        .flat_map(|s| s.apps.iter().map(|a| a.id))
+    let w = sim.willow();
+    let mut ids: Vec<AppId> = (0..w.servers().len())
+        .flat_map(|si| w.apps().on(si))
         .collect();
     ids.sort_unstable();
     ids
@@ -184,15 +182,21 @@ fn outages(
 
 /// Fence safety: a fenced server is empty at zero budget, a retired one
 /// is empty. A retired row's leaf may host a replacement, so its budget
-/// is not its own.
-fn fences(failures: &mut Vec<String>, servers: &[ServerState], budgets: &[Watts]) {
+/// is not its own. `hosts_apps` says whether a server's app list is
+/// non-empty.
+fn fences(
+    failures: &mut Vec<String>,
+    servers: &[ServerState],
+    hosts_apps: impl Fn(usize) -> bool,
+    budgets: &[Watts],
+) {
     for (i, s) in servers.iter().enumerate() {
         let state = match s.fence {
             FenceState::Fenced => "fenced",
             FenceState::Retired => "retired",
             FenceState::Active | FenceState::Draining => continue,
         };
-        if !s.apps.is_empty() {
+        if hosts_apps(i) {
             failures.push(format!("{state} server {i} still hosts apps"));
         }
         if s.fence == FenceState::Fenced && budgets[s.node.index()] != Watts::ZERO {
@@ -319,24 +323,28 @@ mod tests {
         let mut servers = w.servers().to_vec();
         let mut budgets = w.power().tp.clone();
         servers[3].fence = FenceState::Fenced;
-        servers[3].apps.clear();
         budgets[servers[3].node.index()] = Watts::ZERO;
+        let empty = |_| false;
         let mut failures = Vec::new();
-        fences(&mut failures, &servers, &budgets);
+        fences(&mut failures, &servers, empty, &budgets);
         assert!(failures.is_empty(), "{failures:?}");
         budgets[servers[3].node.index()] = Watts(40.0);
-        fences(&mut failures, &servers, &budgets);
+        fences(&mut failures, &servers, empty, &budgets);
         assert_eq!(failures, ["fenced server 3 holds a nonzero budget"]);
     }
 
     #[test]
     fn occupied_retired_server_fails() {
         let sim = finished();
-        let mut servers = sim.willow().servers().to_vec();
-        let host = servers.iter().position(|s| !s.apps.is_empty()).unwrap();
+        let w = sim.willow();
+        let mut servers = w.servers().to_vec();
+        let host = (0..servers.len())
+            .find(|&si| w.apps().hosts_any(si))
+            .unwrap();
         servers[host].fence = FenceState::Retired;
         let mut failures = Vec::new();
-        fences(&mut failures, &servers, &sim.willow().power().tp);
+        let hosts_apps = |si| w.apps().hosts_any(si);
+        fences(&mut failures, &servers, hosts_apps, &w.power().tp);
         assert_eq!(
             failures,
             [format!("retired server {host} still hosts apps")]

@@ -4,8 +4,10 @@
 //! invariants that must hold after *every* demand period, no matter what
 //! faults were injected or how degraded the control plane is:
 //!
-//! 1. **App conservation** — every application lives on exactly one
-//!    server, and only powered (active) servers host applications.
+//! 1. **App conservation** — every application sits on exactly one
+//!    server's list in the app table, its host column names that server,
+//!    and only powered (active) servers host applications — so no
+//!    sleeping or retired server does.
 //! 2. **Budget hierarchy** — at every PMU node, the children's budgets
 //!    sum to at most the node's own budget (power can be stranded, never
 //!    invented). A leaf with a *stale* directive (its watchdog counts at
@@ -46,6 +48,16 @@ pub enum InvariantViolation {
         app: AppId,
         /// How many servers host it.
         copies: u32,
+    },
+    /// An application sits on one server's list while the app table's
+    /// host column names another.
+    AppMisplaced {
+        /// The application.
+        app: AppId,
+        /// The server whose list holds it.
+        server: usize,
+        /// The server its host column names.
+        host: usize,
     },
     /// A hosted application was never part of the audited universe.
     AppUnknown {
@@ -107,6 +119,9 @@ impl std::fmt::Display for InvariantViolation {
             }
             InvariantViolation::AppDuplicated { app, copies } => {
                 write!(f, "{app} is hosted on {copies} servers")
+            }
+            InvariantViolation::AppMisplaced { app, server, host } => {
+                write!(f, "{app} is listed on server {server} but hosted on {host}")
             }
             InvariantViolation::AppUnknown { app, server } => {
                 write!(f, "server {server} hosts unknown {app}")
@@ -182,7 +197,7 @@ impl Auditor {
     /// tightening-only tracker from the current budgets.
     #[must_use]
     pub fn new(w: &Willow) -> Self {
-        let ids = || w.servers().iter().flat_map(|s| s.apps.iter().map(|a| a.id));
+        let ids = || (0..w.servers().len()).flat_map(|si| w.apps().on(si));
         let len = ids().map(|id| id.0 as usize + 1).max().unwrap_or(0);
         let mut expected = vec![false; len];
         for id in ids() {
@@ -277,25 +292,37 @@ impl Auditor {
         self.violations.clear();
         self.checks += 1;
 
-        // 1. App conservation.
+        // 1. App conservation. Each list walk is bounded by the table's
+        // length, so a corrupted (cyclic) list reports duplicates instead
+        // of hanging the audit.
         self.counts.iter_mut().for_each(|c| *c = 0);
+        let apps = w.apps();
         for (si, server) in w.servers().iter().enumerate() {
-            if !server.active && !server.apps.is_empty() {
+            let hosted = || apps.on(si).take(apps.len() + 1);
+            if !server.active && apps.hosts_any(si) {
                 self.violations
                     .push(InvariantViolation::SleepingServerHostsApps {
                         server: si,
-                        apps: server.apps.len(),
+                        apps: hosted().count(),
                     });
             }
-            for app in &server.apps {
-                let id = app.id.0 as usize;
-                if self.expected.get(id).copied().unwrap_or(false) {
-                    self.counts[id] += 1;
-                } else {
-                    self.violations.push(InvariantViolation::AppUnknown {
-                        app: app.id,
-                        server: si,
-                    });
+            for app in hosted() {
+                let id = app.0 as usize;
+                if !self.expected.get(id).copied().unwrap_or(false) {
+                    self.violations
+                        .push(InvariantViolation::AppUnknown { app, server: si });
+                    continue;
+                }
+                self.counts[id] += 1;
+                match apps.host(app) {
+                    Some(host) if host != si => {
+                        self.violations.push(InvariantViolation::AppMisplaced {
+                            app,
+                            server: si,
+                            host,
+                        });
+                    }
+                    _ => {}
                 }
             }
         }

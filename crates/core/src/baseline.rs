@@ -11,6 +11,7 @@
 //! The baseline shares Willow's substrates (thermal caps, proportional
 //! budgets, cost model) so the comparison isolates the *control policy*.
 
+use crate::apps::AppTable;
 use crate::config::ControllerConfig;
 use crate::migration::{MigrationReason, MigrationRecord, TickReport};
 use crate::server::{ServerSpec, ServerState};
@@ -19,6 +20,7 @@ use willow_binpack::packer_for;
 use willow_power::allocation::allocate_proportional;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
+use willow_workload::app::AppId;
 
 /// The centralized greedy re-packer. Mirrors the subset of [`crate::Willow`]'s
 /// API the experiments need.
@@ -26,6 +28,7 @@ pub struct GreedyGlobal {
     tree: Tree,
     config: ControllerConfig,
     servers: Vec<ServerState>,
+    apps: AppTable,
     power: PowerState,
     tick: u64,
 }
@@ -44,6 +47,7 @@ impl GreedyGlobal {
             tree.leaves().count(),
             "one spec per leaf required"
         );
+        let apps = AppTable::for_specs(&specs).expect("dense, unique app ids");
         let servers: Vec<ServerState> = specs
             .iter()
             .map(|s| ServerState::from_spec(s, config.alpha))
@@ -53,6 +57,7 @@ impl GreedyGlobal {
             tree,
             config,
             servers,
+            apps,
             power,
             tick: 0,
         }
@@ -62,6 +67,12 @@ impl GreedyGlobal {
     #[must_use]
     pub fn servers(&self) -> &[ServerState] {
         &self.servers
+    }
+
+    /// Every app's placement and demand.
+    #[must_use]
+    pub fn apps(&self) -> &AppTable {
+        &self.apps
     }
 
     /// Drive one period: measure, allocate budgets, globally re-pack.
@@ -74,10 +85,8 @@ impl GreedyGlobal {
         };
 
         // Measure (same smoothing as Willow).
-        for server in &mut self.servers {
-            for (i, app) in server.apps.iter().enumerate() {
-                server.app_demand[i] = app_demand[app.id.0 as usize];
-            }
+        for (si, server) in self.servers.iter_mut().enumerate() {
+            server.app_power = self.apps.observe(si, app_demand);
             let raw = server.raw_demand();
             let smoothed = server.smoother.observe(raw);
             self.power.cp[server.node.index()] = smoothed;
@@ -109,13 +118,20 @@ impl GreedyGlobal {
 
         // Global re-pack: every app is an item, every server's full budget
         // is a bin.
-        let mut items: Vec<(usize, usize, Watts)> = Vec::new(); // (server, app idx, demand)
-        for (si, server) in self.servers.iter().enumerate() {
-            for (ai, &d) in server.app_demand.iter().enumerate() {
-                items.push((si, ai, d));
-            }
+        // (server, list position, app)
+        let mut items: Vec<(usize, usize, AppId)> = Vec::new();
+        for si in 0..self.servers.len() {
+            items.extend(
+                self.apps
+                    .on(si)
+                    .enumerate()
+                    .map(|(pos, app)| (si, pos, app)),
+            );
         }
-        let sizes: Vec<f64> = items.iter().map(|(_, _, d)| d.0).collect();
+        let sizes: Vec<f64> = items
+            .iter()
+            .map(|&(_, _, a)| self.apps.demand(a).0)
+            .collect();
         let bins: Vec<NodeId> = self.servers.iter().map(|s| s.node).collect();
         let caps: Vec<f64> = bins
             .iter()
@@ -129,26 +145,29 @@ impl GreedyGlobal {
 
         // Execute the diff: any app whose assigned bin differs from its
         // current host migrates.
-        let mut moves: Vec<(usize, usize, usize)> = Vec::new(); // (src server, app idx, dst server)
-        for (idx, (si, ai, _)) in items.iter().enumerate() {
+        // (src server, list position, app, dst server)
+        let mut moves: Vec<(usize, usize, AppId, usize)> = Vec::new();
+        for (idx, &(si, pos, app)) in items.iter().enumerate() {
             if let Some(b) = packing.assignment[idx] {
-                if b != *si {
-                    moves.push((*si, *ai, b));
+                if b != si {
+                    moves.push((si, pos, app, b));
                 }
             }
         }
-        // Remove in descending app-index order per server to keep indices
-        // valid.
+        // Moves run in descending list position; that order fixes where
+        // each app lands on its target's list.
         moves.sort_by_key(|m| std::cmp::Reverse(m.1));
-        for (src, ai, dst) in moves {
-            let (app, demand) = self.servers[src].take_app(ai);
+        for (src, _, app, dst) in moves {
+            let demand = self.apps.demand(app);
             let from = self.servers[src].node;
             let to = self.servers[dst].node;
-            self.servers[dst].host_app(app, demand);
+            self.apps.move_to(app, dst);
+            self.servers[src].app_power = self.apps.power_on(src);
+            self.servers[dst].app_power = self.apps.power_on(dst);
             let local = self.tree.are_siblings(from, to);
             report.migrations.push(MigrationRecord {
                 tick,
-                app: app.id,
+                app,
                 from,
                 to,
                 moved: demand,
@@ -199,7 +218,7 @@ impl GreedyGlobal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
+    use willow_workload::app::{Application, SIM_APP_CLASSES};
 
     fn setup() -> (GreedyGlobal, usize) {
         let tree = Tree::uniform(&[2, 2]);
@@ -229,8 +248,7 @@ mod tests {
         let demands: Vec<Watts> = (0..n_apps).map(|i| Watts(10.0 + 3.0 * i as f64)).collect();
         for _ in 0..30 {
             let r = g.step(&demands, Watts(1500.0));
-            let hosted: usize = g.servers().iter().map(|s| s.apps.len()).sum();
-            assert_eq!(hosted, n_apps);
+            assert_eq!(g.apps().placed(), n_apps);
             assert!(r.total_power().0 <= 1500.0 + 1e-6);
         }
     }

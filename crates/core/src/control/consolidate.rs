@@ -131,7 +131,7 @@ impl Willow {
                 continue;
             }
             let leaf = self.servers[si].node;
-            if self.servers[si].apps.is_empty() {
+            if !self.apps.hosts_any(si) {
                 self.sleep_server(si, tick);
                 stage.withdraw(leaf);
                 slept.push(leaf);
@@ -159,7 +159,7 @@ impl Willow {
                     }
                 }
                 if evacuated {
-                    debug_assert!(self.servers[si].apps.is_empty());
+                    debug_assert!(!self.apps.hosts_any(si));
                     self.sleep_server(si, tick);
                     stage.withdraw(leaf);
                     slept.push(leaf);
@@ -307,30 +307,17 @@ impl Willow {
         plan.clear();
         let leaf = self.servers[si].node;
         // All-or-nothing: an app still in retry backoff blocks evacuation.
-        if self.servers[si]
-            .apps
-            .iter()
-            .any(|a| self.in_backoff(a.id, self.tick))
-        {
+        if self.apps.on(si).any(|a| self.in_backoff(a, self.tick)) {
             return false;
         }
-        debug_assert!(
-            !self.servers[si].apps.is_empty(),
-            "empty servers just sleep"
-        );
+        debug_assert!(self.apps.hosts_any(si), "empty servers just sleep");
         items.clear();
-        items.extend(
-            self.servers[si]
-                .apps
-                .iter()
-                .enumerate()
-                .map(|(i, app)| DeficitItem {
-                    server: si,
-                    app: app.id,
-                    demand: self.servers[si].app_demand[i],
-                    reason: MigrationReason::Consolidation,
-                }),
-        );
+        items.extend(self.apps.on(si).map(|app| DeficitItem {
+            server: si,
+            app,
+            demand: self.apps.demand(app),
+            reason: MigrationReason::Consolidation,
+        }));
         sizes.clear();
         sizes.extend(items.iter().map(|it| self.effective_size(it.demand)));
 
@@ -419,7 +406,7 @@ impl Willow {
             return true;
         }
         let tick = self.tick;
-        if self.servers[server].apps.is_empty() {
+        if !self.apps.hosts_any(server) {
             self.sleep_server(server, tick);
             return true;
         }
@@ -440,7 +427,7 @@ impl Willow {
                 }
             }
             if drained {
-                debug_assert!(self.servers[server].apps.is_empty());
+                debug_assert!(!self.apps.hosts_any(server));
                 self.sleep_server(server, tick);
             }
         }

@@ -68,8 +68,9 @@ pub(crate) struct DemandStage {
     /// ranges tile ascending server indices, so the concatenation is the
     /// serial collection order).
     pub(super) shard_items: Vec<Vec<DeficitItem>>,
-    /// Per-shard app-ordering scratch for deficit selection.
-    pub(super) shard_order: Vec<Vec<usize>>,
+    /// Per-shard app-ordering scratch for deficit selection: each app on
+    /// the server with its list position.
+    pub(super) shard_order: Vec<Vec<(usize, AppId)>>,
     /// Migration-target eligibility, resolved once per stage run.
     pub(super) eligibility: Eligibility,
 }
@@ -234,9 +235,9 @@ impl Willow {
             let shard_items = RawSlice::new(&mut stage.shard_items);
             let shard_order = RawSlice::new(&mut stage.shard_order);
             let servers = &self.servers;
+            let apps = &self.apps;
             let local_cp = &self.local_cp;
             let tp = &self.power.tp;
-            let last_move = &self.last_move;
             let margin = self.config.margin;
             let overhead = self.config.cost_model.node_overhead;
             let pingpong_window = self.config.pingpong_window;
@@ -272,31 +273,30 @@ impl Willow {
                     // migrated stays put for ≥ Δ_f whenever possible),
                     // then largest-first to minimize migrations.
                     order.clear();
-                    order.extend(0..server.apps.len());
-                    order.sort_unstable_by(|&a, &b| {
-                        let recent = |i: usize| {
-                            last_move
-                                .get(&server.apps[i].id)
-                                .is_some_and(|&(_, t)| tick.saturating_sub(t) < pingpong_window)
+                    order.extend(apps.on(si).enumerate());
+                    order.sort_unstable_by(|&(a, id_a), &(b, id_b)| {
+                        let recent = |id: AppId| {
+                            apps.last_move(id)
+                                .is_some_and(|(_, t)| tick.saturating_sub(t) < pingpong_window)
                         };
-                        recent(a)
-                            .cmp(&recent(b)) // settled (false) before recent
-                            .then(server.app_demand[b].0.total_cmp(&server.app_demand[a].0))
+                        recent(id_a)
+                            .cmp(&recent(id_b)) // settled (false) before recent
+                            .then(apps.demand(id_b).0.total_cmp(&apps.demand(id_a).0))
                             .then(a.cmp(&b))
                     });
                     let mut shed = 0.0;
-                    for &idx in order.iter() {
+                    for &(_, app) in order.iter() {
                         if shed >= target_shed {
                             break;
                         }
-                        let demand = server.app_demand[idx];
+                        let demand = apps.demand(app);
                         if demand.0 <= 0.0 {
                             continue;
                         }
                         shed += demand.0;
                         items.push(DeficitItem {
                             server: si,
-                            app: server.apps[idx].id,
+                            app,
                             demand,
                             reason: MigrationReason::Demand,
                         });

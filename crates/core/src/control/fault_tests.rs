@@ -2,7 +2,7 @@
 //! invariant-auditor tests. Behavioral closed-loop tests live in
 //! `super::tests`.
 
-use super::testutil::{demands, placement, small_setup};
+use super::testutil::{demands, hosted, placement, small_setup};
 use super::*;
 use crate::config::{AllocationPolicy, ControllerConfig};
 use crate::disturbance::MigrationOutcome;
@@ -110,9 +110,8 @@ fn aborted_migration_restores_source_and_charges_both_ends() {
     assert!(r.migration_aborts > 0, "plunge must provoke an attempt");
     assert!(r.migrations.is_empty(), "aborted moves must not complete");
     // Both apps still on server 0; conservation holds.
-    let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
-    assert_eq!(hosted, n_apps);
-    assert_eq!(w.servers()[0].apps.len(), 2);
+    assert_eq!(hosted(&w), n_apps);
+    assert_eq!(w.apps().on(0).count(), 2);
     // The copy work was real: both ends carry the temporary cost and
     // the fabric carried the traffic despite zero completed moves.
     let charged = w
@@ -196,8 +195,7 @@ fn duplicate_commit_does_not_double_move() {
     assert!(records.is_empty());
     assert_eq!(w.locate_app(moved), Some(host), "app must not move again");
     assert_eq!(w.stats(), stats);
-    let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
-    assert_eq!(hosted, n_apps, "no app may be duplicated or lost");
+    assert_eq!(hosted(&w), n_apps, "no app may be duplicated or lost");
 }
 
 /// Pins the failure-accounting semantics documented on [`TickReport`]:
@@ -456,12 +454,12 @@ fn recover_adopts_field_state_and_resolves_in_flight() {
     );
     // The recovered controller must be able to keep controlling.
     let mut r2 = recovered;
-    let apps_before: usize = r2.servers().iter().map(|s| s.apps.len()).sum();
+    let apps_before = hosted(&r2);
     let mut rep = TickReport::default();
     for _ in 0..20 {
         r2.step_into(&d, Watts(800.0), &Disturbances::default(), &mut rep);
     }
-    let apps_after: usize = r2.servers().iter().map(|s| s.apps.len()).sum();
+    let apps_after = hosted(&r2);
     assert_eq!(apps_before, apps_after, "apps conserved after recovery");
 }
 
@@ -633,8 +631,8 @@ mod audit_detection {
         for _ in 0..8 {
             let _ = w.step(&demands(n_apps, 30.0), Watts(2000.0));
         }
-        assert_eq!(w.servers[1].apps.len(), 4);
-        assert_eq!(w.servers[3].apps.len(), 4);
+        assert_eq!(w.apps.on(1).count(), 4);
+        assert_eq!(w.apps.on(3).count(), 4);
         w
     }
 
@@ -650,57 +648,84 @@ mod audit_detection {
         assert_eq!(a.total_violations(), 0);
     }
 
+    /// A corruption that sits an app on two lists: `dup` (the tail of
+    /// server 1's list, so server 1's chain stays intact) is also appended
+    /// to server 3's list, while its host column still names server 1.
+    fn share_tail(w: &mut Willow, extra_on_3: Option<usize>) -> AppId {
+        let list1 = w.apps.apps_on(1);
+        let dup = *list1.last().unwrap();
+        let mut list3 = w.apps.apps_on(3);
+        if let Some(i) = extra_on_3 {
+            list3.remove(i);
+        }
+        list3.push(dup);
+        w.apps.set_list(3, &list3);
+        dup.id
+    }
+
     #[test]
     fn detects_lost_and_duplicated_apps() {
         let mut w = settled();
         let mut a = Auditor::new(&w);
-        // Clone server 1's first app onto server 3: one duplicate.
-        let app = w.servers[1].apps[0];
-        let dup = app.id;
-        w.servers[3].apps.push(app);
-        assert!(has(a.check(&w), |v| matches!(
+        let (list1, list3) = (w.apps.apps_on(1), w.apps.apps_on(3));
+        // Server 1's last app also on server 3's list: one duplicate,
+        // listed where its host column does not point.
+        let dup = share_tail(&mut w, None);
+        let found = a.check(&w);
+        assert!(has(found, |v| matches!(
             v,
             InvariantViolation::AppDuplicated { app, copies: 2 } if *app == dup
         )));
+        assert!(has(found, |v| matches!(
+            v,
+            InvariantViolation::AppMisplaced { app, server: 3, host: 1 } if *app == dup
+        )));
         // Remove both copies: the app is now lost.
-        w.servers[3].apps.pop();
-        let lost = w.servers[1].apps.remove(0).id;
+        w.apps.set_list(3, &list3);
+        w.apps.set_list(1, &list1[..list1.len() - 1]);
         assert!(has(a.check(&w), |v| matches!(
             v,
-            InvariantViolation::AppLost { app } if *app == lost
+            InvariantViolation::AppLost { app } if *app == dup
         )));
-        assert_eq!(a.total_violations(), 2);
+        assert_eq!(a.total_violations(), 3);
     }
 
-    /// Three conservation faults at once: the exact list, unknown ids in
-    /// hosting order first, then lost/duplicated in ascending id order.
+    /// Four conservation faults at once: the exact list, per-list faults
+    /// (unknown ids, misplaced apps) in server and list order first, then
+    /// lost/duplicated in ascending id order.
     #[test]
     fn conservation_faults_are_listed_exactly() {
         let mut w = settled();
         let mut a = Auditor::new(&w);
-        // An id far above the universe's table.
-        w.servers[1]
-            .apps
-            .push(Application::new(AppId(999), 0, &SIM_APP_CLASSES[0]));
-        // Server 3's first app is lost; server 1's first is duplicated.
-        let lost = w.servers[3].apps.remove(0).id;
-        let dup = w.servers[1].apps[0];
-        let dup_id = dup.id;
-        w.servers[3].apps.push(dup);
+        // Server 3's first app is lost; server 1's last is duplicated.
+        let lost = w.apps.on(3).next().unwrap();
+        let dup = share_tail(&mut w, Some(0));
+        // An id far above the universe's table, ahead of the duplicate on
+        // server 1's list.
+        let mut list1 = w.apps.apps_on(1);
+        list1.insert(1, Application::new(AppId(999), 0, &SIM_APP_CLASSES[0]));
+        w.apps.set_list(1, &list1);
         let mut tail = [
             InvariantViolation::AppLost { app: lost },
             InvariantViolation::AppDuplicated {
-                app: dup_id,
+                app: dup,
                 copies: 2,
             },
         ];
-        if dup_id < lost {
+        if dup < lost {
             tail.swap(0, 1);
         }
-        let mut expected = vec![InvariantViolation::AppUnknown {
-            app: AppId(999),
-            server: 1,
-        }];
+        let mut expected = vec![
+            InvariantViolation::AppUnknown {
+                app: AppId(999),
+                server: 1,
+            },
+            InvariantViolation::AppMisplaced {
+                app: dup,
+                server: 3,
+                host: 1,
+            },
+        ];
         expected.extend(tail);
         assert_eq!(a.check(&w), expected.as_slice());
     }
@@ -712,11 +737,12 @@ mod audit_detection {
         let mut w = settled();
         // App 0 leaves a hole at the bottom of the id table.
         let server = w.locate_app(AppId(0)).unwrap();
-        let pos = w.servers[server].find_app(AppId(0)).unwrap();
-        let app = w.servers[server].apps.remove(pos);
+        let list = w.apps.apps_on(server);
+        let without: Vec<Application> = list.iter().copied().filter(|a| a.id != AppId(0)).collect();
+        w.apps.set_list(server, &without);
         let mut a = Auditor::new(&w);
         assert!(a.check(&w).is_empty());
-        w.servers[server].apps.push(app);
+        w.apps.set_list(server, &list);
         assert_eq!(
             a.check(&w),
             [InvariantViolation::AppUnknown {
@@ -730,9 +756,10 @@ mod audit_detection {
     fn detects_unknown_app_and_populated_sleeper() {
         let mut w = settled();
         let mut a = Auditor::new(&w);
-        w.servers[1]
-            .apps
-            .push(Application::new(AppId(999), 0, &SIM_APP_CLASSES[0]));
+        let list1 = w.apps.apps_on(1);
+        let mut grown = list1.clone();
+        grown.push(Application::new(AppId(999), 0, &SIM_APP_CLASSES[0]));
+        w.apps.set_list(1, &grown);
         assert!(has(a.check(&w), |v| matches!(
             v,
             InvariantViolation::AppUnknown {
@@ -740,12 +767,34 @@ mod audit_detection {
                 server: 1
             }
         )));
-        w.servers[1].apps.pop();
+        w.apps.set_list(1, &list1);
         w.servers[3].active = false;
         assert!(has(a.check(&w), |v| matches!(
             v,
             InvariantViolation::SleepingServerHostsApps { server: 3, apps: 4 }
         )));
+    }
+
+    /// A host column that disagrees with the list holding the app.
+    #[test]
+    fn detects_misplaced_app() {
+        let mut w = settled();
+        let mut a = Auditor::new(&w);
+        let app = w.apps.on(1).next().unwrap();
+        w.apps.move_to(app, 3);
+        let list3 = w.apps.apps_on(3);
+        let mut list1 = w.apps.apps_on(1);
+        list1.insert(0, *list3.last().unwrap());
+        w.apps.set_list(1, &list1);
+        w.apps.set_list(3, &list3[..list3.len() - 1]);
+        assert_eq!(
+            a.check(&w),
+            [InvariantViolation::AppMisplaced {
+                app,
+                server: 1,
+                host: 3
+            }]
+        );
     }
 
     #[test]
@@ -812,8 +861,7 @@ mod audit_detection {
     fn panic_mode_panics_on_violation() {
         let mut w = settled();
         let mut a = Auditor::new(&w).panic_on_violation(true);
-        w.servers[1].apps.clear();
-        w.servers[1].app_demand.clear();
+        w.apps.set_list(1, &[]);
         let _ = a.check(&w);
     }
 }

@@ -199,6 +199,7 @@ impl Willow {
         self.decay_ds
             .push(decay_factor(state.thermal.params(), self.config.delta_s()));
         self.servers.push(state);
+        self.apps.add_server();
         self.planning.push_server();
         self.rebuild_stage_scratch();
         Ok(())
@@ -219,7 +220,7 @@ impl Willow {
             }
             FenceState::Fenced => {}
         }
-        if !self.servers[server].apps.is_empty() {
+        if self.apps.hosts_any(server) {
             return Err(CommandError::NotEmpty(server));
         }
         let node = self.servers[server].node;
@@ -264,13 +265,13 @@ impl Willow {
         }
         self.servers[server].fence = FenceState::Draining;
 
-        if !self.servers[server].apps.is_empty() {
+        if self.apps.hosts_any(server) {
             let mut stage = std::mem::take(&mut self.consolidate_stage);
             self.evacuate_for_drain(server, tick, &mut stage, report);
             self.consolidate_stage = stage;
         }
 
-        if self.servers[server].apps.is_empty() {
+        if !self.apps.hosts_any(server) {
             if self.servers[server].active {
                 self.sleep_server(server, tick);
             }
@@ -282,7 +283,7 @@ impl Willow {
             self.power.cap[li] = Watts::ZERO;
             Ok(true)
         } else {
-            report.stranded_apps += self.servers[server].apps.len();
+            report.stranded_apps += self.apps.on(server).count();
             Ok(false)
         }
     }
@@ -300,18 +301,14 @@ impl Willow {
         report: &mut TickReport,
     ) {
         stage.evac_items.clear();
-        stage.evac_items.extend(
-            self.servers[server]
-                .apps
-                .iter()
-                .enumerate()
-                .map(|(i, app)| DeficitItem {
-                    server,
-                    app: app.id,
-                    demand: self.servers[server].app_demand[i],
-                    reason: MigrationReason::Drain,
-                }),
-        );
+        stage
+            .evac_items
+            .extend(self.apps.on(server).map(|app| DeficitItem {
+                server,
+                app,
+                demand: self.apps.demand(app),
+                reason: MigrationReason::Drain,
+            }));
         stage.evac_order.clear();
         stage.evac_order.extend(0..stage.evac_items.len());
         stage.evac_order.sort_unstable_by(|&a, &b| {
@@ -392,11 +389,12 @@ mod tests {
         // The busiest server's apps sit in retry backoff, so the drain
         // strands them for a few ticks.
         let si = (0..w.servers.len())
-            .max_by_key(|&i| w.servers[i].apps.len())
+            .max_by_key(|&i| w.apps.on(i).count())
             .unwrap();
         let other = (si + 1) % w.servers.len();
-        for i in 0..w.servers[si].apps.len() {
-            w.register_failure(w.servers[si].apps[i].id, w.tick);
+        let hosted: Vec<_> = w.apps.on(si).collect();
+        for app in hosted {
+            w.register_failure(app, w.tick);
         }
         w.submit_command(Command::Drain { server: si });
         w.submit_command(Command::RemoveServer { server: si });

@@ -1,8 +1,9 @@
 //! Pipeline stage 1 — measurement: raw per-app demands are smoothed
 //! (Eq. 4) into leaf `CP` values and aggregated up the tree.
 //!
-//! The per-server half (demand writes, smoothing, leaf `CP` stores) shards
-//! across the worker pool: each roster row is touched by exactly one shard,
+//! Each active server's app demands are first recorded in the app table
+//! and summed in list order, serially. The per-server half (smoothing,
+//! leaf `CP` stores) then shards across the worker pool: each roster row is touched by exactly one shard,
 //! and the arena-indexed `local_cp`/`power.cp` stores are gated on slot
 //! ownership (`leaf_server[leaf] == Some(si)`) so a retired row whose leaf
 //! slot was reused by a later-added server can never race — or clobber —
@@ -24,6 +25,7 @@ impl Willow {
         let threads = self.pool.threads();
         let reports_lost = AtomicUsize::new(0);
         debug_assert_eq!(self.planning.leaves.len(), n, "planning tracks the roster");
+        self.observe_app_demands(app_demand);
         {
             let servers = RawSlice::new(&mut self.servers);
             let local_cp = RawSlice::new(&mut self.local_cp);
@@ -50,15 +52,6 @@ impl Willow {
                     let owns = leaf_server[leaf] == Some(si);
                     let mut observed = Watts::ZERO;
                     if server.active {
-                        for (i, app) in server.apps.iter().enumerate() {
-                            let idx = app.id.0 as usize;
-                            assert!(
-                                idx < app_demand.len(),
-                                "demand vector too short for {}",
-                                app.id
-                            );
-                            server.app_demand[i] = app_demand[idx];
-                        }
                         let raw = server.raw_demand();
                         let smoothed = server.smoother.observe(raw);
                         observed = smoothed;
@@ -106,20 +99,12 @@ impl Willow {
     /// Stays serial: the open-loop path models per-leaf firmware, not the
     /// controller's hot loop.
     pub(super) fn measure_open_loop(&mut self, app_demand: &[Watts]) {
+        self.observe_app_demands(app_demand);
         for (si, server) in self.servers.iter_mut().enumerate() {
             // Ownership gate as in the closed-loop path: a retired row's
             // recycled slot belongs to the live replacement server.
             let owns = self.leaf_server[server.node.index()] == Some(si);
             if server.active {
-                for (i, app) in server.apps.iter().enumerate() {
-                    let idx = app.id.0 as usize;
-                    assert!(
-                        idx < app_demand.len(),
-                        "demand vector too short for {}",
-                        app.id
-                    );
-                    server.app_demand[i] = app_demand[idx];
-                }
                 let raw = server.raw_demand();
                 let smoothed = server.smoother.observe(raw);
                 if owns {
@@ -129,6 +114,17 @@ impl Willow {
                 self.local_cp[server.node.index()] = Watts::ZERO;
             }
             server.pending_cost = Watts::ZERO;
+        }
+    }
+
+    /// Record this period's raw demand of every app on an active server
+    /// and re-sum each active server's hosted-app power. A sleeping
+    /// server's apps keep their last reading.
+    fn observe_app_demands(&mut self, app_demand: &[Watts]) {
+        for (si, server) in self.servers.iter_mut().enumerate() {
+            if server.active {
+                server.app_power = self.apps.observe(si, app_demand);
+            }
         }
     }
 }

@@ -25,28 +25,25 @@ impl Willow {
     /// True if placing `app` on `target` now would return it to the host it
     /// left within the ping-pong window `Δ_f`.
     pub(super) fn would_pingpong(&self, app: AppId, target: NodeId, tick: u64) -> bool {
-        self.last_move.get(&app).is_some_and(|&(prev_from, t)| {
+        self.apps.last_move(app).is_some_and(|(prev_from, t)| {
             target == prev_from && tick.saturating_sub(t) < self.config.pingpong_window
         })
     }
 
     /// Is `app` still waiting out its retry backoff at `tick`?
     pub(super) fn in_backoff(&self, app: AppId, tick: u64) -> bool {
-        self.backoff.get(&app).is_some_and(|b| tick < b.retry_at)
+        self.apps.backoff(app).is_some_and(|b| tick < b.retry_at)
     }
 
     /// Record a failed migration attempt for `app` and schedule its next
     /// eligible attempt with exponential backoff.
     pub(super) fn register_failure(&mut self, app: AppId, tick: u64) {
         let rb = self.config.robustness;
-        let entry = self.backoff.entry(app).or_insert(Backoff {
-            failures: 0,
-            retry_at: 0,
-        });
-        entry.failures += 1;
-        let exp = (entry.failures - 1).min(rb.retry_cap);
+        let failures = self.apps.backoff(app).map_or(0, |b| b.failures) + 1;
+        let exp = (failures - 1).min(rb.retry_cap);
         let delay = rb.retry_base.saturating_mul(1u64 << exp);
-        entry.retry_at = tick.saturating_add(delay);
+        let retry_at = tick.saturating_add(delay);
+        self.apps.set_backoff(app, Backoff { failures, retry_at });
     }
 
     /// Try to migrate `item` to `target_leaf` as a transaction (see
@@ -71,7 +68,7 @@ impl Willow {
         let txn = self.prepare_migration(item, target_leaf, tick);
         match self.disturb.migration_outcome(attempt) {
             MigrationOutcome::Success => {
-                if self.backoff.remove(&item.app).is_some() {
+                if self.apps.clear_backoff(item.app) {
                     self.counters.migration_retries += 1;
                 }
                 self.transfer_migration(txn);
@@ -109,8 +106,9 @@ impl Willow {
         tick: u64,
     ) -> TxnId {
         let src_leaf = self.servers[item.server].node;
-        debug_assert!(
-            self.servers[item.server].find_app(item.app).is_some(),
+        debug_assert_eq!(
+            self.apps.host(item.app),
+            Some(item.server),
             "preparing a migration for an app not hosted at its source"
         );
         debug_assert!(
@@ -169,11 +167,13 @@ impl Willow {
         let tgt_idx = self.leaf_server[e.to.index()].expect("target is a server leaf");
         debug_assert_ne!(src_idx, tgt_idx, "cannot migrate to self");
 
-        let app_pos = self.servers[src_idx]
-            .find_app(e.app)
-            .expect("committed app still hosted at source");
-        let (app, demand) = self.servers[src_idx].take_app(app_pos);
-        self.servers[tgt_idx].host_app(app, demand);
+        assert_eq!(
+            self.apps.host(e.app),
+            Some(src_idx),
+            "committed app still hosted at source"
+        );
+        let demand = self.apps.demand(e.app);
+        self.rehost(e.app, tgt_idx);
 
         let local = self.tree.are_siblings(e.from, e.to);
         let cost = self.config.cost_model.end_node_cost(demand, local);
@@ -188,10 +188,8 @@ impl Willow {
 
         let hops = self.tree.path_len(e.from, e.to) - 1; // switches on path
                                                          // Ping-pong: the app returns to the host it last left, within Δ_f.
-        let pingpong = self.last_move.get(&e.app).is_some_and(|&(prev_from, t)| {
-            e.to == prev_from && e.tick.saturating_sub(t) < self.config.pingpong_window
-        });
-        self.last_move.insert(e.app, (e.from, e.tick));
+        let pingpong = self.would_pingpong(e.app, e.to, e.tick);
+        self.apps.set_last_move(e.app, e.from, e.tick);
 
         self.stats.migrations += 1;
         records.push(MigrationRecord {

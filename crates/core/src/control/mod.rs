@@ -41,6 +41,7 @@
 //! snapshot runs exactly the policies it was checkpointed with. The
 //! defaults reproduce the paper's behavior exactly.
 
+use crate::apps::AppTable;
 use crate::command::{Command, PendingCommand};
 use crate::config::ControllerConfig;
 use crate::disturbance::Disturbances;
@@ -49,7 +50,6 @@ use crate::server::FenceState;
 use crate::server::{ServerSpec, ServerState};
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
-use std::collections::{HashMap, HashSet};
 use willow_network::Fabric;
 use willow_thermal::model::decay_factor;
 use willow_thermal::units::{Celsius, Watts};
@@ -108,6 +108,12 @@ pub enum WillowError {
     DuplicateLeaf(NodeId),
     /// Two applications share an id.
     DuplicateApp(AppId),
+    /// An application id is not below the number of applications: ids
+    /// index the app table, so they must be dense from 0.
+    AppBeyondTable(AppId),
+    /// A snapshot's app table disagrees with itself about an application:
+    /// its row, host or list links do not match the server lists.
+    AppLinks(AppId),
     /// A snapshot's auxiliary state vectors do not match its topology
     /// (wrong length for the tree / server count it carries).
     SnapshotShape {
@@ -130,6 +136,18 @@ impl std::fmt::Display for WillowError {
             WillowError::NotALeaf(n) => write!(f, "node {n} is not a leaf"),
             WillowError::DuplicateLeaf(n) => write!(f, "leaf {n} specified twice"),
             WillowError::DuplicateApp(a) => write!(f, "application {a} hosted twice"),
+            WillowError::AppBeyondTable(a) => {
+                write!(
+                    f,
+                    "application {a} is beyond the app table (ids must be dense)"
+                )
+            }
+            WillowError::AppLinks(a) => {
+                write!(
+                    f,
+                    "application {a}'s table row disagrees with the server lists"
+                )
+            }
             WillowError::SnapshotShape {
                 field,
                 found,
@@ -147,7 +165,11 @@ impl std::fmt::Display for WillowError {
 impl std::error::Error for WillowError {}
 
 /// [`WillowError::SnapshotShape`] unless `found == expected`.
-fn snapshot_shape(field: &'static str, found: usize, expected: usize) -> Result<(), WillowError> {
+pub(crate) fn snapshot_shape(
+    field: &'static str,
+    found: usize,
+    expected: usize,
+) -> Result<(), WillowError> {
     if found == expected {
         Ok(())
     } else {
@@ -195,16 +217,13 @@ pub struct Willow {
     pub(super) tree: Tree,
     pub(super) config: ControllerConfig,
     pub(super) servers: Vec<ServerState>,
+    /// Every per-app fact: placement, raw demand, last move, backoff.
+    pub(super) apps: AppTable,
     /// Arena index → server index (None for interior nodes).
     pub(super) leaf_server: Vec<Option<usize>>,
     pub(super) power: PowerState,
     pub(super) fabric: Fabric,
     pub(super) tick: u64,
-    /// For each app: the server it last migrated *from* and when. Ping-pong
-    /// is defined as the paper does — "migrates demand from server A to B
-    /// and then immediately from B to A" — i.e. a return to the previous
-    /// host within the `Δ_f` window.
-    pub(super) last_move: HashMap<AppId, (NodeId, u64)>,
     /// Demand shed last period (drives wake-on-deficit).
     pub(super) last_dropped: Watts,
     /// Cumulative operation counters.
@@ -228,8 +247,6 @@ pub struct Willow {
     /// Per-server decay factor `e^(−c2·Δ_S)` for the thermal-cap
     /// prediction on supply ticks.
     pub(super) decay_ds: Vec<f64>,
-    /// Retry backoff for apps whose migrations recently failed.
-    pub(super) backoff: HashMap<AppId, Backoff>,
     /// Write-ahead journal of migration transactions (see `crate::txn`):
     /// every migration runs prepare → transfer → commit through it, so a
     /// crash or dead link mid-flight can never orphan or duplicate an app.
@@ -286,6 +303,7 @@ impl Willow {
     ) -> Result<Self, WillowError> {
         // The smoothers are built from the config, so it must hold first.
         config.validate().map_err(WillowError::Config)?;
+        let apps = AppTable::for_specs(&specs)?;
         let servers: Vec<ServerState> = specs
             .iter()
             .map(|spec| {
@@ -299,17 +317,16 @@ impl Willow {
         Willow::from_parts(crate::snapshot::WillowSnapshot {
             power: PowerState::new(&tree),
             tick: 0,
-            last_moves: Vec::new(),
             last_dropped: Watts::ZERO,
             local_cp: vec![Watts::ZERO; tree.len()],
             watchdog: vec![Watchdog::default(); n],
             accepted_temp: servers.iter().map(|s| s.thermal.temperature()).collect(),
-            backoff: Vec::new(),
             stats: ControlStats::default(),
             journal: MigrationJournal::default(),
             pending: Vec::new(),
             next_command_id: 0,
             paused: false,
+            apps,
             planning: None,
             tree,
             config,
@@ -369,25 +386,11 @@ impl Willow {
         self.tick
     }
 
-    /// Ping-pong bookkeeping as a serializable list, sorted by app id.
+    /// Every per-app fact: each application, its host, raw demand, last
+    /// move and retry backoff.
     #[must_use]
-    pub fn last_moves(&self) -> Vec<(AppId, NodeId, u64)> {
-        let mut out = Vec::new();
-        self.last_moves_into(&mut out);
-        out
-    }
-
-    /// [`Willow::last_moves`] into a caller-provided buffer (cleared
-    /// first), so periodic checkpointing can reuse one allocation.
-    pub fn last_moves_into(&self, out: &mut Vec<(AppId, NodeId, u64)>) {
-        out.clear();
-        out.extend(
-            self.last_move
-                .iter()
-                .map(|(&app, &(from, t))| (app, from, t)),
-        );
-        // App ids are unique map keys, so the unstable sort is total.
-        out.sort_unstable_by_key(|(app, _, _)| *app);
+    pub fn apps(&self) -> &AppTable {
+        &self.apps
     }
 
     /// Demand shed in the last completed period.
@@ -418,23 +421,6 @@ impl Willow {
         &self.local_cp
     }
 
-    /// Migration retry backoff as a serializable list, sorted by app id.
-    #[must_use]
-    pub fn backoffs(&self) -> Vec<(AppId, Backoff)> {
-        let mut out = Vec::new();
-        self.backoffs_into(&mut out);
-        out
-    }
-
-    /// [`Willow::backoffs`] into a caller-provided buffer (cleared first),
-    /// so periodic checkpointing can reuse one allocation.
-    pub fn backoffs_into(&self, out: &mut Vec<(AppId, Backoff)>) {
-        out.clear();
-        out.extend(self.backoff.iter().map(|(&app, &b)| (app, b)));
-        // App ids are unique map keys, so the unstable sort is total.
-        out.sort_unstable_by_key(|(app, _)| *app);
-    }
-
     /// The migration-transaction journal: open transactions plus recently
     /// closed ones (retained for duplicate-commit detection).
     #[must_use]
@@ -452,8 +438,8 @@ impl Willow {
     /// Rebuild a controller from a previously captured snapshot (the
     /// checkpoint/restore path — see `crate::snapshot`), or from the tick-0
     /// image [`Willow::new`] assembles. Validates the config, the leaf
-    /// coverage of the server states, app uniqueness, and the shape of
-    /// every state vector against the snapshot's own topology, so a
+    /// coverage of the server states, the app table's lists, and the shape
+    /// of every state vector against the snapshot's own topology, so a
     /// malformed image is an error here rather than a panic in `step`.
     ///
     /// Policies are selected by the snapshot's config alone, so the
@@ -464,20 +450,19 @@ impl Willow {
         let crate::snapshot::WillowSnapshot {
             tree,
             config,
-            servers,
+            mut servers,
             power,
             tick,
-            last_moves,
             last_dropped,
             local_cp,
             watchdog,
             accepted_temp,
-            backoff,
             stats,
             journal,
             pending,
             next_command_id,
             paused,
+            apps,
             planning,
         } = snapshot;
         config.validate().map_err(WillowError::Config)?;
@@ -512,13 +497,7 @@ impl Willow {
             None => PlanningContext::for_servers(servers.len()),
         };
         let mut leaf_server = vec![None; tree.len()];
-        let mut seen_apps = HashSet::new();
         for (si, server) in servers.iter().enumerate() {
-            snapshot_shape(
-                "servers.app_demand",
-                server.app_demand.len(),
-                server.apps.len(),
-            )?;
             // Even a retired row's node must be a tree slot: recovery
             // indexes the slot table by it.
             if server.node.index() >= tree.len() {
@@ -533,11 +512,12 @@ impl Willow {
                 }
                 leaf_server[server.node.index()] = Some(si);
             }
-            for app in &server.apps {
-                if !seen_apps.insert(app.id) {
-                    return Err(WillowError::DuplicateApp(app.id));
-                }
-            }
+        }
+        apps.validate(servers.len())?;
+        // The hosted-app power is derived state: re-sum it from the table
+        // so it can never disagree with the lists it summarizes.
+        for (si, server) in servers.iter_mut().enumerate() {
+            server.app_power = apps.power_on(si);
         }
         let fabric = Fabric::new(&tree);
         let decay_dd = servers
@@ -557,14 +537,11 @@ impl Willow {
             tree,
             config,
             servers,
+            apps,
             leaf_server,
             power,
             fabric,
             tick,
-            last_move: last_moves
-                .into_iter()
-                .map(|(app, from, t)| (app, (from, t)))
-                .collect(),
             last_dropped,
             stats,
             local_cp,
@@ -572,7 +549,6 @@ impl Willow {
             accepted_temp,
             decay_dd,
             decay_ds,
-            backoff: backoff.into_iter().collect(),
             journal,
             disturb: Disturbances::default(),
             mig_attempts: 0,
@@ -601,8 +577,8 @@ impl Willow {
     ///
     /// * **Placement and server state** — migrations committed between the
     ///   checkpoint and the crash are in the field but not the checkpoint,
-    ///   so the field's servers (and their smoother/thermal state) are
-    ///   adopted wholesale. Nothing moves during an outage (only the
+    ///   so the field's servers (and their smoother/thermal state) and the
+    ///   app table's placement columns are adopted wholesale. Nothing moves during an outage (only the
     ///   controller migrates), so this is exact, not approximate.
     /// * **Budgets, caps, watchdogs, accepted temperatures, clock** — the
     ///   leaves' applied budgets (tightened by open-loop watchdogs) and
@@ -635,12 +611,14 @@ impl Willow {
         let mut w = Willow::from_parts(checkpoint)?;
         snapshot_shape("recover.tree", w.tree.len(), field.tree.len())?;
         snapshot_shape("recover.servers", w.servers.len(), field.servers.len())?;
+        snapshot_shape("recover.apps", w.apps.len(), field.apps.len())?;
         for (ours, theirs) in w.servers.iter().zip(&field.servers) {
             snapshot_shape("recover.leaf", ours.node.index(), theirs.node.index())?;
         }
 
         // Physical truth from the field.
         w.servers.clone_from(&field.servers);
+        w.apps.adopt_placement(&field.apps);
         w.leaf_server.clone_from(&field.leaf_server);
         w.power.clone_from(&field.power);
         w.local_cp.clone_from(&field.local_cp);
@@ -668,11 +646,7 @@ impl Willow {
         w.power.aggregate_caps(&w.tree);
 
         // Expire memory whose window elapsed during the outage.
-        let horizon = w.config.pingpong_window;
-        let now = w.tick;
-        w.last_move
-            .retain(|_, &mut (_, t)| now.saturating_sub(t) < horizon);
-        w.backoff.retain(|_, b| b.retry_at > now);
+        w.apps.expire(w.tick, w.config.pingpong_window);
         w.journal.resolve_in_flight();
 
         // Command plane: the queue is controller memory (restored from the
@@ -698,7 +672,16 @@ impl Willow {
     /// Server index hosting `app`, if any.
     #[must_use]
     pub fn locate_app(&self, app: AppId) -> Option<usize> {
-        self.servers.iter().position(|s| s.find_app(app).is_some())
+        self.apps.host(app)
+    }
+
+    /// Move `app` to the tail of server `to`'s list and re-sum the
+    /// hosted-app power of both ends.
+    pub(super) fn rehost(&mut self, app: AppId, to: usize) {
+        let from = self.apps.host(app).expect("rehosting a known app");
+        self.apps.move_to(app, to);
+        self.servers[from].app_power = self.apps.power_on(from);
+        self.servers[to].app_power = self.apps.power_on(to);
     }
 
     /// Utilization of the server at a leaf, or `0.0` for non-server nodes.

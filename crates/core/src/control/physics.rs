@@ -93,6 +93,7 @@ impl Willow {
             let out_budget = RawSlice::new(&mut report.server_budget);
             let out_temp = RawSlice::new(&mut report.server_temp);
             let out_active = RawSlice::new(&mut report.server_active);
+            let apps = &self.apps;
             let tp = &self.power.tp;
             let local_cp = &self.local_cp;
             let decay_dd = &self.decay_dd;
@@ -137,8 +138,8 @@ impl Willow {
                     if sf.0 > 0.0 {
                         // Degraded operation: attribute the shed demand to
                         // QoS classes, lowest priority first (§IV-E / §VI).
-                        shed[off] =
-                            crate::shedding::shed_by_priority(&server.apps, &server.app_demand, sf);
+                        let hosted = apps.on(si).map(|id| (apps[id].priority, apps.demand(id)));
+                        shed[off] = crate::shedding::shed_by_priority(hosted, sf);
                     }
                     server.thermal.advance_with_decay(drawn, decay_dd[si]);
                     // Sensor plausibility filter: accept the (possibly

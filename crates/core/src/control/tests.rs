@@ -3,7 +3,7 @@
 //! and the paper's properties. Fault-injection and crash-recovery tests
 //! live in `super::fault_tests`.
 
-use super::testutil::{demands, small_setup};
+use super::testutil::{demands, hosted, small_setup};
 use super::*;
 use crate::config::{AllocationPolicy, ReducedTargetRule};
 use crate::migration::MigrationReason;
@@ -34,6 +34,13 @@ fn constructor_validates() {
     assert!(matches!(
         Willow::new(tree.clone(), dup_app, ControllerConfig::default()),
         Err(WillowError::DuplicateApp(_))
+    ));
+    // An app id past the table: ids must be dense from 0.
+    let mut sparse = specs.clone();
+    sparse[3].apps[0].id = AppId(4);
+    assert!(matches!(
+        Willow::new(tree.clone(), sparse, ControllerConfig::default()),
+        Err(WillowError::AppBeyondTable(AppId(4)))
     ));
     // Non-leaf spec.
     let mut non_leaf = specs;
@@ -172,8 +179,7 @@ fn consolidation_empties_idle_server_and_sleeps_it() {
     let active = w.servers().iter().filter(|s| s.active).count();
     assert!(active < 4, "at least one server must sleep");
     // All apps still hosted somewhere.
-    let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
-    assert_eq!(hosted, n_apps);
+    assert_eq!(hosted(&w), n_apps);
 }
 
 #[test]
@@ -307,11 +313,10 @@ fn apps_conserved_across_arbitrary_churn() {
             .collect();
         let supply = Watts(600.0 + 300.0 * ((t % 11) as f64 / 10.0));
         let _ = w.step(&d, supply);
-        let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
-        assert_eq!(hosted, n_apps, "apps must never be lost or duplicated");
-        // Demand alignment invariant.
-        for s in w.servers() {
-            assert_eq!(s.apps.len(), s.app_demand.len());
+        assert_eq!(hosted(&w), n_apps, "apps must never be lost or duplicated");
+        // Each server's hosted-app power is its list's sum.
+        for (si, s) in w.servers().iter().enumerate() {
+            assert_eq!(s.app_power.0.to_bits(), w.apps().power_on(si).0.to_bits());
         }
     }
 }
@@ -445,8 +450,7 @@ fn every_policy_combo_is_deterministic_and_conserves_apps() {
             let ra = a.step(&d, supply);
             let rb = b.step(&d, supply);
             assert_eq!(ra, rb, "{consolidation:?} nondeterministic at {t}");
-            let hosted: usize = a.servers().iter().map(|s| s.apps.len()).sum();
-            assert_eq!(hosted, n_apps, "{consolidation:?} lost apps");
+            assert_eq!(hosted(&a), n_apps, "{consolidation:?} lost apps");
         }
     }
 }
@@ -494,7 +498,7 @@ fn ordering_fixture() -> (Willow, Vec<NodeId>) {
         w.power.tp[n] = Watts(tp);
         w.power.cp[n] = Watts(cp);
         w.power.cap[n] = Watts(cap);
-        w.servers[k].app_demand = vec![Watts(util * 100.0)];
+        w.servers[k].app_power = Watts(util * 100.0);
         assert!((w.servers[k].utilization() - util).abs() < 1e-12);
     }
     (w, leaves)
@@ -622,7 +626,7 @@ mod planner_oracle {
     /// eligible receiver again for each victim, then first-fit.
     fn plan(w: &Willow, si: usize) -> Option<Vec<(DeficitItem, NodeId)>> {
         let server = &w.servers[si];
-        if server.apps.iter().any(|a| w.in_backoff(a.id, w.tick)) {
+        if w.apps.on(si).any(|a| w.in_backoff(a, w.tick)) {
             return None;
         }
         let leaf = server.node;
@@ -636,11 +640,11 @@ mod planner_oracle {
         }
         order(w, &mut bins[n..]);
         let mut free: Vec<f64> = bins.iter().map(|&l| w.bin_capacity(l).0).collect();
-        let items: Vec<DeficitItem> = (server.apps.iter().zip(&server.app_demand))
-            .map(|(a, &demand)| DeficitItem {
+        let items: Vec<DeficitItem> = (w.apps.on(si))
+            .map(|app| DeficitItem {
                 server: si,
-                app: a.id,
-                demand,
+                app,
+                demand: w.apps.demand(app),
                 reason: MigrationReason::Consolidation,
             })
             .collect();
@@ -672,7 +676,7 @@ mod planner_oracle {
             if received[si] || !below(&w.servers[si]) {
                 continue;
             }
-            let evacuated = w.servers[si].apps.is_empty()
+            let evacuated = !w.apps.hosts_any(si)
                 || plan(w, si).is_some_and(|plan| {
                     plan.iter().all(|(item, to)| {
                         let moved = w.attempt_migration(item, *to, tick, records);
@@ -728,7 +732,7 @@ mod planner_oracle {
         assert_eq!(sa, sb, "{ctx}: slept");
         assert_eq!(placement(a), placement(b), "{ctx}: placement");
         assert_eq!(cp_bits(a), cp_bits(b), "{ctx}: leaf demands");
-        assert_eq!(a.backoffs(), b.backoffs(), "{ctx}: backoffs");
+        assert_eq!(a.apps(), b.apps(), "{ctx}: app table");
         (ra, sa)
     }
 
@@ -787,14 +791,14 @@ mod planner_oracle {
             b.force_wake(si);
         }
         for si in 0..n {
-            while a.servers[si].apps.len() > 1 && rng.gen_bool(0.6) {
+            while a.apps.on(si).count() > 1 && rng.gen_bool(0.6) {
                 let to = rng.gen_range(0..n);
                 if to == si || !a.servers[to].active {
                     break;
                 }
                 for w in [&mut *a, &mut *b] {
-                    let (app, demand) = w.servers[si].take_app(0);
-                    w.servers[to].host_app(app, demand);
+                    let app = w.apps.on(si).next().unwrap();
+                    w.rehost(app, to);
                 }
             }
         }
@@ -910,9 +914,11 @@ mod planner_oracle {
             for w in [&mut a, &mut b] {
                 w.force_wake(first);
                 let to = (1..w.servers.len()).find(|&i| w.servers[i].active).unwrap();
-                for _ in 0..w.servers[first].apps.len() {
-                    let (app, demand) = w.servers[first].take_app(0);
-                    w.servers[to].host_app(app, demand);
+                loop {
+                    let Some(app) = w.apps.on(first).next() else {
+                        break;
+                    };
+                    w.rehost(app, to);
                 }
                 for si in 0..w.servers.len() {
                     w.force_wake(si);
@@ -953,7 +959,7 @@ mod planner_oracle {
                 scatter(&mut a, &mut b, &mut rng);
                 step_both(&mut a, &mut b, &mut rng, n_apps);
                 let server = (0..a.servers.len())
-                    .max_by_key(|&i| (a.servers[i].active, a.servers[i].apps.len()))
+                    .max_by_key(|&i| (a.servers[i].active, a.apps.on(i).count()))
                     .unwrap();
                 let drained = a.drain_server(server);
                 let tick = b.tick;

@@ -31,8 +31,12 @@ pub(super) fn demands(n: usize, w: f64) -> Vec<Watts> {
 }
 
 pub(super) fn placement(w: &Willow) -> Vec<Vec<AppId>> {
-    w.servers()
-        .iter()
-        .map(|s| s.apps.iter().map(|a| a.id).collect())
+    (0..w.servers().len())
+        .map(|si| w.apps().on(si).collect())
         .collect()
+}
+
+/// Apps on any server's list (each counted once per list it sits on).
+pub(super) fn hosted(w: &Willow) -> usize {
+    w.apps().placed()
 }

@@ -130,18 +130,26 @@ fn assert_identical(tick: u64, opt: &Willow, reference: &ReferenceWillow) {
         "caps @ tick {tick}"
     );
     assert_eq!(p.reduced, q.reduced, "reduced flags @ tick {tick}");
+    let last_moves: Vec<_> = (opt.apps().iter())
+        .filter_map(|a| opt.apps().last_move(a.id).map(|(from, t)| (a.id, from, t)))
+        .collect();
     assert_eq!(
-        opt.last_moves(),
+        last_moves,
         reference.last_moves(),
         "ping-pong log @ tick {tick}"
     );
     assert_eq!(opt.stats(), reference.stats(), "op counters @ tick {tick}");
-    for (s_opt, s_ref) in opt.servers().iter().zip(reference.servers()) {
+    for (si, (s_opt, s_ref)) in opt.servers().iter().zip(reference.servers()).enumerate() {
         assert_eq!(s_opt.active, s_ref.active, "active @ tick {tick}");
         assert_eq!(
-            format!("{:?}", s_opt.apps),
+            format!("{:?}", opt.apps().apps_on(si)),
             format!("{:?}", s_ref.apps),
             "placement @ tick {tick}"
+        );
+        assert_eq!(
+            format!("{:?}", s_opt.app_power),
+            format!("{:?}", s_ref.app_demand.iter().copied().sum::<Watts>()),
+            "hosted-app power @ tick {tick}"
         );
     }
 }

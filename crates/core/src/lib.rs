@@ -31,7 +31,11 @@
 //! ## Crate layout
 //!
 //! * [`config`] — all tunables ([`config::ControllerConfig`]).
-//! * [`server`] — per-server runtime state (hosted apps, thermal, smoother).
+//! * [`apps`] — the app table: every per-app fact (host, raw demand, last
+//!   move, retry backoff) in columns indexed by app id, with each server's
+//!   apps as an intrusive list in migration order.
+//! * [`server`] — per-server runtime state (thermal, smoother, hosted-app
+//!   power); plain `Copy` values.
 //! * [`state`] — per-node power state arrays (`CP`, `TP`, caps, reduction
 //!   flags).
 //! * [`migration`] — migration records, reasons, and per-tick reports.
@@ -41,6 +45,8 @@
 //! * [`control`] — [`control::Willow`] itself: `step()` once per `Δ_D`
 //!   with measured app demands and the current total supply, staged as a
 //!   five-phase pipeline with config-selected policies.
+//! * [`snapshot`] — checkpoint and restore ([`snapshot::WillowSnapshot`]).
+//! * [`audit`] — the always-on invariant auditor.
 //!
 //! ## Minimal use
 //!
@@ -79,6 +85,7 @@
 // lifetime argument inline.
 #![deny(unsafe_code)]
 
+pub mod apps;
 pub mod audit;
 pub mod baseline;
 pub mod command;

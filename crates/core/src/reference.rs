@@ -7,17 +7,94 @@ use crate::config::{AllocationPolicy, ControllerConfig, ReducedTargetRule};
 use crate::control::{ControlStats, WillowError};
 use crate::disturbance::{Disturbances, MigrationOutcome};
 use crate::migration::{MigrationReason, MigrationRecord, TickReport};
-use crate::server::{ServerSpec, ServerState};
+use crate::server::{DemandSmoother, ServerSpec};
 use crate::state::PowerState;
 use std::collections::HashMap;
 use willow_binpack::Packer;
 use willow_network::Fabric;
 use willow_power::allocation::allocate_proportional;
 use willow_thermal::limit::power_limit;
-use willow_thermal::model::step_temperature;
+use willow_thermal::model::{step_temperature, DeviceThermal};
 use willow_thermal::units::{Celsius, Watts};
 use willow_topology::{NodeId, Tree};
-use willow_workload::app::AppId;
+use willow_workload::app::{AppId, Application};
+
+/// The per-server record as the reference was written against it: each
+/// server owns its apps and their demands. Kept here so the record the
+/// production controller uses can change without moving the ground truth.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServerState {
+    /// PMU-tree leaf this server occupies.
+    pub node: NodeId,
+    /// Currently hosted applications (the migration units).
+    pub apps: Vec<Application>,
+    /// Latest *raw* demand per hosted app, aligned with `apps`.
+    pub app_demand: Vec<Watts>,
+    /// Temporary migration-cost demand charged this period (§IV-E).
+    pub pending_cost: Watts,
+    /// Smoothed node demand `CP_{0,i}` (Eq. 4 or Holt).
+    pub smoother: DemandSmoother,
+    /// Thermal state.
+    pub thermal: DeviceThermal,
+    /// Active (true) or deep sleep (false).
+    pub active: bool,
+    /// Tick at which the server last changed activity state.
+    pub last_activity_change: u64,
+    /// Non-migratable draw while active.
+    pub base_load: Watts,
+    /// Utilization denominator.
+    pub full_util_power: Watts,
+}
+
+impl ServerState {
+    fn from_spec_with_smoother(spec: &ServerSpec, smoother: DemandSmoother) -> Self {
+        ServerState {
+            node: spec.node,
+            apps: spec.apps.clone(),
+            app_demand: vec![Watts::ZERO; spec.apps.len()],
+            pending_cost: Watts::ZERO,
+            smoother,
+            thermal: DeviceThermal::new(spec.thermal, spec.ambient, spec.t_limit, spec.rating),
+            active: spec.active,
+            last_activity_change: 0,
+            base_load: spec.base_load,
+            full_util_power: spec.full_util_power,
+        }
+    }
+
+    fn app_power(&self) -> Watts {
+        self.app_demand.iter().copied().sum()
+    }
+
+    fn raw_demand(&self) -> Watts {
+        if !self.active {
+            return Watts::ZERO;
+        }
+        self.base_load + self.app_power() + self.pending_cost
+    }
+
+    fn utilization(&self) -> f64 {
+        if !self.active || self.full_util_power.0 <= 0.0 {
+            return 0.0;
+        }
+        (self.app_power() / self.full_util_power).clamp(0.0, 1.0)
+    }
+
+    fn take_app(&mut self, idx: usize) -> (Application, Watts) {
+        let app = self.apps.remove(idx);
+        let demand = self.app_demand.remove(idx);
+        (app, demand)
+    }
+
+    fn host_app(&mut self, app: Application, demand: Watts) {
+        self.apps.push(app);
+        self.app_demand.push(demand);
+    }
+
+    fn find_app(&self, id: AppId) -> Option<usize> {
+        self.apps.iter().position(|a| a.id == id)
+    }
+}
 
 /// A deficit parcel traveling up the hierarchy: one application that must
 /// leave its server.
@@ -135,7 +212,7 @@ impl ReferenceWillow {
             leaf_server[spec.node.index()] = Some(servers.len());
             servers.push(ServerState::from_spec_with_smoother(
                 spec,
-                crate::server::DemandSmoother::new(config.smoother, config.alpha),
+                DemandSmoother::new(config.smoother, config.alpha),
             ));
         }
         let power = PowerState::new(&tree);
@@ -384,8 +461,14 @@ impl ReferenceWillow {
             if shortfall.0 > 0.0 {
                 // Degraded operation: attribute the shed demand to QoS
                 // classes, lowest priority first (§IV-E / §VI).
-                let by_class =
-                    crate::shedding::shed_by_priority(&server.apps, &server.app_demand, shortfall);
+                let by_class = crate::shedding::shed_by_priority(
+                    server
+                        .apps
+                        .iter()
+                        .map(|a| a.priority)
+                        .zip(server.app_demand.iter().copied()),
+                    shortfall,
+                );
                 for (acc, class_shed) in report.shed_by_priority.iter_mut().zip(by_class) {
                     *acc += class_shed;
                 }

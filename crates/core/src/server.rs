@@ -1,5 +1,5 @@
-//! Per-server runtime state: hosted applications, activity, thermals,
-//! demand smoothing.
+//! Per-server runtime state: activity, thermals, demand smoothing. The
+//! apps a server hosts live in the controller's [`crate::apps::AppTable`].
 
 use serde::{Deserialize, Serialize};
 use willow_thermal::model::{DeviceThermal, ThermalParams};
@@ -10,7 +10,7 @@ use willow_workload::smoothing::{ExpSmoother, HoltSmoother};
 
 /// A demand smoother of either configured kind (Eq. 4 exponential or Holt
 /// level+trend).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DemandSmoother {
     /// Plain exponential smoothing (paper Eq. 4).
     Exponential(ExpSmoother),
@@ -195,15 +195,16 @@ impl FenceState {
     }
 }
 
-/// Live state of a server inside the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Live state of a server inside the controller: plain values only. Its
+/// apps are a list in the controller's [`crate::apps::AppTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServerState {
     /// PMU-tree leaf this server occupies.
     pub node: NodeId,
-    /// Currently hosted applications (the migration units).
-    pub apps: Vec<Application>,
-    /// Latest *raw* demand per hosted app, aligned with `apps`.
-    pub app_demand: Vec<Watts>,
+    /// Combined raw demand of the hosted applications, summed in list
+    /// order whenever the server's apps or their demands change.
+    pub app_power: Watts,
     /// Temporary migration-cost demand charged this period (§IV-E).
     pub pending_cost: Watts,
     /// Smoothed node demand `CP_{0,i}` (Eq. 4 or Holt).
@@ -234,14 +235,13 @@ impl ServerState {
         )
     }
 
-    /// Construct live state from a spec with an explicit smoother.
+    /// Construct live state from a spec with an explicit smoother. The
+    /// spec's apps go into the app table, not here.
     #[must_use]
     pub fn from_spec_with_smoother(spec: &ServerSpec, smoother: DemandSmoother) -> Self {
-        let n_apps = spec.apps.len();
         ServerState {
             node: spec.node,
-            apps: spec.apps.clone(),
-            app_demand: vec![Watts::ZERO; n_apps],
+            app_power: Watts::ZERO,
             pending_cost: Watts::ZERO,
             smoother,
             thermal: DeviceThermal::new(spec.thermal, spec.ambient, spec.t_limit, spec.rating),
@@ -253,13 +253,6 @@ impl ServerState {
         }
     }
 
-    /// Combined power demand of the hosted applications (excluding base
-    /// load and migration costs).
-    #[must_use]
-    pub fn app_power(&self) -> Watts {
-        self.app_demand.iter().copied().sum()
-    }
-
     /// Raw demand: base load plus hosted app demands plus temporary
     /// migration cost. A sleeping server demands nothing.
     #[must_use]
@@ -267,7 +260,7 @@ impl ServerState {
         if !self.active {
             return Watts::ZERO;
         }
-        self.base_load + self.app_power() + self.pending_cost
+        self.base_load + self.app_power + self.pending_cost
     }
 
     /// Utilization: hosted application power relative to the full-load
@@ -278,35 +271,14 @@ impl ServerState {
         if !self.active || self.full_util_power.0 <= 0.0 {
             return 0.0;
         }
-        (self.app_power() / self.full_util_power).clamp(0.0, 1.0)
-    }
-
-    /// Remove the app at `idx`, returning it and its last demand.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn take_app(&mut self, idx: usize) -> (Application, Watts) {
-        let app = self.apps.remove(idx);
-        let demand = self.app_demand.remove(idx);
-        (app, demand)
-    }
-
-    /// Host an app arriving by migration, with its current demand.
-    pub fn host_app(&mut self, app: Application, demand: Watts) {
-        self.apps.push(app);
-        self.app_demand.push(demand);
-    }
-
-    /// Index of an app by id.
-    #[must_use]
-    pub fn find_app(&self, id: willow_workload::app::AppId) -> Option<usize> {
-        self.apps.iter().position(|a| a.id == id)
+        (self.app_power / self.full_util_power).clamp(0.0, 1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::AppTable;
     use willow_workload::app::{AppId, SIM_APP_CLASSES};
 
     fn spec_with_two_apps() -> ServerSpec {
@@ -317,10 +289,18 @@ mod tests {
         ServerSpec::simulation_default(NodeId(3)).with_apps(apps)
     }
 
+    /// The server with its two apps drawing 30 W and `second` W.
+    fn loaded(second: f64) -> ServerState {
+        let spec = spec_with_two_apps();
+        let mut table = AppTable::for_specs(std::slice::from_ref(&spec)).unwrap();
+        let mut s = ServerState::from_spec(&spec, 0.5);
+        s.app_power = table.observe(0, &[Watts(30.0), Watts(second)]);
+        s
+    }
+
     #[test]
     fn raw_demand_sums_apps_and_cost() {
-        let mut s = ServerState::from_spec(&spec_with_two_apps(), 0.5);
-        s.app_demand = vec![Watts(30.0), Watts(50.0)];
+        let mut s = loaded(50.0);
         assert_eq!(s.raw_demand(), Watts(80.0));
         s.pending_cost = Watts(4.0);
         assert_eq!(s.raw_demand(), Watts(84.0));
@@ -328,8 +308,7 @@ mod tests {
 
     #[test]
     fn sleeping_server_demands_nothing() {
-        let mut s = ServerState::from_spec(&spec_with_two_apps(), 0.5);
-        s.app_demand = vec![Watts(30.0), Watts(50.0)];
+        let mut s = loaded(50.0);
         s.active = false;
         assert_eq!(s.raw_demand(), Watts::ZERO);
         assert_eq!(s.utilization(), 0.0);
@@ -337,24 +316,8 @@ mod tests {
 
     #[test]
     fn utilization_is_demand_over_rating() {
-        let mut s = ServerState::from_spec(&spec_with_two_apps(), 0.5);
-        s.app_demand = vec![Watts(45.0), Watts(45.0)];
+        let s = loaded(60.0);
         assert!((s.utilization() - 0.2).abs() < 1e-12); // 90/450
-    }
-
-    #[test]
-    fn take_and_host_keep_demand_aligned() {
-        let mut s = ServerState::from_spec(&spec_with_two_apps(), 0.5);
-        s.app_demand = vec![Watts(30.0), Watts(50.0)];
-        let (app, d) = s.take_app(0);
-        assert_eq!(app.id, AppId(0));
-        assert_eq!(d, Watts(30.0));
-        assert_eq!(s.apps.len(), 1);
-        assert_eq!(s.raw_demand(), Watts(50.0));
-        s.host_app(app, d);
-        assert_eq!(s.raw_demand(), Watts(80.0));
-        assert_eq!(s.find_app(AppId(0)), Some(1));
-        assert_eq!(s.find_app(AppId(7)), None);
     }
 
     #[test]

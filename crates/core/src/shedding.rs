@@ -11,7 +11,7 @@
 //! only the power shed per class, so that is all this module computes.
 
 use willow_thermal::units::Watts;
-use willow_workload::app::{Application, Priority};
+use willow_workload::app::Priority;
 
 /// Absorb `shortfall` watts by degrading applications, lowest priority
 /// class first, and return the power shed from each class (indexed by
@@ -23,19 +23,21 @@ use willow_workload::app::{Application, Priority};
 /// non-migratable base load) is attributed to no class, so the sum of the
 /// result is `min(shortfall, Σ positive demands)`.
 ///
-/// `apps` and `demands` must be aligned.
+/// `apps` yields each hosted application's priority and demand, in the
+/// server's list order.
 ///
 /// # Panics
-/// Panics (debug) if the slices disagree in length or the shortfall is
-/// negative.
+/// Panics (debug) if the shortfall is negative.
 #[must_use]
-pub fn shed_by_priority(apps: &[Application], demands: &[Watts], shortfall: Watts) -> [Watts; 3] {
-    debug_assert_eq!(apps.len(), demands.len());
+pub fn shed_by_priority(
+    apps: impl IntoIterator<Item = (Priority, Watts)>,
+    shortfall: Watts,
+) -> [Watts; 3] {
     debug_assert!(shortfall.0 >= -1e-9, "shortfall must be non-negative");
     let mut class_total = [Watts::ZERO; 3];
-    for (app, &demand) in apps.iter().zip(demands) {
+    for (priority, demand) in apps {
         if demand.0 > 0.0 {
-            class_total[app.priority.index()] += demand;
+            class_total[priority.index()] += demand;
         }
     }
     let mut by_class = [Watts::ZERO; 3];
@@ -58,7 +60,12 @@ pub fn shed_by_priority(apps: &[Application], demands: &[Watts], shortfall: Watt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use willow_workload::app::{AppClass, AppId};
+    use willow_workload::app::{AppClass, AppId, Application};
+
+    fn shed(apps: &[Application], demands: &[Watts], shortfall: Watts) -> [Watts; 3] {
+        let pairs = apps.iter().map(|a| a.priority).zip(demands.iter().copied());
+        shed_by_priority(pairs, shortfall)
+    }
 
     fn app(id: u32, priority: Priority) -> Application {
         let class = AppClass {
@@ -76,7 +83,7 @@ mod tests {
     fn zero_shortfall_sheds_nothing() {
         let apps = vec![app(0, Priority::Low), app(1, Priority::High)];
         let demands = vec![Watts(30.0), Watts(40.0)];
-        let by_class = shed_by_priority(&apps, &demands, Watts::ZERO);
+        let by_class = shed(&apps, &demands, Watts::ZERO);
         assert_eq!(total(by_class), Watts::ZERO);
     }
 
@@ -89,7 +96,7 @@ mod tests {
         ];
         let demands = vec![Watts(20.0), Watts(30.0), Watts(40.0)];
         // Shortfall smaller than the Low tier: only Low degrades.
-        let by_class = shed_by_priority(&apps, &demands, Watts(15.0));
+        let by_class = shed(&apps, &demands, Watts(15.0));
         assert!((by_class[0].0 - 15.0).abs() < 1e-9);
         assert_eq!(by_class[1], Watts::ZERO);
         assert_eq!(by_class[2], Watts::ZERO);
@@ -104,7 +111,7 @@ mod tests {
         ];
         let demands = vec![Watts(20.0), Watts(30.0), Watts(40.0)];
         // 20 (all of Low) + 10 of Normal.
-        let by_class = shed_by_priority(&apps, &demands, Watts(30.0));
+        let by_class = shed(&apps, &demands, Watts(30.0));
         assert!((by_class[0].0 - 20.0).abs() < 1e-9);
         assert!((by_class[1].0 - 10.0).abs() < 1e-9);
         assert_eq!(by_class[2], Watts::ZERO);
@@ -114,7 +121,7 @@ mod tests {
     fn high_class_is_last_resort() {
         let apps = vec![app(0, Priority::High)];
         let demands = vec![Watts(50.0)];
-        let by_class = shed_by_priority(&apps, &demands, Watts(20.0));
+        let by_class = shed(&apps, &demands, Watts(20.0));
         assert!((by_class[2].0 - 20.0).abs() < 1e-9);
     }
 
@@ -124,7 +131,7 @@ mod tests {
         let demands = vec![Watts(10.0)];
         // Shortfall exceeds everything sheddable (e.g. base load exceeds
         // the budget): only the app's own demand is attributed.
-        let by_class = shed_by_priority(&apps, &demands, Watts(25.0));
+        let by_class = shed(&apps, &demands, Watts(25.0));
         assert!((by_class[0].0 - 10.0).abs() < 1e-9);
         assert_eq!(total(by_class), by_class[0]);
     }
@@ -140,7 +147,7 @@ mod tests {
         let demands = vec![Watts(5.0), Watts(25.0), Watts(15.0), Watts(55.0)];
         let sheddable: f64 = demands.iter().map(|w| w.0).filter(|&d| d > 0.0).sum();
         for shortfall in [0.0, 3.0, 20.0, 60.0, 100.0, 200.0] {
-            let by_class = shed_by_priority(&apps, &demands, Watts(shortfall));
+            let by_class = shed(&apps, &demands, Watts(shortfall));
             let shed = total(by_class).0;
             let expected = shortfall.min(sheddable);
             assert!(
@@ -153,7 +160,7 @@ mod tests {
 
     #[test]
     fn empty_apps_everything_unattributed() {
-        let by_class = shed_by_priority(&[], &[], Watts(40.0));
+        let by_class = shed(&[], &[], Watts(40.0));
         assert_eq!(total(by_class), Watts::ZERO);
     }
 }

@@ -3,23 +3,29 @@
 //! A control plane that migrates other people's workloads must itself be
 //! restartable: [`Willow::snapshot`] captures the complete mutable state
 //! (server states incl. thermal and smoother history, node power state,
-//! tick counter, ping-pong bookkeeping, and every degraded-mode defense:
-//! watchdogs, retry backoff, the accepted-temperature filter state and the
-//! leaf-local demand views) into a serializable value, and
-//! [`Willow::restore`] reconstructs a controller that continues the run
-//! bit-for-bit identically — including under active faults, where the
-//! defense state is load-bearing.
+//! tick counter, the app table with its ping-pong bookkeeping and retry
+//! backoff, and every other degraded-mode defense: watchdogs, the
+//! accepted-temperature filter state and the leaf-local demand views) into
+//! a serializable value, and [`Willow::restore`] reconstructs a controller
+//! that continues the run bit-for-bit identically — including under active
+//! faults, where the defense state is load-bearing.
+//!
+//! The schema fails closed on apps. Servers carry none (the [`AppTable`]
+//! does), a server record rejects unknown keys and the table is a required
+//! field, so a checkpoint written when each server listed its own apps
+//! fails to load with an error naming the `apps` field instead of
+//! restoring without them.
 
+use crate::apps::AppTable;
 use crate::command::PendingCommand;
 use crate::config::ControllerConfig;
-use crate::control::{Backoff, ControlStats, Watchdog, Willow, WillowError};
+use crate::control::{ControlStats, Watchdog, Willow, WillowError};
 use crate::server::ServerState;
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
 use serde::{Deserialize, Serialize};
 use willow_thermal::units::{Celsius, Watts};
-use willow_topology::{NodeId, Tree};
-use willow_workload::app::AppId;
+use willow_topology::Tree;
 
 /// Serializable image of a running controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,8 +40,6 @@ pub struct WillowSnapshot {
     pub power: PowerState,
     /// Demand-period counter.
     pub tick: u64,
-    /// Ping-pong bookkeeping: (app, last source, tick).
-    pub last_moves: Vec<(AppId, NodeId, u64)>,
     /// Demand shed in the last period (drives wake-on-deficit).
     pub last_dropped: Watts,
     /// Each leaf's own smoothed-demand view, indexed by arena node id.
@@ -48,8 +52,6 @@ pub struct WillowSnapshot {
     /// Last plausibility-accepted temperature per server — the sensor
     /// filter's reference point.
     pub accepted_temp: Vec<Celsius>,
-    /// Migration retry backoff per app, sorted by app id.
-    pub backoff: Vec<(AppId, Backoff)>,
     /// Cumulative operation counters (§V-A2 complexity accounting).
     pub stats: ControlStats,
     /// Migration-transaction journal: open transactions plus recently
@@ -67,6 +69,9 @@ pub struct WillowSnapshot {
     /// Whether adaptation was paused by [`crate::command::Command::Pause`].
     #[serde(default)]
     pub paused: bool,
+    /// Every per-app fact: placement (each server's list), raw demand,
+    /// last move and retry backoff.
+    pub apps: AppTable,
     /// Planning memory: one Holt forecaster per series — root supply, root
     /// demand and each roster server (see [`crate::control::planning`]).
     /// Absent in pre-planning checkpoints, in which case restore re-seeds
@@ -87,24 +92,24 @@ impl Willow {
             servers: self.servers().to_vec(),
             power: self.power().clone(),
             tick: self.tick_count(),
-            last_moves: self.last_moves(),
             last_dropped: self.last_dropped(),
             local_cp: self.local_demands().to_vec(),
             watchdog: self.watchdogs().to_vec(),
             accepted_temp: self.accepted_temps().to_vec(),
-            backoff: self.backoffs(),
             stats: self.stats(),
             journal: self.journal().clone(),
             pending: self.pending_commands().to_vec(),
             next_command_id: self.next_command_id(),
             paused: self.is_paused(),
+            apps: self.apps().clone(),
             planning: Some(self.planning().clone()),
         }
     }
 
     /// [`Willow::snapshot`] into a caller-provided image, reusing its
-    /// buffers (`clone_from` keeps existing capacity), so periodic
-    /// checkpointing does not reallocate the whole state every time.
+    /// buffers (`clone_from` keeps existing capacity), so a warm periodic
+    /// checkpoint allocates nothing: the roster is `Copy` rows and the app
+    /// table `Copy` columns.
     pub fn snapshot_into(&self, snap: &mut WillowSnapshot) {
         snap.tree.clone_from(self.tree());
         snap.config.clone_from(self.config());
@@ -112,7 +117,6 @@ impl Willow {
         snap.servers.extend_from_slice(self.servers());
         snap.power.clone_from(self.power());
         snap.tick = self.tick_count();
-        self.last_moves_into(&mut snap.last_moves);
         snap.last_dropped = self.last_dropped();
         snap.local_cp.clear();
         snap.local_cp.extend_from_slice(self.local_demands());
@@ -120,13 +124,13 @@ impl Willow {
         snap.watchdog.extend_from_slice(self.watchdogs());
         snap.accepted_temp.clear();
         snap.accepted_temp.extend_from_slice(self.accepted_temps());
-        self.backoffs_into(&mut snap.backoff);
         snap.stats = self.stats();
         snap.journal.clone_from(self.journal());
         snap.pending.clear();
         snap.pending.extend_from_slice(self.pending_commands());
         snap.next_command_id = self.next_command_id();
         snap.paused = self.is_paused();
+        snap.apps.clone_from(self.apps());
         // `PlanningContext::clone_from` copies field by field, reusing the
         // checkpoint's `leaves` buffer.
         match &mut snap.planning {
@@ -148,8 +152,10 @@ impl Willow {
 mod tests {
     use super::*;
     use crate::server::ServerSpec;
+    use serde::Value;
     use willow_thermal::units::Watts;
-    use willow_workload::app::{Application, SIM_APP_CLASSES};
+    use willow_topology::NodeId;
+    use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
 
     fn setup() -> (Willow, usize) {
         let tree = Tree::uniform(&[2, 3]);
@@ -440,26 +446,10 @@ mod tests {
                 },
                 shape,
             ),
-            // Demand slots out of step with the hosted apps.
-            (
-                |s| {
-                    s.servers[2].app_demand.pop();
-                },
-                shape,
-            ),
             // A server on the first slot past the tree.
             (
                 |s| s.servers[0].node = NodeId(s.tree.len() as u32),
                 |e| matches!(e, WillowError::NotALeaf(_)),
-            ),
-            // One app hosted on two servers.
-            (
-                |s| {
-                    let app = s.servers[0].apps[0];
-                    s.servers[1].apps.push(app);
-                    s.servers[1].app_demand.push(Watts::ZERO);
-                },
-                |e| matches!(e, WillowError::DuplicateApp(_)),
             ),
         ] {
             let mut snap = w.snapshot();
@@ -469,6 +459,137 @@ mod tests {
                 Ok(_) => panic!("malformed snapshot restored"),
             }
         }
+        // The table's columns are private, so its doctoring goes through
+        // the serialized form, as a corrupt checkpoint file would.
+        for (edit, expected) in [
+            // Demand slots out of step with the apps.
+            (
+                (|t: &mut Value| {
+                    items(field(t, "demand")).pop();
+                }) as fn(&mut Value),
+                (|e: &WillowError| {
+                    matches!(
+                        e,
+                        WillowError::SnapshotShape {
+                            field: "apps.demand",
+                            ..
+                        }
+                    )
+                }) as fn(&WillowError) -> bool,
+            ),
+            // One server list too few.
+            (
+                |t| {
+                    items(field(t, "tail")).pop();
+                },
+                |e| {
+                    matches!(
+                        e,
+                        WillowError::SnapshotShape {
+                            field: "apps.tail",
+                            ..
+                        }
+                    )
+                },
+            ),
+            // One app hosted on two servers: server 1's list starts where
+            // server 0's does.
+            (
+                |t| {
+                    for column in ["head", "tail"] {
+                        let list = items(field(t, column));
+                        list[1] = list[0].clone();
+                    }
+                },
+                |e| matches!(e, WillowError::DuplicateApp(_)),
+            ),
+            // A list reaching the first id past the table.
+            (
+                |t| {
+                    let n = items(field(t, "app")).len();
+                    items(field(t, "head"))[2] = Value::U64(n as u64);
+                },
+                |e| matches!(e, WillowError::AppBeyondTable(_)),
+            ),
+            // A host column that disagrees with the list holding the app.
+            (
+                |t| items(field(t, "host"))[0] = Value::U64(5),
+                |e| matches!(e, WillowError::AppLinks(AppId(0))),
+            ),
+            // An app on no list at all: server 0's list skips its first.
+            (
+                |t| {
+                    let first = items(field(t, "head"))[0].as_u64().unwrap() as usize;
+                    let second = items(field(t, "next"))[first].clone();
+                    items(field(t, "head"))[0] = second;
+                },
+                |e| matches!(e, WillowError::AppLinks(_)),
+            ),
+        ] {
+            let mut image = w.snapshot().to_value();
+            edit(field(&mut image, "apps"));
+            let snap = WillowSnapshot::from_value(&image).expect("well-typed");
+            match Willow::restore(snap) {
+                Err(e) => assert!(expected(&e), "unexpected error {e:?}"),
+                Ok(_) => panic!("malformed app table restored"),
+            }
+        }
+    }
+
+    /// The named field of a serialized object.
+    fn field<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        match v {
+            Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("not an object"),
+        }
+    }
+
+    /// The elements of a serialized array.
+    fn items(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Array(a) => a,
+            _ => panic!("not an array"),
+        }
+    }
+
+    /// A checkpoint in the layout where each server listed its own apps
+    /// (`apps`, `app_demand`) must fail to load with an error that names
+    /// the field — never restore with its apps dropped. So must one whose
+    /// servers were stripped of them but that carries no app table.
+    #[test]
+    fn per_server_app_layout_fails_to_load() {
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 10);
+        let mut image = w.snapshot().to_value();
+        let Value::Object(top) = &mut image else {
+            panic!("not an object")
+        };
+        top.retain(|(k, _)| k != "apps");
+        top.push(("last_moves".into(), Value::Array(Vec::new())));
+        top.push(("backoff".into(), Value::Array(Vec::new())));
+        for (si, server) in items(field(&mut image, "servers")).iter_mut().enumerate() {
+            let hosted = w.apps().apps_on(si);
+            let demand: Vec<Watts> = hosted.iter().map(|a| w.apps().demand(a.id)).collect();
+            let Value::Object(record) = server else {
+                panic!("not an object")
+            };
+            record.retain(|(k, _)| k != "app_power");
+            record.insert(1, ("apps".into(), hosted.to_value()));
+            record.insert(2, ("app_demand".into(), demand.to_value()));
+        }
+        let text = serde_json::to_string_pretty(&image).expect("serialize");
+        let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("old layout loaded");
+        assert_eq!(err.to_string(), "unknown field `apps` for ServerState");
+
+        for server in items(field(&mut image, "servers")) {
+            let Value::Object(record) = server else {
+                panic!("not an object")
+            };
+            record.retain(|(k, _)| k != "apps" && k != "app_demand");
+            record.insert(1, ("app_power".into(), Value::F64(0.0)));
+        }
+        let err = WillowSnapshot::from_value(&image).expect_err("table-less image loaded");
+        assert_eq!(err.to_string(), "missing field `apps` for WillowSnapshot");
     }
 
     /// Deterministic fault schedule that exercises every defense: constant
@@ -533,8 +654,11 @@ mod tests {
             "fault schedule failed to trip a watchdog"
         );
         assert!(
-            !original.backoffs().is_empty(),
-            "fault schedule failed to populate the backoff map"
+            original
+                .apps()
+                .iter()
+                .any(|a| original.apps().backoff(a.id).is_some()),
+            "fault schedule failed to put an app in backoff"
         );
         assert!(original.stats().migrations > 0 || original.stats().packing_instances > 0);
 
@@ -543,7 +667,7 @@ mod tests {
 
         // The captured defense state matches the live controller exactly.
         assert_eq!(snap.watchdog, original.watchdogs());
-        assert_eq!(snap.backoff, original.backoffs());
+        assert_eq!(&snap.apps, original.apps());
         assert_eq!(snap.accepted_temp, original.accepted_temps());
         assert_eq!(snap.local_cp, original.local_demands());
         assert_eq!(snap.stats, original.stats());
@@ -553,7 +677,7 @@ mod tests {
         let b = drive_faulted(&mut restored, n_apps, 41, 60);
         assert_eq!(a, b, "restored controller diverged under active faults");
         assert_eq!(original.watchdogs(), restored.watchdogs());
-        assert_eq!(original.backoffs(), restored.backoffs());
+        assert_eq!(original.apps(), restored.apps());
         assert_eq!(original.accepted_temps(), restored.accepted_temps());
         assert_eq!(original.local_demands(), restored.local_demands());
         assert_eq!(original.stats(), restored.stats());

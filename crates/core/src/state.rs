@@ -6,7 +6,7 @@ use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 
 /// Struct-of-arrays power state, indexed by PMU-tree arena index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct PowerState {
     /// Smoothed demand `CP_{l,i}` per node (leaves smoothed, interiors are
     /// sums of their children — the upward report path of Fig. 2).
@@ -21,6 +21,27 @@ pub struct PowerState {
     /// True if the node's budget was *disproportionately* reduced in the
     /// last supply event (see `ReducedTargetRule`).
     pub reduced: Vec<bool>,
+}
+
+impl Clone for PowerState {
+    fn clone(&self) -> Self {
+        PowerState {
+            cp: self.cp.clone(),
+            tp: self.tp.clone(),
+            tp_old: self.tp_old.clone(),
+            cap: self.cap.clone(),
+            reduced: self.reduced.clone(),
+        }
+    }
+
+    /// Vector by vector, so a warm checkpoint reuses every buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.cp.clone_from(&source.cp);
+        self.tp.clone_from(&source.tp);
+        self.tp_old.clone_from(&source.tp_old);
+        self.cap.clone_from(&source.cap);
+        self.reduced.clone_from(&source.reduced);
+    }
 }
 
 impl PowerState {

@@ -96,10 +96,26 @@ pub const TXN_RETAIN_TICKS: u64 = 2;
 /// checkpoint always carries every in-flight transaction. The backing
 /// `Vec` keeps its capacity across prunes — on a quiet steady-state tick
 /// the journal does no heap work at all.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationJournal {
     next_id: u64,
     entries: Vec<MigrationTxn>,
+}
+
+impl Clone for MigrationJournal {
+    fn clone(&self) -> Self {
+        MigrationJournal {
+            next_id: self.next_id,
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Reuses the entry buffer, so a warm checkpoint copies the journal
+    /// without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.next_id = source.next_id;
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl MigrationJournal {

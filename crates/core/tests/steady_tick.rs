@@ -9,10 +9,15 @@
 //!   lockstep with a serial twin under migration pressure emits the same
 //!   `TickReport` bit for bit every tick and ends in the same snapshot;
 //! * **(d)** once a checkpoint exists, capturing the planning context into
-//!   it again makes 0 heap allocations.
+//!   it again makes 0 heap allocations, and so does a whole
+//!   `snapshot_into`, at 27 servers as at 2,187;
+//! * **(e)** on the 104,976-server tree, a controller restored from a
+//!   checkpoint captured mid-run under migration pressure steps in
+//!   lockstep with the uninterrupted one: the same `TickReport` every tick
+//!   and the same final snapshot.
 //!
-//! (a) and (d) run with `cargo test`. (b) and (c) are too slow for a debug
-//! build and run together as one ignored test:
+//! (a) and (d) run with `cargo test`. (b), (c) and (e) are too slow for a
+//! debug build and run as ignored tests:
 //!
 //! ```text
 //! cargo test --release -p willow-core --test steady_tick -- --ignored --nocapture
@@ -170,6 +175,43 @@ fn warm_planning_capture_allocates_nothing() {
     assert_eq!(warm, willow.planning());
 }
 
+/// Allocations of one `snapshot_into` into a warm checkpoint of a
+/// controller over `branching`, after a few ticks that moved every
+/// smoother, thermal state and forecast since the checkpoint was taken.
+fn warm_capture_allocs(branching: &[usize]) -> u64 {
+    let (mut willow, demands) = build(branching, ControllerConfig::default(), 0.4);
+    let supply = Watts(willow.servers().len() as f64 * 450.0);
+    let quiet = Disturbances::none();
+    let mut report = TickReport::default();
+    for _ in 0..8 {
+        willow.step_into(&demands, supply, &quiet, &mut report);
+    }
+    let mut snap = willow.snapshot();
+    for _ in 0..8 {
+        willow.step_into(&demands, supply, &quiet, &mut report);
+    }
+    let before = allocations();
+    willow.snapshot_into(&mut snap);
+    let allocs = allocations() - before;
+    assert!(snap == willow.snapshot(), "the warm capture is stale");
+    allocs
+}
+
+/// The roster is `Copy` rows, the app table `Copy` columns, and the tree,
+/// power state and journal copy field by field, so a warm capture reuses
+/// every buffer: nothing per server, app or node, and nothing else.
+#[test]
+fn warm_capture_allocates_nothing_at_any_size() {
+    for branching in [&[3, 3, 3][..], &[3, 27, 27]] {
+        let servers: usize = branching.iter().product();
+        let allocs = warm_capture_allocs(branching);
+        assert_eq!(
+            allocs, 0,
+            "a warm snapshot_into allocated {allocs} times at {servers} servers"
+        );
+    }
+}
+
 /// Pressure factor in `[0.4, 1.7)` for one app on one tick, from a fixed
 /// integer hash of (app index, tick): no RNG state, same in every run.
 fn pressure(app: usize, tick: usize) -> f64 {
@@ -259,4 +301,64 @@ fn large_trees_allocate_nothing_and_shard_bit_for_bit() {
             "lockstep at {servers} servers migrated nothing, so it does not check the migration path"
         );
     }
+}
+
+/// (e): drive `pressure` migrations on the 104,976-server tree, capture
+/// mid-run into a warm checkpoint, restore it, and step the restored and
+/// the uninterrupted controllers 8 ticks in lockstep.
+#[test]
+#[ignore = "release-only: a 104,976-server checkpoint restored and run"]
+fn restored_large_controller_continues_in_lockstep() {
+    let branching = [16, 9, 9, 9, 9];
+    let config = ControllerConfig {
+        allocation: AllocationPolicy::EqualShare,
+        ..ControllerConfig::default()
+    };
+    let (mut original, base) = build(&branching, config, 0.25);
+    let supply = Watts(original.servers().len() as f64 * 185.0);
+    let quiet = Disturbances::none();
+    let mut report = TickReport::default();
+    let mut demands = base.clone();
+    let mut drive = |w: &mut Willow, tick: usize, report: &mut TickReport| {
+        for (app, d) in demands.iter_mut().enumerate() {
+            *d = base[app] * pressure(app, tick);
+        }
+        w.step_into(&demands, supply, &quiet, report);
+    };
+    // The checkpoint is warm: taken early, then captured into mid-run.
+    let mut checkpoint = original.snapshot();
+    let mut migrations = 0;
+    for tick in 0..6 {
+        drive(&mut original, tick, &mut report);
+        migrations += report.migrations.len();
+    }
+    assert!(
+        migrations > 0,
+        "the run before the capture migrated nothing"
+    );
+    original.snapshot_into(&mut checkpoint);
+    let mut restored = Willow::restore(checkpoint).expect("restore at scale");
+    let mut r_restored = TickReport::default();
+    let mut after = 0;
+    for tick in 6..14 {
+        drive(&mut original, tick, &mut report);
+        drive(&mut restored, tick, &mut r_restored);
+        assert!(
+            report == r_restored && format!("{report:?}") == format!("{r_restored:?}"),
+            "restored tick {tick} diverged from the uninterrupted run"
+        );
+        after += report.migrations.len();
+    }
+    assert!(
+        original.snapshot() == restored.snapshot(),
+        "restored final snapshot diverged from the uninterrupted one"
+    );
+    println!(
+        "104,976 servers: restored == uninterrupted over 8 ticks, \
+         {migrations} migrations before the capture, {after} after"
+    );
+    assert!(
+        after > 0,
+        "the lockstep migrated nothing, so it checks no migration path"
+    );
 }

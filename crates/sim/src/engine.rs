@@ -21,7 +21,6 @@ use willow_core::snapshot::WillowSnapshot;
 use willow_core::Disturbances;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
-use willow_workload::app::Application;
 use willow_workload::demand::DemandModel;
 use willow_workload::mix::{place_random_mix, MixConfig};
 
@@ -29,9 +28,6 @@ use willow_workload::mix::{place_random_mix, MixConfig};
 pub struct Simulation {
     config: SimConfig,
     willow: Willow,
-    /// All applications, indexed by `AppId.0` (demand sampling needs the
-    /// app's class regardless of where it currently runs).
-    apps: Vec<Application>,
     demand_model: DemandModel,
     rng: StdRng,
     level1: Vec<NodeId>,
@@ -110,8 +106,6 @@ impl Simulation {
             classes: willow_workload::app::SIM_APP_CLASSES.to_vec(),
         };
         let placement = place_random_mix(&mut rng, &mix, config.n_servers());
-        let mut apps: Vec<Application> = placement.iter().flatten().cloned().collect();
-        apps.sort_by_key(|a| a.id);
 
         // Server specs with thermal zones applied.
         let leaves: Vec<NodeId> = tree.leaves().collect();
@@ -131,7 +125,7 @@ impl Simulation {
 
         let willow = Willow::new(tree.clone(), specs, config.controller.clone())?;
         let level1 = tree.nodes_at_level(1).to_vec();
-        let n_apps = apps.len();
+        let n_apps = willow.apps().len();
         let injector = match &config.faults {
             Some(plan) => Some(FaultInjector::new(plan.clone(), config.n_servers())?),
             None => None,
@@ -144,7 +138,6 @@ impl Simulation {
         Ok(Simulation {
             config,
             willow,
-            apps,
             demand_model: DemandModel::default(),
             rng,
             level1,
@@ -264,8 +257,11 @@ impl Simulation {
         let amp = self.config.demand_drift;
         let innovation = (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt();
         self.demands.clear();
+        // Every app in id order, wherever it runs: the controller's table
+        // is the one app list.
+        let apps = self.willow.apps().iter();
         self.demands
-            .extend(self.apps.iter().zip(self.drift.iter_mut()).map(|(a, x)| {
+            .extend(apps.zip(self.drift.iter_mut()).map(|(a, x)| {
                 // Slow per-app intensity drift (stationary, zero-mean).
                 *x = DRIFT_RHO * *x + innovation * (self.rng.gen::<f64>() * 2.0 - 1.0);
                 let eff_u = (u * (1.0 + amp * *x)).clamp(0.0, 1.0);
@@ -688,7 +684,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let mut sim = Simulation::new(cfg).unwrap();
-        let n_apps: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let n_apps = sim.willow().apps().placed();
         let mut report = TickReport::default();
         let mut fabric = FabricSnapshot::default();
         for t in 0..100u64 {
@@ -702,7 +698,7 @@ mod tests {
         }
         assert_eq!(sim.controller_recoveries(), 1);
         assert_eq!(sim.open_loop_ticks(), 15);
-        let after: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let after = sim.willow().apps().placed();
         assert_eq!(n_apps, after, "apps conserved across crash and recovery");
         assert_eq!(
             sim.willow().journal().in_flight().count(),
@@ -850,7 +846,7 @@ mod tests {
             },
         ];
         let mut sim = Simulation::new(cfg).unwrap();
-        let before: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let before = sim.willow().apps().placed();
         let m = sim.run();
         assert_eq!(m.invariant_violations, 0);
         assert_eq!(m.commands_rejected, 0);
@@ -864,7 +860,7 @@ mod tests {
         assert_eq!(w.power().tp[w.servers()[2].node.index()], Watts::ZERO);
         assert!(w.tree().find("server19").is_some(), "added leaf is live");
         assert_eq!(w.servers().len(), 19);
-        let after: usize = w.servers().iter().map(|s| s.apps.len()).sum();
+        let after = w.apps().placed();
         assert_eq!(
             before, after,
             "drain + retire relocate apps, never lose them"
@@ -917,7 +913,7 @@ mod tests {
             command: SimCommand::Drain { server: 5 },
         }];
         let mut sim = Simulation::new(cfg).unwrap();
-        let before: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let before = sim.willow().apps().placed();
         let mut report = TickReport::default();
         let mut fabric = FabricSnapshot::default();
         for t in 0..100u64 {
@@ -933,7 +929,7 @@ mod tests {
         assert_eq!(sim.willow().servers()[5].fence, FenceState::Fenced);
         assert_eq!(sim.commands_applied(), 1);
         assert_eq!(sim.controller_recoveries(), 1);
-        let after: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let after = sim.willow().apps().placed();
         assert_eq!(before, after, "apps conserved across outage + drain");
     }
 

@@ -144,8 +144,9 @@ pub enum ZoneOutageKind {
 }
 
 /// One zone-level fault window: zone `zone` suffers `kind` for
-/// `from <= tick < until`.
+/// `from <= tick < until`. Unknown keys are rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ZoneOutage {
     /// Zone index (order of the federation's zone list).
     pub zone: usize,
@@ -175,8 +176,10 @@ impl ZoneOutage {
 /// a checkpoint to restore from); windows of the same kind on the same
 /// zone must be sorted and non-overlapping. Windows of *different* kinds
 /// may overlap — a crashed zone can simultaneously be isolated — with
-/// severity precedence crash > isolation > stale reports.
+/// severity precedence crash > isolation > stale reports. Unknown keys are
+/// rejected.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ZoneOutagePlan {
     /// Demand periods between checkpoints (tick 0 included), used for the
     /// broker snapshot and for every zone that has crash windows.
@@ -773,6 +776,45 @@ mod tests {
         assert!(
             err.contains("unknown field `message_faults` for FaultPlan"),
             "unexpected error: {err}"
+        );
+    }
+
+    /// A plan with one zone outage, as JSON, with `key` misspelt `typo`.
+    fn misspelt_zone_plan(key: &str, typo: &str) -> String {
+        let plan = ZoneOutagePlan {
+            checkpoint_period: 5,
+            broker_crash: Vec::new(),
+            outages: vec![ZoneOutage {
+                zone: 0,
+                kind: ZoneOutageKind::Isolation,
+                from: 2,
+                until: 4,
+            }],
+        };
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(serde_json::from_str::<ZoneOutagePlan>(&json), Ok(plan));
+        let needle = format!("\"{key}\":");
+        assert!(json.contains(&needle), "{key} missing from {json}");
+        let typoed = json.replacen(&needle, &format!("\"{typo}\":"), 1);
+        serde_json::from_str::<ZoneOutagePlan>(&typoed)
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn misspelt_zone_outage_plan_key_is_rejected() {
+        // `broker_crashes` used to parse as a plan without broker crashes.
+        assert_eq!(
+            misspelt_zone_plan("broker_crash", "broker_crashes"),
+            "unknown field `broker_crashes` for ZoneOutagePlan"
+        );
+    }
+
+    #[test]
+    fn misspelt_zone_outage_key_is_rejected() {
+        assert_eq!(
+            misspelt_zone_plan("until", "untill"),
+            "unknown field `untill` for ZoneOutage"
         );
     }
 

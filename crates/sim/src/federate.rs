@@ -66,8 +66,11 @@ use crate::faults::ZoneOutageKind;
 
 /// Configuration of a federated run: one [`SimConfig`] per zone, the
 /// broker's defense tunables, and an optional federation-level fault
-/// schedule.
+/// schedule. Unknown keys are rejected, so a misspelt key fails instead
+/// of running with its default; the nested [`BrokerConfig`] stays
+/// lenient.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FederateConfig {
     /// Per-zone simulation configs. All zones must agree on `ticks` and
     /// `warmup` (the federation advances them in lockstep).
@@ -556,7 +559,7 @@ mod tests {
     }
 
     fn total_apps(sim: &Simulation) -> usize {
-        sim.willow().servers().iter().map(|s| s.apps.len()).sum()
+        sim.willow().apps().placed()
     }
 
     #[test]
@@ -770,6 +773,19 @@ mod tests {
         }
         assert!(fed.broker().counters().stale_report_ticks >= 30);
         assert_eq!(fed.broker().counters().conservation_violations, 0);
+    }
+
+    #[test]
+    fn misspelt_federate_config_key_is_rejected() {
+        let mut cfg = FederateConfig::new(vec![zone_cfg(1, 0.5, 50)]);
+        cfg.plan = Some(ZoneOutagePlan::quiet());
+        let json = serde_json::to_string(&cfg).unwrap();
+        assert_eq!(serde_json::from_str::<FederateConfig>(&json), Ok(cfg));
+        let typoed = json.replacen("\"plan\":", "\"plans\":", 1);
+        let err = serde_json::from_str::<FederateConfig>(&typoed)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "unknown field `plans` for FederateConfig");
     }
 
     #[test]

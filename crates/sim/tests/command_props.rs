@@ -15,11 +15,9 @@ const TICKS: u64 = 70;
 /// Every hosted application id, sorted — placement-insensitive identity of
 /// the workload for conservation checks.
 fn app_ids(sim: &Simulation) -> Vec<u32> {
-    let mut ids: Vec<u32> = sim
-        .willow()
-        .servers()
-        .iter()
-        .flat_map(|s| s.apps.iter().map(|a| a.id.0))
+    let w = sim.willow();
+    let mut ids: Vec<u32> = (0..w.servers().len())
+        .flat_map(|si| w.apps().on(si).map(|a| a.0))
         .collect();
     ids.sort_unstable();
     ids
@@ -91,7 +89,7 @@ proptest! {
                 match s.fence {
                     FenceState::Fenced => {
                         prop_assert!(
-                            s.apps.is_empty(),
+                            !w.apps().hosts_any(si),
                             "tick {}: fenced server {} still hosts apps", t, si
                         );
                         prop_assert_eq!(
@@ -104,7 +102,7 @@ proptest! {
                         // Its arena slot may have been reused by a later
                         // AddServer, so only the roster entry is checked.
                         prop_assert!(
-                            s.apps.is_empty(),
+                            !w.apps().hosts_any(si),
                             "tick {}: retired server {} still hosts apps", t, si
                         );
                     }

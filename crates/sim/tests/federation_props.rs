@@ -33,7 +33,7 @@ const DRIVER_TICKS: u64 = 48;
 fn hosted_apps(fed: &FederatedSimulation) -> Vec<usize> {
     fed.zones()
         .iter()
-        .map(|z| z.willow().servers().iter().map(|s| s.apps.len()).sum())
+        .map(|z| z.willow().apps().placed())
         .collect()
 }
 

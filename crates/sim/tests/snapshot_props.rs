@@ -18,9 +18,8 @@ use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
 /// Per-server app placement, for comparing physical state without the
 /// bookkeeping (backoff/ping-pong maps) that recovery legitimately prunes.
 fn placement(w: &Willow) -> Vec<Vec<AppId>> {
-    w.servers()
-        .iter()
-        .map(|s| s.apps.iter().map(|a| a.id).collect())
+    (0..w.servers().len())
+        .map(|si| w.apps().on(si).collect())
         .collect()
 }
 

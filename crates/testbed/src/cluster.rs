@@ -52,7 +52,6 @@ impl Default for ClusterConfig {
 /// uses.
 pub struct TestbedCluster {
     willow: Willow,
-    apps: Vec<Application>,
     rng: StdRng,
     noise: f64,
     swing: f64,
@@ -72,8 +71,6 @@ impl TestbedCluster {
     pub fn new(config: ClusterConfig, placement: [Vec<Application>; 3]) -> Self {
         let tree = Tree::paper_testbed();
         let names = ["serverA", "serverB", "serverC"];
-        let mut apps: Vec<Application> = placement.iter().flatten().cloned().collect();
-        apps.sort_by_key(|a| a.id);
         let specs: Vec<ServerSpec> = names
             .iter()
             .zip(placement)
@@ -91,7 +88,6 @@ impl TestbedCluster {
             .expect("testbed construction is valid");
         TestbedCluster {
             willow,
-            apps,
             rng: StdRng::seed_from_u64(config.seed),
             noise: config.noise,
             swing: config.swing,
@@ -126,9 +122,8 @@ impl TestbedCluster {
     pub fn step(&mut self, supply: Watts) -> TickReport {
         let t = self.tick as f64;
         let period = self.swing_period.max(1) as f64;
-        let demands: Vec<Watts> = self
-            .apps
-            .iter()
+        // Every app in id order, wherever it runs.
+        let demands: Vec<Watts> = (self.willow.apps().iter())
             .map(|app| {
                 // Slow deterministic swing with per-app phase: user load
                 // shifts between applications over time.

@@ -166,7 +166,7 @@ pub fn step_temperature(
 ///
 /// This is the object the Willow controller consults to translate a thermal
 /// limit into the *hard power constraint* of §IV-D.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeviceThermal {
     params: ThermalParams,
     ambient: Celsius,

@@ -133,7 +133,7 @@ impl std::error::Error for TreeError {}
 /// lookups rather than tree walks. The derived indices are rebuilt on
 /// deserialization, not serialized; the wire format stays the historical
 /// `Vec<Node>` arena (see [`Tree::to_arena`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Tree {
     /// Parent arena index per slot; `NO_PARENT` for the root and for
     /// detached tombstones.
@@ -157,6 +157,38 @@ pub struct Tree {
     /// `leaf_span[i] = (start, end)`: half-open range of `leaf_order`
     /// holding the leaves of the subtree rooted at arena index `i`.
     leaf_span: Vec<(u32, u32)>,
+}
+
+impl Clone for Tree {
+    fn clone(&self) -> Self {
+        Tree {
+            parents: self.parents.clone(),
+            levels: self.levels.clone(),
+            names: self.names.clone(),
+            child_start: self.child_start.clone(),
+            child_list: self.child_list.clone(),
+            level_start: self.level_start.clone(),
+            level_nodes: self.level_nodes.clone(),
+            root: self.root,
+            leaf_order: self.leaf_order.clone(),
+            leaf_span: self.leaf_span.clone(),
+        }
+    }
+
+    /// Field by field, so every `Vec` and every name `String` keeps its
+    /// capacity: copying a tree onto a same-shaped one allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.parents.clone_from(&source.parents);
+        self.levels.clone_from(&source.levels);
+        self.names.clone_from(&source.names);
+        self.child_start.clone_from(&source.child_start);
+        self.child_list.clone_from(&source.child_list);
+        self.level_start.clone_from(&source.level_start);
+        self.level_nodes.clone_from(&source.level_nodes);
+        self.root = source.root;
+        self.leaf_order.clone_from(&source.leaf_order);
+        self.leaf_span.clone_from(&source.leaf_span);
+    }
 }
 
 impl Serialize for Tree {

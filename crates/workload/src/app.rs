@@ -103,12 +103,14 @@ pub const TESTBED_APP_CLASSES: [AppClass; 3] = [
 ];
 
 /// A concrete application instance hosted somewhere in the data center.
+/// 16 bytes: the controller keeps one per app in its app table and in
+/// every checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Application {
     /// Unique id.
     pub id: AppId,
     /// Index into the class table the instance was created from.
-    pub class_index: usize,
+    pub class_index: u16,
     /// Average power requirement at full offered load.
     pub mean_power: Watts,
     /// QoS priority class (shed lowest first).
@@ -118,11 +120,14 @@ pub struct Application {
 
 impl Application {
     /// Instantiate an application of the given class at [`Priority::Normal`].
+    ///
+    /// # Panics
+    /// Panics if `class_index` does not fit a `u16`.
     #[must_use]
     pub fn new(id: AppId, class_index: usize, class: &AppClass) -> Self {
         Application {
             id,
-            class_index,
+            class_index: u16::try_from(class_index).expect("class index fits a u16"),
             mean_power: class.mean_power,
             priority: Priority::default(),
         }
@@ -147,6 +152,12 @@ impl Application {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The app table stores one per app, live and in every checkpoint.
+    #[test]
+    fn application_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Application>(), 16);
+    }
 
     #[test]
     fn sim_classes_have_paper_ratios() {

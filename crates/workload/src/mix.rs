@@ -85,7 +85,7 @@ mod tests {
         let placement = place_random_mix(&mut rng, &paper_mix(), 50);
         let mut seen = [false; 4];
         for app in placement.iter().flatten() {
-            seen[app.class_index] = true;
+            seen[usize::from(app.class_index)] = true;
         }
         assert!(seen.iter().all(|&s| s), "uniform draw must hit every class");
     }

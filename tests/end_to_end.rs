@@ -63,7 +63,7 @@ fn application_conservation_long_run() {
     let mut sim = Simulation::new(cfg).expect("valid");
     for _ in 0..400 {
         let _ = sim.step();
-        let hosted: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let hosted: usize = sim.willow().apps().placed();
         assert_eq!(hosted, n_apps);
     }
 }
@@ -116,9 +116,9 @@ fn demands_are_never_split() {
         let _ = w.step(&demands, supply);
         // Every app id appears on exactly one server.
         let mut seen = std::collections::HashSet::new();
-        for s in w.servers() {
-            for a in &s.apps {
-                assert!(seen.insert(a.id), "{} hosted twice", a.id);
+        for si in 0..w.servers().len() {
+            for a in w.apps().on(si) {
+                assert!(seen.insert(a), "{a} hosted twice");
             }
         }
         assert_eq!(seen.len(), id as usize);

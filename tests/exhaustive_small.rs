@@ -57,7 +57,7 @@ fn exhaustive_invariant_sweep() {
                     let r = w.step(&demands, Watts(s));
 
                     // Invariant 1: app conservation.
-                    let hosted: usize = w.servers().iter().map(|sv| sv.apps.len()).sum();
+                    let hosted: usize = w.apps().placed();
                     assert_eq!(
                         hosted, 4,
                         "margin {margin} d{demand_pattern} s{supply_pattern} t{t}"

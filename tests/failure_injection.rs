@@ -46,8 +46,8 @@ fn cooling_failure_evacuates_the_server() {
         let _ = w.step(&d, Watts(8000.0));
     }
     let victim = 0usize;
-    let loaded_before = w.servers()[victim].apps.len();
-    assert!(loaded_before > 0 || w.servers().iter().any(|s| !s.apps.is_empty()));
+    let loaded_before = w.apps().on(victim).count();
+    assert!(loaded_before > 0 || w.apps().placed() > 0);
 
     // Cooling failure: ambient jumps from 25 °C to 50 °C.
     w.set_server_ambient(victim, Celsius(50.0));
@@ -63,7 +63,7 @@ fn cooling_failure_evacuates_the_server() {
     // The victim's sustainable cap is now (70−50)·c2/c1 = 200 W; with 0.5
     // utilization demand it may still host a little, but heavy apps must
     // have moved: its app power must fit the new cap.
-    let victim_power = w.servers()[victim].app_power();
+    let victim_power = w.servers()[victim].app_power;
     assert!(
         victim_power.0 <= 200.0 + 1e-6 || !w.servers()[victim].active,
         "victim still hosting {victim_power} against a 200 W sustainable cap"
@@ -82,9 +82,9 @@ fn drain_and_rewake_cycle() {
     let victim = 3usize;
     assert!(w.drain_server(victim), "ample surplus ⇒ drain must succeed");
     assert!(!w.servers()[victim].active);
-    assert!(w.servers()[victim].apps.is_empty());
+    assert!(!w.apps().hosts_any(victim));
     // Conservation.
-    let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
+    let hosted: usize = w.apps().placed();
     assert_eq!(hosted, n_apps);
     // Drained server draws nothing.
     let r = w.step(&d, Watts(8000.0));
@@ -108,20 +108,20 @@ fn impossible_drain_is_refused_atomically() {
         let _ = w.step(&d, Watts(7000.0));
     }
     let victim = 2usize;
-    let apps_before = w.servers()[victim].apps.len();
+    let apps_before = w.apps().on(victim).count();
     if apps_before == 0 {
         return; // nothing hosted, trivially drainable — not the case under test
     }
     let drained = w.drain_server(victim);
     if !drained {
         assert_eq!(
-            w.servers()[victim].apps.len(),
+            w.apps().on(victim).count(),
             apps_before,
             "failed drain must not move anything"
         );
         assert!(w.servers()[victim].active);
     }
-    let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
+    let hosted: usize = w.apps().placed();
     assert_eq!(hosted, n_apps);
 }
 
@@ -148,7 +148,7 @@ fn rolling_pod_maintenance() {
                 assert!(t.0 <= 70.0 + 1e-6);
             }
         }
-        let hosted: usize = w.servers().iter().map(|s| s.apps.len()).sum();
+        let hosted: usize = w.apps().placed();
         assert_eq!(hosted, n_apps);
         previous = Some(victim);
     }

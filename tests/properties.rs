@@ -124,7 +124,7 @@ proptest! {
             let r = w.step(&demands, supply);
 
             // Conservation.
-            let hosted: usize = w.servers().iter().map(|sv| sv.apps.len()).sum();
+            let hosted: usize = w.apps().placed();
             prop_assert_eq!(hosted, n_apps);
 
             // Thermal safety.

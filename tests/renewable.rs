@@ -39,7 +39,7 @@ fn solar_day_with_battery_keeps_invariants() {
     for t in 0..(96 * 4) {
         let (r, _) = sim.step();
         // Conservation through the whole day.
-        let hosted: usize = sim.willow().servers().iter().map(|s| s.apps.len()).sum();
+        let hosted: usize = sim.willow().apps().placed();
         assert_eq!(hosted, n_apps);
         // Thermal safety.
         for temp in &r.server_temp {
