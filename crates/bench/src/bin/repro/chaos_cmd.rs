@@ -22,7 +22,7 @@ use willow_sim::engine::Simulation;
 use willow_sim::faults::{
     ControllerCrashPlan, ControllerOutage, CrashWindow, FaultPlan, SensorFault,
 };
-use willow_sim::messaging::{emulate_round_with_faults_into, MessageFaults, RoundScratch};
+use willow_sim::messaging::{emulate_round, MessageFaults, RoundScratch};
 use willow_thermal::units::{Celsius, Seconds, Watts};
 use willow_topology::Tree;
 
@@ -147,7 +147,7 @@ fn run_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
     };
     let mut scratch = RoundScratch::default();
     for round in 0..ROUNDS {
-        let out = emulate_round_with_faults_into(
+        let out = emulate_round(
             &tree,
             Seconds(0.01),
             &demands,
@@ -166,7 +166,7 @@ fn run_seed(seed: u64, ticks: usize, threads: usize) -> Vec<String> {
         dead_link: Some((leaf, tree.parent(leaf).expect("leaf has parent"))),
         ..MessageFaults::default()
     };
-    let out = emulate_round_with_faults_into(
+    let out = emulate_round(
         &tree,
         Seconds(0.01),
         &demands,

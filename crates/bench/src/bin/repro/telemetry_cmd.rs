@@ -12,9 +12,7 @@
 
 use willow_sim::config::SimConfig;
 use willow_sim::engine::Simulation;
-use willow_sim::messaging::{
-    emulate_round_with_faults_into, MessageFaults, MessagingTelemetry, RoundScratch,
-};
+use willow_sim::messaging::{emulate_round, MessageFaults, MessagingTelemetry, RoundScratch};
 use willow_sim::trace::EventLog;
 use willow_telemetry::{TelemetryRegistry, TelemetrySnapshot};
 use willow_thermal::units::Seconds;
@@ -79,7 +77,7 @@ pub fn run(seed: u64) {
     };
     for round in 0..ROUNDS {
         for faults in [&clean, &faulty, &severed] {
-            let outcome = emulate_round_with_faults_into(
+            let outcome = emulate_round(
                 &tree,
                 alpha,
                 &demands,

@@ -162,6 +162,16 @@ const BUDGET_EPS: f64 = 1e-9;
 /// Tolerance below zero for "non-negative" watts.
 const NEG_EPS: f64 = -1e-9;
 
+/// Record a violation if a power value is not finite or is negative.
+#[inline]
+fn check_watts(out: &mut Vec<InvariantViolation>, what: &'static str, index: usize, value: f64) {
+    if !value.is_finite() {
+        out.push(InvariantViolation::NonFinite { what, index, value });
+    } else if value < NEG_EPS {
+        out.push(InvariantViolation::NegativeWatts { what, index, value });
+    }
+}
+
 /// Per-tick invariant checker over a [`Willow`] controller.
 ///
 /// The audited application universe is fixed at construction (apps are
@@ -181,6 +191,10 @@ pub struct Auditor {
     prev_tp: Vec<Watts>,
     /// Each server's watchdog miss count at the previous audit.
     prev_missed: Vec<u32>,
+    /// Scratch: each server's watchdog miss count at this audit, copied
+    /// from the rows in the conservation pass so the budget and
+    /// staleness checks read a compact column, not the wide rows again.
+    missed: Vec<u32>,
     /// Violations found by the most recent `check`.
     violations: Vec<InvariantViolation>,
     /// Panic on any violation (CI mode).
@@ -213,12 +227,13 @@ impl Auditor {
             .iter()
             .map(|s| w.power().tp[s.node.index()])
             .collect();
-        let prev_missed = w.watchdogs().iter().map(|wd| wd.missed).collect();
+        let prev_missed: Vec<u32> = w.servers().iter().map(|s| s.watchdog.missed).collect();
         Auditor {
             expected,
             counts,
             server_of_node,
             prev_tp,
+            missed: prev_missed.clone(),
             prev_missed,
             violations: Vec::new(),
             panic_mode: false,
@@ -278,7 +293,8 @@ impl Auditor {
         for si in self.prev_tp.len()..w.servers().len() {
             self.prev_tp
                 .push(w.power().tp[w.servers()[si].node.index()]);
-            self.prev_missed.push(w.watchdogs()[si].missed);
+            self.prev_missed.push(w.servers()[si].watchdog.missed);
+            self.missed.push(0);
         }
     }
 
@@ -298,6 +314,7 @@ impl Auditor {
         self.counts.iter_mut().for_each(|c| *c = 0);
         let apps = w.apps();
         for (si, server) in w.servers().iter().enumerate() {
+            self.missed[si] = server.watchdog.missed;
             let hosted = || apps.on(si).take(apps.len() + 1);
             if !server.active && apps.hosts_any(si) {
                 self.violations
@@ -348,7 +365,7 @@ impl Auditor {
         // and policed by the tightening-only rule below instead.
         let tree = w.tree();
         let power = w.power();
-        let watchdogs = w.watchdogs();
+        let servers = w.servers();
         for node in tree.ids() {
             let children = tree.children(node);
             if children.is_empty() {
@@ -356,9 +373,7 @@ impl Auditor {
             }
             let sum: f64 = children
                 .iter()
-                .filter(|c| {
-                    self.server_of_node[c.index()].is_none_or(|si| watchdogs[si].missed == 0)
-                })
+                .filter(|c| self.server_of_node[c.index()].is_none_or(|si| self.missed[si] == 0))
                 .map(|c| power.tp[c.index()].0)
                 .sum();
             let budget = power.tp[node.index()].0;
@@ -373,8 +388,18 @@ impl Auditor {
 
         // 3. Tightening-only while stale: no fresh directive since the
         // previous audit (misses were > 0 and have not been reset) means
-        // the applied budget must not have grown.
-        for (si, (server, wd)) in w.servers().iter().zip(watchdogs).enumerate() {
+        // the applied budget must not have grown. The same pass over the
+        // rows checks their physical values (invariant 4).
+        for (si, server) in servers.iter().enumerate() {
+            check_watts(&mut self.violations, "local_cp", si, server.local_cp.0);
+            let t = server.accepted_temp.0;
+            if !t.is_finite() {
+                self.violations.push(InvariantViolation::NonFinite {
+                    what: "accepted_temp",
+                    index: si,
+                    value: t,
+                });
+            }
             // A retired server has no budget to police, and its `node`
             // field may alias a slot recycled by a later-added live server
             // — reading `tp` through it would police the wrong machine.
@@ -382,7 +407,8 @@ impl Auditor {
                 continue;
             }
             let tp = power.tp[server.node.index()];
-            let still_stale = self.prev_missed[si] > 0 && wd.missed >= self.prev_missed[si];
+            let missed = self.missed[si];
+            let still_stale = self.prev_missed[si] > 0 && missed >= self.prev_missed[si];
             if still_stale && tp.0 > self.prev_tp[si].0 + 1e-9 {
                 self.violations
                     .push(InvariantViolation::LoosenedWhileStale {
@@ -392,38 +418,14 @@ impl Auditor {
                     });
             }
             self.prev_tp[si] = tp;
-            self.prev_missed[si] = wd.missed;
+            self.prev_missed[si] = missed;
         }
 
-        // 4. Physical sanity of every power/temperature state vector.
-        let mut scan = |what: &'static str, values: &mut dyn Iterator<Item = f64>| {
-            for (i, v) in values.enumerate() {
-                if !v.is_finite() {
-                    self.violations.push(InvariantViolation::NonFinite {
-                        what,
-                        index: i,
-                        value: v,
-                    });
-                } else if v < NEG_EPS {
-                    self.violations.push(InvariantViolation::NegativeWatts {
-                        what,
-                        index: i,
-                        value: v,
-                    });
-                }
-            }
-        };
-        scan("tp", &mut power.tp.iter().map(|v| v.0));
-        scan("cp", &mut power.cp.iter().map(|v| v.0));
-        scan("cap", &mut power.cap.iter().map(|v| v.0));
-        scan("local_cp", &mut w.local_demands().iter().map(|v| v.0));
-        for (si, t) in w.accepted_temps().iter().enumerate() {
-            if !t.0.is_finite() {
-                self.violations.push(InvariantViolation::NonFinite {
-                    what: "accepted_temp",
-                    index: si,
-                    value: t.0,
-                });
+        // 4. Physical sanity of every power state vector (the rows' own
+        // values were checked with invariant 3).
+        for (what, column) in [("tp", &power.tp), ("cp", &power.cp), ("cap", &power.cap)] {
+            for (i, v) in column.iter().enumerate() {
+                check_watts(&mut self.violations, what, i, v.0);
             }
         }
 

@@ -48,10 +48,8 @@ impl GreedyGlobal {
             "one spec per leaf required"
         );
         let apps = AppTable::for_specs(&specs).expect("dense, unique app ids");
-        let servers: Vec<ServerState> = specs
-            .iter()
-            .map(|s| ServerState::from_spec(s, config.alpha))
-            .collect();
+        let servers: Vec<ServerState> =
+            specs.iter().map(|s| ServerState::new(s, &config)).collect();
         let power = PowerState::new(&tree);
         GreedyGlobal {
             tree,

@@ -4,11 +4,10 @@
 //! evacuate hot zones first; the receiver ordering is the third policy
 //! decision point (`ControllerConfig::consolidation_policy`, matched in
 //! `receiver_key`), kept for the whole round in a sorted receiver index
-//! (`super::receivers`). Also home to the operator API (drain,
-//! force-wake, ambient changes), which reuses the evacuation machinery.
+//! (`super::receivers`). Also home to the operator API (force-wake,
+//! ambient changes); draining is a live-ops command (`super::liveops`).
 
 use super::demand::{DeficitItem, Eligibility};
-use super::planning::PlanningContext;
 use super::receivers::{descending, ReceiverIndex};
 use super::Willow;
 use crate::config::{ConsolidationPolicyChoice, SupplyPolicyChoice};
@@ -53,9 +52,6 @@ pub(crate) struct ConsolidateStage {
     pub(super) evac_plan: Vec<(DeficitItem, NodeId)>,
     /// Sleeping-server indices for wake-on-deficit.
     pub(super) sleeping: Vec<usize>,
-    /// Migration-record scratch for operator-initiated drains (the records
-    /// feed no tick report; a drain reports via its return value).
-    pub(super) drain_records: Vec<MigrationRecord>,
 }
 
 impl ConsolidateStage {
@@ -92,7 +88,6 @@ impl Willow {
         stage: &mut ConsolidateStage,
         records: &mut Vec<MigrationRecord>,
         slept: &mut Vec<NodeId>,
-        plan: &PlanningContext,
     ) {
         let first_record = records.len();
         stage.candidates.clear();
@@ -108,7 +103,7 @@ impl Willow {
                 self.servers[i].active
                     && self.servers[i].fence.is_active()
                     && self.servers[i].utilization() < self.config.consolidation_threshold
-                    && !self.predicted_above_threshold(i, plan)
+                    && !self.predicted_above_threshold(i)
             }));
         self.order_victims(&mut stage.candidates);
 
@@ -132,7 +127,7 @@ impl Willow {
             }
             let leaf = self.servers[si].node;
             if !self.apps.hosts_any(si) {
-                self.sleep_server(si, tick);
+                self.sleep_server(si);
                 stage.withdraw(leaf);
                 slept.push(leaf);
                 continue;
@@ -160,7 +155,7 @@ impl Willow {
                 }
                 if evacuated {
                     debug_assert!(!self.apps.hosts_any(si));
-                    self.sleep_server(si, tick);
+                    self.sleep_server(si);
                     stage.withdraw(leaf);
                     slept.push(leaf);
                 }
@@ -177,11 +172,11 @@ impl Willow {
     /// cross the consolidation threshold within one consolidation period
     /// (`η2` demand periods). Always false under the reactive default, and
     /// for servers without enough history to forecast.
-    fn predicted_above_threshold(&self, si: usize, plan: &PlanningContext) -> bool {
+    fn predicted_above_threshold(&self, si: usize) -> bool {
         if self.config.supply_policy != SupplyPolicyChoice::Predictive {
             return false;
         }
-        let Some(pred) = plan.predicted_leaf_demand(si, self.config.eta2) else {
+        let Some(pred) = self.planning.predicted_leaf_demand(si, self.config.eta2) else {
             return false;
         };
         let server = &self.servers[si];
@@ -200,7 +195,8 @@ impl Willow {
     /// root demand forecast one consolidation period out exceeds what the
     /// forecast supply — or the active fleet's thermal caps — can serve,
     /// the gap is woken *now*, before the drops it would cause.
-    pub(super) fn wake_need(&self, plan: &PlanningContext) -> Watts {
+    pub(super) fn wake_need(&self) -> Watts {
+        let plan = &self.planning;
         if self.config.supply_policy != SupplyPolicyChoice::Predictive {
             return self.last_dropped;
         }
@@ -371,13 +367,12 @@ impl Willow {
         true
     }
 
-    pub(super) fn sleep_server(&mut self, si: usize, tick: u64) {
+    pub(super) fn sleep_server(&mut self, si: usize) {
         let server = &mut self.servers[si];
         server.active = false;
-        server.last_activity_change = tick;
         server.smoother.reset();
+        server.local_cp = Watts::ZERO;
         self.power.cp[server.node.index()] = Watts::ZERO;
-        self.local_cp[server.node.index()] = Watts::ZERO;
     }
 
     // ------------------------------------------------------------------
@@ -395,46 +390,6 @@ impl Willow {
         self.servers[server].thermal.set_ambient(ambient);
     }
 
-    /// Drain a server for maintenance: try to evacuate every hosted app
-    /// (margins respected) and put it to sleep. Returns `true` on success;
-    /// on failure the server is left untouched and awake.
-    ///
-    /// # Panics
-    /// Panics if `server` is out of range.
-    pub fn drain_server(&mut self, server: usize) -> bool {
-        if !self.servers[server].active {
-            return true;
-        }
-        let tick = self.tick;
-        if !self.apps.hosts_any(server) {
-            self.sleep_server(server, tick);
-            return true;
-        }
-        let mut stage = std::mem::take(&mut self.consolidate_stage);
-        // Outside a round: index the receivers afresh for this one plan.
-        stage.receivers.reset();
-        let planned = self.plan_full_evacuation(server, &mut stage);
-        let mut drained = planned;
-        if planned {
-            stage.drain_records.clear();
-            for pi in 0..stage.evac_plan.len() {
-                let (item, target) = stage.evac_plan[pi];
-                if !self.attempt_migration(&item, target, tick, &mut stage.drain_records) {
-                    // Injected failure mid-drain: already-moved apps stay
-                    // moved, but the server keeps the rest and stays awake.
-                    drained = false;
-                    break;
-                }
-            }
-            if drained {
-                debug_assert!(!self.apps.hosts_any(server));
-                self.sleep_server(server, tick);
-            }
-        }
-        self.consolidate_stage = stage;
-        drained
-    }
-
     /// Wake a sleeping server (after maintenance). No-op if already awake
     /// or if the server is fenced by the command plane (a drained server
     /// receives zero budget and zero load until re-added; see
@@ -444,9 +399,7 @@ impl Willow {
     /// Panics if `server` is out of range.
     pub fn force_wake(&mut self, server: usize) {
         if !self.servers[server].active && self.servers[server].fence.is_active() {
-            let tick = self.tick;
             self.servers[server].active = true;
-            self.servers[server].last_activity_change = tick;
         }
     }
 
@@ -456,7 +409,6 @@ impl Willow {
     pub(super) fn wake_servers(
         &mut self,
         needed: Watts,
-        tick: u64,
         sleeping: &mut Vec<usize>,
         woken: &mut Vec<NodeId>,
     ) {
@@ -482,7 +434,6 @@ impl Willow {
             }
             let server = &mut self.servers[si];
             server.active = true;
-            server.last_activity_change = tick;
             covered += server.thermal.rating();
             woken.push(server.node);
         }

@@ -236,7 +236,6 @@ impl Willow {
             let shard_order = RawSlice::new(&mut stage.shard_order);
             let servers = &self.servers;
             let apps = &self.apps;
-            let local_cp = &self.local_cp;
             let tp = &self.power.tp;
             let margin = self.config.margin;
             let overhead = self.config.cost_model.node_overhead;
@@ -252,12 +251,11 @@ impl Willow {
                     if !server.active {
                         continue;
                     }
-                    let leaf = server.node.index();
                     // Deficit detection is local: the server compares its
                     // own fresh demand view against its budget, regardless
                     // of what the hierarchy believes.
-                    let cp = local_cp[leaf];
-                    let tp = tp[leaf];
+                    let cp = server.local_cp;
+                    let tp = tp[server.node.index()];
                     let excess = (cp - tp + margin).non_negative();
                     if excess.0 <= 1e-9 {
                         continue;

@@ -7,6 +7,7 @@ use super::*;
 use crate::config::{AllocationPolicy, ControllerConfig};
 use crate::disturbance::MigrationOutcome;
 use crate::migration::MigrationReason;
+use willow_thermal::units::Celsius;
 use willow_workload::app::{Application, SIM_APP_CLASSES};
 
 /// Zero-valued (but fully allocated) disturbance vectors must behave
@@ -387,7 +388,7 @@ fn open_loop_freezes_placement_and_trips_watchdogs() {
         }
         if k >= threshold {
             assert!(
-                w.watchdogs().iter().all(|wd| wd.tripped),
+                w.servers().iter().all(|s| s.watchdog.tripped),
                 "all watchdogs tripped after {threshold} missed directives"
             );
             assert_eq!(r.fallback_servers, 4);
@@ -445,8 +446,10 @@ fn recover_adopts_field_state_and_resolves_in_flight() {
         placement(&w),
         "post-checkpoint migrations must survive recovery (field wins)"
     );
-    assert_eq!(recovered.watchdogs(), w.watchdogs());
-    assert_eq!(recovered.accepted_temps(), w.accepted_temps());
+    for (ours, field) in recovered.servers().iter().zip(w.servers()) {
+        assert_eq!(ours.watchdog, field.watchdog);
+        assert_eq!(ours.accepted_temp, field.accepted_temp);
+    }
     assert_eq!(
         recovered.journal().in_flight().count(),
         0,
@@ -519,6 +522,73 @@ fn recover_rejects_mismatched_field() {
     ));
 }
 
+/// `recover`'s split: the field supplies each roster row, including the
+/// leaf-local state the servers kept running while the controller was
+/// down (`local_cp`, watchdog, accepted temperature); the checkpoint
+/// supplies the planning forecasters, which are controller memory. Under
+/// the predictive policy, with directive loss on one server, a stuck
+/// sensor on another and a demand ramp, each of those differs between
+/// checkpoint and field, so taking any of them from the wrong side fails
+/// here.
+#[test]
+fn recover_splits_memory_from_field() {
+    use crate::config::SupplyPolicyChoice;
+    use crate::server::ServerState;
+
+    let (tree, specs, n_apps) = small_setup(2);
+    let mut cfg = ControllerConfig::default();
+    cfg.eta1 = 1; // every tick issues directives
+    cfg.supply_policy = SupplyPolicyChoice::Predictive;
+    let mut w = Willow::new(tree, specs, cfg).unwrap();
+    let stuck = Celsius(95.0);
+    let faults = Disturbances {
+        directive_lost: vec![true, false, false, false],
+        sensor_override: vec![None, Some(stuck), None, None],
+        ..Disturbances::default()
+    };
+    let ramp = |t: u32| demands(n_apps, 20.0 + f64::from(t));
+    for t in 0..6 {
+        w.step_with(&ramp(t), Watts(2000.0), &faults);
+    }
+    let ckpt = w.snapshot();
+    for t in 6..12 {
+        w.step_with(&ramp(t), Watts(2000.0), &faults);
+    }
+    // The controller crashes; the leaves run open-loop.
+    let mut report = TickReport::default();
+    for t in 12..16 {
+        w.step_open_loop(&ramp(t), &faults, &mut report);
+    }
+    assert!(w.servers()[0].watchdog.tripped, "the watchdog must trip");
+    assert_ne!(
+        w.servers()[1].accepted_temp,
+        stuck,
+        "stuck reading accepted"
+    );
+    let differs = |f: fn(&ServerState, &ServerState) -> bool| {
+        (ckpt.servers.iter().zip(w.servers())).any(|(c, l)| f(c, l))
+    };
+    assert!(differs(|c, l| c.local_cp != l.local_cp));
+    assert!(differs(|c, l| c.watchdog != l.watchdog));
+    assert!(differs(|c, l| c.accepted_temp != l.accepted_temp));
+    assert_ne!(&ckpt.planning.leaves, &w.planning().leaves);
+
+    let recovered = Willow::recover(ckpt.clone(), &w).unwrap();
+    for (ours, field) in recovered.servers().iter().zip(w.servers()) {
+        assert_eq!(ours.local_cp, field.local_cp, "demand view from the field");
+        assert_eq!(ours.watchdog, field.watchdog, "watchdog from the field");
+        assert_eq!(
+            ours.accepted_temp, field.accepted_temp,
+            "filter from the field"
+        );
+    }
+    assert_eq!(
+        recovered.planning(),
+        &ckpt.planning,
+        "forecasts from the checkpoint"
+    );
+}
+
 /// Retired-row/recycled-slot aliasing: after `RemoveServer` frees a leaf
 /// slot and a later `AddServer` recycles it, the retired roster row still
 /// carries the old `NodeId`. A directive-loss roll against the *retired*
@@ -582,7 +652,7 @@ fn retired_row_directive_loss_cannot_touch_recycled_slot() {
     lost.directive_lost = vec![true, false, false, false, false];
     let r = w.step_with(&d, Watts(10.0), &lost);
     assert_eq!(r.directives_lost, 0, "retired rows miss no directives");
-    let wd = w.watchdogs()[0];
+    let wd = w.servers()[0].watchdog;
     assert!(!wd.tripped && wd.missed == 0, "retired watchdog untouched");
     let children: f64 = w
         .tree()
@@ -813,9 +883,9 @@ mod audit_detection {
         w.power.tp[leaf] = before;
         // A stale leaf must only tighten: mark it stale across two
         // audits and loosen its budget in between.
-        w.watchdog[1].missed = 2;
+        w.servers[1].watchdog.missed = 2;
         assert!(a.check(&w).is_empty());
-        w.watchdog[1].missed = 3;
+        w.servers[1].watchdog.missed = 3;
         w.power.tp[leaf] = before + Watts(10.0);
         let violations = a.check(&w);
         assert!(has(violations, |v| matches!(
@@ -846,7 +916,7 @@ mod audit_detection {
             InvariantViolation::NegativeWatts { what: "cp", .. }
         )));
         w.power.cp[leaf] = Watts(1.0);
-        w.accepted_temp[0] = willow_thermal::units::Celsius(f64::INFINITY);
+        w.servers[0].accepted_temp = Celsius(f64::INFINITY);
         assert!(has(a.check(&w), |v| matches!(
             v,
             InvariantViolation::NonFinite {

@@ -28,7 +28,7 @@ use crate::command::{
     Command, CommandError, CommandId, CommandOutcome, CommandStatus, PendingCommand,
 };
 use crate::migration::{MigrationReason, TickReport};
-use crate::server::{DemandSmoother, FenceState, ServerSpec, ServerState};
+use crate::server::{FenceState, ServerSpec, ServerState};
 use willow_thermal::model::decay_factor;
 use willow_thermal::units::Watts;
 use willow_topology::NodeId;
@@ -170,9 +170,6 @@ impl Willow {
         let n = self.tree.len();
         self.power.ensure_len(n);
         self.fabric.ensure_len(n);
-        if self.local_cp.len() < n {
-            self.local_cp.resize(n, Watts::ZERO);
-        }
         if self.leaf_server.len() < n {
             self.leaf_server.resize(n, None);
         }
@@ -184,16 +181,9 @@ impl Willow {
         self.power.tp_old[li] = Watts::ZERO;
         self.power.cap[li] = Watts::ZERO;
         self.power.reduced[li] = false;
-        self.local_cp[li] = Watts::ZERO;
         debug_assert!(self.leaf_server[li].is_none(), "slot cleared at removal");
         self.leaf_server[li] = Some(self.servers.len());
-        let spec = ServerSpec::simulation_default(leaf);
-        let state = ServerState::from_spec_with_smoother(
-            &spec,
-            DemandSmoother::new(self.config.smoother, self.config.alpha),
-        );
-        self.watchdog.push(super::supply::Watchdog::default());
-        self.accepted_temp.push(state.thermal.temperature());
+        let state = ServerState::new(&ServerSpec::simulation_default(leaf), &self.config);
         self.decay_dd
             .push(decay_factor(state.thermal.params(), self.config.delta_d));
         self.decay_ds
@@ -227,17 +217,17 @@ impl Willow {
         self.tree.remove_leaf(node)?;
         // The edit committed; everything below is infallible.
         let li = node.index();
-        self.servers[server].fence = FenceState::Retired;
+        let row = &mut self.servers[server];
+        row.fence = FenceState::Retired;
+        // A tripped watchdog on a retired row would keep counting toward
+        // `fallback_servers` forever; the machine is gone, clear it.
+        row.watchdog = crate::control::supply::Watchdog::default();
         self.leaf_server[li] = None;
         self.power.cp[li] = Watts::ZERO;
         self.power.tp[li] = Watts::ZERO;
         self.power.tp_old[li] = Watts::ZERO;
         self.power.cap[li] = Watts::ZERO;
         self.power.reduced[li] = false;
-        self.local_cp[li] = Watts::ZERO;
-        // A tripped watchdog on a retired row would keep counting toward
-        // `fallback_servers` forever; the machine is gone, clear it.
-        self.watchdog[server] = crate::control::supply::Watchdog::default();
         self.rebuild_stage_scratch();
         Ok(())
     }
@@ -273,7 +263,7 @@ impl Willow {
 
         if !self.apps.hosts_any(server) {
             if self.servers[server].active {
-                self.sleep_server(server, tick);
+                self.sleep_server(server);
             }
             self.servers[server].fence = FenceState::Fenced;
             // Zero the applied budget immediately — a fenced server must

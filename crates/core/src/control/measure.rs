@@ -2,13 +2,15 @@
 //! (Eq. 4) into leaf `CP` values and aggregated up the tree.
 //!
 //! Each active server's app demands are first recorded in the app table
-//! and summed in list order, serially. The per-server half (smoothing,
-//! leaf `CP` stores) then shards across the worker pool: each roster row is touched by exactly one shard,
-//! and the arena-indexed `local_cp`/`power.cp` stores are gated on slot
-//! ownership (`leaf_server[leaf] == Some(si)`) so a retired row whose leaf
-//! slot was reused by a later-added server can never race — or clobber —
-//! the live owner's entry. The upward aggregation stays serial (it is one
-//! `O(nodes)` pass over contiguous per-level slices).
+//! and summed in list order, serially. The per-server half (smoothing, the
+//! row's own `local_cp`, its planning series, the hierarchy's leaf `CP`)
+//! then shards across the worker pool: each roster row and planning series
+//! is touched by exactly one shard, and the one arena-indexed store,
+//! `power.cp`, is gated on
+//! slot ownership (`leaf_server[leaf] == Some(si)`) so a retired row whose
+//! leaf slot was reused by a later-added server can never race — or
+//! clobber — the live owner's entry. The upward aggregation stays serial
+//! (it is one `O(nodes)` pass over contiguous per-level slices).
 
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
@@ -18,7 +20,8 @@ use willow_thermal::units::Watts;
 impl Willow {
     /// Smooth raw demands into leaf `CP` values and aggregate upward. A
     /// server whose report is lost keeps running on its own fresh view
-    /// (`local_cp`) while the hierarchy keeps the stale `power.cp` entry.
+    /// (its row's `local_cp`) while the hierarchy keeps the stale
+    /// `power.cp` entry.
     #[allow(unsafe_code)] // disjoint shard slicing; see `super::shard`
     pub(super) fn measure(&mut self, app_demand: &[Watts]) {
         let n = self.servers.len();
@@ -28,7 +31,6 @@ impl Willow {
         self.observe_app_demands(app_demand);
         {
             let servers = RawSlice::new(&mut self.servers);
-            let local_cp = RawSlice::new(&mut self.local_cp);
             let cp = RawSlice::new(&mut self.power.cp);
             let planning = RawSlice::new(&mut self.planning.leaves);
             let disturb = &self.disturb;
@@ -45,42 +47,35 @@ impl Willow {
                 for (off, server) in servers.iter_mut().enumerate() {
                     let si = range.start + off;
                     let leaf = server.node.index();
-                    // Slot-ownership gate for the arena-indexed stores: a
-                    // retired row must never write the (possibly reused)
-                    // slot — only the live owner does, which also keeps the
-                    // hierarchy's stale view intact under report loss.
-                    let owns = leaf_server[leaf] == Some(si);
-                    let mut observed = Watts::ZERO;
-                    if server.active {
-                        let raw = server.raw_demand();
-                        let smoothed = server.smoother.observe(raw);
-                        observed = smoothed;
-                        debug_assert!(owns, "an active server owns its leaf slot");
-                        // SAFETY: exactly one roster row owns any leaf
-                        // slot, so these scattered writes are race-free.
-                        unsafe {
-                            *local_cp.get_mut(leaf) = smoothed;
-                        }
+                    server.local_cp = if server.active {
+                        let smoothed = server.smoother.observe(server.raw_demand());
+                        debug_assert_eq!(leaf_server[leaf], Some(si), "active rows own a slot");
                         if disturb.report_lost(si) {
                             lost.fetch_add(1, Ordering::Relaxed);
                         } else {
-                            // SAFETY: as above — sole owner of `leaf`.
+                            // SAFETY: exactly one roster row owns any leaf
+                            // slot, so this scattered write is race-free.
                             unsafe {
                                 *cp.get_mut(leaf) = smoothed;
                             }
                         }
-                    } else if owns {
-                        // SAFETY: as above — sole owner of `leaf`.
-                        unsafe {
-                            *local_cp.get_mut(leaf) = Watts::ZERO;
-                            *cp.get_mut(leaf) = Watts::ZERO;
+                        smoothed
+                    } else {
+                        // Slot-ownership gate: a retired row must never
+                        // write the (possibly reused) slot — only the live
+                        // owner does.
+                        if leaf_server[leaf] == Some(si) {
+                            // SAFETY: as above — sole owner of `leaf`.
+                            unsafe {
+                                *cp.get_mut(leaf) = Watts::ZERO;
+                            }
                         }
-                    }
+                        Watts::ZERO
+                    };
                     // Planning seam: feed this server's demand series —
                     // the smoothed view for active servers, zero while
-                    // asleep/retired. Per-row like everything above, so
-                    // serial and sharded runs observe identical sequences.
-                    plan_leaves[off].observe(observed);
+                    // asleep/retired.
+                    plan_leaves[off].observe(server.local_cp);
                     // Migration costs are charged for exactly one period.
                     server.pending_cost = Watts::ZERO;
                 }
@@ -93,26 +88,20 @@ impl Willow {
     }
 
     /// Leaf-local measurement with the controller down: smoothing still
-    /// happens (the machine observes its own load) and `local_cp` stays
-    /// fresh, but nothing reaches the hierarchy — `power.cp` keeps the
-    /// controller's last view and no control messages are exchanged.
-    /// Stays serial: the open-loop path models per-leaf firmware, not the
-    /// controller's hot loop.
+    /// happens (the machine observes its own load) and each row's
+    /// `local_cp` stays fresh, but nothing reaches the hierarchy —
+    /// `power.cp` keeps the controller's last view, no control messages
+    /// are exchanged and no forecaster observes (the forecasters are the
+    /// controller's). Stays serial: the open-loop path models per-leaf
+    /// firmware, not the controller's hot loop.
     pub(super) fn measure_open_loop(&mut self, app_demand: &[Watts]) {
         self.observe_app_demands(app_demand);
-        for (si, server) in self.servers.iter_mut().enumerate() {
-            // Ownership gate as in the closed-loop path: a retired row's
-            // recycled slot belongs to the live replacement server.
-            let owns = self.leaf_server[server.node.index()] == Some(si);
-            if server.active {
-                let raw = server.raw_demand();
-                let smoothed = server.smoother.observe(raw);
-                if owns {
-                    self.local_cp[server.node.index()] = smoothed;
-                }
-            } else if owns {
-                self.local_cp[server.node.index()] = Watts::ZERO;
-            }
+        for server in &mut self.servers {
+            server.local_cp = if server.active {
+                server.smoother.observe(server.raw_demand())
+            } else {
+                Watts::ZERO
+            };
             server.pending_cost = Watts::ZERO;
         }
     }

@@ -182,9 +182,9 @@ impl Willow {
         self.power.cp[e.from.index()] =
             (self.power.cp[e.from.index()] - demand).non_negative() + cost;
         self.power.cp[e.to.index()] += demand + cost;
-        self.local_cp[e.from.index()] =
-            (self.local_cp[e.from.index()] - demand).non_negative() + cost;
-        self.local_cp[e.to.index()] += demand + cost;
+        let src = &mut self.servers[src_idx].local_cp;
+        *src = (*src - demand).non_negative() + cost;
+        self.servers[tgt_idx].local_cp += demand + cost;
 
         let hops = self.tree.path_len(e.from, e.to) - 1; // switches on path
                                                          // Ping-pong: the app returns to the host it last left, within Δ_f.
@@ -220,8 +220,10 @@ impl Willow {
             let cost = self.config.cost_model.end_node_cost(e.demand, local);
             self.power.cp[e.from.index()] += cost;
             self.power.cp[e.to.index()] += cost;
-            self.local_cp[e.from.index()] += cost;
-            self.local_cp[e.to.index()] += cost;
+            for leaf in [e.from, e.to] {
+                let si = self.leaf_server[leaf.index()].expect("ends are server leaves");
+                self.servers[si].local_cp += cost;
+            }
         }
         self.journal.abort(txn);
     }

@@ -52,7 +52,7 @@ use crate::state::PowerState;
 use crate::txn::MigrationJournal;
 use willow_network::Fabric;
 use willow_thermal::model::decay_factor;
-use willow_thermal::units::{Celsius, Watts};
+use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 use willow_workload::app::AppId;
 
@@ -228,17 +228,6 @@ pub struct Willow {
     pub(super) last_dropped: Watts,
     /// Cumulative operation counters.
     pub(super) stats: ControlStats,
-    /// Each leaf's *own* view of its smoothed demand, indexed like
-    /// `power.cp`. Identical to `power.cp` in fault-free operation; under
-    /// report loss `power.cp` keeps the hierarchy's stale view while this
-    /// stays current — physics and local deficit detection use this.
-    pub(super) local_cp: Vec<Watts>,
-    /// Stale-directive watchdog per server.
-    pub(super) watchdog: Vec<Watchdog>,
-    /// Last temperature reading per server that passed the plausibility
-    /// filter; caps and predictions are computed from this, never from a
-    /// raw (possibly faulted) sensor.
-    pub(super) accepted_temp: Vec<Celsius>,
     /// Per-server decay factor `e^(−c2·Δ_D)` for the physics update —
     /// `c2` and the demand period never change within a run, so the
     /// exponential is evaluated once at construction instead of twice per
@@ -275,8 +264,8 @@ pub struct Willow {
     pub(super) pool: ShardPool,
     /// The horizon-aware planning seam (see [`planning`]): forecasters
     /// for root supply, root demand, and every roster server, updated
-    /// once per tick and handed read-only to stages 2 and 4.
-    /// Checkpointed, so restored controllers keep forecasting bit-for-bit.
+    /// once per tick and read by stages 2 and 4. Checkpointed, so
+    /// restored controllers keep forecasting bit-for-bit.
     pub(super) planning: PlanningContext,
     /// Telemetry handles (disabled until [`Willow::attach_telemetry`]).
     pub(super) tel: ControllerTelemetry,
@@ -306,28 +295,19 @@ impl Willow {
         let apps = AppTable::for_specs(&specs)?;
         let servers: Vec<ServerState> = specs
             .iter()
-            .map(|spec| {
-                ServerState::from_spec_with_smoother(
-                    spec,
-                    crate::server::DemandSmoother::new(config.smoother, config.alpha),
-                )
-            })
+            .map(|spec| ServerState::new(spec, &config))
             .collect();
-        let n = servers.len();
         Willow::from_parts(crate::snapshot::WillowSnapshot {
             power: PowerState::new(&tree),
             tick: 0,
             last_dropped: Watts::ZERO,
-            local_cp: vec![Watts::ZERO; tree.len()],
-            watchdog: vec![Watchdog::default(); n],
-            accepted_temp: servers.iter().map(|s| s.thermal.temperature()).collect(),
             stats: ControlStats::default(),
             journal: MigrationJournal::default(),
             pending: Vec::new(),
             next_command_id: 0,
             paused: false,
             apps,
-            planning: None,
+            planning: PlanningContext::for_servers(servers.len()),
             tree,
             config,
             servers,
@@ -399,28 +379,6 @@ impl Willow {
         self.last_dropped
     }
 
-    /// Per-server stale-directive watchdog state (indexed by server order).
-    #[must_use]
-    pub fn watchdogs(&self) -> &[Watchdog] {
-        &self.watchdog
-    }
-
-    /// Last temperature per server that passed the plausibility filter
-    /// (indexed by server order). Caps and predictions derive from these,
-    /// never from raw sensor readings.
-    #[must_use]
-    pub fn accepted_temps(&self) -> &[Celsius] {
-        &self.accepted_temp
-    }
-
-    /// Each leaf's own view of its smoothed demand, indexed by arena node
-    /// id (interior entries are unused and stay zero). Identical to
-    /// `power().cp` in fault-free operation; diverges under report loss.
-    #[must_use]
-    pub fn local_demands(&self) -> &[Watts] {
-        &self.local_cp
-    }
-
     /// The migration-transaction journal: open transactions plus recently
     /// closed ones (retained for duplicate-commit detection).
     #[must_use]
@@ -454,9 +412,6 @@ impl Willow {
             power,
             tick,
             last_dropped,
-            local_cp,
-            watchdog,
-            accepted_temp,
             stats,
             journal,
             pending,
@@ -479,23 +434,12 @@ impl Willow {
                 specs: live,
             });
         }
-        snapshot_shape("local_cp", local_cp.len(), tree.len())?;
         snapshot_shape("power.cp", power.cp.len(), tree.len())?;
         snapshot_shape("power.tp", power.tp.len(), tree.len())?;
         snapshot_shape("power.tp_old", power.tp_old.len(), tree.len())?;
         snapshot_shape("power.cap", power.cap.len(), tree.len())?;
         snapshot_shape("power.reduced", power.reduced.len(), tree.len())?;
-        snapshot_shape("watchdog", watchdog.len(), servers.len())?;
-        snapshot_shape("accepted_temp", accepted_temp.len(), servers.len())?;
-        // Pre-planning snapshots carry no context; restart the forecasts
-        // from scratch rather than rejecting the checkpoint.
-        let planning = match planning {
-            Some(p) => {
-                snapshot_shape("planning", p.leaves.len(), servers.len())?;
-                p
-            }
-            None => PlanningContext::for_servers(servers.len()),
-        };
+        snapshot_shape("planning.leaves", planning.leaves.len(), servers.len())?;
         let mut leaf_server = vec![None; tree.len()];
         for (si, server) in servers.iter().enumerate() {
             // Even a retired row's node must be a tree slot: recovery
@@ -544,9 +488,6 @@ impl Willow {
             tick,
             last_dropped,
             stats,
-            local_cp,
-            watchdog,
-            accepted_temp,
             decay_dd,
             decay_ds,
             journal,
@@ -577,16 +518,18 @@ impl Willow {
     ///
     /// * **Placement and server state** — migrations committed between the
     ///   checkpoint and the crash are in the field but not the checkpoint,
-    ///   so the field's servers (and their smoother/thermal state) and the
-    ///   app table's placement columns are adopted wholesale. Nothing moves during an outage (only the
-    ///   controller migrates), so this is exact, not approximate.
-    /// * **Budgets, caps, watchdogs, accepted temperatures, clock** — the
-    ///   leaves' applied budgets (tightened by open-loop watchdogs) and
-    ///   filtered sensor state carry over; the restored controller resumes
-    ///   at the field's tick, not the checkpoint's.
+    ///   so the field's roster rows (smoother, thermal state, `local_cp`,
+    ///   watchdog, accepted temperature) and the app table's placement
+    ///   columns are adopted wholesale. Nothing moves during an outage
+    ///   (only the controller migrates), so this is exact, not
+    ///   approximate. The planning forecasters, every server's included,
+    ///   are controller memory and come from the checkpoint.
+    /// * **Budgets, caps, clock** — the leaves' applied budgets (tightened
+    ///   by open-loop watchdogs) carry over; the restored controller
+    ///   resumes at the field's tick, not the checkpoint's.
     /// * **Demand view** — re-learned: each leaf's `CP` is seeded from its
-    ///   fresh `local_cp` and re-aggregated up the tree, replacing the
-    ///   checkpoint's stale hierarchy view.
+    ///   row's fresh `local_cp` and re-aggregated up the tree, replacing
+    ///   the checkpoint's stale hierarchy view.
     /// * **Ping-pong / backoff memory** — entries whose window already
     ///   elapsed during the outage are expired rather than replayed.
     /// * **In-flight migrations** — journal entries still open in the
@@ -616,14 +559,11 @@ impl Willow {
             snapshot_shape("recover.leaf", ours.node.index(), theirs.node.index())?;
         }
 
-        // Physical truth from the field.
+        // Physical truth from the field: each row whole.
         w.servers.clone_from(&field.servers);
         w.apps.adopt_placement(&field.apps);
         w.leaf_server.clone_from(&field.leaf_server);
         w.power.clone_from(&field.power);
-        w.local_cp.clone_from(&field.local_cp);
-        w.watchdog.clone_from(&field.watchdog);
-        w.accepted_temp.clone_from(&field.accepted_temp);
         w.tick = field.tick;
         w.last_dropped = field.last_dropped;
 
@@ -637,7 +577,7 @@ impl Willow {
                 continue;
             }
             w.power.cp[leaf] = if server.active {
-                w.local_cp[leaf]
+                server.local_cp
             } else {
                 Watts::ZERO
             };
@@ -776,9 +716,7 @@ impl Willow {
         // Root aggregate demand every tick (per-leaf series were fed
         // inside the sharded measure loop); supply only when a value is
         // actually applied, so the supply series' horizon unit stays one
-        // supply period. The context is then lent to stages 2 and 4 —
-        // `mem::take` leaves the inert leafless placeholder, which
-        // nothing observes until the real context returns.
+        // supply period. Stages 2 and 4 only read the context.
         let root = self.tree.root();
         self.planning
             .root_demand
@@ -786,13 +724,12 @@ impl Willow {
         if supply_tick && !self.paused {
             self.planning.supply.observe(supply);
         }
-        let planning = std::mem::take(&mut self.planning);
 
         // ------------------------------------------- 2. supply adaptation
         if supply_tick && !self.paused {
             let t0 = self.tel.span_start(SLOT_SUPPLY, tick);
             let mut stage = std::mem::take(&mut self.supply_stage);
-            self.supply_adaptation(supply, &mut stage, &planning);
+            self.supply_adaptation(supply, &mut stage);
             self.supply_stage = stage;
             self.tel.span_supply.record_since(t0);
             // Downward budget directives: one message per tree link.
@@ -813,21 +750,14 @@ impl Willow {
         if consolidation_tick && !self.paused {
             let t0 = self.tel.span_start(SLOT_CONSOLIDATE, tick);
             let mut stage = std::mem::take(&mut self.consolidate_stage);
-            self.consolidate(
-                tick,
-                &mut stage,
-                &mut report.migrations,
-                &mut report.slept,
-                &planning,
-            );
-            let wake_need = self.wake_need(&planning);
+            self.consolidate(tick, &mut stage, &mut report.migrations, &mut report.slept);
+            let wake_need = self.wake_need();
             if self.config.wake_on_deficit && wake_need.0 > 0.0 {
-                self.wake_servers(wake_need, tick, &mut stage.sleeping, &mut report.woken);
+                self.wake_servers(wake_need, &mut stage.sleeping, &mut report.woken);
             }
             self.consolidate_stage = stage;
             self.tel.span_consolidate.record_since(t0);
         }
-        self.planning = planning;
 
         // ------------------------------------------------- 5. physics
         let t0 = self.tel.span_start(SLOT_PHYSICS, tick);

@@ -81,11 +81,11 @@ impl Willow {
         report.server_temp.resize(n, Celsius(0.0));
         report.server_active.resize(n, false);
         let sensor_rejections = AtomicUsize::new(0);
+        let fallback_servers = AtomicUsize::new(0);
 
         // ---------------------------------------- phase A (parallel)
         {
             let servers = RawSlice::new(&mut self.servers);
-            let accepted_temp = RawSlice::new(&mut self.accepted_temp);
             let shortfall = RawSlice::new(&mut stage.shortfall);
             let shed = RawSlice::new(&mut stage.shed);
             let leaf_units = RawSlice::new(&mut stage.leaf_units);
@@ -95,19 +95,18 @@ impl Willow {
             let out_active = RawSlice::new(&mut report.server_active);
             let apps = &self.apps;
             let tp = &self.power.tp;
-            let local_cp = &self.local_cp;
             let decay_dd = &self.decay_dd;
             let leaf_server = &self.leaf_server;
             let disturb = &self.disturb;
             let sensor_slack = self.config.robustness.sensor_slack;
             let qtpw = self.config.query_traffic_per_watt;
             let rejections = &sensor_rejections;
+            let fallbacks = &fallback_servers;
             self.pool.run(&|k| {
                 let range = shard_range(n, threads, k);
                 // SAFETY: shard ranges over server indices are pairwise
                 // disjoint; every slice below is indexed by server.
                 let servers = unsafe { servers.range_mut(range.clone()) };
-                let accepted_temp = unsafe { accepted_temp.range_mut(range.clone()) };
                 let shortfall = unsafe { shortfall.range_mut(range.clone()) };
                 let shed = unsafe { shed.range_mut(range.clone()) };
                 let out_power = unsafe { out_power.range_mut(range.clone()) };
@@ -128,7 +127,7 @@ impl Willow {
                     // The server draws against its *own* demand view:
                     // report loss fools the hierarchy, not the machine.
                     let demand = if server.active {
-                        local_cp[leaf]
+                        server.local_cp
                     } else {
                         Watts::ZERO
                     };
@@ -150,12 +149,12 @@ impl Willow {
                     let measured = disturb.measured_temp(si, server.thermal.temperature());
                     let predicted = step_temperature_with_decay(
                         server.thermal.params(),
-                        accepted_temp[off],
+                        server.accepted_temp,
                         server.thermal.ambient(),
                         drawn,
                         decay_dd[si],
                     );
-                    accepted_temp[off] = if (measured.0 - predicted.0).abs() <= sensor_slack {
+                    server.accepted_temp = if (measured.0 - predicted.0).abs() <= sensor_slack {
                         measured
                     } else {
                         rejections.fetch_add(1, Ordering::Relaxed);
@@ -178,12 +177,16 @@ impl Willow {
                     out_budget[off] = budget;
                     out_temp[off] = server.thermal.temperature();
                     out_active[off] = server.active;
+                    if server.watchdog.tripped {
+                        fallbacks.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             });
         }
         // Integer addition commutes, so the relaxed atomic total is
         // identical at every thread count.
         self.counters.sensor_rejections += sensor_rejections.into_inner();
+        report.fallback_servers = fallback_servers.into_inner();
 
         // ----------------------------------------- phase B (serial)
         // Order-sensitive float folds replayed in server order: the sums
@@ -221,6 +224,5 @@ impl Willow {
         report.migration_retries = self.counters.migration_retries;
         report.watchdog_trips = self.counters.watchdog_trips;
         report.sensor_rejections = self.counters.sensor_rejections;
-        report.fallback_servers = self.watchdog.iter().filter(|w| w.tripped).count();
     }
 }

@@ -10,7 +10,13 @@
 //! its state is two `Copy` scalars. [`PlanningContext`] holds the
 //! controller's series — root supply, root aggregate demand, and one per
 //! roster server. The measure stage updates it once per tick; stages 2
-//! and 4 receive it as `&PlanningContext`.
+//! and 4 read it through `&self`.
+//!
+//! The per-server series are a column here rather than a field of the
+//! server's roster row: only the measure stage and the predictive
+//! consolidation read them, while every stage and the auditor stream the
+//! rows. On the 104,976-server quiet fleet, rows 40 bytes wider with the
+//! series inside made every one of those passes slower (see CHANGES.md).
 //!
 //! **Horizon semantics.** Leaf and root-demand series observe once per
 //! demand period, so `forecast(h)` is `h` demand periods (`h·Δ_D`) ahead.
@@ -56,13 +62,14 @@ pub(crate) fn series() -> HoltSmoother {
 }
 
 /// The controller's complete planning state, updated once per tick by the
-/// measure stage and handed read-only to stages 2 and 4.
+/// measure stage and read, never written, by stages 2 and 4.
 ///
 /// Serialized whole inside `WillowSnapshot` (restore continues forecasts
 /// bit-for-bit); `recover` keeps the checkpoint's context — forecaster
 /// state is controller *memory*, like the pending-command queue, not
 /// field-observable physical truth.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PlanningContext {
     /// Root supply, observed once per applied supply tick. Horizon unit:
     /// supply periods (`η1·Δ_D`).
@@ -74,19 +81,6 @@ pub struct PlanningContext {
     /// `Willow::servers` — including retired slots, which observe zero.
     /// Horizon unit: demand periods (`Δ_D`).
     pub leaves: Vec<HoltSmoother>,
-}
-
-impl Default for PlanningContext {
-    /// The placeholder `std::mem::take` leaves behind while a pipeline
-    /// stage borrows the real context: no leaves, so it allocates nothing,
-    /// and it is never observed.
-    fn default() -> Self {
-        PlanningContext {
-            supply: series(),
-            root_demand: series(),
-            leaves: Vec::new(),
-        }
-    }
 }
 
 impl Clone for PlanningContext {
@@ -112,8 +106,9 @@ impl PlanningContext {
     #[must_use]
     pub fn for_servers(n: usize) -> Self {
         PlanningContext {
+            supply: series(),
+            root_demand: series(),
             leaves: vec![series(); n],
-            ..PlanningContext::default()
         }
     }
 
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn default_context_is_an_inert_placeholder() {
-        let ctx = PlanningContext::default();
+        let ctx = PlanningContext::for_servers(0);
         assert!(ctx.leaves.is_empty());
         assert_eq!(
             ctx.leaves.capacity(),

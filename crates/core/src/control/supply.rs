@@ -5,7 +5,7 @@
 //! open-loop (controller-down) budget fallback, which reuse the same cap
 //! computation.
 
-use super::planning::{PlanningContext, PREDICTIVE_HEADROOM};
+use super::planning::PREDICTIVE_HEADROOM;
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
 use crate::config::{
@@ -14,7 +14,7 @@ use crate::config::{
 use crate::server::{FenceState, ServerState};
 use willow_power::allocation::allocate_proportional_into;
 use willow_thermal::limit::power_limit_with_decay;
-use willow_thermal::units::{Celsius, Watts};
+use willow_thermal::units::Watts;
 use willow_topology::Tree;
 
 /// Per-server stale-directive watchdog state (paper-adjacent defense: a
@@ -74,12 +74,8 @@ impl SupplyStage {
 /// wake-up headroom; they are at (or cooling toward) ambient, so this is
 /// near their rating. Takes exactly the per-server inputs so the sharded
 /// cap refresh can call it without borrowing the whole controller.
-fn thermal_cap_of(
-    server: &ServerState,
-    accepted: Celsius,
-    decay_ds: f64,
-    config: &ControllerConfig,
-) -> Watts {
+fn thermal_cap_of(server: &ServerState, decay_ds: f64, config: &ControllerConfig) -> Watts {
+    let accepted = server.accepted_temp;
     match config.thermal_estimate {
         ThermalEstimate::WindowPrediction => {
             // `power_limit` with the decay factor cached at construction
@@ -112,16 +108,9 @@ fn thermal_cap_of(
 /// them zero budget — a drained server receives zero budget thereafter.
 /// Active and draining servers (even sleeping ones) present their thermal
 /// cap; sleeping servers keep advertising wake-up headroom.
-fn effective_cap_of(
-    server: &ServerState,
-    accepted: Celsius,
-    decay_ds: f64,
-    config: &ControllerConfig,
-) -> Watts {
+fn effective_cap_of(server: &ServerState, decay_ds: f64, config: &ControllerConfig) -> Watts {
     match server.fence {
-        FenceState::Active | FenceState::Draining => {
-            thermal_cap_of(server, accepted, decay_ds, config)
-        }
+        FenceState::Active | FenceState::Draining => thermal_cap_of(server, decay_ds, config),
         FenceState::Fenced | FenceState::Retired => Watts::ZERO,
     }
 }
@@ -130,12 +119,7 @@ impl Willow {
     /// Thermal hard cap for server `si` (see [`thermal_cap_of`]). Shared
     /// by the closed-loop supply stage and the open-loop fallback.
     pub(super) fn thermal_cap(&self, si: usize) -> Watts {
-        thermal_cap_of(
-            &self.servers[si],
-            self.accepted_temp[si],
-            self.decay_ds[si],
-            &self.config,
-        )
+        thermal_cap_of(&self.servers[si], self.decay_ds[si], &self.config)
     }
 
     /// Count a missed directive for server `si`'s watchdog, tripping it at
@@ -145,7 +129,7 @@ impl Willow {
     /// fraction of the rating once tripped.
     fn missed_directive_fallback(&mut self, si: usize, base: Watts, cap: Watts) -> Watts {
         self.counters.directives_lost += 1;
-        let wd = &mut self.watchdog[si];
+        let wd = &mut self.servers[si].watchdog;
         wd.missed += 1;
         if !wd.tripped && wd.missed >= self.config.robustness.watchdog_threshold {
             wd.tripped = true;
@@ -170,18 +154,12 @@ impl Willow {
     /// level-sequential and the other two are cheap linear scans whose
     /// counter updates would need ordering anyway.
     #[allow(unsafe_code)] // disjoint shard slicing; see `super::shard`
-    pub(super) fn supply_adaptation(
-        &mut self,
-        supply: Watts,
-        stage: &mut SupplyStage,
-        plan: &PlanningContext,
-    ) {
+    pub(super) fn supply_adaptation(&mut self, supply: Watts, stage: &mut SupplyStage) {
         let n = self.servers.len();
         let threads = self.pool.threads();
         {
             let cap = RawSlice::new(&mut self.power.cap);
             let servers = &self.servers;
-            let accepted_temp = &self.accepted_temp;
             let decay_ds = &self.decay_ds;
             let config = &self.config;
             let leaf_server = &self.leaf_server;
@@ -193,8 +171,7 @@ impl Willow {
                     // slot was zeroed at retirement, so skipping the write
                     // is value-identical to the serial loop.
                     if leaf_server[leaf] == Some(si) {
-                        let c =
-                            effective_cap_of(&servers[si], accepted_temp[si], decay_ds[si], config);
+                        let c = effective_cap_of(&servers[si], decay_ds[si], config);
                         // SAFETY: exactly one roster row owns any leaf
                         // slot, so this scattered write is race-free.
                         unsafe {
@@ -217,6 +194,7 @@ impl Willow {
         // Tighten-only (an extra `.min`), so optimistic forecasts can
         // never loosen the physical budget.
         if self.config.supply_policy == SupplyPolicyChoice::Predictive {
+            let plan = &self.planning;
             if let Some(dip) = plan
                 .predicted_supply(1)
                 .map(|p1| p1.min(plan.predicted_supply(2).unwrap_or(p1)))
@@ -287,7 +265,7 @@ impl Willow {
                 let cap = self.power.cap[leaf];
                 self.power.tp[leaf] = self.missed_directive_fallback(si, base, cap);
             } else {
-                self.watchdog[si] = Watchdog::default();
+                self.servers[si].watchdog = Watchdog::default();
             }
         }
 

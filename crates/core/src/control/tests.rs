@@ -7,6 +7,7 @@ use super::testutil::{demands, hosted, small_setup};
 use super::*;
 use crate::config::{AllocationPolicy, ReducedTargetRule};
 use crate::migration::MigrationReason;
+use willow_thermal::units::Celsius;
 use willow_workload::app::{Application, SIM_APP_CLASSES};
 
 #[test]
@@ -685,7 +686,7 @@ mod planner_oracle {
                     })
                 });
             if evacuated {
-                w.sleep_server(si, tick);
+                w.sleep_server(si);
                 slept.push(w.servers[si].node);
             }
         }
@@ -696,11 +697,9 @@ mod planner_oracle {
 
     /// The production round, called the way `step_into` calls it.
     fn indexed_round(w: &mut Willow, records: &mut Vec<MigrationRecord>, slept: &mut Vec<NodeId>) {
-        let planning = std::mem::take(&mut w.planning);
         let mut stage = std::mem::take(&mut w.consolidate_stage);
-        w.consolidate(w.tick, &mut stage, records, slept, &planning);
+        w.consolidate(w.tick, &mut stage, records, slept);
         w.consolidate_stage = stage;
-        w.planning = planning;
     }
 
     fn cp_bits(w: &Willow) -> Vec<u64> {
@@ -937,45 +936,6 @@ mod planner_oracle {
                 "{policy:?}: the round must go on to plan"
             );
             assert!(moves.iter().all(|m| m.to != leaf), "{policy:?}");
-        }
-    }
-
-    /// `drain_server` between ticks plans against a fresh receiver index,
-    /// and the next round still matches.
-    #[test]
-    fn drain_outside_a_round_matches() {
-        for policy in [
-            ConsolidationPolicyChoice::HotZonesFirst,
-            ConsolidationPolicyChoice::MostHeadroomReceivers,
-        ] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let (mut a, mut b, n_apps) = twins(&mut rng, policy);
-            step_both(&mut a, &mut b, &mut rng, n_apps);
-            let fail = outcomes(&mut rng);
-            assert_round_matches(&mut a, &mut b, &fail, "round before drain");
-            for t in 0..3 {
-                // The round left its index behind; waking and moving apps
-                // makes every entry of it stale.
-                scatter(&mut a, &mut b, &mut rng);
-                step_both(&mut a, &mut b, &mut rng, n_apps);
-                let server = (0..a.servers.len())
-                    .max_by_key(|&i| (a.servers[i].active, a.apps.on(i).count()))
-                    .unwrap();
-                let drained = a.drain_server(server);
-                let tick = b.tick;
-                let oracle = plan(&b, server).is_some_and(|plan| {
-                    let mut records = vec![];
-                    plan.iter()
-                        .all(|(item, to)| b.attempt_migration(item, *to, tick, &mut records))
-                });
-                if oracle {
-                    b.sleep_server(server, tick);
-                }
-                assert_eq!(drained, oracle, "{policy:?} drain {t}");
-                assert_eq!(placement(&a), placement(&b), "{policy:?} drain {t}");
-                assert_eq!(cp_bits(&a), cp_bits(&b), "{policy:?} drain {t}");
-            }
-            assert_round_matches(&mut a, &mut b, &fail, "round after drains");
         }
     }
 }

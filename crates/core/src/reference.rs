@@ -1213,37 +1213,6 @@ impl ReferenceWillow {
         self.servers[server].thermal.set_ambient(ambient);
     }
 
-    /// Drain a server for maintenance: try to evacuate every hosted app
-    /// (margins respected) and put it to sleep. Returns `true` on success;
-    /// on failure the server is left untouched and awake.
-    ///
-    /// # Panics
-    /// Panics if `server` is out of range.
-    pub fn drain_server(&mut self, server: usize) -> bool {
-        if !self.servers[server].active {
-            return true;
-        }
-        let tick = self.tick;
-        if self.servers[server].apps.is_empty() {
-            self.sleep_server(server, tick);
-            return true;
-        }
-        let Some(plan) = self.plan_full_evacuation(server, tick) else {
-            return false;
-        };
-        let mut records = Vec::new();
-        for (item, target) in plan {
-            if !self.attempt_migration(&item, target, tick, &mut records) {
-                // Injected failure mid-drain: already-moved apps stay
-                // moved, but the server keeps the rest and stays awake.
-                return false;
-            }
-        }
-        debug_assert!(self.servers[server].apps.is_empty());
-        self.sleep_server(server, tick);
-        true
-    }
-
     /// Wake a sleeping server (after maintenance). No-op if already awake.
     ///
     /// # Panics

@@ -1,6 +1,9 @@
-//! Per-server runtime state: activity, thermals, demand smoothing. The
-//! apps a server hosts live in the controller's [`crate::apps::AppTable`].
+//! Per-server runtime state: activity, thermals, demand smoothing, and the
+//! leaf's own demand view and degraded-mode defences. The apps a server
+//! hosts live in the controller's [`crate::apps::AppTable`].
 
+use crate::config::ControllerConfig;
+use crate::control::Watchdog;
 use serde::{Deserialize, Serialize};
 use willow_thermal::model::{DeviceThermal, ThermalParams};
 use willow_thermal::units::{Celsius, Watts};
@@ -195,8 +198,11 @@ impl FenceState {
     }
 }
 
-/// Live state of a server inside the controller: plain values only. Its
-/// apps are a list in the controller's [`crate::apps::AppTable`].
+/// Live state of a server inside the controller: plain values only, one
+/// `Copy` row per roster slot holding every per-server fact the leaf
+/// itself keeps. Its apps are a list in the controller's
+/// [`crate::apps::AppTable`]; its planning series is a column of the
+/// controller's [`crate::control::PlanningContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ServerState {
@@ -213,43 +219,45 @@ pub struct ServerState {
     pub thermal: DeviceThermal,
     /// Active (true) or deep sleep (false).
     pub active: bool,
-    /// Tick at which the server last changed activity state.
-    pub last_activity_change: u64,
     /// Non-migratable draw while active (see [`ServerSpec::base_load`]).
     pub base_load: Watts,
     /// Utilization denominator (see [`ServerSpec::full_util_power`]).
     pub full_util_power: Watts,
-    /// Live-ops fencing state (defaults to [`FenceState::Active`], so
-    /// pre-command-plane snapshots still parse).
-    #[serde(default)]
+    /// Live-ops fencing state.
     pub fence: FenceState,
+    /// The server's *own* view of its smoothed demand. Equal to the
+    /// hierarchy's `power.cp` entry in fault-free operation; under report
+    /// loss `power.cp` keeps the stale view while this stays current.
+    /// Physics and local deficit detection run on this, so it is
+    /// checkpointed with the row.
+    pub local_cp: Watts,
+    /// Stale-directive watchdog (missed count and tripped flag).
+    pub watchdog: Watchdog,
+    /// Last temperature reading that passed the plausibility filter; caps
+    /// and predictions are computed from this, never from a raw (possibly
+    /// faulted) sensor.
+    pub accepted_temp: Celsius,
 }
 
 impl ServerState {
-    /// Construct live state from a spec with a plain Eq.-4 smoother.
+    /// A fresh row for `spec` with the smoother `config` selects and no
+    /// demand history. The spec's apps go into the app table, not here.
     #[must_use]
-    pub fn from_spec(spec: &ServerSpec, alpha: f64) -> Self {
-        ServerState::from_spec_with_smoother(
-            spec,
-            DemandSmoother::Exponential(ExpSmoother::new(alpha)),
-        )
-    }
-
-    /// Construct live state from a spec with an explicit smoother. The
-    /// spec's apps go into the app table, not here.
-    #[must_use]
-    pub fn from_spec_with_smoother(spec: &ServerSpec, smoother: DemandSmoother) -> Self {
+    pub fn new(spec: &ServerSpec, config: &ControllerConfig) -> Self {
+        let thermal = DeviceThermal::new(spec.thermal, spec.ambient, spec.t_limit, spec.rating);
         ServerState {
             node: spec.node,
             app_power: Watts::ZERO,
             pending_cost: Watts::ZERO,
-            smoother,
-            thermal: DeviceThermal::new(spec.thermal, spec.ambient, spec.t_limit, spec.rating),
+            smoother: DemandSmoother::new(config.smoother, config.alpha),
+            thermal,
             active: spec.active,
-            last_activity_change: 0,
             base_load: spec.base_load,
             full_util_power: spec.full_util_power,
             fence: FenceState::default(),
+            local_cp: Watts::ZERO,
+            watchdog: Watchdog::default(),
+            accepted_temp: thermal.temperature(),
         }
     }
 
@@ -293,7 +301,7 @@ mod tests {
     fn loaded(second: f64) -> ServerState {
         let spec = spec_with_two_apps();
         let mut table = AppTable::for_specs(std::slice::from_ref(&spec)).unwrap();
-        let mut s = ServerState::from_spec(&spec, 0.5);
+        let mut s = ServerState::new(&spec, &ControllerConfig::default());
         s.app_power = table.observe(0, &[Watts(30.0), Watts(second)]);
         s
     }

@@ -2,39 +2,41 @@
 //!
 //! A control plane that migrates other people's workloads must itself be
 //! restartable: [`Willow::snapshot`] captures the complete mutable state
-//! (server states incl. thermal and smoother history, node power state,
-//! tick counter, the app table with its ping-pong bookkeeping and retry
-//! backoff, and every other degraded-mode defense: watchdogs, the
-//! accepted-temperature filter state and the leaf-local demand views) into
-//! a serializable value, and [`Willow::restore`] reconstructs a controller
+//! (the roster rows — thermal and smoother history, each leaf's own demand
+//! view, watchdog and accepted-temperature filter state — node power
+//! state, tick counter, the app table with its ping-pong bookkeeping and
+//! retry backoff, and the planning forecasters) into a serializable
+//! value, and [`Willow::restore`] reconstructs a controller
 //! that continues the run bit-for-bit identically — including under active
 //! faults, where the defense state is load-bearing.
 //!
-//! The schema fails closed on apps. Servers carry none (the [`AppTable`]
-//! does), a server record rejects unknown keys and the table is a required
-//! field, so a checkpoint written when each server listed its own apps
-//! fails to load with an error naming the `apps` field instead of
-//! restoring without them.
+//! The schema fails closed. Every field is required, and the image, its
+//! server rows, its planning context and its app table reject unknown
+//! keys. A checkpoint written when each server listed its own apps fails
+//! on that layout's keys (`last_moves`, or a server row's `apps`); one
+//! that kept the leaf-local defences in top-level vectors (`local_cp`,
+//! `watchdog`, `accepted_temp`) fails on the first of them.
 
 use crate::apps::AppTable;
 use crate::command::PendingCommand;
 use crate::config::ControllerConfig;
-use crate::control::{ControlStats, Watchdog, Willow, WillowError};
+use crate::control::{ControlStats, PlanningContext, Willow, WillowError};
 use crate::server::ServerState;
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
 use serde::{Deserialize, Serialize};
-use willow_thermal::units::{Celsius, Watts};
+use willow_thermal::units::Watts;
 use willow_topology::Tree;
 
 /// Serializable image of a running controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WillowSnapshot {
     /// The topology (fully self-contained).
     pub tree: Tree,
     /// Controller tunables.
     pub config: ControllerConfig,
-    /// Per-server state, in server order.
+    /// Per-server state, in server order: every per-server fact.
     pub servers: Vec<ServerState>,
     /// Per-node power state.
     pub power: PowerState,
@@ -42,44 +44,24 @@ pub struct WillowSnapshot {
     pub tick: u64,
     /// Demand shed in the last period (drives wake-on-deficit).
     pub last_dropped: Watts,
-    /// Each leaf's own smoothed-demand view, indexed by arena node id.
-    /// Diverges from `power.cp` under report loss; physics and local
-    /// deficit detection run on this, so dropping it from a checkpoint
-    /// would teleport the hierarchy's stale view into every server.
-    pub local_cp: Vec<Watts>,
-    /// Stale-directive watchdog per server (missed count + tripped flag).
-    pub watchdog: Vec<Watchdog>,
-    /// Last plausibility-accepted temperature per server — the sensor
-    /// filter's reference point.
-    pub accepted_temp: Vec<Celsius>,
     /// Cumulative operation counters (§V-A2 complexity accounting).
     pub stats: ControlStats,
     /// Migration-transaction journal: open transactions plus recently
     /// closed ones. Restore resolves any entry still open (see
     /// `crate::txn`).
     pub journal: MigrationJournal,
-    /// Live-ops commands still in flight (queued or mid-drain). Absent in
-    /// pre-command-plane checkpoints.
-    #[serde(default)]
+    /// Live-ops commands still in flight (queued or mid-drain).
     pub pending: Vec<PendingCommand>,
-    /// Next correlation id to assign. Absent in pre-command-plane
-    /// checkpoints.
-    #[serde(default)]
+    /// Next correlation id to assign.
     pub next_command_id: u64,
     /// Whether adaptation was paused by [`crate::command::Command::Pause`].
-    #[serde(default)]
     pub paused: bool,
     /// Every per-app fact: placement (each server's list), raw demand,
     /// last move and retry backoff.
     pub apps: AppTable,
     /// Planning memory: one Holt forecaster per series — root supply, root
     /// demand and each roster server (see [`crate::control::planning`]).
-    /// Absent in pre-planning checkpoints, in which case restore re-seeds
-    /// empty forecasters sized to the roster — predictions fall back to
-    /// reactive until each series sees its first observation, exactly as
-    /// on a cold start.
-    #[serde(default)]
-    pub planning: Option<crate::control::PlanningContext>,
+    pub planning: PlanningContext,
 }
 
 impl Willow {
@@ -93,16 +75,13 @@ impl Willow {
             power: self.power().clone(),
             tick: self.tick_count(),
             last_dropped: self.last_dropped(),
-            local_cp: self.local_demands().to_vec(),
-            watchdog: self.watchdogs().to_vec(),
-            accepted_temp: self.accepted_temps().to_vec(),
             stats: self.stats(),
             journal: self.journal().clone(),
             pending: self.pending_commands().to_vec(),
             next_command_id: self.next_command_id(),
             paused: self.is_paused(),
             apps: self.apps().clone(),
-            planning: Some(self.planning().clone()),
+            planning: self.planning().clone(),
         }
     }
 
@@ -118,12 +97,6 @@ impl Willow {
         snap.power.clone_from(self.power());
         snap.tick = self.tick_count();
         snap.last_dropped = self.last_dropped();
-        snap.local_cp.clear();
-        snap.local_cp.extend_from_slice(self.local_demands());
-        snap.watchdog.clear();
-        snap.watchdog.extend_from_slice(self.watchdogs());
-        snap.accepted_temp.clear();
-        snap.accepted_temp.extend_from_slice(self.accepted_temps());
         snap.stats = self.stats();
         snap.journal.clone_from(self.journal());
         snap.pending.clear();
@@ -131,12 +104,8 @@ impl Willow {
         snap.next_command_id = self.next_command_id();
         snap.paused = self.is_paused();
         snap.apps.clone_from(self.apps());
-        // `PlanningContext::clone_from` copies field by field, reusing the
-        // checkpoint's `leaves` buffer.
-        match &mut snap.planning {
-            Some(p) => p.clone_from(self.planning()),
-            None => snap.planning = Some(self.planning().clone()),
-        }
+        // Field by field, reusing the image's `leaves` buffer.
+        snap.planning.clone_from(self.planning());
     }
 
     /// Reconstruct a controller from a snapshot. The result continues the
@@ -278,45 +247,12 @@ mod tests {
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
         let snap: WillowSnapshot = serde_json::from_str(&json).expect("deserialize");
-        assert!(
-            snap.planning.is_some(),
-            "snapshot must carry planning state"
-        );
         let mut restored = Willow::restore(snap).expect("restore");
 
         let a = drive(&mut original, n_apps, 60);
         let b = drive(&mut restored, n_apps, 60);
         assert_eq!(a, b, "predictive controller must continue identically");
         assert_eq!(original.planning(), restored.planning());
-    }
-
-    /// Pre-planning checkpoints carry no `planning` key: they must still
-    /// parse, restore, and run — the restored controller simply restarts
-    /// its forecasts from scratch.
-    #[test]
-    fn restore_accepts_checkpoint_without_planning_state() {
-        let (mut w, n_apps) = setup();
-        let _ = drive(&mut w, n_apps, 20);
-        let json = serde_json::to_string(&w.snapshot()).expect("serialize");
-        let needle = ",\"planning\":";
-        let start = json.find(needle).expect("planning key present");
-        // The planning value is the last field: strip through the closing
-        // brace of the snapshot object.
-        let stripped = format!("{}}}", &json[..start]);
-        let snap: WillowSnapshot = serde_json::from_str(&stripped).expect("legacy parse");
-        assert_eq!(snap.planning, None);
-        let mut restored = Willow::restore(snap).expect("restore");
-        assert_eq!(
-            restored.planning().leaves.len(),
-            restored.servers().len(),
-            "restore must re-seed planning to the roster size"
-        );
-        // The re-seeded forecasts start empty and refill as the run
-        // continues; the default reactive policy never reads them, so the
-        // run itself still continues bit-for-bit.
-        let a = drive(&mut w, n_apps, 30);
-        let b = drive(&mut restored, n_apps, 30);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -402,25 +338,9 @@ mod tests {
         for (mutate, expected) in [
             (
                 (|s: &mut WillowSnapshot| {
-                    s.local_cp.pop();
+                    s.power.cp.pop();
                 }) as fn(&mut WillowSnapshot),
                 shape as fn(&WillowError) -> bool,
-            ),
-            (
-                |s| {
-                    s.watchdog.pop();
-                },
-                shape,
-            ),
-            (
-                |s| s.accepted_temp.push(willow_thermal::units::Celsius(25.0)),
-                shape,
-            ),
-            (
-                |s| {
-                    s.power.cp.pop();
-                },
-                shape,
             ),
             (
                 |s| {
@@ -443,6 +363,12 @@ mod tests {
             (
                 |s| {
                     s.power.reduced.pop();
+                },
+                shape,
+            ),
+            (
+                |s| {
+                    s.planning.leaves.pop();
                 },
                 shape,
             ),
@@ -553,9 +479,11 @@ mod tests {
     }
 
     /// A checkpoint in the layout where each server listed its own apps
-    /// (`apps`, `app_demand`) must fail to load with an error that names
-    /// the field — never restore with its apps dropped. So must one whose
-    /// servers were stripped of them but that carries no app table.
+    /// (`apps`, `app_demand`, with the `last_moves` and `backoff` maps at
+    /// the top) must fail to load with an error that names a field of
+    /// that layout — never restore with its apps dropped. So must one
+    /// without the maps, and one whose servers were stripped of their
+    /// apps but that carries no app table.
     #[test]
     fn per_server_app_layout_fails_to_load() {
         let (mut w, n_apps) = setup();
@@ -579,6 +507,17 @@ mod tests {
         }
         let text = serde_json::to_string_pretty(&image).expect("serialize");
         let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("old layout loaded");
+        assert_eq!(
+            err.to_string(),
+            "unknown field `last_moves` for WillowSnapshot"
+        );
+
+        // Without the old top-level maps, the server records still fail.
+        let Value::Object(top) = &mut image else {
+            panic!("not an object")
+        };
+        top.retain(|(k, _)| k != "last_moves" && k != "backoff");
+        let err = WillowSnapshot::from_value(&image).expect_err("old rows loaded");
         assert_eq!(err.to_string(), "unknown field `apps` for ServerState");
 
         for server in items(field(&mut image, "servers")) {
@@ -592,9 +531,69 @@ mod tests {
         assert_eq!(err.to_string(), "missing field `apps` for WillowSnapshot");
     }
 
+    /// A checkpoint in the layout that kept the leaf-local defences in
+    /// top-level vectors (`local_cp` per arena slot, `watchdog` and
+    /// `accepted_temp` per server) must fail to load with an error naming
+    /// one of those fields. So must an image whose rows are current but
+    /// that still carries one of the old vectors.
+    #[test]
+    fn top_level_defence_vectors_fail_to_load() {
+        let (mut w, n_apps) = setup();
+        let _ = drive_faulted(&mut w, n_apps, 0, 20);
+        let mut image = w.snapshot().to_value();
+        let servers = w.servers();
+        let old: [(&str, Value); 3] = [
+            ("local_cp", vec![Watts::ZERO; w.tree().len()].to_value()),
+            (
+                "watchdog",
+                servers
+                    .iter()
+                    .map(|s| s.watchdog)
+                    .collect::<Vec<_>>()
+                    .to_value(),
+            ),
+            (
+                "accepted_temp",
+                servers
+                    .iter()
+                    .map(|s| s.accepted_temp)
+                    .collect::<Vec<_>>()
+                    .to_value(),
+            ),
+        ];
+        let Value::Object(top) = &mut image else {
+            panic!("not an object")
+        };
+        top.extend(old.iter().map(|(k, v)| ((*k).to_string(), v.clone())));
+        let err = WillowSnapshot::from_value(&image).expect_err("stray vector loaded");
+        assert_eq!(
+            err.to_string(),
+            "unknown field `local_cp` for WillowSnapshot"
+        );
+
+        // The old layout proper: rows without the moved fields.
+        for server in items(field(&mut image, "servers")) {
+            let Value::Object(record) = server else {
+                panic!("not an object")
+            };
+            record
+                .retain(|(k, _)| !matches!(k.as_str(), "local_cp" | "watchdog" | "accepted_temp"));
+        }
+        let text = serde_json::to_string_pretty(&image).expect("serialize");
+        let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("old layout loaded");
+        let message = err.to_string();
+        assert!(
+            ["local_cp", "watchdog", "accepted_temp"]
+                .iter()
+                .any(|name| message.contains(&format!("`{name}`"))),
+            "the error must name a moved field: {message}"
+        );
+    }
+
     /// Deterministic fault schedule that exercises every defense: constant
     /// directive loss on two servers (trips their watchdogs), report loss
-    /// on another (diverges `local_cp` from the hierarchy's `cp` view), a
+    /// on another (diverges a row's `local_cp` from the hierarchy's `cp`
+    /// view), a
     /// stuck sensor (diverges `accepted_temp` from the raw reading) and
     /// alternating reject/abort migration outcomes (populates backoff).
     fn faulted_disturb(t: u64, n: usize) -> crate::Disturbances {
@@ -650,7 +649,7 @@ mod tests {
         // The schedule must actually have engaged the defenses, or this
         // test pins nothing.
         assert!(
-            original.watchdogs().iter().any(|wd| wd.tripped),
+            original.servers().iter().any(|s| s.watchdog.tripped),
             "fault schedule failed to trip a watchdog"
         );
         assert!(
@@ -666,20 +665,16 @@ mod tests {
         let mut restored = Willow::restore(snap.clone()).expect("restore");
 
         // The captured defense state matches the live controller exactly.
-        assert_eq!(snap.watchdog, original.watchdogs());
+        assert_eq!(snap.servers, original.servers());
         assert_eq!(&snap.apps, original.apps());
-        assert_eq!(snap.accepted_temp, original.accepted_temps());
-        assert_eq!(snap.local_cp, original.local_demands());
         assert_eq!(snap.stats, original.stats());
 
         // And the restored controller continues the faulted run identically.
         let a = drive_faulted(&mut original, n_apps, 41, 60);
         let b = drive_faulted(&mut restored, n_apps, 41, 60);
         assert_eq!(a, b, "restored controller diverged under active faults");
-        assert_eq!(original.watchdogs(), restored.watchdogs());
+        assert_eq!(original.servers(), restored.servers());
         assert_eq!(original.apps(), restored.apps());
-        assert_eq!(original.accepted_temps(), restored.accepted_temps());
-        assert_eq!(original.local_demands(), restored.local_demands());
         assert_eq!(original.stats(), restored.stats());
     }
 }

@@ -167,7 +167,7 @@ fn warm_planning_capture_allocates_nothing() {
     for _ in 0..8 {
         willow.step_into(&demands, supply, &quiet, &mut report);
     }
-    let warm = snap.planning.as_mut().expect("a snapshot carries planning");
+    let warm = &mut snap.planning;
     let before = allocations();
     warm.clone_from(willow.planning());
     let allocs = allocations() - before;

@@ -10,10 +10,10 @@
 //! every site converged on an update, so δ can be measured instead of
 //! assumed.
 //!
-//! [`emulate_round_with_faults`] additionally subjects every message to
-//! loss (timeout + retransmission, +2α per lost attempt), delay (+α) and
-//! duplication (a second copy one hop later; receivers deduplicate by
-//! sequence number) — the control-plane half of the fault-injection story.
+//! [`emulate_round`] can subject every message to loss (timeout +
+//! retransmission, +2α per lost attempt), delay (+α) and duplication (a
+//! second copy one hop later; receivers deduplicate by sequence number) —
+//! the control-plane half of the fault-injection story.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,34 +214,11 @@ impl MessagingTelemetry {
     }
 }
 
-/// Emulate one full demand-report + budget-directive round over `tree`
-/// with per-hop latency `alpha`. Leaf demands are given per leaf (arena
-/// order of `tree.leaves()`); the root divides `supply` equally per watt
-/// of reported demand (the emulation measures *timing*, not policy).
-///
-/// Interior nodes forward their aggregate upward only once all their
-/// children's reports have arrived — exactly the one-way update flow of
-/// §V-A1.
-///
-/// # Panics
-/// Panics if `alpha` is not positive or `demands` does not match the leaf
-/// count.
-#[must_use]
-pub fn emulate_round(
-    tree: &Tree,
-    alpha: Seconds,
-    demands: &[Watts],
-    supply: Watts,
-) -> RoundOutcome {
-    // Zero-probability faults never fire, so this wrapper is behaviorally
-    // identical to a dedicated fault-free implementation.
-    emulate_round_with_faults(tree, alpha, demands, supply, &MessageFaults::default(), 0).outcome
-}
-
-/// Reusable working storage for [`emulate_round_with_faults_into`]: the
-/// delivery queue, the duplicate-dedup set and the per-node aggregation
-/// buffers, kept across rounds so repeated emulation (fault sweeps, the
-/// message-plane benchmark) does not reallocate them every call.
+/// Reusable working storage for [`emulate_round`]: the delivery queue,
+/// the duplicate-dedup set and the per-node aggregation buffers, kept
+/// across rounds so repeated emulation (fault sweeps, the message-plane
+/// benchmark) does not reallocate them every call. A fresh scratch and a
+/// reused one give bit-for-bit identical rounds.
 #[derive(Debug, Default)]
 pub struct RoundScratch {
     queue: BinaryHeap<Reverse<InFlight>>,
@@ -251,43 +228,25 @@ pub struct RoundScratch {
     leaves: Vec<NodeId>,
 }
 
-/// [`emulate_round`] with per-message loss, duplication and delay drawn
-/// from a dedicated RNG seeded with `seed`. With all probabilities at zero
-/// the round is identical to the fault-free one, whatever the seed.
+/// Emulate one full demand-report + budget-directive round over `tree`
+/// with per-hop latency `alpha`, every message subject to the loss,
+/// duplication and delay in `faults`, drawn from a dedicated RNG seeded
+/// with `seed`. Leaf demands are given per leaf (arena order of
+/// `tree.leaves()`); the root divides `supply` equally per watt of
+/// reported demand (the emulation measures *timing*, not policy). With
+/// every fault probability at zero the round is the fault-free one,
+/// whatever the seed.
+///
+/// Interior nodes forward their aggregate upward only once all their
+/// children's reports have arrived — exactly the one-way update flow of
+/// §V-A1. `scratch` is working storage only.
 ///
 /// # Panics
 /// Panics if `alpha` is not positive, `demands` does not match the leaf
 /// count, or `faults.loss` is not in `[0, 1)` (a loss rate of 1 would
 /// retransmit forever).
 #[must_use]
-pub fn emulate_round_with_faults(
-    tree: &Tree,
-    alpha: Seconds,
-    demands: &[Watts],
-    supply: Watts,
-    faults: &MessageFaults,
-    seed: u64,
-) -> FaultyRoundOutcome {
-    emulate_round_with_faults_into(
-        tree,
-        alpha,
-        demands,
-        supply,
-        faults,
-        seed,
-        &mut RoundScratch::default(),
-    )
-}
-
-/// [`emulate_round_with_faults`] emitting into caller-owned
-/// [`RoundScratch`], so repeated rounds reuse the queue, dedup set and
-/// per-node buffers. Behaviorally identical to the allocating variant for
-/// any inputs (see the `scratch_reuse_is_bit_for_bit_identical` test).
-///
-/// # Panics
-/// Same conditions as [`emulate_round_with_faults`].
-#[must_use]
-pub fn emulate_round_with_faults_into(
+pub fn emulate_round(
     tree: &Tree,
     alpha: Seconds,
     demands: &[Watts],
@@ -494,11 +453,29 @@ mod tests {
     use super::*;
     use willow_core::convergence::ConvergenceAnalysis;
 
+    /// A fault-free round on fresh scratch.
+    fn clean_round(tree: &Tree, alpha: Seconds, demands: &[Watts], supply: Watts) -> RoundOutcome {
+        faulty_round(tree, alpha, demands, supply, &MessageFaults::default(), 0).outcome
+    }
+
+    /// A round under `faults` on fresh scratch.
+    fn faulty_round(
+        tree: &Tree,
+        alpha: Seconds,
+        demands: &[Watts],
+        supply: Watts,
+        faults: &MessageFaults,
+        seed: u64,
+    ) -> FaultyRoundOutcome {
+        let mut scratch = RoundScratch::default();
+        emulate_round(tree, alpha, demands, supply, faults, seed, &mut scratch)
+    }
+
     #[test]
     fn upward_delta_is_height_times_alpha() {
         let tree = Tree::paper_fig3(); // height 3
         let demands = vec![Watts(10.0); 18];
-        let out = emulate_round(&tree, Seconds(0.02), &demands, Watts(500.0));
+        let out = clean_round(&tree, Seconds(0.02), &demands, Watts(500.0));
         // Reports cross 3 hops: leaf→L1→L2→root.
         assert!((out.root_converged_at.unwrap().0 - 0.06).abs() < 1e-12);
         // Directives cross 3 more hops back down.
@@ -515,7 +492,7 @@ mod tests {
             let alpha = Seconds(0.01);
             let analysis = ConvergenceAnalysis::for_tree(&tree, alpha);
             let demands = vec![Watts(5.0); tree.leaves().count()];
-            let out = emulate_round(&tree, alpha, &demands, Watts(100.0));
+            let out = clean_round(&tree, alpha, &demands, Watts(100.0));
             assert!(
                 (out.root_converged_at.unwrap().0 - analysis.delta.0).abs() < 1e-12,
                 "{branching:?}: measured {} vs bound {}",
@@ -533,7 +510,7 @@ mod tests {
     fn message_count_is_two_per_link() {
         let tree = Tree::paper_fig3();
         let demands = vec![Watts(1.0); 18];
-        let out = emulate_round(&tree, Seconds(0.01), &demands, Watts(100.0));
+        let out = clean_round(&tree, Seconds(0.01), &demands, Watts(100.0));
         // One report and one directive per link.
         assert_eq!(out.messages, 2 * (tree.len() - 1));
     }
@@ -544,7 +521,7 @@ mod tests {
         // level; with equal demands the root view is exact.
         let tree = Tree::uniform(&[2, 2]);
         let demands = vec![Watts(25.0), Watts(75.0), Watts(50.0), Watts(50.0)];
-        let out = emulate_round(&tree, Seconds(0.01), &demands, Watts(100.0));
+        let out = clean_round(&tree, Seconds(0.01), &demands, Watts(100.0));
         assert_eq!(out.root_view, Watts(200.0));
     }
 
@@ -552,7 +529,7 @@ mod tests {
     fn single_node_tree_converges_instantly() {
         let tree = Tree::uniform(&[1]);
         // One leaf under the root.
-        let out = emulate_round(&tree, Seconds(0.01), &[Watts(9.0)], Watts(10.0));
+        let out = clean_round(&tree, Seconds(0.01), &[Watts(9.0)], Watts(10.0));
         assert!((out.root_converged_at.unwrap().0 - 0.01).abs() < 1e-12);
         assert_eq!(out.root_view, Watts(9.0));
     }
@@ -561,16 +538,16 @@ mod tests {
     #[should_panic(expected = "one demand per leaf")]
     fn demand_mismatch_rejected() {
         let tree = Tree::paper_fig3();
-        let _ = emulate_round(&tree, Seconds(0.01), &[Watts(1.0)], Watts(10.0));
+        let _ = clean_round(&tree, Seconds(0.01), &[Watts(1.0)], Watts(10.0));
     }
 
     #[test]
     fn zero_faults_identical_to_fault_free_for_any_seed() {
         let tree = Tree::paper_fig3();
         let demands = vec![Watts(10.0); 18];
-        let clean = emulate_round(&tree, Seconds(0.02), &demands, Watts(500.0));
+        let clean = clean_round(&tree, Seconds(0.02), &demands, Watts(500.0));
         for seed in [0, 1, 42, u64::MAX] {
-            let faulty = emulate_round_with_faults(
+            let faulty = faulty_round(
                 &tree,
                 Seconds(0.02),
                 &demands,
@@ -594,8 +571,8 @@ mod tests {
             delay: 0.15,
             dead_link: None,
         };
-        let a = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 7);
-        let b = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 7);
+        let a = faulty_round(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 7);
+        let b = faulty_round(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 7);
         assert_eq!(a, b, "same seed must reproduce the same round");
         // Retransmission guarantees eventual convergence with the same
         // aggregate view, only later.
@@ -610,7 +587,7 @@ mod tests {
     fn loss_delays_convergence() {
         let tree = Tree::uniform(&[2, 3, 3]);
         let demands = vec![Watts(10.0); 18];
-        let clean = emulate_round(&tree, Seconds(0.02), &demands, Watts(500.0));
+        let clean = clean_round(&tree, Seconds(0.02), &demands, Watts(500.0));
         // With heavy loss some seed must show a strictly later convergence.
         let faults = MessageFaults {
             loss: 0.5,
@@ -620,14 +597,7 @@ mod tests {
         };
         let mut any_later = false;
         for seed in 0..10 {
-            let f = emulate_round_with_faults(
-                &tree,
-                Seconds(0.02),
-                &demands,
-                Watts(500.0),
-                &faults,
-                seed,
-            );
+            let f = faulty_round(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, seed);
             assert!(
                 f.outcome.leaves_converged_at.unwrap().0
                     >= clean.leaves_converged_at.unwrap().0 - 1e-12
@@ -648,7 +618,7 @@ mod tests {
             delay: 0.0,
             dead_link: None,
         };
-        let f = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 3);
+        let f = faulty_round(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 3);
         // Every message duplicated, every duplicate discarded.
         assert_eq!(f.duplicated, 2 * (tree.len() - 1));
         assert_eq!(f.outcome.messages, 2 * (tree.len() - 1));
@@ -670,7 +640,7 @@ mod tests {
             ..MessageFaults::default()
         };
         assert!(!faults.is_quiet());
-        let f = emulate_round_with_faults(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 5);
+        let f = faulty_round(&tree, Seconds(0.02), &demands, Watts(500.0), &faults, 5);
         assert_eq!(f.outcome.root_converged_at, None);
         assert_eq!(f.outcome.leaves_converged_at, None);
         assert!(!f.outcome.converged());
@@ -694,7 +664,7 @@ mod tests {
             ..MessageFaults::default()
         };
         let demands = vec![Watts(10.0); 4];
-        let f = emulate_round_with_faults(&tree, Seconds(0.01), &demands, Watts(100.0), &faults, 0);
+        let f = faulty_round(&tree, Seconds(0.01), &demands, Watts(100.0), &faults, 0);
         // The child's aggregate never reaches the root (and any directive
         // back would die too): no convergence either way.
         assert!(!f.outcome.converged());
@@ -703,7 +673,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_for_bit_identical() {
         // One scratch reused across heterogeneous rounds (different trees,
-        // fault mixes and seeds) must reproduce the allocating variant
+        // fault mixes and seeds) must reproduce a round on fresh scratch
         // exactly — including `u64`-exact convergence times and counters.
         let mut scratch = RoundScratch::default();
         let cases: Vec<(Tree, MessageFaults, u64)> = vec![
@@ -730,15 +700,8 @@ mod tests {
         ];
         for (tree, faults, seed) in &cases {
             let demands = vec![Watts(12.5); tree.leaves().count()];
-            let fresh = emulate_round_with_faults(
-                tree,
-                Seconds(0.02),
-                &demands,
-                Watts(400.0),
-                faults,
-                *seed,
-            );
-            let reused = emulate_round_with_faults_into(
+            let fresh = faulty_round(tree, Seconds(0.02), &demands, Watts(400.0), faults, *seed);
+            let reused = emulate_round(
                 tree,
                 Seconds(0.02),
                 &demands,
@@ -758,7 +721,7 @@ mod tests {
     #[should_panic(expected = "loss probability")]
     fn certain_loss_rejected() {
         let tree = Tree::uniform(&[2]);
-        let _ = emulate_round_with_faults(
+        let _ = faulty_round(
             &tree,
             Seconds(0.01),
             &[Watts(1.0), Watts(1.0)],

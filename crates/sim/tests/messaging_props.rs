@@ -3,9 +3,29 @@
 //! fault injection is exactly invisible.
 
 use proptest::prelude::*;
-use willow_sim::messaging::{emulate_round, emulate_round_with_faults, MessageFaults};
+use willow_sim::messaging::{
+    emulate_round, FaultyRoundOutcome, MessageFaults, RoundOutcome, RoundScratch,
+};
 use willow_thermal::units::{Seconds, Watts};
 use willow_topology::Tree;
+
+/// A fault-free round on fresh scratch.
+fn clean_round(tree: &Tree, alpha: Seconds, demands: &[Watts], supply: Watts) -> RoundOutcome {
+    faulty_round(tree, alpha, demands, supply, &MessageFaults::default(), 0).outcome
+}
+
+/// A round under `faults` on fresh scratch.
+fn faulty_round(
+    tree: &Tree,
+    alpha: Seconds,
+    demands: &[Watts],
+    supply: Watts,
+    faults: &MessageFaults,
+    seed: u64,
+) -> FaultyRoundOutcome {
+    let mut scratch = RoundScratch::default();
+    emulate_round(tree, alpha, demands, supply, faults, seed, &mut scratch)
+}
 
 prop_compose! {
     /// Uniform trees with 1–4 levels and branching 1–4 per level.
@@ -26,7 +46,7 @@ proptest! {
     ) {
         let h = tree.height() as f64;
         let demands = vec![Watts(demand); tree.leaves().count()];
-        let out = emulate_round(&tree, Seconds(alpha), &demands, Watts(1000.0));
+        let out = clean_round(&tree, Seconds(alpha), &demands, Watts(1000.0));
         prop_assert!(
             out.root_converged_at.unwrap().0 <= h * alpha + 1e-9,
             "upward δ {} exceeds h·α = {}",
@@ -49,7 +69,7 @@ proptest! {
     #[test]
     fn two_messages_per_link(tree in uniform_tree(), alpha in 0.001f64..0.2) {
         let demands = vec![Watts(7.0); tree.leaves().count()];
-        let out = emulate_round(&tree, Seconds(alpha), &demands, Watts(500.0));
+        let out = clean_round(&tree, Seconds(alpha), &demands, Watts(500.0));
         prop_assert_eq!(out.messages, 2 * (tree.len() - 1));
     }
 
@@ -63,8 +83,8 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let demands = vec![Watts(11.0); tree.leaves().count()];
-        let clean = emulate_round(&tree, Seconds(alpha), &demands, Watts(900.0));
-        let faulty = emulate_round_with_faults(
+        let clean = clean_round(&tree, Seconds(alpha), &demands, Watts(900.0));
+        let faulty = faulty_round(
             &tree,
             Seconds(alpha),
             &demands,
@@ -90,14 +110,14 @@ proptest! {
     ) {
         let alpha = Seconds(0.02);
         let demands = vec![Watts(13.0); tree.leaves().count()];
-        let clean = emulate_round(&tree, alpha, &demands, Watts(900.0));
+        let clean = clean_round(&tree, alpha, &demands, Watts(900.0));
         let faults = MessageFaults {
             loss,
             duplication: dup,
             delay,
             dead_link: None,
         };
-        let f = emulate_round_with_faults(&tree, alpha, &demands, Watts(900.0), &faults, seed);
+        let f = faulty_round(&tree, alpha, &demands, Watts(900.0), &faults, seed);
         prop_assert_eq!(f.outcome.messages, clean.messages);
         prop_assert_eq!(f.outcome.root_view, clean.root_view);
         prop_assert!(f.outcome.root_converged_at.unwrap().0 >= clean.root_converged_at.unwrap().0 - 1e-9);

@@ -16,6 +16,9 @@
 //! produces a serde-serializable [`TelemetrySnapshot`] that merges into the
 //! simulator's JSONL trace stream.
 
+#![warn(missing_docs)]
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,11 +141,13 @@ impl_handle_debug!(Histogram);
 pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
+    /// Add one.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
+    /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(cell) = &self.0 {
@@ -150,6 +155,7 @@ impl Counter {
         }
     }
 
+    /// The current total (0 for a disabled handle).
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
@@ -161,6 +167,7 @@ impl Counter {
 pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
+    /// Store `v`, or 0 if `v` is not finite.
     #[inline]
     pub fn set(&self, v: f64) {
         if let Some(cell) = &self.0 {
@@ -169,6 +176,7 @@ impl Gauge {
         }
     }
 
+    /// The last stored value (0 for a disabled handle).
     pub fn get(&self) -> f64 {
         self.0
             .as_ref()
@@ -181,6 +189,8 @@ impl Gauge {
 pub struct Histogram(Option<Arc<HistogramCells>>);
 
 impl Histogram {
+    /// Record one value. Non-finite values count as 0 and negative ones
+    /// clamp to 0.
     #[inline]
     pub fn record(&self, v: f64) {
         if let Some(cells) = &self.0 {
@@ -198,12 +208,14 @@ impl Histogram {
         }
     }
 
+    /// Values recorded so far (0 for a disabled handle).
     pub fn count(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |c| c.count.load(Ordering::Relaxed))
     }
 
+    /// Sum of the values recorded so far (0 for a disabled handle).
     pub fn sum(&self) -> f64 {
         self.0.as_ref().map_or(0.0, |c| c.sum())
     }
@@ -264,6 +276,7 @@ impl TelemetryRegistry {
         Self { shared: None }
     }
 
+    /// Whether this registry records (see [`TelemetryRegistry::disabled`]).
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
     }
@@ -450,13 +463,16 @@ impl std::fmt::Debug for TelemetryRegistry {
 /// simulator's JSONL trace stream.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
+    /// Every registered metric, in registration order.
     pub metrics: Vec<MetricSnapshot>,
 }
 
 /// One metric's snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricSnapshot {
+    /// The metric's registered name.
     pub name: String,
+    /// Its value, tagged with its kind.
     #[serde(flatten)]
     pub value: MetricValue,
 }
@@ -465,16 +481,27 @@ pub struct MetricSnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum MetricValue {
+    /// A [`Counter`]'s total.
     Counter {
+        /// The total.
         value: u64,
     },
+    /// A [`Gauge`]'s last value.
     Gauge {
+        /// The last value.
         value: f64,
     },
+    /// A [`Histogram`]'s power-of-two buckets.
     Histogram {
+        /// Values recorded.
         count: u64,
+        /// Sum of the values recorded.
         sum: f64,
+        /// Exponent of the first bucket boundary: bucket `i` (except the
+        /// last) holds values in `[2^(min_exp+i), 2^(min_exp+i+1))`, and
+        /// the end buckets also take everything below and above.
         min_exp: i32,
+        /// Count per bucket.
         buckets: Vec<u64>,
     },
 }

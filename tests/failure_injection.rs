@@ -1,9 +1,10 @@
-//! Failure-injection integration tests: cooling failures and maintenance
-//! drains through the operator API.
+//! Failure-injection integration tests: cooling failures through the
+//! operator API and maintenance drains through the command plane.
 
+use willow::core::command::{Command, CommandStatus};
 use willow::core::config::ControllerConfig;
 use willow::core::controller::Willow;
-use willow::core::server::ServerSpec;
+use willow::core::server::{FenceState, ServerSpec};
 use willow::thermal::units::{Celsius, Watts};
 use willow::topology::Tree;
 use willow::workload::app::{AppId, Application, SIM_APP_CLASSES};
@@ -70,8 +71,36 @@ fn cooling_failure_evacuates_the_server() {
     );
 }
 
-/// Maintenance drain: the operator evacuates a server; every app survives
-/// on other hosts and the drained server draws nothing until force-woken.
+/// Drain `victim` through the command plane, stepping until the drain
+/// reports `Applied` (at most `max_ticks` ticks). Every tick must keep
+/// every app placed and every server under its thermal limit.
+fn drain(w: &mut Willow, d: &[Watts], n_apps: usize, victim: usize, max_ticks: usize) {
+    let id = w.submit_command(Command::Drain { server: victim });
+    for _ in 0..max_ticks {
+        let r = w.step(d, Watts(8000.0));
+        assert_eq!(
+            w.apps().placed(),
+            n_apps,
+            "a drain lost or duplicated an app"
+        );
+        for t in &r.server_temp {
+            assert!(t.0 <= 70.0 + 1e-6);
+        }
+        if let Some(o) = r.command_outcomes.iter().find(|o| o.id == id) {
+            assert_eq!(
+                o.status,
+                CommandStatus::Applied,
+                "drain of {victim} refused"
+            );
+            return;
+        }
+    }
+    panic!("drain of server {victim} did not finish in {max_ticks} ticks");
+}
+
+/// Maintenance drain through the command plane: every app survives on
+/// other hosts, the drained server is fenced and draws nothing, and
+/// `force_wake` cannot bring a fenced server back.
 #[test]
 fn drain_and_rewake_cycle() {
     let (mut w, n_apps) = build();
@@ -80,54 +109,25 @@ fn drain_and_rewake_cycle() {
         let _ = w.step(&d, Watts(8000.0));
     }
     let victim = 3usize;
-    assert!(w.drain_server(victim), "ample surplus ⇒ drain must succeed");
+    // Ample surplus: the drain completes on its first tick.
+    drain(&mut w, &d, n_apps, victim, 1);
+    assert_eq!(w.servers()[victim].fence, FenceState::Fenced);
     assert!(!w.servers()[victim].active);
     assert!(!w.apps().hosts_any(victim));
-    // Conservation.
-    let hosted: usize = w.apps().placed();
-    assert_eq!(hosted, n_apps);
     // Drained server draws nothing.
     let r = w.step(&d, Watts(8000.0));
     assert_eq!(r.server_power[victim], Watts(0.0));
+    assert_eq!(r.server_budget[victim], Watts(0.0));
 
     w.force_wake(victim);
-    assert!(w.servers()[victim].active);
-    let _ = w.step(&d, Watts(8000.0));
-}
-
-/// A drain with nowhere to go must fail atomically: nothing moves, the
-/// server stays up.
-#[test]
-fn impossible_drain_is_refused_atomically() {
-    let (mut w, n_apps) = build();
-    // Saturate everyone: no margins anywhere.
-    let d: Vec<Watts> = (0..n_apps)
-        .map(|i| SIM_APP_CLASSES[i % SIM_APP_CLASSES.len()].mean_power)
-        .collect();
-    for _ in 0..10 {
-        let _ = w.step(&d, Watts(7000.0));
-    }
-    let victim = 2usize;
-    let apps_before = w.apps().on(victim).count();
-    if apps_before == 0 {
-        return; // nothing hosted, trivially drainable — not the case under test
-    }
-    let drained = w.drain_server(victim);
-    if !drained {
-        assert_eq!(
-            w.apps().on(victim).count(),
-            apps_before,
-            "failed drain must not move anything"
-        );
-        assert!(w.servers()[victim].active);
-    }
-    let hosted: usize = w.apps().placed();
-    assert_eq!(hosted, n_apps);
+    assert!(!w.servers()[victim].active, "a fenced server stays asleep");
+    let r = w.step(&d, Watts(8000.0));
+    assert_eq!(r.server_power[victim], Watts(0.0));
 }
 
 /// Rolling maintenance across a whole pod: drain each server of pod 0 in
-/// turn, waking the previous one first — the fleet absorbs it with zero
-/// app loss and no thermal violations.
+/// turn — the fleet absorbs all three with zero app loss and no thermal
+/// violations.
 #[test]
 fn rolling_pod_maintenance() {
     let (mut w, n_apps) = build();
@@ -135,21 +135,16 @@ fn rolling_pod_maintenance() {
     for _ in 0..10 {
         let _ = w.step(&d, Watts(8000.0));
     }
-    let mut previous: Option<usize> = None;
     for victim in 0..3usize {
-        if let Some(p) = previous {
-            w.force_wake(p);
-        }
-        let ok = w.drain_server(victim);
-        assert!(ok, "drain of server {victim} failed");
+        drain(&mut w, &d, n_apps, victim, 8);
         for _ in 0..8 {
             let r = w.step(&d, Watts(8000.0));
             for t in &r.server_temp {
                 assert!(t.0 <= 70.0 + 1e-6);
             }
+            assert_eq!(r.server_power[victim], Watts(0.0));
         }
-        let hosted: usize = w.apps().placed();
-        assert_eq!(hosted, n_apps);
-        previous = Some(victim);
+        assert_eq!(w.apps().placed(), n_apps);
+        assert_eq!(w.servers()[victim].fence, FenceState::Fenced);
     }
 }
