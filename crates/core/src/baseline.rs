@@ -48,8 +48,7 @@ impl GreedyGlobal {
             "one spec per leaf required"
         );
         let apps = AppTable::for_specs(&specs).expect("dense, unique app ids");
-        let servers: Vec<ServerState> =
-            specs.iter().map(|s| ServerState::new(s, &config)).collect();
+        let servers: Vec<ServerState> = specs.iter().map(ServerState::new).collect();
         let power = PowerState::new(&tree);
         GreedyGlobal {
             tree,
@@ -83,11 +82,10 @@ impl GreedyGlobal {
         };
 
         // Measure (same smoothing as Willow).
+        let gains = self.config.gains();
         for (si, server) in self.servers.iter_mut().enumerate() {
             server.app_power = self.apps.observe(si, app_demand);
-            let raw = server.raw_demand();
-            let smoothed = server.smoother.observe(raw);
-            self.power.cp[server.node.index()] = smoothed;
+            self.power.cp[server.node.index()] = server.smooth(gains);
             server.pending_cost = Watts::ZERO;
         }
         self.power.aggregate_demands(&self.tree);
@@ -238,6 +236,18 @@ mod tests {
             GreedyGlobal::new(tree, specs, ControllerConfig::default()),
             id as usize,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "valid config")]
+    fn rejects_a_bad_holt_beta() {
+        let config = ControllerConfig {
+            smoother: crate::config::SmootherKind::Holt { beta: 0.0 },
+            ..ControllerConfig::default()
+        };
+        let tree = Tree::uniform(&[2]);
+        let specs = tree.leaves().map(ServerSpec::simulation_default).collect();
+        let _ = GreedyGlobal::new(tree, specs, config);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use willow_network::MigrationCostModel;
 use willow_thermal::units::{Seconds, Watts};
+use willow_workload::smoothing::Gains;
 
 /// Which bin-packing algorithm the migration planner uses (§IV-F; the paper
 /// chooses FFDLR, the alternatives exist for the packer ablation).
@@ -296,7 +297,7 @@ impl ControllerConfig {
         }
         if let SmootherKind::Holt { beta } = self.smoother {
             if !(beta > 0.0 && beta < 1.0) {
-                return Err(ConfigError::Alpha(beta));
+                return Err(ConfigError::Beta(beta));
             }
         }
         if self.eta1 == 0 || self.eta2 <= self.eta1 {
@@ -322,6 +323,22 @@ impl ControllerConfig {
     pub fn delta_s(&self) -> Seconds {
         self.delta_d * f64::from(self.eta1)
     }
+
+    /// The demand-smoothing rule every roster row follows: level gain
+    /// `alpha`, plus the trend gain under [`SmootherKind::Holt`]. The rows
+    /// keep only their smoother state, so this is the one home of the
+    /// gains; [`ControllerConfig::validate`] checks their ranges.
+    #[must_use]
+    pub fn gains(&self) -> Gains {
+        let beta = match self.smoother {
+            SmootherKind::Exponential => None,
+            SmootherKind::Holt { beta } => Some(beta),
+        };
+        Gains {
+            alpha: self.alpha,
+            beta,
+        }
+    }
 }
 
 /// Configuration validation errors.
@@ -329,6 +346,8 @@ impl ControllerConfig {
 pub enum ConfigError {
     /// `α` outside (0, 1).
     Alpha(f64),
+    /// Holt trend gain `β` outside (0, 1).
+    Beta(f64),
     /// `η1`/`η2` violate `η2 > η1 ≥ 1`.
     Granularities {
         /// Supplied η1.
@@ -354,6 +373,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Alpha(a) => write!(f, "α must be in (0,1), got {a}"),
+            ConfigError::Beta(b) => write!(f, "Holt β must be in (0,1), got {b}"),
             ConfigError::Granularities { eta1, eta2 } => {
                 write!(f, "need η2 > η1 ≥ 1, got η1={eta1}, η2={eta2}")
             }
@@ -563,9 +583,14 @@ mod tests {
     fn holt_beta_validated() {
         let mut c = ControllerConfig::default();
         c.smoother = SmootherKind::Holt { beta: 1.0 };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(ConfigError::Beta(1.0)));
+        assert!(ConfigError::Beta(1.0).to_string().contains('β'));
         c.smoother = SmootherKind::Holt { beta: 0.3 };
         assert!(c.validate().is_ok());
+        assert_eq!(c.gains().beta, Some(0.3));
+        c.smoother = SmootherKind::Exponential;
+        assert_eq!(c.gains().beta, None);
+        assert_eq!(c.gains().alpha, c.alpha);
     }
 
     #[test]

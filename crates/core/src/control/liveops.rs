@@ -183,7 +183,7 @@ impl Willow {
         self.power.reduced[li] = false;
         debug_assert!(self.leaf_server[li].is_none(), "slot cleared at removal");
         self.leaf_server[li] = Some(self.servers.len());
-        let state = ServerState::new(&ServerSpec::simulation_default(leaf), &self.config);
+        let state = ServerState::new(&ServerSpec::simulation_default(leaf));
         self.decay_dd
             .push(decay_factor(state.thermal.params(), self.config.delta_d));
         self.decay_ds

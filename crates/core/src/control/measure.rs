@@ -12,6 +12,7 @@
 //! clobber — the live owner's entry. The upward aggregation stays serial
 //! (it is one `O(nodes)` pass over contiguous per-level slices).
 
+use super::planning::PLANNING_GAINS;
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,6 +34,7 @@ impl Willow {
             let servers = RawSlice::new(&mut self.servers);
             let cp = RawSlice::new(&mut self.power.cp);
             let planning = RawSlice::new(&mut self.planning.leaves);
+            let gains = self.config.gains();
             let disturb = &self.disturb;
             let leaf_server = &self.leaf_server;
             let lost = &reports_lost;
@@ -48,7 +50,7 @@ impl Willow {
                     let si = range.start + off;
                     let leaf = server.node.index();
                     server.local_cp = if server.active {
-                        let smoothed = server.smoother.observe(server.raw_demand());
+                        let smoothed = server.smooth(gains);
                         debug_assert_eq!(leaf_server[leaf], Some(si), "active rows own a slot");
                         if disturb.report_lost(si) {
                             lost.fetch_add(1, Ordering::Relaxed);
@@ -75,7 +77,7 @@ impl Willow {
                     // Planning seam: feed this server's demand series —
                     // the smoothed view for active servers, zero while
                     // asleep/retired.
-                    plan_leaves[off].observe(server.local_cp);
+                    plan_leaves[off].observe(PLANNING_GAINS, server.local_cp);
                     // Migration costs are charged for exactly one period.
                     server.pending_cost = Watts::ZERO;
                 }
@@ -96,9 +98,10 @@ impl Willow {
     /// firmware, not the controller's hot loop.
     pub(super) fn measure_open_loop(&mut self, app_demand: &[Watts]) {
         self.observe_app_demands(app_demand);
+        let gains = self.config.gains();
         for server in &mut self.servers {
             server.local_cp = if server.active {
-                server.smoother.observe(server.raw_demand())
+                server.smooth(gains)
             } else {
                 Watts::ZERO
             };

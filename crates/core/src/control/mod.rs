@@ -83,6 +83,7 @@ pub use telemetry::SPAN_SAMPLE_PERIOD;
 use consolidate::ConsolidateStage;
 use demand::DemandStage;
 use physics::PhysicsStage;
+use planning::PLANNING_GAINS;
 use shard::ShardPool;
 use supply::SupplyStage;
 use telemetry::{
@@ -290,13 +291,10 @@ impl Willow {
         specs: Vec<ServerSpec>,
         config: ControllerConfig,
     ) -> Result<Self, WillowError> {
-        // The smoothers are built from the config, so it must hold first.
+        // A bad config is reported before a bad spec.
         config.validate().map_err(WillowError::Config)?;
         let apps = AppTable::for_specs(&specs)?;
-        let servers: Vec<ServerState> = specs
-            .iter()
-            .map(|spec| ServerState::new(spec, &config))
-            .collect();
+        let servers: Vec<ServerState> = specs.iter().map(ServerState::new).collect();
         Willow::from_parts(crate::snapshot::WillowSnapshot {
             power: PowerState::new(&tree),
             tick: 0,
@@ -720,9 +718,9 @@ impl Willow {
         let root = self.tree.root();
         self.planning
             .root_demand
-            .observe(self.power.cp[root.index()]);
+            .observe(PLANNING_GAINS, self.power.cp[root.index()]);
         if supply_tick && !self.paused {
-            self.planning.supply.observe(supply);
+            self.planning.supply.observe(PLANNING_GAINS, supply);
         }
 
         // ------------------------------------------- 2. supply adaptation

@@ -4,10 +4,10 @@
 //! The paper's controller is purely reactive — each stage decides from the
 //! current tick's measurements. The predictive (MPC-style) policy and the
 //! broker's zone-demand forecasting both need a *forecast*, not just an
-//! instantaneous scalar. Every planning series is one
-//! [`HoltSmoother`] built with [`PLANNING_ALPHA`]/[`PLANNING_BETA`]: Holt's
-//! level + trend is the simplest estimator that anticipates a ramp, and
-//! its state is two `Copy` scalars. [`PlanningContext`] holds the
+//! instantaneous scalar. Every planning series is one [`Smoother`] state
+//! updated under [`PLANNING_GAINS`] ([`PLANNING_ALPHA`]/[`PLANNING_BETA`]):
+//! Holt's level + trend is the simplest estimator that anticipates a ramp,
+//! and its state is two `Copy` scalars. [`PlanningContext`] holds the
 //! controller's series — root supply, root aggregate demand, and one per
 //! roster server. The measure stage updates it once per tick; stages 2
 //! and 4 read it through `&self`.
@@ -15,8 +15,8 @@
 //! The per-server series are a column here rather than a field of the
 //! server's roster row: only the measure stage and the predictive
 //! consolidation read them, while every stage and the auditor stream the
-//! rows. On the 104,976-server quiet fleet, rows 40 bytes wider with the
-//! series inside made every one of those passes slower (see CHANGES.md).
+//! rows. On the 104,976-server quiet fleet, rows widened by the series
+//! made every one of those passes slower (see CHANGES.md).
 //!
 //! **Horizon semantics.** Leaf and root-demand series observe once per
 //! demand period, so `forecast(h)` is `h` demand periods (`h·Δ_D`) ahead.
@@ -33,7 +33,7 @@
 
 use serde::{Deserialize, Serialize};
 use willow_thermal::units::Watts;
-use willow_workload::smoothing::HoltSmoother;
+use willow_workload::smoothing::{Gains, Smoother};
 
 /// Level gain of the planning forecasters. Matches the controller's
 /// default demand-smoothing `α`; fixed (not configurable) because the
@@ -46,6 +46,13 @@ pub const PLANNING_ALPHA: f64 = 0.5;
 /// noise into wild extrapolations.
 pub const PLANNING_BETA: f64 = 0.3;
 
+/// The one smoothing rule every planning series follows: Holt's method
+/// with the planning gains.
+pub const PLANNING_GAINS: Gains = Gains {
+    alpha: PLANNING_ALPHA,
+    beta: Some(PLANNING_BETA),
+};
+
 /// Headroom factor the predictive supply policy keeps above current root
 /// demand when pre-tightening toward a forecast supply dip. Tightening the
 /// root budget all the way to the forecast level sheds demand *before* the
@@ -55,11 +62,6 @@ pub const PLANNING_BETA: f64 = 0.3;
 /// for any realistically loaded root while still evacuating
 /// thermally-capped servers a supply period early.
 pub const PREDICTIVE_HEADROOM: f64 = 1.1;
-
-/// A planning series (controller or broker) with no observations yet.
-pub(crate) fn series() -> HoltSmoother {
-    HoltSmoother::new(PLANNING_ALPHA, PLANNING_BETA)
-}
 
 /// The controller's complete planning state, updated once per tick by the
 /// measure stage and read, never written, by stages 2 and 4.
@@ -73,14 +75,14 @@ pub(crate) fn series() -> HoltSmoother {
 pub struct PlanningContext {
     /// Root supply, observed once per applied supply tick. Horizon unit:
     /// supply periods (`η1·Δ_D`).
-    pub supply: HoltSmoother,
+    pub supply: Smoother,
     /// Aggregate smoothed demand at the tree root, observed every tick.
     /// Horizon unit: demand periods (`Δ_D`).
-    pub root_demand: HoltSmoother,
+    pub root_demand: Smoother,
     /// Per-server demand series, indexed by roster (server) order like
     /// `Willow::servers` — including retired slots, which observe zero.
     /// Horizon unit: demand periods (`Δ_D`).
-    pub leaves: Vec<HoltSmoother>,
+    pub leaves: Vec<Smoother>,
 }
 
 impl Clone for PlanningContext {
@@ -106,16 +108,16 @@ impl PlanningContext {
     #[must_use]
     pub fn for_servers(n: usize) -> Self {
         PlanningContext {
-            supply: series(),
-            root_demand: series(),
-            leaves: vec![series(); n],
+            supply: Smoother::default(),
+            root_demand: Smoother::default(),
+            leaves: vec![Smoother::default(); n],
         }
     }
 
     /// Grow the per-server series alongside a roster addition (the
     /// live-ops `AddServer` path). The new series starts with no history.
     pub fn push_server(&mut self) {
-        self.leaves.push(series());
+        self.leaves.push(Smoother::default());
     }
 
     /// Forecast the root supply `h` *supply periods* ahead.
@@ -146,7 +148,8 @@ mod tests {
     fn holt_model_extrapolates_ramps() {
         let mut ctx = PlanningContext::for_servers(0);
         for k in 0..40 {
-            ctx.root_demand.observe(Watts(f64::from(k) * 5.0));
+            ctx.root_demand
+                .observe(PLANNING_GAINS, Watts(f64::from(k) * 5.0));
         }
         let last = Watts(39.0 * 5.0);
         let one = ctx.predicted_root_demand(1).unwrap();
@@ -159,8 +162,8 @@ mod tests {
 
     #[test]
     fn model_reset_forgets() {
-        let mut s = series();
-        s.observe(Watts(50.0));
+        let mut s = Smoother::default();
+        s.observe(PLANNING_GAINS, Watts(50.0));
         assert_eq!(s.forecast(1), Some(Watts(50.0)));
         s.reset();
         assert_eq!(s.level(), None);
@@ -174,7 +177,7 @@ mod tests {
         ctx.push_server();
         assert_eq!(ctx.leaves.len(), 3);
         assert_eq!(ctx.predicted_leaf_demand(2, 1), None);
-        ctx.leaves[2].observe(Watts(75.0));
+        ctx.leaves[2].observe(PLANNING_GAINS, Watts(75.0));
         assert_eq!(ctx.predicted_leaf_demand(2, 1), Some(Watts(75.0)));
         assert_eq!(ctx.predicted_leaf_demand(7, 1), None, "out of roster");
     }
@@ -183,12 +186,14 @@ mod tests {
     fn context_round_trips_through_json() {
         let mut ctx = PlanningContext::for_servers(3);
         for t in 0..20 {
-            ctx.root_demand.observe(Watts(f64::from(t) * 10.0));
+            ctx.root_demand
+                .observe(PLANNING_GAINS, Watts(f64::from(t) * 10.0));
             for s in &mut ctx.leaves {
-                s.observe(Watts(f64::from(t)));
+                s.observe(PLANNING_GAINS, Watts(f64::from(t)));
             }
             if t % 4 == 0 {
-                ctx.supply.observe(Watts(1000.0 - f64::from(t)));
+                ctx.supply
+                    .observe(PLANNING_GAINS, Watts(1000.0 - f64::from(t)));
             }
         }
         let json = serde_json::to_string(&ctx).expect("serialize");
@@ -215,8 +220,8 @@ mod tests {
     #[test]
     fn clone_from_matches_clone() {
         let mut src = PlanningContext::for_servers(4);
-        src.supply.observe(Watts(900.0));
-        src.leaves[1].observe(Watts(30.0));
+        src.supply.observe(PLANNING_GAINS, Watts(900.0));
+        src.leaves[1].observe(PLANNING_GAINS, Watts(30.0));
         let mut dst = PlanningContext::for_servers(2);
         dst.clone_from(&src);
         assert_eq!(dst, src.clone());

@@ -5,7 +5,7 @@
 //! faulted runs on randomized trees. Any divergence means the optimization
 //! changed behavior, not just speed.
 
-use crate::config::ControllerConfig;
+use crate::config::{ControllerConfig, SmootherKind};
 use crate::control::Willow;
 use crate::disturbance::{Disturbances, MigrationOutcome};
 use crate::reference::ReferenceWillow;
@@ -154,12 +154,11 @@ fn assert_identical(tick: u64, opt: &Willow, reference: &ReferenceWillow) {
     }
 }
 
-fn run_differential(seed: u64, ticks: u64, demand_scale: f64) {
+fn run_differential(seed: u64, ticks: u64, demand_scale: f64, config: ControllerConfig) {
     let mut rng = Rng(seed);
     let tree = random_tree(&mut rng);
     let (specs, n_apps) = random_specs(&tree, &mut rng);
     let servers = specs.len();
-    let config = ControllerConfig::default();
 
     let mut opt = Willow::new(tree.clone(), specs.clone(), config.clone()).unwrap();
     let mut reference = ReferenceWillow::new(tree, specs, config).unwrap();
@@ -363,17 +362,30 @@ fn sharded_tick_matches_serial_on_wide_tree() {
 fn optimized_step_matches_reference_over_500_faulted_ticks() {
     // Moderate load: plenty of headroom ticks plus scarcity under the
     // supply swings.
-    run_differential(0xC0FFEE, 500, 0.6);
+    run_differential(0xC0FFEE, 500, 0.6, ControllerConfig::default());
 }
 
 #[test]
 fn optimized_step_matches_reference_under_heavy_load() {
     // Overload: constant deficits, shedding and migration churn.
-    run_differential(0xBEEF, 200, 1.1);
+    run_differential(0xBEEF, 200, 1.1, ControllerConfig::default());
 }
 
 #[test]
 fn optimized_step_matches_reference_near_idle() {
     // Near-idle: consolidation sleeps most servers; wake-ups follow.
-    run_differential(7, 200, 0.12);
+    run_differential(7, 200, 0.12, ControllerConfig::default());
+}
+
+#[test]
+fn optimized_step_matches_reference_with_holt_smoothing() {
+    // Holt level + trend under faults: the row's smoothing state follows
+    // the config's gains exactly as the reference's gain-carrying smoother
+    // does, the zero floor included.
+    let config = ControllerConfig {
+        alpha: 0.3,
+        smoother: SmootherKind::Holt { beta: 0.2 },
+        ..ControllerConfig::default()
+    };
+    run_differential(0x5EED, 300, 0.6, config);
 }

@@ -826,8 +826,8 @@ mod tests {
             &conditions,
             &[Some(Watts(100.0)), Some(Watts(200.0))],
         );
-        let mut series = crate::control::planning::series();
-        series.observe(Watts(100.0));
+        let mut series = willow_workload::smoothing::Smoother::default();
+        series.observe(crate::control::planning::PLANNING_GAINS, Watts(100.0));
         let forecast = serde_json::to_string(&series).expect("serialize");
         let json = serde_json::to_string(&broker.snapshot()).expect("serialize");
         let json = json.replace(

@@ -101,7 +101,6 @@ pub mod disturbance;
 pub mod federation;
 pub mod migration;
 #[cfg(test)]
-#[allow(dead_code)]
 pub(crate) mod reference;
 pub mod server;
 pub mod shedding;

@@ -3,11 +3,12 @@
 //! `Willow::step_with` must produce bit-identical `TickReport`s and budgets
 //! to this implementation on any input. Test-only; never ships.
 
+use crate::config::SmootherKind;
 use crate::config::{AllocationPolicy, ControllerConfig, ReducedTargetRule};
 use crate::control::{ControlStats, WillowError};
 use crate::disturbance::{Disturbances, MigrationOutcome};
 use crate::migration::{MigrationReason, MigrationRecord, TickReport};
-use crate::server::{DemandSmoother, ServerSpec};
+use crate::server::ServerSpec;
 use crate::state::PowerState;
 use std::collections::HashMap;
 use willow_binpack::Packer;
@@ -18,6 +19,84 @@ use willow_thermal::model::{step_temperature, DeviceThermal};
 use willow_thermal::units::{Celsius, Watts};
 use willow_topology::{NodeId, Tree};
 use willow_workload::app::{AppId, Application};
+
+/// The demand smoother as the reference was written against it: each
+/// instance carries its own gains (Eq. 4's `α`, and Holt's `β`). Kept here
+/// so the production smoothing rule can change without moving the ground
+/// truth.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReferenceSmoother {
+    /// Plain exponential smoothing (paper Eq. 4).
+    Exponential {
+        /// Level gain.
+        alpha: f64,
+        /// Smoothed value, if any observation has been made.
+        state: Option<Watts>,
+    },
+    /// Holt double-exponential smoothing.
+    Holt {
+        /// Level gain.
+        alpha: f64,
+        /// Trend gain.
+        beta: f64,
+        /// Level and per-step trend, if any observation has been made.
+        state: Option<(Watts, Watts)>,
+    },
+}
+
+impl ReferenceSmoother {
+    fn new(kind: SmootherKind, alpha: f64) -> Self {
+        match kind {
+            SmootherKind::Exponential => ReferenceSmoother::Exponential { alpha, state: None },
+            SmootherKind::Holt { beta } => ReferenceSmoother::Holt {
+                alpha,
+                beta,
+                state: None,
+            },
+        }
+    }
+
+    /// Feed one raw measurement; returns the smoothed demand (the Holt
+    /// level floored at zero). Non-finite measurements leave the state
+    /// untouched.
+    fn observe(&mut self, raw: Watts) -> Watts {
+        match self {
+            ReferenceSmoother::Exponential { alpha, state } => {
+                if !raw.0.is_finite() {
+                    return state.unwrap_or(Watts::ZERO);
+                }
+                let next = match *state {
+                    None => raw,
+                    Some(old) => raw * *alpha + old * (1.0 - *alpha),
+                };
+                *state = Some(next);
+                next
+            }
+            ReferenceSmoother::Holt { alpha, beta, state } => {
+                if !raw.0.is_finite() {
+                    return state.map_or(Watts::ZERO, |(l, _)| l).non_negative();
+                }
+                let next = match *state {
+                    None => (raw, Watts::ZERO),
+                    Some((level, trend)) => {
+                        let new_level = raw * *alpha + (level + trend) * (1.0 - *alpha);
+                        let new_trend = (new_level - level) * *beta + trend * (1.0 - *beta);
+                        (new_level, new_trend)
+                    }
+                };
+                *state = Some(next);
+                next.0.non_negative()
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        match self {
+            ReferenceSmoother::Exponential { state, .. } => *state = None,
+            ReferenceSmoother::Holt { state, .. } => *state = None,
+        }
+    }
+}
 
 /// The per-server record as the reference was written against it: each
 /// server owns its apps and their demands. Kept here so the record the
@@ -33,7 +112,7 @@ pub struct ServerState {
     /// Temporary migration-cost demand charged this period (§IV-E).
     pub pending_cost: Watts,
     /// Smoothed node demand `CP_{0,i}` (Eq. 4 or Holt).
-    pub smoother: DemandSmoother,
+    pub smoother: ReferenceSmoother,
     /// Thermal state.
     pub thermal: DeviceThermal,
     /// Active (true) or deep sleep (false).
@@ -47,7 +126,7 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    fn from_spec_with_smoother(spec: &ServerSpec, smoother: DemandSmoother) -> Self {
+    fn from_spec_with_smoother(spec: &ServerSpec, smoother: ReferenceSmoother) -> Self {
         ServerState {
             node: spec.node,
             apps: spec.apps.clone(),
@@ -212,7 +291,7 @@ impl ReferenceWillow {
             leaf_server[spec.node.index()] = Some(servers.len());
             servers.push(ServerState::from_spec_with_smoother(
                 spec,
-                DemandSmoother::new(config.smoother, config.alpha),
+                ReferenceSmoother::new(config.smoother, config.alpha),
             ));
         }
         let power = PowerState::new(&tree);
@@ -241,28 +320,10 @@ impl ReferenceWillow {
         })
     }
 
-    /// The PMU tree.
-    #[must_use]
-    pub fn tree(&self) -> &Tree {
-        &self.tree
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
     /// Immutable view of server states (indexed by server order).
     #[must_use]
     pub fn servers(&self) -> &[ServerState] {
         &self.servers
-    }
-
-    /// The switch fabric's traffic counters for the current period.
-    #[must_use]
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
     }
 
     /// Current power state (CP/TP/caps per node).
@@ -277,12 +338,6 @@ impl ReferenceWillow {
         self.stats
     }
 
-    /// The demand-period counter (number of completed `step` calls).
-    #[must_use]
-    pub fn tick_count(&self) -> u64 {
-        self.tick
-    }
-
     /// Ping-pong bookkeeping as a serializable list, sorted by app id.
     #[must_use]
     pub fn last_moves(&self) -> Vec<(AppId, NodeId, u64)> {
@@ -295,76 +350,6 @@ impl ReferenceWillow {
         out
     }
 
-    /// Demand shed in the last completed period.
-    #[must_use]
-    pub fn last_dropped(&self) -> Watts {
-        self.last_dropped
-    }
-
-    /// Rebuild a controller from previously captured parts (the
-    /// checkpoint/restore path — see `crate::snapshot`). Validates the
-    /// config and the leaf coverage of the server states.
-    pub(crate) fn from_parts(
-        tree: Tree,
-        config: ControllerConfig,
-        servers: Vec<ServerState>,
-        power: PowerState,
-        tick: u64,
-        last_moves: Vec<(AppId, NodeId, u64)>,
-        last_dropped: Watts,
-    ) -> Result<ReferenceWillow, WillowError> {
-        config.validate().map_err(WillowError::Config)?;
-        let leaves = tree.leaves().count();
-        if servers.len() != leaves {
-            return Err(WillowError::LeafCoverage {
-                leaves,
-                specs: servers.len(),
-            });
-        }
-        let mut leaf_server = vec![None; tree.len()];
-        for (si, server) in servers.iter().enumerate() {
-            if !tree.is_leaf(server.node) {
-                return Err(WillowError::NotALeaf(server.node));
-            }
-            if leaf_server[server.node.index()].is_some() {
-                return Err(WillowError::DuplicateLeaf(server.node));
-            }
-            leaf_server[server.node.index()] = Some(si);
-        }
-        let fabric = Fabric::new(&tree);
-        let accepted_temp = servers.iter().map(|s| s.thermal.temperature()).collect();
-        let watchdog = vec![Watchdog::default(); servers.len()];
-        let local_cp = power.cp.clone();
-        Ok(ReferenceWillow {
-            tree,
-            config,
-            servers,
-            leaf_server,
-            power,
-            fabric,
-            tick,
-            last_move: last_moves
-                .into_iter()
-                .map(|(app, from, t)| (app, (from, t)))
-                .collect(),
-            last_dropped,
-            stats: ControlStats::default(),
-            local_cp,
-            watchdog,
-            accepted_temp,
-            backoff: HashMap::new(),
-            disturb: Disturbances::default(),
-            mig_attempts: 0,
-            counters: FaultCounters::default(),
-        })
-    }
-
-    /// Server index hosting `app`, if any.
-    #[must_use]
-    pub fn locate_app(&self, app: AppId) -> Option<usize> {
-        self.servers.iter().position(|s| s.find_app(app).is_some())
-    }
-
     fn packer(&self) -> Box<dyn Packer> {
         willow_binpack::packer_for(self.config.packer)
     }
@@ -375,22 +360,8 @@ impl ReferenceWillow {
         (demand + self.config.cost_model.node_cost(demand)).0
     }
 
-    /// Drive one demand period. `app_demand` is indexed by `AppId.0` and
-    /// gives each application's raw power demand this period; `supply` is
-    /// the data center's total power budget (used on supply ticks).
-    ///
-    /// Equivalent to [`ReferenceWillow::step_with`] with no disturbances.
-    ///
-    /// # Panics
-    /// Panics if `app_demand` does not cover every hosted application's id.
-    pub fn step(&mut self, app_demand: &[Watts], supply: Watts) -> TickReport {
-        self.step_with(app_demand, supply, &Disturbances::default())
-    }
-
     /// Drive one demand period under injected faults (see
-    /// [`crate::disturbance`]). With the default (empty) [`Disturbances`]
-    /// this is exactly [`ReferenceWillow::step`] — the fault machinery changes
-    /// nothing about fault-free trajectories.
+    /// [`crate::disturbance`]).
     ///
     /// # Panics
     /// Panics if `app_demand` does not cover every hosted application's id.
@@ -1196,33 +1167,6 @@ impl ReferenceWillow {
         server.smoother.reset();
         self.power.cp[server.node.index()] = Watts::ZERO;
         self.local_cp[server.node.index()] = Watts::ZERO;
-    }
-
-    // ------------------------------------------------------------------
-    // Operator / failure-injection API
-    // ------------------------------------------------------------------
-
-    /// Change a server's ambient temperature mid-run — a cooling failure
-    /// (ambient rises) or repair (ambient falls). The next supply tick
-    /// recomputes the thermal cap from the new environment and the
-    /// demand-side machinery migrates workload accordingly.
-    ///
-    /// # Panics
-    /// Panics if `server` is out of range.
-    pub fn set_server_ambient(&mut self, server: usize, ambient: willow_thermal::units::Celsius) {
-        self.servers[server].thermal.set_ambient(ambient);
-    }
-
-    /// Wake a sleeping server (after maintenance). No-op if already awake.
-    ///
-    /// # Panics
-    /// Panics if `server` is out of range.
-    pub fn force_wake(&mut self, server: usize) {
-        if !self.servers[server].active {
-            let tick = self.tick;
-            self.servers[server].active = true;
-            self.servers[server].last_activity_change = tick;
-        }
     }
 
     /// Wake sleeping servers (largest thermal headroom first) until their

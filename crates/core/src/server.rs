@@ -2,56 +2,13 @@
 //! leaf's own demand view and degraded-mode defences. The apps a server
 //! hosts live in the controller's [`crate::apps::AppTable`].
 
-use crate::config::ControllerConfig;
 use crate::control::Watchdog;
 use serde::{Deserialize, Serialize};
 use willow_thermal::model::{DeviceThermal, ThermalParams};
 use willow_thermal::units::{Celsius, Watts};
 use willow_topology::NodeId;
 use willow_workload::app::Application;
-use willow_workload::smoothing::{ExpSmoother, HoltSmoother};
-
-/// A demand smoother of either configured kind (Eq. 4 exponential or Holt
-/// level+trend).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DemandSmoother {
-    /// Plain exponential smoothing (paper Eq. 4).
-    Exponential(ExpSmoother),
-    /// Holt double-exponential smoothing.
-    Holt(HoltSmoother),
-}
-
-impl DemandSmoother {
-    /// Build from the configured kind.
-    #[must_use]
-    pub fn new(kind: crate::config::SmootherKind, alpha: f64) -> Self {
-        match kind {
-            crate::config::SmootherKind::Exponential => {
-                DemandSmoother::Exponential(ExpSmoother::new(alpha))
-            }
-            crate::config::SmootherKind::Holt { beta } => {
-                DemandSmoother::Holt(HoltSmoother::new(alpha, beta))
-            }
-        }
-    }
-
-    /// Feed one raw measurement; returns the smoothed demand (floored at
-    /// zero — a Holt level can transiently undershoot on sharp drops).
-    pub fn observe(&mut self, raw: Watts) -> Watts {
-        match self {
-            DemandSmoother::Exponential(s) => s.observe(raw),
-            DemandSmoother::Holt(s) => s.observe(raw).non_negative(),
-        }
-    }
-
-    /// Forget all history.
-    pub fn reset(&mut self) {
-        match self {
-            DemandSmoother::Exponential(s) => s.reset(),
-            DemandSmoother::Holt(s) => s.reset(),
-        }
-    }
-}
+use willow_workload::smoothing::{Gains, Smoother};
 
 /// Static description of one server used to construct the controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -213,8 +170,9 @@ pub struct ServerState {
     pub app_power: Watts,
     /// Temporary migration-cost demand charged this period (§IV-E).
     pub pending_cost: Watts,
-    /// Smoothed node demand `CP_{0,i}` (Eq. 4 or Holt).
-    pub smoother: DemandSmoother,
+    /// Smoothing state of the node demand `CP_{0,i}` (Eq. 4 or Holt);
+    /// the gains come from the controller's config.
+    pub smoother: Smoother,
     /// Thermal state.
     pub thermal: DeviceThermal,
     /// Active (true) or deep sleep (false).
@@ -240,16 +198,16 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// A fresh row for `spec` with the smoother `config` selects and no
-    /// demand history. The spec's apps go into the app table, not here.
+    /// A fresh row for `spec` with no demand history. The spec's apps go
+    /// into the app table, not here.
     #[must_use]
-    pub fn new(spec: &ServerSpec, config: &ControllerConfig) -> Self {
+    pub fn new(spec: &ServerSpec) -> Self {
         let thermal = DeviceThermal::new(spec.thermal, spec.ambient, spec.t_limit, spec.rating);
         ServerState {
             node: spec.node,
             app_power: Watts::ZERO,
             pending_cost: Watts::ZERO,
-            smoother: DemandSmoother::new(config.smoother, config.alpha),
+            smoother: Smoother::default(),
             thermal,
             active: spec.active,
             base_load: spec.base_load,
@@ -269,6 +227,19 @@ impl ServerState {
             return Watts::ZERO;
         }
         self.base_load + self.app_power + self.pending_cost
+    }
+
+    /// Feed this period's raw demand to the row's smoother under `gains`
+    /// (from [`crate::config::ControllerConfig::gains`]) and return the
+    /// smoothed demand. Floored at zero under Holt, whose level can
+    /// transiently undershoot on sharp drops.
+    pub fn smooth(&mut self, gains: Gains) -> Watts {
+        let smoothed = self.smoother.observe(gains, self.raw_demand());
+        if gains.beta.is_some() {
+            smoothed.non_negative()
+        } else {
+            smoothed
+        }
     }
 
     /// Utilization: hosted application power relative to the full-load
@@ -301,7 +272,7 @@ mod tests {
     fn loaded(second: f64) -> ServerState {
         let spec = spec_with_two_apps();
         let mut table = AppTable::for_specs(std::slice::from_ref(&spec)).unwrap();
-        let mut s = ServerState::new(&spec, &ControllerConfig::default());
+        let mut s = ServerState::new(&spec);
         s.app_power = table.observe(0, &[Watts(30.0), Watts(second)]);
         s
     }
@@ -326,6 +297,39 @@ mod tests {
     fn utilization_is_demand_over_rating() {
         let s = loaded(60.0);
         assert!((s.utilization() - 0.2).abs() < 1e-12); // 90/450
+    }
+
+    /// The row and its smoother hold plain state only: the gains live in
+    /// the config, so neither grows with them.
+    #[test]
+    fn row_and_smoother_sizes() {
+        assert_eq!(std::mem::size_of::<Smoother>(), 24);
+        assert_eq!(std::mem::size_of::<ServerState>(), 136);
+    }
+
+    #[test]
+    fn smooth_floors_only_under_holt() {
+        let holt = crate::config::ControllerConfig {
+            smoother: crate::config::SmootherKind::Holt { beta: 0.9 },
+            alpha: 0.9,
+            ..Default::default()
+        }
+        .gains();
+        let mut s = loaded(470.0);
+        assert_eq!(s.smooth(holt), Watts(500.0));
+        s.app_power = Watts(80.0);
+        s.smooth(holt);
+        // A sharp drop to zero demand drives the Holt level below zero;
+        // the row reports zero.
+        s.active = false;
+        assert_eq!(s.smooth(holt), Watts::ZERO);
+        assert!(s.smoother.level().unwrap() < Watts::ZERO);
+        // Eq. 4 returns its level as is.
+        let mut e = loaded(50.0);
+        let exp = crate::config::ControllerConfig::default().gains();
+        assert_eq!(e.smooth(exp), Watts(80.0));
+        e.app_power = Watts(90.0);
+        assert_eq!(e.smooth(exp), Watts(85.0));
     }
 
     #[test]

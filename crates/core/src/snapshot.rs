@@ -120,6 +120,8 @@ impl Willow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ConfigError, SmootherKind};
+    use crate::control::planning::{PLANNING_ALPHA, PLANNING_BETA};
     use crate::server::ServerSpec;
     use serde::Value;
     use willow_thermal::units::Watts;
@@ -327,6 +329,17 @@ mod tests {
         let mut snap = w.snapshot();
         snap.config.alpha = 2.0;
         assert!(Willow::restore(snap).is_err());
+        // The config is the only home of the smoothing gains, so a bad
+        // Holt β must be caught here and by `new` alike.
+        let mut snap = w.snapshot();
+        snap.config.smoother = SmootherKind::Holt { beta: 1.0 };
+        let beta = |r: Result<Willow, WillowError>| matches!(r, Err(WillowError::Config(ConfigError::Beta(b))) if b == 1.0);
+        let config = snap.config.clone();
+        let tree = snap.tree.clone();
+        assert!(beta(Willow::recover(snap.clone(), &w)));
+        assert!(beta(Willow::restore(snap)));
+        let specs = tree.leaves().map(ServerSpec::simulation_default).collect();
+        assert!(beta(Willow::new(tree, specs, config)));
     }
 
     /// Every malformed image is rejected by `restore` itself: none may
@@ -529,6 +542,59 @@ mod tests {
         }
         let err = WillowSnapshot::from_value(&image).expect_err("table-less image loaded");
         assert_eq!(err.to_string(), "missing field `apps` for WillowSnapshot");
+    }
+
+    /// A checkpoint from before the gains moved into the config carried
+    /// them in every smoother: each row's as `{"Exponential": {"alpha",
+    /// "state"}}`, each planning series as `{"alpha", "beta", "state"}`.
+    /// Either must fail to load, so no checkpoint can hold a gain that
+    /// disagrees with its config.
+    #[test]
+    fn gain_carrying_smoothers_fail_to_load() {
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 10);
+        let old_row = |s: &Value| {
+            let Value::Object(fields) = s else {
+                panic!("not an object")
+            };
+            let state = fields[0].1.clone();
+            Value::Object(vec![(
+                "Exponential".into(),
+                Value::Object(vec![
+                    ("alpha".into(), Value::F64(w.config().alpha)),
+                    ("state".into(), state),
+                ]),
+            )])
+        };
+        let mut image = w.snapshot().to_value();
+        for server in items(field(&mut image, "servers")) {
+            let smoother = field(server, "smoother");
+            *smoother = old_row(smoother);
+        }
+        let err = WillowSnapshot::from_value(&image).expect_err("gain-carrying row loaded");
+        assert_eq!(err.to_string(), "unknown field `Exponential` for Smoother");
+
+        let old_series = |s: &Value| {
+            let Value::Object(fields) = s else {
+                panic!("not an object")
+            };
+            let state = match &fields[0].1 {
+                Value::Null => Value::Null,
+                level => Value::Array(vec![level.clone(), fields[1].1.clone()]),
+            };
+            Value::Object(vec![
+                ("alpha".into(), Value::F64(PLANNING_ALPHA)),
+                ("beta".into(), Value::F64(PLANNING_BETA)),
+                ("state".into(), state),
+            ])
+        };
+        let mut image = w.snapshot().to_value();
+        for series in items(field(field(&mut image, "planning"), "leaves")) {
+            *series = old_series(series);
+        }
+        let text = serde_json::to_string_pretty(&image).expect("serialize");
+        let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("old series loaded");
+        assert_eq!(err.to_string(), "unknown field `alpha` for Smoother");
     }
 
     /// A checkpoint in the layout that kept the leaf-local defences in

@@ -19,7 +19,9 @@
 //! * [`app`] — application classes and instances (the migration unit).
 //! * [`poisson`] — exact Poisson sampling built on `rand` alone.
 //! * [`demand`] — per-application stochastic demand generation.
-//! * [`smoothing`] — the exponential smoother of Eq. 4.
+//! * [`smoothing`] — the exponential smoothing of Eq. 4 (and Holt's
+//!   level + trend variant): one [`Smoother`] state per series, updated
+//!   under [`Gains`] its owner derives from configuration.
 //! * [`power_model`] — utilization↔power curves, including the testbed curve
 //!   reconstructed from the paper's §V-C5 arithmetic.
 //! * [`mix`] — random placement of application mixes onto servers.
@@ -39,4 +41,4 @@ pub mod trace;
 pub use app::{AppClass, AppId, Application, SIM_APP_CLASSES, TESTBED_APP_CLASSES};
 pub use demand::DemandModel;
 pub use power_model::LinearPowerModel;
-pub use smoothing::ExpSmoother;
+pub use smoothing::{Gains, Smoother};

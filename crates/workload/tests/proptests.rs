@@ -8,7 +8,7 @@ use willow_workload::app::{AppClass, AppId, Application};
 use willow_workload::demand::DemandModel;
 use willow_workload::poisson::sample_poisson;
 use willow_workload::power_model::{fit_linear, LinearPowerModel};
-use willow_workload::smoothing::{ExpSmoother, HoltSmoother};
+use willow_workload::smoothing::{Gains, Smoother};
 
 proptest! {
     // Fewer cases than default: the Poisson moment checks need thousands
@@ -22,13 +22,14 @@ proptest! {
         alpha in 0.01f64..0.99,
         inputs in prop::collection::vec(0.0f64..1000.0, 1..50),
     ) {
-        let mut s = ExpSmoother::new(alpha);
+        let gains = Gains { alpha, beta: None };
+        let mut s = Smoother::default();
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for &x in &inputs {
             lo = lo.min(x);
             hi = hi.max(x);
-            let v = s.observe(Watts(x));
+            let v = s.observe(gains, Watts(x));
             prop_assert!(v.0 >= lo - 1e-9 && v.0 <= hi + 1e-9);
         }
     }
@@ -37,7 +38,8 @@ proptest! {
     /// true next value.
     #[test]
     fn holt_forecast_converges_on_ramps(slope in 0.1f64..10.0, intercept in 0.0f64..100.0) {
-        let mut h = HoltSmoother::new(0.5, 0.3);
+        let gains = Gains { alpha: 0.5, beta: Some(0.3) };
+        let mut h = Smoother::default();
         let mut last_forecast = None;
         for k in 0..200u32 {
             let x = intercept + slope * f64::from(k);
@@ -51,7 +53,7 @@ proptest! {
                     );
                 }
             }
-            h.observe(Watts(x));
+            h.observe(gains, Watts(x));
             last_forecast = h.forecast(1);
         }
     }
@@ -130,9 +132,10 @@ proptest! {
         slope in 0.1f64..20.0,
         intercept in 0.0f64..500.0,
     ) {
-        let mut h = HoltSmoother::new(alpha, beta);
+        let gains = Gains { alpha, beta: Some(beta) };
+        let mut h = Smoother::default();
         for k in 0..300u32 {
-            h.observe(Watts(intercept + slope * f64::from(k)));
+            h.observe(gains, Watts(intercept + slope * f64::from(k)));
         }
         let trend = h.trend().expect("observed").0;
         prop_assert!(
@@ -150,14 +153,15 @@ proptest! {
         first in prop::collection::vec(0.0f64..1000.0, 0..40),
         second in prop::collection::vec(0.0f64..1000.0, 1..40),
     ) {
-        let mut reused = HoltSmoother::new(alpha, beta);
+        let gains = Gains { alpha, beta: Some(beta) };
+        let mut reused = Smoother::default();
         for &x in &first {
-            reused.observe(Watts(x));
+            reused.observe(gains, Watts(x));
         }
         reused.reset();
-        let mut fresh = HoltSmoother::new(alpha, beta);
+        let mut fresh = Smoother::default();
         for &x in &second {
-            prop_assert_eq!(reused.observe(Watts(x)), fresh.observe(Watts(x)));
+            prop_assert_eq!(reused.observe(gains, Watts(x)), fresh.observe(gains, Watts(x)));
         }
         prop_assert_eq!(reused, fresh);
         prop_assert_eq!(reused.forecast(3), fresh.forecast(3));
