@@ -15,7 +15,9 @@
 //! Unlinking walks the source's few apps to the predecessor instead of
 //! paying for a `prev` column.
 //!
-//! Every column is a `Vec` of `Copy` values, so a checkpoint is one
+//! No command adds or removes an app, so the [`Application`] column is an
+//! immutable `Arc` that every checkpoint shares rather than copies. Every
+//! other column is a `Vec` of `Copy` values, so a checkpoint is one
 //! `memcpy` per column. The last move and the backoff are rare, so they
 //! live in a pool of 24-byte records that the 4-byte `memory` column
 //! indexes; full columns would add 24 bytes per app to the live table and
@@ -26,6 +28,7 @@
 use crate::control::{Backoff, WillowError};
 use crate::server::ServerSpec;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use willow_thermal::units::Watts;
 use willow_topology::NodeId;
 use willow_workload::app::{AppId, Application};
@@ -67,8 +70,8 @@ impl Memory {
 #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct AppTable {
-    /// The application in each row; `app[i].id == AppId(i)`.
-    app: Vec<Application>,
+    /// The application in each row (`app[i].id == AppId(i)`), shared.
+    app: Arc<[Application]>,
     /// Index of the server hosting each app.
     host: Vec<u32>,
     /// Latest raw demand of each app.
@@ -125,8 +128,10 @@ impl AppTable {
     /// an id hosted twice.
     pub(crate) fn for_specs(specs: &[ServerSpec]) -> Result<AppTable, WillowError> {
         let n: usize = specs.iter().map(|s| s.apps.len()).sum();
+        let mut rows: Vec<Application> =
+            specs.iter().flat_map(|s| s.apps.iter().copied()).collect();
         let mut table = AppTable {
-            app: specs.iter().flat_map(|s| s.apps.iter().copied()).collect(),
+            app: Arc::default(),
             host: vec![NONE; n],
             demand: vec![Watts::ZERO; n],
             memory: vec![NONE; n],
@@ -144,10 +149,11 @@ impl AppTable {
                 if table.host[id] != NONE {
                     return Err(WillowError::DuplicateApp(app.id));
                 }
-                table.app[id] = *app;
+                rows[id] = *app;
                 table.push_back(si, app.id);
             }
         }
+        table.app = rows.into();
         Ok(table)
     }
 
@@ -410,18 +416,20 @@ impl AppTable {
     /// the table to fit their ids. Touches no other list and no host, so
     /// it can corrupt the table on purpose (the auditor's tests).
     pub(crate) fn set_list(&mut self, server: usize, apps: &[Application]) {
+        let mut app = self.app.to_vec();
         for a in apps {
             let i = a.id.0 as usize;
-            if i >= self.app.len() {
+            if i >= app.len() {
                 let n = i + 1;
-                self.app.resize(n, *a);
+                app.resize(n, *a);
                 self.host.resize(n, NONE);
                 self.demand.resize(n, Watts::ZERO);
                 self.memory.resize(n, NONE);
                 self.next.resize(n, NONE);
             }
-            self.app[i] = *a;
+            app[i] = *a;
         }
+        self.app = app.into();
         let mut prev = NONE;
         self.head[server] = NONE;
         for a in apps {

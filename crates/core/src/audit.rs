@@ -452,6 +452,10 @@ mod tests {
     use willow_workload::app::{Application, SIM_APP_CLASSES};
 
     fn build(apps_per_server: usize) -> (Willow, usize) {
+        build_with(apps_per_server, ControllerConfig::default())
+    }
+
+    fn build_with(apps_per_server: usize, config: ControllerConfig) -> (Willow, usize) {
         let tree = Tree::paper_fig3();
         let leaves: Vec<_> = tree.leaves().collect();
         let n_apps = leaves.len() * apps_per_server;
@@ -472,7 +476,7 @@ mod tests {
                 ServerSpec::simulation_default(leaf).with_apps(apps)
             })
             .collect();
-        let w = Willow::new(tree, specs, ControllerConfig::default()).unwrap();
+        let w = Willow::new(tree, specs, config).unwrap();
         (w, n_apps)
     }
 
@@ -531,6 +535,41 @@ mod tests {
         }
         assert_eq!(auditor.total_violations(), 0);
         assert_eq!(auditor.checks(), 240);
+    }
+
+    /// Holt's level undershoots zero after a demand cliff: with α = β =
+    /// 0.9, the second period of zero demand after a steady load drives a
+    /// row's level below zero. The row's floor keeps its `local_cp` and
+    /// the hierarchy's `cp` non-negative, which the auditor checks.
+    #[test]
+    fn holt_demand_cliff_stays_non_negative() {
+        let config = ControllerConfig {
+            alpha: 0.9,
+            smoother: crate::config::SmootherKind::Holt { beta: 0.9 },
+            ..ControllerConfig::default()
+        };
+        let (mut w, n_apps) = build_with(2, config);
+        let mut auditor = Auditor::new(&w);
+        let mut report = crate::migration::TickReport::default();
+        let mut undershoots = 0;
+        for t in 0..12 {
+            let demand = if t < 8 { Watts(60.0) } else { Watts::ZERO };
+            let demands = vec![demand; n_apps];
+            w.step_into(
+                &demands,
+                Watts(9000.0),
+                &Disturbances::default(),
+                &mut report,
+            );
+            let violations = auditor.check(&w);
+            assert!(violations.is_empty(), "tick {t}: {violations:?}");
+            undershoots += w
+                .servers()
+                .iter()
+                .filter(|s| s.smoother.level().is_some_and(|l| l < Watts::ZERO))
+                .count();
+        }
+        assert!(undershoots > 0, "no Holt level went below zero");
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! running waits in the queue too, and applies on the tick the server
 //! fences.
 //!
-//! Online topology edits (server add/remove) grow the per-node state
-//! arrays and rebuild the per-stage scratch; the queue itself is part of
-//! the checkpointed state, so commands in flight survive a controller
-//! crash (see [`Willow::recover`]).
+//! Online topology edits (server add/remove) swap in an edited tree, grow
+//! the per-node state arrays and rebuild the per-stage scratch; the queue
+//! itself is part of the checkpointed state, so commands in flight survive
+//! a controller crash (see [`Willow::recover`]).
 
 use super::consolidate::{ConsolidateStage, EVAC_FIT_SLACK};
 use super::demand::{DeficitItem, DemandStage};
@@ -29,6 +29,7 @@ use crate::command::{
 };
 use crate::migration::{MigrationReason, TickReport};
 use crate::server::{FenceState, ServerSpec, ServerState};
+use std::sync::Arc;
 use willow_thermal::model::decay_factor;
 use willow_thermal::units::Watts;
 use willow_topology::NodeId;
@@ -166,7 +167,8 @@ impl Willow {
     /// server starts active and empty with a zero budget; it receives its
     /// first real budget at the next supply tick.
     fn exec_add_server(&mut self, parent: NodeId, name: &str) -> Result<(), CommandError> {
-        let leaf = self.tree.insert_leaf(parent, name)?;
+        let (tree, leaf) = self.tree.insert_leaf(parent, name)?;
+        self.tree = Arc::new(tree);
         let n = self.tree.len();
         self.power.ensure_len(n);
         self.fabric.ensure_len(n);
@@ -178,7 +180,6 @@ impl Willow {
         let li = leaf.index();
         self.power.cp[li] = Watts::ZERO;
         self.power.tp[li] = Watts::ZERO;
-        self.power.tp_old[li] = Watts::ZERO;
         self.power.cap[li] = Watts::ZERO;
         self.power.reduced[li] = false;
         debug_assert!(self.leaf_server[li].is_none(), "slot cleared at removal");
@@ -214,7 +215,7 @@ impl Willow {
             return Err(CommandError::NotEmpty(server));
         }
         let node = self.servers[server].node;
-        self.tree.remove_leaf(node)?;
+        self.tree = Arc::new(self.tree.remove_leaf(node)?);
         // The edit committed; everything below is infallible.
         let li = node.index();
         let row = &mut self.servers[server];
@@ -225,7 +226,6 @@ impl Willow {
         self.leaf_server[li] = None;
         self.power.cp[li] = Watts::ZERO;
         self.power.tp[li] = Watts::ZERO;
-        self.power.tp_old[li] = Watts::ZERO;
         self.power.cap[li] = Watts::ZERO;
         self.power.reduced[li] = false;
         self.rebuild_stage_scratch();

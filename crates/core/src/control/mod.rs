@@ -50,6 +50,7 @@ use crate::server::FenceState;
 use crate::server::{ServerSpec, ServerState};
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
+use std::sync::Arc;
 use willow_network::Fabric;
 use willow_thermal::model::decay_factor;
 use willow_thermal::units::Watts;
@@ -215,7 +216,9 @@ pub struct ControlStats {
 
 /// The Willow control system. See the module docs for the pipeline model.
 pub struct Willow {
-    pub(super) tree: Tree,
+    /// The topology; a live-ops edit swaps in a new one, so checkpoints
+    /// share it.
+    pub(super) tree: Arc<Tree>,
     pub(super) config: ControllerConfig,
     pub(super) servers: Vec<ServerState>,
     /// Every per-app fact: placement, raw demand, last move, backoff.
@@ -306,7 +309,7 @@ impl Willow {
             paused: false,
             apps,
             planning: PlanningContext::for_servers(servers.len()),
-            tree,
+            tree: Arc::new(tree),
             config,
             servers,
         })
@@ -434,7 +437,6 @@ impl Willow {
         }
         snapshot_shape("power.cp", power.cp.len(), tree.len())?;
         snapshot_shape("power.tp", power.tp.len(), tree.len())?;
-        snapshot_shape("power.tp_old", power.tp_old.len(), tree.len())?;
         snapshot_shape("power.cap", power.cap.len(), tree.len())?;
         snapshot_shape("power.reduced", power.reduced.len(), tree.len())?;
         snapshot_shape("planning.leaves", planning.leaves.len(), servers.len())?;

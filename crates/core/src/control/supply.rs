@@ -32,14 +32,17 @@ pub struct Watchdog {
     pub tripped: bool,
 }
 
-/// Reusable working memory for the supply stage: child caps, allocation
-/// weights and budgets for one interior node's top-down division, plus the
-/// water-filling working set. Cleared (capacity retained) instead of
-/// reallocated, so a steady-state supply tick performs zero heap
-/// allocations once warmed up. Taken out of the controller with
-/// `std::mem::take` for the duration of the stage and put back afterwards.
+/// Reusable working memory for the supply stage: the budgets before the
+/// division, child caps, allocation weights and budgets for one interior
+/// node's top-down division, plus the water-filling working set. Cleared
+/// (capacity retained) instead of reallocated, so a steady-state supply
+/// tick performs zero heap allocations once warmed up. Taken out of the
+/// controller with `std::mem::take` for the duration of the stage and put
+/// back afterwards.
 #[derive(Debug, Default)]
 pub(crate) struct SupplyStage {
+    /// Every node's budget before the division.
+    pub(super) tp_old: Vec<Watts>,
     /// Child hard caps for one interior node.
     pub(super) caps: Vec<Watts>,
     /// Child allocation weights for one interior node.
@@ -51,14 +54,15 @@ pub(crate) struct SupplyStage {
 }
 
 impl SupplyStage {
-    /// Pre-size the buffers to the tree's maximum branching factor so even
-    /// the first supply tick allocates as little as possible.
+    /// Pre-size the buffers to the tree so even the first supply tick
+    /// allocates as little as possible.
     pub(super) fn for_tree(tree: &Tree) -> Self {
         let max_branching: usize = (0..=tree.height())
             .map(|l| tree.max_branching_at(l))
             .max()
             .unwrap_or(0);
         SupplyStage {
+            tp_old: Vec::with_capacity(tree.len()),
             caps: Vec::with_capacity(max_branching),
             weights: Vec::with_capacity(max_branching),
             budgets: Vec::with_capacity(max_branching),
@@ -183,7 +187,7 @@ impl Willow {
         }
         self.power.aggregate_caps(&self.tree);
 
-        self.power.tp_old.copy_from_slice(&self.power.tp);
+        stage.tp_old.clone_from(&self.power.tp);
         let root = self.tree.root();
         let mut root_budget = supply.min(self.power.cap[root.index()]);
         // Predictive pre-tightening: if the supply forecast shows a dip
@@ -261,7 +265,7 @@ impl Willow {
                 continue;
             }
             if self.disturb.directive_lost(si) {
-                let base = self.power.tp_old[leaf];
+                let base = stage.tp_old[leaf];
                 let cap = self.power.cap[leaf];
                 self.power.tp[leaf] = self.missed_directive_fallback(si, base, cap);
             } else {
@@ -275,9 +279,9 @@ impl Willow {
             let i = id.index();
             let reduced = match self.config.reduced_rule {
                 ReducedTargetRule::Off => false,
-                ReducedTargetRule::Strict => self.power.tp[i].0 < self.power.tp_old[i].0 - 1e-9,
+                ReducedTargetRule::Strict => self.power.tp[i].0 < stage.tp_old[i].0 - 1e-9,
                 ReducedTargetRule::Disproportionate => {
-                    let old = self.power.tp_old[i].0;
+                    let old = stage.tp_old[i].0;
                     let new = self.power.tp[i].0;
                     if old <= 0.0 || new >= old {
                         false
@@ -285,7 +289,7 @@ impl Willow {
                         match self.tree.parent(id) {
                             None => false, // global events never flag the root
                             Some(p) => {
-                                let p_old = self.power.tp_old[p.index()].0;
+                                let p_old = stage.tp_old[p.index()].0;
                                 let p_new = self.power.tp[p.index()].0;
                                 let parent_ratio = if p_old > 0.0 { p_new / p_old } else { 1.0 };
                                 new / old < parent_ratio - 1e-6
@@ -303,8 +307,8 @@ impl Willow {
     /// its accepted temperature (that computation is local) and applies
     /// the same tighten-only fallback it uses for an individually lost
     /// directive. The base here is the leaf's currently *applied* budget
-    /// (`tp`): with the controller down there is no freshly allocated
-    /// budget for `tp_old` to snapshot.
+    /// (`tp`): with the controller down no division runs, so `tp` is
+    /// still the budget from before it.
     pub(super) fn open_loop_supply_fallback(&mut self) {
         for si in 0..self.servers.len() {
             let leaf = self.servers[si].node.index();

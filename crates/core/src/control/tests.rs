@@ -512,9 +512,9 @@ fn ordering_fixture() -> (Willow, Vec<NodeId>) {
 fn target_orderings_are_exact() {
     use super::demand::Eligibility;
 
-    let mut tree = Tree::uniform(&[2, 3]);
-    let pods = tree.nodes_at_level(1).to_vec();
-    let late = tree.insert_leaf(pods[0], "late").unwrap();
+    let pair = Tree::uniform(&[2, 3]);
+    let pods = pair.nodes_at_level(1).to_vec();
+    let (tree, late) = pair.insert_leaf(pods[0], "late").unwrap();
     let dfs = tree.leaf_range(tree.root()).to_vec();
     assert!(
         dfs.windows(2).any(|w| w[0] > w[1]),

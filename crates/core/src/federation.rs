@@ -57,6 +57,7 @@ const CONSERVATION_EPS: f64 = 1e-6;
 /// watchdog (`RobustnessConfig`): trip after 3 consecutive misses, fall
 /// back to half the last-known-good value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BrokerConfig {
     /// Consecutive missed grants before an unreachable zone trips and
     /// self-tightens its open-loop supply. Must be at least 1.
@@ -129,6 +130,7 @@ impl ZoneCondition {
 
 /// Broker-side ledger entry for one zone.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ZoneLink {
     /// Last demand report received from the zone.
     pub last_report: Watts,
@@ -161,6 +163,7 @@ impl ZoneLink {
 
 /// Cumulative broker counters (federation-level telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BrokerCounters {
     /// Apportionments performed.
     pub apportions: u64,
@@ -190,6 +193,7 @@ pub struct BrokerCounters {
 /// ledger resumes from the last checkpoint and
 /// [`SupplyBroker::rejoin`] reconciles each reachable zone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BrokerSnapshot {
     /// Broker tunables.
     pub config: BrokerConfig,
@@ -198,7 +202,6 @@ pub struct BrokerSnapshot {
     /// Cumulative counters.
     pub counters: BrokerCounters,
     /// Grants from the last apportionment, per zone.
-    #[serde(default)]
     pub grants: Vec<Watts>,
 }
 
@@ -479,29 +482,20 @@ impl SupplyBroker {
     /// The caller should then [`rejoin`](Self::rejoin) every currently
     /// reachable zone to reconcile the restored ledger with field truth.
     ///
-    /// Older checkpoints may carry no `grants`: an empty vector keeps the
-    /// broker's current entries. Keys this broker no longer reads (such as
-    /// a retired per-zone `forecasts` vector) are ignored.
-    ///
     /// # Errors
-    /// Rejects a snapshot whose `links`, or whose non-empty `grants`, do
-    /// not hold one entry per zone. A rejected snapshot leaves the broker
-    /// untouched.
+    /// Rejects a snapshot whose `links` or `grants` do not hold one entry
+    /// per zone. A rejected snapshot leaves the broker untouched.
     pub fn recover(&mut self, snapshot: BrokerSnapshot) -> Result<(), FederationError> {
         let n = self.links.len();
         zone_shape("broker.links", snapshot.links.len(), n)?;
-        if !snapshot.grants.is_empty() {
-            zone_shape("broker.grants", snapshot.grants.len(), n)?;
-        }
+        zone_shape("broker.grants", snapshot.grants.len(), n)?;
         // Only the ledger is control state and restored verbatim. The
         // counters are cumulative telemetry: the running tally (which
         // includes the outage the broker is recovering from) is kept
         // rather than rolled back to the checkpoint's.
         self.config = snapshot.config;
         self.links = snapshot.links;
-        if !snapshot.grants.is_empty() {
-            self.grants = snapshot.grants;
-        }
+        self.grants = snapshot.grants;
         Ok(())
     }
 }
@@ -815,46 +809,53 @@ mod tests {
 
     /// Checkpoints written while the broker could split on forecasts
     /// carry a `forecast_apportionment` config key and a per-zone
-    /// `forecasts` vector. Both are ignored on restore, and the restored
-    /// broker apportions exactly like one that never stopped.
+    /// `forecasts` vector. The broker reads neither, so each fails to load
+    /// by name instead of restoring with it dropped; so does a checkpoint
+    /// without `grants`.
     #[test]
-    fn broker_snapshot_with_retired_forecast_keys_restores() {
-        let conditions = [ZoneCondition::Healthy, ZoneCondition::Healthy];
+    fn broker_snapshot_with_retired_forecast_keys_fails_to_load() {
         let mut broker = SupplyBroker::new(2, BrokerConfig::default()).expect("broker");
         broker.apportion(
             Watts(600.0),
-            &conditions,
+            &[ZoneCondition::Healthy, ZoneCondition::Healthy],
             &[Some(Watts(100.0)), Some(Watts(200.0))],
         );
-        let mut series = willow_workload::smoothing::Smoother::default();
-        series.observe(crate::control::planning::PLANNING_GAINS, Watts(100.0));
-        let forecast = serde_json::to_string(&series).expect("serialize");
         let json = serde_json::to_string(&broker.snapshot()).expect("serialize");
-        let json = json.replace(
+        let legacy = json.replace(
             "\"fallback_fraction\":0.5",
             "\"fallback_fraction\":0.5,\"forecast_apportionment\":true",
         );
+        assert_ne!(legacy, json);
+        let err = serde_json::from_str::<BrokerSnapshot>(&legacy).expect_err("retired key loaded");
+        assert_eq!(
+            err.to_string(),
+            "unknown field `forecast_apportionment` for BrokerConfig"
+        );
+
+        let mut series = willow_workload::smoothing::Smoother::default();
+        series.observe(crate::control::planning::PLANNING_GAINS, Watts(100.0));
+        let forecast = serde_json::to_string(&series).expect("serialize");
         let legacy = format!(
             "{},\"forecasts\":[{forecast},{forecast}]}}",
             &json[..json.len() - 1]
         );
-        assert!(legacy.contains("\"forecast_apportionment\":true"));
-        let snap: BrokerSnapshot = serde_json::from_str(&legacy).expect("legacy parse");
-        assert_eq!(snap, broker.snapshot());
-        let mut restored = SupplyBroker::restore(snap).expect("restore");
-        let reports = [Some(Watts(300.0)), Some(Watts(100.0))];
-        let want = broker
-            .apportion(Watts(700.0), &conditions, &reports)
-            .to_vec();
-        let got = restored
-            .apportion(Watts(700.0), &conditions, &reports)
-            .to_vec();
-        assert_eq!(got, want);
-        assert_eq!(restored.links(), broker.links());
+        let err = serde_json::from_str::<BrokerSnapshot>(&legacy).expect_err("retired key loaded");
+        assert_eq!(
+            err.to_string(),
+            "unknown field `forecasts` for BrokerSnapshot"
+        );
+
+        let mut image = broker.snapshot().to_value();
+        let serde::Value::Object(fields) = &mut image else {
+            panic!("not an object")
+        };
+        fields.retain(|(k, _)| k != "grants");
+        let err = BrokerSnapshot::from_value(&image).expect_err("grant-less image loaded");
+        assert_eq!(err.to_string(), "missing field `grants` for BrokerSnapshot");
     }
 
-    /// A non-empty `grants` vector of the wrong length is a malformed
-    /// ledger: `restore` and `recover` reject it by field name, and a
+    /// A `grants` vector of the wrong length, empty included, is a
+    /// malformed ledger: `restore` and `recover` reject it by field name, and a
     /// rejected `recover` leaves the broker as it was.
     #[test]
     fn broker_snapshot_with_wrong_length_ledger_is_rejected() {
@@ -865,7 +866,7 @@ mod tests {
             &[Some(Watts(100.0)), Some(Watts(200.0))],
         );
         let good = broker.snapshot();
-        for found in [1, 3] {
+        for found in [0, 1, 3] {
             let mut bad = good.clone();
             bad.grants.resize(found, Watts(1.0));
             let expected = FederationError::Shape {

@@ -225,6 +225,8 @@ pub struct ReferenceWillow {
     /// Arena index → server index (None for interior nodes).
     leaf_server: Vec<Option<usize>>,
     power: PowerState,
+    /// Previous period's budget per node (for reduction detection).
+    tp_old: Vec<Watts>,
     fabric: Fabric,
     tick: u64,
     /// For each app: the server it last migrated *from* and when. Ping-pong
@@ -300,6 +302,7 @@ impl ReferenceWillow {
         let watchdog = vec![Watchdog::default(); servers.len()];
         let local_cp = vec![Watts::ZERO; tree.len()];
         Ok(ReferenceWillow {
+            tp_old: vec![Watts::ZERO; tree.len()],
             tree,
             config,
             servers,
@@ -560,7 +563,7 @@ impl ReferenceWillow {
         }
         self.power.aggregate_caps(&self.tree);
 
-        self.power.tp_old.copy_from_slice(&self.power.tp);
+        self.tp_old.copy_from_slice(&self.power.tp);
         let root = self.tree.root();
         self.power.tp[root.index()] = supply.min(self.power.cap[root.index()]);
         for level in (1..=self.tree.height()).rev() {
@@ -600,7 +603,7 @@ impl ReferenceWillow {
                     wd.tripped = true;
                     self.counters.watchdog_trips += 1;
                 }
-                let mut fallback = self.power.tp_old[leaf].min(self.power.cap[leaf]);
+                let mut fallback = self.tp_old[leaf].min(self.power.cap[leaf]);
                 if wd.tripped {
                     let cap_w =
                         server.thermal.rating().0 * self.config.robustness.watchdog_cap_fraction;
@@ -618,9 +621,9 @@ impl ReferenceWillow {
             let i = id.index();
             let reduced = match self.config.reduced_rule {
                 ReducedTargetRule::Off => false,
-                ReducedTargetRule::Strict => self.power.tp[i].0 < self.power.tp_old[i].0 - 1e-9,
+                ReducedTargetRule::Strict => self.power.tp[i].0 < self.tp_old[i].0 - 1e-9,
                 ReducedTargetRule::Disproportionate => {
-                    let old = self.power.tp_old[i].0;
+                    let old = self.tp_old[i].0;
                     let new = self.power.tp[i].0;
                     if old <= 0.0 || new >= old {
                         false
@@ -628,7 +631,7 @@ impl ReferenceWillow {
                         match self.tree.parent(id) {
                             None => false, // global events never flag the root
                             Some(p) => {
-                                let p_old = self.power.tp_old[p.index()].0;
+                                let p_old = self.tp_old[p.index()].0;
                                 let p_new = self.power.tp[p.index()].0;
                                 let parent_ratio = if p_old > 0.0 { p_new / p_old } else { 1.0 };
                                 new / old < parent_ratio - 1e-6

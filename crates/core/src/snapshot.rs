@@ -15,7 +15,11 @@
 //! keys. A checkpoint written when each server listed its own apps fails
 //! on that layout's keys (`last_moves`, or a server row's `apps`); one
 //! that kept the leaf-local defences in top-level vectors (`local_cp`,
-//! `watchdog`, `accepted_temp`) fails on the first of them.
+//! `watchdog`, `accepted_temp`) fails on the first of them; a power state
+//! carrying the supply stage's scratch `tp_old` fails on that.
+//!
+//! A capture shares the immutable topology and app identities (an `Arc`
+//! each) and copies the rest; a topology edit swaps in a new tree.
 
 use crate::apps::AppTable;
 use crate::command::PendingCommand;
@@ -25,6 +29,7 @@ use crate::server::ServerState;
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use willow_thermal::units::Watts;
 use willow_topology::Tree;
 
@@ -32,8 +37,8 @@ use willow_topology::Tree;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct WillowSnapshot {
-    /// The topology (fully self-contained).
-    pub tree: Tree,
+    /// The topology, shared with the controller until its next edit.
+    pub tree: Arc<Tree>,
     /// Controller tunables.
     pub config: ControllerConfig,
     /// Per-server state, in server order: every per-server fact.
@@ -69,7 +74,7 @@ impl Willow {
     #[must_use]
     pub fn snapshot(&self) -> WillowSnapshot {
         WillowSnapshot {
-            tree: self.tree().clone(),
+            tree: Arc::clone(&self.tree),
             config: self.config().clone(),
             servers: self.servers().to_vec(),
             power: self.power().clone(),
@@ -87,10 +92,11 @@ impl Willow {
 
     /// [`Willow::snapshot`] into a caller-provided image, reusing its
     /// buffers (`clone_from` keeps existing capacity), so a warm periodic
-    /// checkpoint allocates nothing: the roster is `Copy` rows and the app
-    /// table `Copy` columns.
+    /// checkpoint allocates nothing: the tree and the app identities are
+    /// shared, the roster is `Copy` rows and the rest of the app table
+    /// `Copy` columns.
     pub fn snapshot_into(&self, snap: &mut WillowSnapshot) {
-        snap.tree.clone_from(self.tree());
+        snap.tree.clone_from(&self.tree);
         snap.config.clone_from(self.config());
         snap.servers.clear();
         snap.servers.extend_from_slice(self.servers());
@@ -335,7 +341,7 @@ mod tests {
         snap.config.smoother = SmootherKind::Holt { beta: 1.0 };
         let beta = |r: Result<Willow, WillowError>| matches!(r, Err(WillowError::Config(ConfigError::Beta(b))) if b == 1.0);
         let config = snap.config.clone();
-        let tree = snap.tree.clone();
+        let tree = Tree::clone(&snap.tree);
         assert!(beta(Willow::recover(snap.clone(), &w)));
         assert!(beta(Willow::restore(snap)));
         let specs = tree.leaves().map(ServerSpec::simulation_default).collect();
@@ -358,12 +364,6 @@ mod tests {
             (
                 |s| {
                     s.power.tp.pop();
-                },
-                shape,
-            ),
-            (
-                |s| {
-                    s.power.tp_old.pop();
                 },
                 shape,
             ),
@@ -473,6 +473,69 @@ mod tests {
                 Ok(_) => panic!("malformed app table restored"),
             }
         }
+    }
+
+    /// `tp_old` is the supply stage's scratch, not controller state: an
+    /// image whose power state still carries it fails to load by name.
+    #[test]
+    fn power_state_with_tp_old_fails_to_load() {
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 10);
+        let mut image = w.snapshot().to_value();
+        let Value::Object(power) = field(&mut image, "power") else {
+            panic!("not an object")
+        };
+        power.push(("tp_old".into(), w.power().tp.to_value()));
+        let text = serde_json::to_string(&image).expect("serialize");
+        let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("tp_old loaded");
+        assert_eq!(err.to_string(), "unknown field `tp_old` for PowerState");
+    }
+
+    /// A capture shares the live tree and app identities. A topology edit
+    /// swaps a new tree into the controller and leaves the capture's as it
+    /// was, so a checkpoint taken before a drain, a removal and an
+    /// addition restores the pre-edit topology, and steps in lockstep with
+    /// a restore of its own JSON.
+    #[test]
+    fn capture_before_topology_edits_restores_the_old_topology() {
+        use crate::command::Command;
+        use crate::server::FenceState;
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 5);
+        let snap = w.snapshot();
+        assert!(
+            Arc::ptr_eq(&snap.tree, &w.tree),
+            "the capture copied the tree"
+        );
+        assert!(
+            std::ptr::eq(&snap.apps[AppId(0)], &w.apps()[AppId(0)]),
+            "the capture copied the app identities"
+        );
+        let before = Tree::clone(&snap.tree);
+        let json = serde_json::to_string(&snap).expect("serialize");
+
+        let parent = w.tree().parent(w.servers()[1].node).expect("leaf");
+        w.submit_command(Command::Drain { server: 1 });
+        let _ = drive(&mut w, n_apps, 10);
+        w.submit_command(Command::RemoveServer { server: 1 });
+        w.submit_command(Command::AddServer {
+            parent,
+            name: "late".into(),
+        });
+        let _ = drive(&mut w, n_apps, 3);
+        assert_eq!(w.servers()[1].fence, FenceState::Retired);
+        assert!(w.tree().find("late").is_some(), "the addition applied");
+        assert_eq!(*snap.tree, before, "the edits reached the capture");
+        assert!(!Arc::ptr_eq(&snap.tree, &w.tree));
+
+        let mut restored = Willow::restore(snap).expect("restore");
+        assert_eq!(*restored.tree, before);
+        let mut twin =
+            Willow::restore(serde_json::from_str(&json).expect("parse")).expect("restore");
+        let a = drive(&mut restored, n_apps, 30);
+        let b = drive(&mut twin, n_apps, 30);
+        assert_eq!(a, b, "the restored capture diverged from its JSON twin");
+        assert_eq!(restored.snapshot(), twin.snapshot());
     }
 
     /// The named field of a serialized object.

@@ -7,14 +7,13 @@ use willow_topology::{NodeId, Tree};
 
 /// Struct-of-arrays power state, indexed by PMU-tree arena index.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PowerState {
     /// Smoothed demand `CP_{l,i}` per node (leaves smoothed, interiors are
     /// sums of their children — the upward report path of Fig. 2).
     pub cp: Vec<Watts>,
     /// Allocated budget `TP_{l,i}` per node.
     pub tp: Vec<Watts>,
-    /// Previous period's budget (for reduction detection).
-    pub tp_old: Vec<Watts>,
     /// Hard cap per node (thermal limit ∧ circuit rating for leaves; sum of
     /// children caps for interior nodes).
     pub cap: Vec<Watts>,
@@ -28,7 +27,6 @@ impl Clone for PowerState {
         PowerState {
             cp: self.cp.clone(),
             tp: self.tp.clone(),
-            tp_old: self.tp_old.clone(),
             cap: self.cap.clone(),
             reduced: self.reduced.clone(),
         }
@@ -38,7 +36,6 @@ impl Clone for PowerState {
     fn clone_from(&mut self, source: &Self) {
         self.cp.clone_from(&source.cp);
         self.tp.clone_from(&source.tp);
-        self.tp_old.clone_from(&source.tp_old);
         self.cap.clone_from(&source.cap);
         self.reduced.clone_from(&source.reduced);
     }
@@ -52,7 +49,6 @@ impl PowerState {
         PowerState {
             cp: vec![Watts::ZERO; n],
             tp: vec![Watts::ZERO; n],
-            tp_old: vec![Watts::ZERO; n],
             cap: vec![Watts::ZERO; n],
             reduced: vec![false; n],
         }
@@ -67,7 +63,6 @@ impl PowerState {
         }
         self.cp.resize(n, Watts::ZERO);
         self.tp.resize(n, Watts::ZERO);
-        self.tp_old.resize(n, Watts::ZERO);
         self.cap.resize(n, Watts::ZERO);
         self.reduced.resize(n, false);
     }

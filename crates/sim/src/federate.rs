@@ -66,9 +66,9 @@ use crate::faults::ZoneOutageKind;
 
 /// Configuration of a federated run: one [`SimConfig`] per zone, the
 /// broker's defense tunables, and an optional federation-level fault
-/// schedule. Unknown keys are rejected, so a misspelt key fails instead
-/// of running with its default; the nested [`BrokerConfig`] stays
-/// lenient.
+/// schedule. Unknown keys are rejected, here and in the nested
+/// [`BrokerConfig`], so a misspelt key fails instead of running with its
+/// default.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct FederateConfig {

@@ -133,7 +133,10 @@ impl std::error::Error for TreeError {}
 /// lookups rather than tree walks. The derived indices are rebuilt on
 /// deserialization, not serialized; the wire format stays the historical
 /// `Vec<Node>` arena (see [`Tree::to_arena`]).
-#[derive(Debug, PartialEq, Eq)]
+///
+/// Immutable: the online edits return a new tree, so holders can share one
+/// behind an `Arc`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     /// Parent arena index per slot; `NO_PARENT` for the root and for
     /// detached tombstones.
@@ -157,38 +160,6 @@ pub struct Tree {
     /// `leaf_span[i] = (start, end)`: half-open range of `leaf_order`
     /// holding the leaves of the subtree rooted at arena index `i`.
     leaf_span: Vec<(u32, u32)>,
-}
-
-impl Clone for Tree {
-    fn clone(&self) -> Self {
-        Tree {
-            parents: self.parents.clone(),
-            levels: self.levels.clone(),
-            names: self.names.clone(),
-            child_start: self.child_start.clone(),
-            child_list: self.child_list.clone(),
-            level_start: self.level_start.clone(),
-            level_nodes: self.level_nodes.clone(),
-            root: self.root,
-            leaf_order: self.leaf_order.clone(),
-            leaf_span: self.leaf_span.clone(),
-        }
-    }
-
-    /// Field by field, so every `Vec` and every name `String` keeps its
-    /// capacity: copying a tree onto a same-shaped one allocates nothing.
-    fn clone_from(&mut self, source: &Self) {
-        self.parents.clone_from(&source.parents);
-        self.levels.clone_from(&source.levels);
-        self.names.clone_from(&source.names);
-        self.child_start.clone_from(&source.child_start);
-        self.child_list.clone_from(&source.child_list);
-        self.level_start.clone_from(&source.level_start);
-        self.level_nodes.clone_from(&source.level_nodes);
-        self.root = source.root;
-        self.leaf_order.clone_from(&source.leaf_order);
-        self.leaf_span.clone_from(&source.leaf_span);
-    }
 }
 
 impl Serialize for Tree {
@@ -664,13 +635,14 @@ impl Tree {
         self.ids().filter(move |&id| self.is_detached(id))
     }
 
-    /// Online insertion of a new leaf under level-1 parent `parent`.
+    /// Online insertion of a new leaf under level-1 parent `parent`:
+    /// returns the edited tree and the new leaf's id.
     ///
     /// The lowest detached tombstone slot is reused if one exists,
     /// otherwise the arena grows by one slot (callers holding
-    /// index-parallel state vectors must resize them to [`Tree::len`]
-    /// afterwards). All derived indices (levels, Euler-tour leaf order and
-    /// spans) are rebuilt, so range queries stay coherent.
+    /// index-parallel state vectors must resize them to the new tree's
+    /// [`Tree::len`]). All derived indices (levels, Euler-tour leaf order
+    /// and spans) are rebuilt, so range queries stay coherent.
     ///
     /// # Errors
     /// - [`TreeError::UnknownNode`] / [`TreeError::Detached`] — `parent`
@@ -678,9 +650,7 @@ impl Tree {
     /// - [`TreeError::NotAboveLeaves`] — `parent` is not a level-1 node,
     ///   so hanging a leaf off it would violate leaf-depth uniformity;
     /// - [`TreeError::DuplicateName`] — a live node already uses `name`.
-    ///
-    /// On error the tree is unchanged.
-    pub fn insert_leaf(&mut self, parent: NodeId, name: &str) -> Result<NodeId, TreeError> {
+    pub fn insert_leaf(&self, parent: NodeId, name: &str) -> Result<(Tree, NodeId), TreeError> {
         if parent.index() >= self.parents.len() {
             return Err(TreeError::UnknownNode(parent));
         }
@@ -716,12 +686,12 @@ impl Tree {
         node.level = 0;
         name.clone_into(&mut node.name);
         nodes[parent.index()].children.push(id);
-        *self =
-            Tree::from_arena(nodes, self.root).expect("validated edit keeps the arena well-formed");
-        Ok(id)
+        let tree = Tree::from_arena(nodes, self.root).expect("validated edit is well-formed");
+        Ok((tree, id))
     }
 
-    /// Online removal of leaf `leaf`, leaving a detached tombstone slot.
+    /// Online removal of leaf `leaf`: returns the edited tree, in which
+    /// `leaf` is a detached tombstone slot.
     ///
     /// The arena keeps its size (so index-parallel state vectors stay
     /// valid) and the slot is reusable by a later [`Tree::insert_leaf`].
@@ -735,9 +705,7 @@ impl Tree {
     /// - [`TreeError::LastChild`] — `leaf` is its parent's only child, so
     ///   removing it would turn the parent into a false leaf at the wrong
     ///   depth.
-    ///
-    /// On error the tree is unchanged.
-    pub fn remove_leaf(&mut self, leaf: NodeId) -> Result<(), TreeError> {
+    pub fn remove_leaf(&self, leaf: NodeId) -> Result<Tree, TreeError> {
         if leaf.index() >= self.parents.len() {
             return Err(TreeError::UnknownNode(leaf));
         }
@@ -761,9 +729,7 @@ impl Tree {
         node.children.clear();
         node.level = 0;
         node.name.clear();
-        *self =
-            Tree::from_arena(nodes, self.root).expect("validated edit keeps the arena well-formed");
-        Ok(())
+        Ok(Tree::from_arena(nodes, self.root).expect("validated edit is well-formed"))
     }
 }
 
@@ -988,8 +954,8 @@ mod tests {
 
     #[test]
     fn arena_round_trips_through_wire_format() {
-        let mut t = Tree::paper_fig3();
-        t.remove_leaf(t.find("server4").unwrap()).unwrap();
+        let fig3 = Tree::paper_fig3();
+        let t = fig3.remove_leaf(fig3.find("server4").unwrap()).unwrap();
         let rebuilt = Tree::from_arena(t.to_arena(), t.root()).unwrap();
         assert_eq!(rebuilt, t, "to_arena → from_arena is the identity");
     }
@@ -1023,18 +989,21 @@ mod tests {
 
     #[test]
     fn remove_then_insert_reuses_slot() {
-        let mut t = Tree::paper_fig3();
-        let n = t.len();
-        let victim = t.find("server5").unwrap();
-        let parent = t.parent(victim).unwrap();
-        t.remove_leaf(victim).unwrap();
+        let fig3 = Tree::paper_fig3();
+        let n = fig3.len();
+        let victim = fig3.find("server5").unwrap();
+        let parent = fig3.parent(victim).unwrap();
+        let t = fig3.remove_leaf(victim).unwrap();
+        assert_eq!(fig3, Tree::paper_fig3(), "the source tree is unchanged");
         assert_eq!(t.len(), n, "arena keeps its size");
         assert_eq!(t.live_len(), n - 1);
         assert!(t.is_detached(victim));
         assert_eq!(t.find("server5"), None);
         assert_coherent(&t);
 
-        let added = t.insert_leaf(parent, "server5b").unwrap();
+        let (grown, added) = t.insert_leaf(parent, "server5b").unwrap();
+        assert!(t.is_detached(victim), "the source tree is unchanged");
+        let t = grown;
         assert_eq!(added, victim, "lowest tombstone slot is reused");
         assert_eq!(t.len(), n);
         assert_eq!(t.live_len(), n);
@@ -1045,10 +1014,11 @@ mod tests {
 
     #[test]
     fn insert_without_tombstone_grows_arena() {
-        let mut t = Tree::paper_fig3();
-        let n = t.len();
-        let parent = t.parent(t.find("server1").unwrap()).unwrap();
-        let added = t.insert_leaf(parent, "server19").unwrap();
+        let fig3 = Tree::paper_fig3();
+        let n = fig3.len();
+        let parent = fig3.parent(fig3.find("server1").unwrap()).unwrap();
+        let (t, added) = fig3.insert_leaf(parent, "server19").unwrap();
+        assert_eq!(fig3, Tree::paper_fig3(), "the source tree is unchanged");
         assert_eq!(added.index(), n);
         assert_eq!(t.len(), n + 1);
         assert_eq!(t.children(parent).len(), 4);
@@ -1058,8 +1028,7 @@ mod tests {
 
     #[test]
     fn edit_errors_leave_tree_unchanged() {
-        let mut t = Tree::paper_testbed();
-        let before = t.clone();
+        let t = Tree::paper_testbed();
         let a = t.find("serverA").unwrap();
         let c = t.find("serverC").unwrap();
         let switch1 = t.parent(a).unwrap();
@@ -1086,17 +1055,16 @@ mod tests {
         assert_eq!(t.remove_leaf(switch1), Err(TreeError::NotALeaf(switch1)));
         let switch2 = t.parent(c).unwrap();
         assert_eq!(t.remove_leaf(c), Err(TreeError::LastChild(switch2)));
-        assert_eq!(t, before, "every rejected edit is a no-op");
 
-        t.remove_leaf(a).unwrap();
+        let t = t.remove_leaf(a).unwrap();
         assert_eq!(t.remove_leaf(a), Err(TreeError::Detached(a)));
         assert_eq!(t.insert_leaf(a, "x"), Err(TreeError::Detached(a)));
     }
 
     #[test]
     fn tree_with_tombstones_serde_round_trips() {
-        let mut t = Tree::paper_fig3();
-        t.remove_leaf(t.find("server7").unwrap()).unwrap();
+        let fig3 = Tree::paper_fig3();
+        let t = fig3.remove_leaf(fig3.find("server7").unwrap()).unwrap();
         let json = serde_json::to_string(&t).unwrap();
         let back: Tree = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t, "tombstones and derived indices survive serde");
@@ -1105,8 +1073,8 @@ mod tests {
 
     #[test]
     fn malformed_detached_arena_is_rejected() {
-        let mut t = Tree::paper_fig3();
-        t.remove_leaf(t.find("server7").unwrap()).unwrap();
+        let fig3 = Tree::paper_fig3();
+        let t = fig3.remove_leaf(fig3.find("server7").unwrap()).unwrap();
         let json = serde_json::to_string(&t).unwrap();
         // Re-point the tombstone's parent at the root without relinking it
         // as a child: unreachable but carrying links — must be rejected.
@@ -1126,13 +1094,18 @@ mod tests {
         for round in 0..3 {
             let name_a = format!("extra-a{round}");
             let name_b = format!("extra-b{round}");
-            let a = t.insert_leaf(l1[0], &name_a).unwrap();
-            let b = t.insert_leaf(l1[1], &name_b).unwrap();
+            let (with_a, a) = t.insert_leaf(l1[0], &name_a).unwrap();
+            let (with_b, b) = with_a.insert_leaf(l1[1], &name_b).unwrap();
+            assert_coherent(&with_b);
+            let without_a = with_b.remove_leaf(a).unwrap();
+            assert_coherent(&without_a);
+            t = without_a.remove_leaf(b).unwrap();
             assert_coherent(&t);
-            t.remove_leaf(a).unwrap();
-            assert_coherent(&t);
-            t.remove_leaf(b).unwrap();
-            assert_coherent(&t);
+            assert_eq!(
+                with_b.live_len(),
+                1 + 2 + 4 + 2,
+                "each edit leaves its source"
+            );
         }
         assert_eq!(t.live_len(), 1 + 2 + 4);
     }

@@ -142,9 +142,13 @@ proptest! {
                 let parent = parents[pick % parents.len()];
                 let expected_slot = tree.detached_slots().next();
                 let len_before = tree.len();
-                let id = tree
-                    .insert_leaf(parent, &format!("re{next_name}"))
+                let name = format!("re{next_name}");
+                let (edited, id) = tree
+                    .insert_leaf(parent, &name)
                     .expect("a live level-1 parent accepts a fresh name");
+                prop_assert!(tree.find(&name).is_none(), "the source tree is unchanged");
+                prop_assert_eq!(tree.len(), len_before);
+                tree = edited;
                 next_name += 1;
                 match expected_slot {
                     Some(slot) => {
@@ -166,7 +170,9 @@ proptest! {
                 let parent = tree.parent(leaf).expect("leaves are not the root");
                 let len_before = tree.len();
                 match tree.remove_leaf(leaf) {
-                    Ok(()) => {
+                    Ok(edited) => {
+                        prop_assert!(!tree.is_detached(leaf), "the source tree is unchanged");
+                        tree = edited;
                         prop_assert!(tree.is_detached(leaf));
                         prop_assert_eq!(tree.len(), len_before, "removal tombstones, never shrinks");
                         detached.push(leaf);
