@@ -5,7 +5,7 @@
 //! choice the paper makes: comparison points on the packer axis of the
 //! `repro ablate` policy grid.
 
-use crate::packing::{desc_order, validate_instance, Packer, Packing, FIT_EPSILON};
+use crate::packing::{desc_order_into, sealed::Heuristic, PackScratch, Packer, FIT_EPSILON};
 
 /// Next-Fit: keep one open bin; if the item does not fit, move to the next
 /// bin and never look back. `O(n + m)`.
@@ -13,9 +13,19 @@ use crate::packing::{desc_order, validate_instance, Packer, Packing, FIT_EPSILON
 pub struct NextFit;
 
 impl Packer for NextFit {
-    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
-        validate_instance(items, bins);
-        let mut assignment = vec![None; items.len()];
+    fn name(&self) -> &'static str {
+        "next-fit"
+    }
+}
+
+impl Heuristic for NextFit {
+    fn place(
+        &self,
+        items: &[f64],
+        bins: &[f64],
+        _scratch: &mut PackScratch,
+        assignment: &mut [Option<usize>],
+    ) {
         let mut current = 0usize;
         let mut remaining: Option<f64> = bins.first().copied();
         for (i, &size) in items.iter().enumerate() {
@@ -29,11 +39,6 @@ impl Packer for NextFit {
                 remaining = bins.get(current).copied();
             }
         }
-        Packing::from_assignment(assignment)
-    }
-
-    fn name(&self) -> &'static str {
-        "next-fit"
     }
 }
 
@@ -44,24 +49,34 @@ impl Packer for NextFit {
 pub struct FirstFitDecreasing;
 
 impl Packer for FirstFitDecreasing {
-    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
-        validate_instance(items, bins);
-        let item_order = desc_order(items);
-        let bin_order = desc_order(bins);
-        let mut free: Vec<f64> = bins.to_vec();
-        let mut assignment = vec![None; items.len()];
-        for &i in &item_order {
-            let size = items[i];
-            if let Some(&b) = bin_order.iter().find(|&&b| size <= free[b] + FIT_EPSILON) {
-                assignment[i] = Some(b);
-                free[b] -= size;
-            }
-        }
-        Packing::from_assignment(assignment)
-    }
-
     fn name(&self) -> &'static str {
         "ffd"
+    }
+}
+
+impl Heuristic for FirstFitDecreasing {
+    fn place(
+        &self,
+        items: &[f64],
+        bins: &[f64],
+        s: &mut PackScratch,
+        assignment: &mut [Option<usize>],
+    ) {
+        desc_order_into(items, &mut s.item_order);
+        desc_order_into(bins, &mut s.bin_order);
+        s.free.clear();
+        s.free.extend_from_slice(bins);
+        for &i in &s.item_order {
+            let size = items[i];
+            if let Some(&b) = s
+                .bin_order
+                .iter()
+                .find(|&&b| size <= s.free[b] + FIT_EPSILON)
+            {
+                assignment[i] = Some(b);
+                s.free[b] -= size;
+            }
+        }
     }
 }
 
@@ -71,28 +86,35 @@ impl Packer for FirstFitDecreasing {
 pub struct BestFitDecreasing;
 
 impl Packer for BestFitDecreasing {
-    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
-        validate_instance(items, bins);
-        let item_order = desc_order(items);
-        let mut free: Vec<f64> = bins.to_vec();
-        let mut assignment = vec![None; items.len()];
-        for &i in &item_order {
+    fn name(&self) -> &'static str {
+        "bfd"
+    }
+}
+
+impl Heuristic for BestFitDecreasing {
+    fn place(
+        &self,
+        items: &[f64],
+        bins: &[f64],
+        s: &mut PackScratch,
+        assignment: &mut [Option<usize>],
+    ) {
+        desc_order_into(items, &mut s.item_order);
+        s.free.clear();
+        s.free.extend_from_slice(bins);
+        for &i in &s.item_order {
             let size = items[i];
-            let best = free
+            let best = s
+                .free
                 .iter()
                 .enumerate()
                 .filter(|(_, &f)| size <= f + FIT_EPSILON)
                 .min_by(|(ai, a), (bi, b)| a.total_cmp(b).then(ai.cmp(bi)));
             if let Some((b, _)) = best {
                 assignment[i] = Some(b);
-                free[b] -= size;
+                s.free[b] -= size;
             }
         }
-        Packing::from_assignment(assignment)
-    }
-
-    fn name(&self) -> &'static str {
-        "bfd"
     }
 }
 

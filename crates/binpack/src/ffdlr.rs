@@ -17,34 +17,50 @@
 //! `O(n log n)` for `n = items + bins`, and the solution is within
 //! `(3/2)·OPT + 1` bins of optimal.
 
-use crate::packing::{desc_order, validate_instance, Packer, Packing, FIT_EPSILON};
+use crate::packing::{desc_order_into, sealed::Heuristic, PackScratch, Packer, FIT_EPSILON};
 
 /// The FFDLR packer. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ffdlr;
 
 impl Packer for Ffdlr {
-    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
-        validate_instance(items, bins);
-        if items.is_empty() || bins.is_empty() {
-            return Packing::from_assignment(vec![None; items.len()]);
-        }
+    fn name(&self) -> &'static str {
+        "ffdlr"
+    }
+}
 
+impl Heuristic for Ffdlr {
+    fn place(
+        &self,
+        items: &[f64],
+        bins: &[f64],
+        s: &mut PackScratch,
+        assignment: &mut [Option<usize>],
+    ) {
         // Phase 1: first-fit decreasing over bins in decreasing capacity
         // order ("pack into the first bin of size 1", i.e. largest first).
         // Normalization by the largest bin is implicit: only relative order
-        // and fit tests matter and both are scale-invariant.
-        let item_order = desc_order(items);
-        let bin_order = desc_order(bins);
-        let mut free: Vec<f64> = bins.to_vec();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); bins.len()];
-        let mut placed_any = vec![false; items.len()];
-        for &i in &item_order {
+        // and fit tests matter and both are scale-invariant. Each item's
+        // phase-1 bin goes into `assignment`, and each bin's group total
+        // is summed in placement order (the order a fresh left-to-right
+        // sum over the group would take; float sums depend on order).
+        desc_order_into(items, &mut s.item_order);
+        desc_order_into(bins, &mut s.bin_order);
+        s.free.clear();
+        s.free.extend_from_slice(bins);
+        s.group_total.clear();
+        s.group_total.resize(bins.len(), None);
+        for &i in &s.item_order {
             let size = items[i];
-            if let Some(&b) = bin_order.iter().find(|&&b| size <= free[b] + FIT_EPSILON) {
-                free[b] -= size;
-                groups[b].push(i);
-                placed_any[i] = true;
+            if let Some(&b) = s
+                .bin_order
+                .iter()
+                .find(|&&b| size <= s.free[b] + FIT_EPSILON)
+            {
+                s.free[b] -= size;
+                let total = &mut s.group_total[b];
+                *total = Some(total.map_or(size, |t| t + size));
+                assignment[i] = Some(b);
             }
         }
 
@@ -53,21 +69,29 @@ impl Packer for Ffdlr {
         // taking the smallest feasible unused bin is always feasible: the
         // phase-1 assignment itself is a witness matching, and exchanging
         // any two bins that serve smaller-total groups preserves fit.
-        let mut group_totals: Vec<(usize, f64)> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(b, g)| (b, g.iter().map(|&i| items[i]).sum::<f64>()))
-            .collect();
-        group_totals.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        // `pack_into` runs this body only when some item fits, so phase 1
+        // formed at least one group.
+        s.groups.clear();
+        s.groups.extend(
+            s.group_total
+                .iter()
+                .enumerate()
+                .filter_map(|(b, t)| t.map(|t| (b, t))),
+        );
+        s.groups
+            .sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
         // Bins in ascending capacity for smallest-fit lookup.
-        let mut asc_bins: Vec<usize> = (0..bins.len()).collect();
-        asc_bins.sort_by(|&a, &b| bins[a].total_cmp(&bins[b]).then(a.cmp(&b)));
-        let mut used = vec![false; bins.len()];
+        s.bin_order.clear();
+        s.bin_order.extend(0..bins.len());
+        s.bin_order
+            .sort_unstable_by(|&a, &b| bins[a].total_cmp(&bins[b]).then(a.cmp(&b)));
+        s.used.clear();
+        s.used.resize(bins.len(), false);
+        s.target.clear();
+        s.target.resize(bins.len(), None);
 
-        let mut assignment = vec![None; items.len()];
-        for (orig_bin, total) in group_totals {
+        for &(orig_bin, total) in &s.groups {
             // The exchange argument above makes the smallest-feasible lookup
             // succeed for *exact* arithmetic, but `total` is a fresh
             // left-to-right sum while phase 1 subtracted sizes sequentially:
@@ -77,7 +101,9 @@ impl Packer for Ffdlr {
             // (double-booking overfills the bin by a whole group, not an
             // ULP), so each step checks `used` and the last resort sheds the
             // group instead.
-            let target = asc_bins
+            let used = &s.used;
+            let target = s
+                .bin_order
                 .iter()
                 .copied()
                 .find(|&b| !used[b] && total <= bins[b] + FIT_EPSILON)
@@ -87,7 +113,7 @@ impl Packer for Ffdlr {
                 // Any unused bin at least as large as the witness bin also
                 // holds the group.
                 .or_else(|| {
-                    asc_bins
+                    s.bin_order
                         .iter()
                         .copied()
                         .find(|&b| !used[b] && bins[b] >= bins[orig_bin])
@@ -96,17 +122,14 @@ impl Packer for Ffdlr {
             // `None`: shed the group (leave its items unplaced) rather than
             // overbook.
             if let Some(target) = target {
-                used[target] = true;
-                for &i in &groups[orig_bin] {
-                    assignment[i] = Some(target);
-                }
+                s.used[target] = true;
             }
+            s.target[orig_bin] = target;
         }
-        Packing::from_assignment(assignment)
-    }
-
-    fn name(&self) -> &'static str {
-        "ffdlr"
+        // Move every item from its phase-1 bin to its group's target.
+        for a in assignment.iter_mut() {
+            *a = a.and_then(|b| s.target[b]);
+        }
     }
 }
 

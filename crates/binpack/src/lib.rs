@@ -12,7 +12,10 @@
 //! This crate implements FFDLR plus the classic baselines (First-Fit
 //! Decreasing, Best-Fit Decreasing, Next-Fit) behind one [`Packer`] trait,
 //! selected by [`PackerStrategy`], and an exact brute-force reference for
-//! small instances. All packers are deterministic.
+//! small instances. All packers are deterministic, and all run through one
+//! entry point, [`Packer::pack_into`], which writes into caller-owned
+//! buffers ([`PackScratch`] and an assignment vector) and returns at once
+//! when no item can fit any bin.
 //!
 //! Sizes are plain non-negative `f64`s — callers normalize from watts; the
 //! algorithms never assume unit bins except where the underlying guarantee
@@ -21,12 +24,19 @@
 //! # Example
 //!
 //! ```
-//! use willow_binpack::{Ffdlr, Packer};
+//! use willow_binpack::{Ffdlr, PackScratch, Packer};
 //!
 //! // Demands of 30, 20 and 10 W must fit into surpluses of 35 and 30 W.
 //! let packing = Ffdlr.pack(&[30.0, 20.0, 10.0], &[35.0, 30.0]);
 //! assert!(packing.unplaced.is_empty());
 //! assert!(packing.is_valid(&[30.0, 20.0, 10.0], &[35.0, 30.0]));
+//!
+//! // The same through reused buffers; a 40 W demand fits no surplus.
+//! let (mut scratch, mut assignment) = (PackScratch::default(), Vec::new());
+//! Ffdlr.pack_into(&[30.0, 20.0, 10.0], &[35.0, 30.0], &mut scratch, &mut assignment);
+//! assert_eq!(assignment, packing.assignment);
+//! Ffdlr.pack_into(&[40.0], &[35.0, 30.0], &mut scratch, &mut assignment);
+//! assert_eq!(assignment, vec![None]);
 //! ```
 
 #![warn(missing_docs)]
@@ -41,5 +51,5 @@ pub mod select;
 pub use baselines::{BestFitDecreasing, FirstFitDecreasing, NextFit};
 pub use exact::optimal_bins_used;
 pub use ffdlr::Ffdlr;
-pub use packing::{Packer, Packing, FIT_EPSILON};
+pub use packing::{PackScratch, Packer, Packing, FIT_EPSILON};
 pub use select::{packer_for, PackerStrategy};

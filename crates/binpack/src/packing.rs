@@ -111,6 +111,58 @@ impl fmt::Display for Packing {
     }
 }
 
+/// Reusable working memory for [`Packer::pack_into`]: the item and bin
+/// orders, each bin's free capacity, and FFDLR's phase-1 groups kept as
+/// flat per-bin columns. Every buffer is cleared (capacity retained) and
+/// refilled per instance, so once a scratch has seen instances as large as
+/// the current one, packing allocates nothing. A fresh scratch and a warm
+/// one give the same result: nothing is carried between instances.
+#[derive(Debug, Default)]
+pub struct PackScratch {
+    /// Item indices in visiting order (descending size for the decreasing
+    /// packers).
+    pub(crate) item_order: Vec<usize>,
+    /// Bin indices in visiting order (descending capacity for FFD and
+    /// FFDLR's phase 1, ascending for FFDLR's repack).
+    pub(crate) bin_order: Vec<usize>,
+    /// Remaining capacity per bin; starts at the bin's capacity and only
+    /// goes down.
+    pub(crate) free: Vec<f64>,
+    /// FFDLR: per bin, the total of its phase-1 group summed in placement
+    /// order (`None`: the bin received nothing).
+    pub(crate) group_total: Vec<Option<f64>>,
+    /// FFDLR: the non-empty groups as `(phase-1 bin, total)`, in repack
+    /// order.
+    pub(crate) groups: Vec<(usize, f64)>,
+    /// FFDLR: per bin, whether a repacked group already claimed it.
+    pub(crate) used: Vec<bool>,
+    /// FFDLR: per phase-1 bin, the bin its group repacks into (`None`: the
+    /// group is shed).
+    pub(crate) target: Vec<Option<usize>>,
+}
+
+/// The heuristic bodies behind [`Packer::pack_into`], in a module no other
+/// crate can name: only this crate's packers implement [`Packer`], and no
+/// caller can run a body without the entry point's validation.
+pub(crate) mod sealed {
+    use super::PackScratch;
+
+    /// One packing heuristic's body.
+    pub trait Heuristic {
+        /// Place `items` into `bins`, writing `assignment` (all-`None` on
+        /// entry, one entry per item). Called only on a validated instance
+        /// with at least one item, one bin, and an item that fits the
+        /// largest bin, so the body always places something.
+        fn place(
+            &self,
+            items: &[f64],
+            bins: &[f64],
+            scratch: &mut PackScratch,
+            assignment: &mut [Option<usize>],
+        );
+    }
+}
+
 /// A bin-packing algorithm over variable-sized bins.
 ///
 /// Implementations must be deterministic and must uphold:
@@ -118,16 +170,60 @@ impl fmt::Display for Packing {
 /// * items and bins are addressed by their input indices,
 /// * zero-size items are always placeable (into any bin, if one exists).
 ///
+/// Every packer runs through the one entry point, [`Packer::pack_into`].
+/// The trait is sealed: the four packers of this crate are its only
+/// implementations.
+///
 /// # Panics
-/// Implementations panic on negative or non-finite sizes/capacities —
-/// demands and surpluses are physical watt quantities and the caller must
-/// have clamped them already.
-pub trait Packer {
-    /// Pack `items` (sizes) into `bins` (capacities).
-    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing;
-
+/// Packing panics on negative or non-finite sizes/capacities — demands and
+/// surpluses are physical watt quantities and the caller must have clamped
+/// them already.
+pub trait Packer: sealed::Heuristic {
     /// Name for reports and benchmarks.
     fn name(&self) -> &'static str;
+
+    /// Pack `items` (sizes) into `bins` (capacities), writing one entry per
+    /// item into `assignment` (`Some(b)`: item placed in bin `b`) and
+    /// using `scratch` as working memory. In three steps:
+    ///
+    /// 1. reset `assignment` to all-`None`;
+    /// 2. validate the instance (every instance, hopeless ones included);
+    /// 3. return straight away when no item can be placed: no items, no
+    ///    bins, or the smallest item larger than the largest bin by more
+    ///    than [`FIT_EPSILON`]. Otherwise run the heuristic.
+    ///
+    /// Step 3 is exact for every packer: a bin's free capacity starts at
+    /// its capacity and only goes down, so an item that fits no bin at the
+    /// start fits none later. When even the smallest item fits nowhere,
+    /// nothing is ever placed (and FFDLR forms no group to repack), which
+    /// is the all-`None` answer step 1 already wrote.
+    fn pack_into(
+        &self,
+        items: &[f64],
+        bins: &[f64],
+        scratch: &mut PackScratch,
+        assignment: &mut Vec<Option<usize>>,
+    ) {
+        assignment.clear();
+        assignment.resize(items.len(), None);
+        validate_instance(items, bins);
+        let smallest = items.iter().copied().fold(f64::INFINITY, f64::min);
+        let largest = bins.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // No items leave `smallest` at +inf and no bins leave `largest` at
+        // -inf, so both empty cases return here too.
+        if smallest > largest + FIT_EPSILON {
+            return;
+        }
+        self.place(items, bins, scratch, assignment);
+    }
+
+    /// Pack into a fresh [`Packing`]: [`Packer::pack_into`] with its own
+    /// scratch, for callers off the hot path.
+    fn pack(&self, items: &[f64], bins: &[f64]) -> Packing {
+        let mut assignment = Vec::new();
+        self.pack_into(items, bins, &mut PackScratch::default(), &mut assignment);
+        Packing::from_assignment(assignment)
+    }
 }
 
 /// Shared input validation for all packers.
@@ -142,11 +238,13 @@ pub(crate) fn validate_instance(items: &[f64], bins: &[f64]) {
     );
 }
 
-/// Indices sorted by size descending (ties broken by index for determinism).
-pub(crate) fn desc_order(sizes: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by(|&a, &b| sizes[b].total_cmp(&sizes[a]).then(a.cmp(&b)));
-    order
+/// Fill `order` with the indices of `sizes` sorted by size descending
+/// (ties broken by index, so the order is total and the unstable sort is
+/// deterministic and allocation-free).
+pub(crate) fn desc_order_into(sizes: &[f64], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..sizes.len());
+    order.sort_unstable_by(|&a, &b| sizes[b].total_cmp(&sizes[a]).then(a.cmp(&b)));
 }
 
 #[cfg(test)]
@@ -183,7 +281,9 @@ mod tests {
 
     #[test]
     fn desc_order_is_stable_on_ties() {
-        assert_eq!(desc_order(&[1.0, 3.0, 3.0, 2.0]), vec![1, 2, 3, 0]);
+        let mut order = vec![7; 9];
+        desc_order_into(&[1.0, 3.0, 3.0, 2.0], &mut order);
+        assert_eq!(order, vec![1, 2, 3, 0]);
     }
 
     #[test]

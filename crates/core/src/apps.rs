@@ -88,6 +88,47 @@ pub struct AppTable {
     tail: Vec<u32>,
 }
 
+/// Every server's app list, read through the table's `next` and `head`
+/// columns. Each app is on exactly one list.
+#[derive(Clone, Copy)]
+pub(crate) struct AppLists<'a> {
+    next: &'a [u32],
+    head: &'a [u32],
+}
+
+impl<'a> AppLists<'a> {
+    /// The apps on server `server`, in list order.
+    pub(crate) fn on(self, server: usize) -> impl Iterator<Item = AppId> + 'a {
+        let link = |id: u32| (id != NONE).then_some(id);
+        std::iter::successors(link(self.head[server]), move |&id| {
+            link(self.next[id as usize])
+        })
+        .map(AppId)
+    }
+
+    /// Hand this period's raw demand of every app on `server`, read from
+    /// `input` (indexed by `AppId.0`), to `record` as `(row, demand)`, and
+    /// return the demands' sum in list order.
+    ///
+    /// # Panics
+    /// Panics if `input` does not cover an app on `server`.
+    pub(crate) fn observe(
+        self,
+        server: usize,
+        input: &[Watts],
+        mut record: impl FnMut(usize, Watts),
+    ) -> Watts {
+        self.on(server)
+            .map(|id| {
+                let id = id.0 as usize;
+                assert!(id < input.len(), "demand vector too short for app{id}");
+                record(id, input[id]);
+                input[id]
+            })
+            .sum()
+    }
+}
+
 impl Clone for AppTable {
     fn clone(&self) -> Self {
         let mut out = AppTable::default();
@@ -274,11 +315,24 @@ impl AppTable {
 
     /// The apps on server `server`, in list order.
     pub fn on(&self, server: usize) -> impl Iterator<Item = AppId> + '_ {
-        let link = |id: u32| (id != NONE).then_some(id);
-        std::iter::successors(link(self.head[server]), move |&id| {
-            link(self.next[id as usize])
-        })
-        .map(AppId)
+        AppLists {
+            next: &self.next,
+            head: &self.head,
+        }
+        .on(server)
+    }
+
+    /// Every server's app list and the demand column, borrowed apart, so a
+    /// sharded pass can walk each server's list while it writes the demands
+    /// of that server's apps.
+    pub(crate) fn lists_and_demand(&mut self) -> (AppLists<'_>, &mut [Watts]) {
+        (
+            AppLists {
+                next: &self.next,
+                head: &self.head,
+            },
+            &mut self.demand,
+        )
     }
 
     /// Whether server `server` hosts any app.
@@ -306,19 +360,8 @@ impl AppTable {
     /// # Panics
     /// Panics if `input` does not cover an app on `server`.
     pub(crate) fn observe(&mut self, server: usize, input: &[Watts]) -> Watts {
-        let (next, demand) = (&self.next, &mut self.demand);
-        let mut cur = self.head[server];
-        std::iter::from_fn(|| {
-            if cur == NONE {
-                return None;
-            }
-            let id = cur as usize;
-            assert!(id < input.len(), "demand vector too short for app{id}");
-            cur = next[id];
-            demand[id] = input[id];
-            Some(input[id])
-        })
-        .sum()
+        let (lists, demand) = self.lists_and_demand();
+        lists.observe(server, input, |id, w| demand[id] = w)
     }
 
     /// Move `id` to the tail of `server`'s list.

@@ -26,7 +26,7 @@
 use super::shard::{shard_range, RawSlice};
 use super::Willow;
 use crate::migration::{MigrationReason, MigrationRecord};
-use willow_binpack::packer_for;
+use willow_binpack::{packer_for, PackScratch};
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 use willow_workload::app::AppId;
@@ -58,12 +58,8 @@ pub(crate) struct DemandStage {
     /// Items of the group currently being packed (backoff items filtered
     /// straight to the leftovers).
     pub(super) group: Vec<DeficitItem>,
-    /// Candidate target leaves for one packing instance.
-    pub(super) bins: Vec<NodeId>,
-    /// Remaining capacity per candidate bin.
-    pub(super) bin_caps: Vec<f64>,
-    /// Effective item sizes for one packing instance.
-    pub(super) sizes: Vec<f64>,
+    /// The buffers of one packing instance.
+    pub(super) pack: PackBuffers,
     /// Per-shard deficit collections, concatenated in shard order (shard
     /// ranges tile ascending server indices, so the concatenation is the
     /// serial collection order).
@@ -73,6 +69,23 @@ pub(crate) struct DemandStage {
     pub(super) shard_order: Vec<Vec<(usize, AppId)>>,
     /// Migration-target eligibility, resolved once per stage run.
     pub(super) eligibility: Eligibility,
+}
+
+/// The buffers of one packing instance, refilled per instance: the
+/// candidate bins and their capacities, the item sizes, and the packer's
+/// scratch and answer.
+#[derive(Debug, Default)]
+pub(super) struct PackBuffers {
+    /// Candidate target leaves.
+    bins: Vec<NodeId>,
+    /// Remaining capacity per candidate bin.
+    bin_caps: Vec<f64>,
+    /// Effective item sizes.
+    sizes: Vec<f64>,
+    /// The packer's working memory.
+    scratch: PackScratch,
+    /// The packer's answer: the bin of each item, if any.
+    assignment: Vec<Option<usize>>,
 }
 
 /// Migration-target eligibility of every leaf (`active ∧ unfenced ∧
@@ -115,8 +128,11 @@ impl DemandStage {
     pub(super) fn for_tree(tree: &Tree) -> Self {
         let leaves = tree.leaves().count();
         DemandStage {
-            bins: Vec::with_capacity(leaves),
-            bin_caps: Vec::with_capacity(leaves),
+            pack: PackBuffers {
+                bins: Vec::with_capacity(leaves),
+                bin_caps: Vec::with_capacity(leaves),
+                ..PackBuffers::default()
+            },
             eligibility: Eligibility::for_tree(tree),
             ..DemandStage::default()
         }
@@ -207,9 +223,7 @@ impl Willow {
                     NodeId(child_idx),
                     &stage.group,
                     &mut stage.next_pending,
-                    &mut stage.bins,
-                    &mut stage.bin_caps,
-                    &mut stage.sizes,
+                    &mut stage.pack,
                     &stage.eligibility,
                     tick,
                     records,
@@ -388,32 +402,37 @@ impl Willow {
         child: NodeId,
         items: &[DeficitItem],
         leftovers: &mut Vec<DeficitItem>,
-        bins: &mut Vec<NodeId>,
-        bin_caps: &mut Vec<f64>,
-        sizes: &mut Vec<f64>,
+        pack: &mut PackBuffers,
         eligibility: &Eligibility,
         tick: u64,
         records: &mut Vec<MigrationRecord>,
     ) {
-        self.target_bins(pmu, child, eligibility, bins);
-        if bins.is_empty() {
+        self.target_bins(pmu, child, eligibility, &mut pack.bins);
+        if pack.bins.is_empty() {
             leftovers.extend_from_slice(items);
             return;
         }
-        bin_caps.clear();
-        bin_caps.extend(bins.iter().map(|&l| self.bin_capacity(l).0));
-        sizes.clear();
-        sizes.extend(items.iter().map(|it| self.effective_size(it.demand)));
+        pack.bin_caps.clear();
+        pack.bin_caps
+            .extend(pack.bins.iter().map(|&l| self.bin_capacity(l).0));
+        pack.sizes.clear();
+        pack.sizes
+            .extend(items.iter().map(|it| self.effective_size(it.demand)));
         self.stats.packing_instances += 1;
-        self.stats.items_offered += sizes.len() as u64;
-        self.stats.bins_offered += bin_caps.len() as u64;
+        self.stats.items_offered += pack.sizes.len() as u64;
+        self.stats.bins_offered += pack.bin_caps.len() as u64;
         // Every packer is a zero-sized type, so this box never allocates.
-        let packing = packer_for(self.config.packer).pack(sizes, bin_caps);
+        packer_for(self.config.packer).pack_into(
+            &pack.sizes,
+            &pack.bin_caps,
+            &mut pack.scratch,
+            &mut pack.assignment,
+        );
 
         for (i, item) in items.iter().enumerate() {
-            match packing.assignment[i] {
+            match pack.assignment[i] {
                 Some(b) => {
-                    let target_leaf = bins[b];
+                    let target_leaf = pack.bins[b];
                     // Property 4 / ping-pong avoidance: never bounce an app
                     // straight back to the host it recently left — defer it
                     // to the next level (other bins) or shed it instead.

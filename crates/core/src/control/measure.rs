@@ -1,12 +1,13 @@
 //! Pipeline stage 1 — measurement: raw per-app demands are smoothed
 //! (Eq. 4) into leaf `CP` values and aggregated up the tree.
 //!
-//! Each active server's app demands are first recorded in the app table
-//! and summed in list order, serially. The per-server half (smoothing, the
-//! row's own `local_cp`, its planning series, the hierarchy's leaf `CP`)
-//! then shards across the worker pool: each roster row and planning series
-//! is touched by exactly one shard, and the one arena-indexed store,
-//! `power.cp`, is gated on
+//! The per-server half runs as one sharded pass over the roster: each
+//! active row records its apps' demands in the app table and re-sums them
+//! in list order, then smooths, sets its own `local_cp`, feeds its
+//! planning series and writes the hierarchy's leaf `CP`. Each roster row
+//! and planning series is touched by exactly one shard; an app is on
+//! exactly one server's list, so the scattered app-demand writes never
+//! overlap either. The one arena-indexed store, `power.cp`, is gated on
 //! slot ownership (`leaf_server[leaf] == Some(si)`) so a retired row whose
 //! leaf slot was reused by a later-added server can never race — or
 //! clobber — the live owner's entry. The upward aggregation stays serial
@@ -29,8 +30,10 @@ impl Willow {
         let threads = self.pool.threads();
         let reports_lost = AtomicUsize::new(0);
         debug_assert_eq!(self.planning.leaves.len(), n, "planning tracks the roster");
-        self.observe_app_demands(app_demand);
         {
+            let (lists, demand) = self.apps.lists_and_demand();
+            let apps_len = demand.len();
+            let demand = RawSlice::new(demand);
             let servers = RawSlice::new(&mut self.servers);
             let cp = RawSlice::new(&mut self.power.cp);
             let planning = RawSlice::new(&mut self.planning.leaves);
@@ -50,6 +53,15 @@ impl Willow {
                     let si = range.start + off;
                     let leaf = server.node.index();
                     server.local_cp = if server.active {
+                        server.app_power = lists.observe(si, app_demand, |id, w| {
+                            assert!(id < apps_len, "app{id} listed past the app table");
+                            // SAFETY: `id` is in bounds (checked above), and
+                            // an app is on exactly one server's list, so no
+                            // two rows write the same demand entry.
+                            unsafe {
+                                *demand.get_mut(id) = w;
+                            }
+                        });
                         let smoothed = server.smooth(gains);
                         debug_assert_eq!(leaf_server[leaf], Some(si), "active rows own a slot");
                         if disturb.report_lost(si) {
@@ -97,26 +109,15 @@ impl Willow {
     /// controller's). Stays serial: the open-loop path models per-leaf
     /// firmware, not the controller's hot loop.
     pub(super) fn measure_open_loop(&mut self, app_demand: &[Watts]) {
-        self.observe_app_demands(app_demand);
         let gains = self.config.gains();
-        for server in &mut self.servers {
+        for (si, server) in self.servers.iter_mut().enumerate() {
             server.local_cp = if server.active {
+                server.app_power = self.apps.observe(si, app_demand);
                 server.smooth(gains)
             } else {
                 Watts::ZERO
             };
             server.pending_cost = Watts::ZERO;
-        }
-    }
-
-    /// Record this period's raw demand of every app on an active server
-    /// and re-sum each active server's hosted-app power. A sleeping
-    /// server's apps keep their last reading.
-    fn observe_app_demands(&mut self, app_demand: &[Watts]) {
-        for (si, server) in self.servers.iter_mut().enumerate() {
-            if server.active {
-                server.app_power = self.apps.observe(si, app_demand);
-            }
         }
     }
 }

@@ -71,9 +71,10 @@ impl Willow {
         let n = self.servers.len();
         let threads = self.pool.threads();
         let mut stage = std::mem::take(&mut self.physics_stage);
-        stage.shortfall.clear();
+        // Resized, not cleared: phase A writes every row's shortfall, and
+        // phase B reads a row's shed plan only where its shortfall is
+        // positive, which is exactly where phase A wrote it.
         stage.shortfall.resize(n, 0.0);
-        stage.shed.clear();
         stage.shed.resize(n, [Watts::ZERO; 3]);
         stage.leaf_units.resize(self.tree.len(), 0.0);
         report.server_power.resize(n, Watts::ZERO);

@@ -153,33 +153,49 @@ impl Willow {
     ///
     /// Only the per-server cap refresh shards across the pool (it is the
     /// `O(servers)` half, with an exponential per server under
-    /// `WindowPrediction`). The top-down division, the watchdog pass and
-    /// the reduced-flag pass stay serial: the division is inherently
-    /// level-sequential and the other two are cheap linear scans whose
-    /// counter updates would need ordering anyway.
+    /// `WindowPrediction`); the same pass clears the watchdog of every
+    /// leaf whose directive gets through. The top-down division, the
+    /// missed-directive pass and the reduced-flag pass stay serial: the
+    /// division is inherently level-sequential, the missed-directive pass
+    /// visits only the rows the fault vectors cover, and the reduced flags
+    /// are one cheap scan over the tree.
     #[allow(unsafe_code)] // disjoint shard slicing; see `super::shard`
     pub(super) fn supply_adaptation(&mut self, supply: Watts, stage: &mut SupplyStage) {
         let n = self.servers.len();
         let threads = self.pool.threads();
         {
             let cap = RawSlice::new(&mut self.power.cap);
-            let servers = &self.servers;
+            let servers = RawSlice::new(&mut self.servers);
             let decay_ds = &self.decay_ds;
             let config = &self.config;
             let leaf_server = &self.leaf_server;
+            let disturb = &self.disturb;
             self.pool.run(&|k| {
-                for si in shard_range(n, threads, k) {
-                    let leaf = servers[si].node.index();
+                let range = shard_range(n, threads, k);
+                // SAFETY: shard ranges over server indices are pairwise
+                // disjoint, and `servers` is indexed by server.
+                let servers = unsafe { servers.range_mut(range.clone()) };
+                for (off, server) in servers.iter_mut().enumerate() {
+                    let si = range.start + off;
+                    let leaf = server.node.index();
                     // Slot-ownership gate: a retired row must not write a
                     // reused slot. Its own effective cap is zero, and its
                     // slot was zeroed at retirement, so skipping the write
-                    // is value-identical to the serial loop.
+                    // is value-identical to the serial loop. A retired row
+                    // receives no directives, so its watchdog stays as is.
                     if leaf_server[leaf] == Some(si) {
-                        let c = effective_cap_of(&servers[si], decay_ds[si], config);
+                        let c = effective_cap_of(server, decay_ds[si], config);
                         // SAFETY: exactly one roster row owns any leaf
                         // slot, so this scattered write is race-free.
                         unsafe {
                             *cap.get_mut(leaf) = c;
+                        }
+                        // A directive that gets through resets the
+                        // stale-directive watchdog (see below); most rows
+                        // already hold the default, so they are not
+                        // written.
+                        if !disturb.directive_lost(si) && server.watchdog != Watchdog::default() {
+                            server.watchdog = Watchdog::default();
                         }
                     }
                 }
@@ -254,8 +270,12 @@ impl Willow {
         // effective budget can only *tighten*, never loosen, without a
         // fresh directive. After `watchdog_threshold` consecutive misses
         // the leaf self-imposes a conservative fallback cap (a fraction of
-        // its rating) until a directive gets through again.
-        for si in 0..self.servers.len() {
+        // its rating) until a directive gets through again (the cap
+        // refresh above reset the watchdog of every leaf that got one).
+        for si in 0..self.disturb.directive_span().min(n) {
+            if !self.disturb.directive_lost(si) {
+                continue;
+            }
             let leaf = self.servers[si].node.index();
             // Slot-ownership gate (as in the cap refresh above): a retired
             // row receives no directives, and its arena slot may since have
@@ -264,13 +284,9 @@ impl Willow {
             if self.leaf_server[leaf] != Some(si) {
                 continue;
             }
-            if self.disturb.directive_lost(si) {
-                let base = stage.tp_old[leaf];
-                let cap = self.power.cap[leaf];
-                self.power.tp[leaf] = self.missed_directive_fallback(si, base, cap);
-            } else {
-                self.servers[si].watchdog = Watchdog::default();
-            }
+            let base = stage.tp_old[leaf];
+            let cap = self.power.cap[leaf];
+            self.power.tp[leaf] = self.missed_directive_fallback(si, base, cap);
         }
 
         // Budget-reduction flags for the unidirectional target rule (after

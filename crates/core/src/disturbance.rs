@@ -92,6 +92,15 @@ impl Disturbances {
         self.directive_lost.get(si).copied().unwrap_or(false) || self.crashed(si)
     }
 
+    /// One past the highest server index whose directive can be lost:
+    /// every server at or beyond it gets its directive (the fault vectors
+    /// read as "no fault" past their ends). Zero for a quiet period with
+    /// empty vectors, so a directive pass bounded by it visits no row.
+    #[must_use]
+    pub fn directive_span(&self) -> usize {
+        self.directive_lost.len().max(self.crashed.len())
+    }
+
     /// The temperature server `si`'s sensor *reads* when the true
     /// temperature is `actual`: the stuck-at override if present, otherwise
     /// the truth plus the noise offset.
@@ -139,6 +148,7 @@ mod tests {
         assert!(!d.crashed(0));
         assert!(!d.report_lost(7));
         assert!(!d.directive_lost(7));
+        assert_eq!(d.directive_span(), 0);
         assert_eq!(d.measured_temp(3, Celsius(55.0)), Celsius(55.0));
         assert_eq!(d.migration_outcome(0), MigrationOutcome::Success);
         assert_eq!(d.migration_outcome(100), MigrationOutcome::Success);
@@ -154,6 +164,7 @@ mod tests {
         assert!(d.report_lost(1));
         assert!(d.directive_lost(1));
         assert!(!d.report_lost(0));
+        assert_eq!(d.directive_span(), 2);
     }
 
     #[test]

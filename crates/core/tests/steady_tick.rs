@@ -2,7 +2,8 @@
 //!
 //! * **(a)** the serial steady-state tick makes 0 heap allocations at 27 /
 //!   243 / 2,187 servers, with and without an attached telemetry
-//!   registry;
+//!   registry, both under ample supply and with supply below demand,
+//!   where every tick packs deficits that fit nowhere and sheds;
 //! * **(b)** the same holds on the serial path of the 5-level trees at
 //!   19,683 / 52,488 / 104,976 servers;
 //! * **(c)** on those trees, a `threads = 4` controller stepped in
@@ -115,46 +116,84 @@ fn build(branching: &[usize], config: ControllerConfig, utilization: f64) -> (Wi
     (willow, demands)
 }
 
-/// Allocations made over `ticks` ticks of the serial steady state: 40 %
-/// utilization (above the 20 % consolidation threshold) under ample
-/// supply, so no thermal, supply or consolidation pressure moves an app.
+/// The load shapes (a) holds the serial tick to.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// 40 % utilization (above the 20 % consolidation threshold) under
+    /// ample supply, so no thermal, supply or consolidation pressure
+    /// moves an app.
+    Ample,
+    /// 60 % utilization with supply at 80 % of the fleet's raw demand:
+    /// every server is over its budget every tick, so the demand stage
+    /// packs every server's deficit at every level and finds no surplus
+    /// anywhere, and the physics stage sheds.
+    Shedding,
+}
+
+/// Allocations made over `ticks` ticks of the serial steady state in
+/// `shape`, and the packing instances those ticks ran.
 fn steady_allocs(
     branching: &[usize],
+    shape: Shape,
     warmup: usize,
     ticks: usize,
     registry: Option<&TelemetryRegistry>,
-) -> u64 {
-    let (mut willow, demands) = build(branching, ControllerConfig::default(), 0.4);
+) -> (u64, u64) {
+    let utilization = match shape {
+        Shape::Ample => 0.4,
+        Shape::Shedding => 0.6,
+    };
+    let (mut willow, demands) = build(branching, ControllerConfig::default(), utilization);
     // Attached before the window: registering handles allocates once,
     // recording never does.
     if let Some(registry) = registry {
         willow.attach_telemetry(registry);
     }
-    let supply = Watts(willow.servers().len() as f64 * 450.0);
+    let supply = match shape {
+        Shape::Ample => Watts(willow.servers().len() as f64 * 450.0),
+        Shape::Shedding => {
+            let base: Watts = willow.servers().iter().map(|s| s.base_load).sum();
+            let apps: Watts = demands.iter().copied().sum();
+            (base + apps) * 0.8
+        }
+    };
     let quiet = Disturbances::none();
     let mut report = TickReport::default();
     for _ in 0..warmup {
         willow.step_into(&demands, supply, &quiet, &mut report);
     }
+    let packed = willow.stats().packing_instances;
     let before = allocations();
     for _ in 0..ticks {
         willow.step_into(&demands, supply, &quiet, &mut report);
     }
-    allocations() - before
+    let allocs = allocations() - before;
+    if let Shape::Shedding = shape {
+        assert!(
+            report.dropped_demand.0 > 0.0,
+            "the shedding shape shed nothing"
+        );
+    }
+    (allocs, willow.stats().packing_instances - packed)
 }
 
 #[test]
 fn steady_tick_allocates_nothing() {
     for branching in [&[3, 3, 3][..], &[3, 9, 9], &[3, 27, 27]] {
         let servers: usize = branching.iter().product();
-        let plain = steady_allocs(branching, 32, 64, None);
-        assert_eq!(plain, 0, "steady-state tick allocated at {servers} servers");
-        let registry = TelemetryRegistry::new();
-        let instrumented = steady_allocs(branching, 32, 64, Some(&registry));
-        assert_eq!(
-            instrumented, 0,
-            "telemetry recording allocated at {servers} servers"
-        );
+        for shape in [Shape::Ample, Shape::Shedding] {
+            let (plain, packed) = steady_allocs(branching, shape, 32, 64, None);
+            assert_eq!(plain, 0, "{shape:?} tick allocated at {servers} servers");
+            if let Shape::Shedding = shape {
+                assert!(packed > 0, "the shedding shape packed nothing");
+            }
+            let registry = TelemetryRegistry::new();
+            let (instrumented, _) = steady_allocs(branching, shape, 32, 64, Some(&registry));
+            assert_eq!(
+                instrumented, 0,
+                "telemetry recording allocated in the {shape:?} tick at {servers} servers"
+            );
+        }
     }
 }
 
@@ -300,7 +339,7 @@ fn large_trees_allocate_nothing_and_shard_bit_for_bit() {
     // 19,683, 52,488 and 104,976 servers: 9-ary below a widening root.
     for branching in [&[3, 9, 9, 9, 9], &[8, 9, 9, 9, 9], &[16, 9, 9, 9, 9]] {
         let servers: usize = branching.iter().product();
-        let allocs = steady_allocs(branching, 16, 64, None);
+        let (allocs, _) = steady_allocs(branching, Shape::Ample, 16, 64, None);
         assert_eq!(
             allocs, 0,
             "serial steady-state tick allocated at {servers} servers"
