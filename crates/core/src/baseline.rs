@@ -18,6 +18,7 @@ use crate::server::{ServerSpec, ServerState};
 use crate::state::PowerState;
 use willow_binpack::packer_for;
 use willow_power::allocation::allocate_proportional;
+use willow_thermal::model::DeviceThermal;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
 use willow_workload::app::AppId;
@@ -28,6 +29,8 @@ pub struct GreedyGlobal {
     tree: Tree,
     config: ControllerConfig,
     servers: Vec<ServerState>,
+    /// Each server's RC thermal model, indexed like `servers`.
+    thermal: Vec<DeviceThermal>,
     apps: AppTable,
     power: PowerState,
     tick: u64,
@@ -49,11 +52,16 @@ impl GreedyGlobal {
         );
         let apps = AppTable::for_specs(&specs).expect("dense, unique app ids");
         let servers: Vec<ServerState> = specs.iter().map(ServerState::new).collect();
+        let thermal = specs
+            .iter()
+            .map(|s| DeviceThermal::new(s.thermal, s.ambient, s.t_limit, s.rating))
+            .collect();
         let power = PowerState::new(&tree);
         GreedyGlobal {
             tree,
             config,
             servers,
+            thermal,
             apps,
             power,
             tick: 0,
@@ -92,8 +100,8 @@ impl GreedyGlobal {
 
         // Budgets: same thermal caps + proportional division as Willow.
         let window = self.config.delta_s();
-        for server in &self.servers {
-            self.power.cap[server.node.index()] = server.thermal.power_limit(window);
+        for (server, thermal) in self.servers.iter().zip(&self.thermal) {
+            self.power.cap[server.node.index()] = thermal.power_limit(window);
         }
         self.power.aggregate_caps(&self.tree);
         let root = self.tree.root();
@@ -181,16 +189,16 @@ impl GreedyGlobal {
         }
         self.power.aggregate_demands(&self.tree);
         let mut dropped = Watts::ZERO;
-        for server in &mut self.servers {
+        for (server, thermal) in self.servers.iter_mut().zip(&mut self.thermal) {
             let leaf = server.node.index();
             let budget = self.power.tp[leaf];
             let demand = self.power.cp[leaf];
             let drawn = demand.min(budget);
             dropped += (demand - budget).non_negative();
-            server.thermal.advance(drawn, self.config.delta_d);
+            server.temperature = thermal.advance(drawn, self.config.delta_d);
             report.server_power.push(drawn);
             report.server_budget.push(budget);
-            report.server_temp.push(server.thermal.temperature());
+            report.server_temp.push(server.temperature);
             report.server_active.push(server.active);
         }
         report.dropped_demand = dropped;

@@ -24,7 +24,7 @@
 //! record order are all part of the deterministic contract.
 
 use super::shard::{shard_range, RawSlice};
-use super::Willow;
+use super::{Willow, NO_SERVER};
 use crate::migration::{MigrationReason, MigrationRecord};
 use willow_binpack::{packer_for, PackScratch};
 use willow_thermal::units::Watts;
@@ -356,9 +356,12 @@ impl Willow {
         self.pool.run(&|k| {
             for &leaf in &leaves[shard_range(leaves.len(), threads, k)] {
                 let i = leaf.index();
-                let ok = leaf_server[i].is_some_and(|si| {
-                    servers[si].active && servers[si].fence.is_active() && !disturb.crashed(si)
-                }) && !reduced_anc[i];
+                let si = leaf_server[i] as usize;
+                let ok = leaf_server[i] != NO_SERVER
+                    && servers[si].active
+                    && servers[si].fence.is_active()
+                    && !disturb.crashed(si)
+                    && !reduced_anc[i];
                 // SAFETY: every live leaf appears exactly once in the
                 // level-0 list, so writes to its slot are race-free.
                 unsafe {

@@ -58,7 +58,7 @@ fn stale_directive_watchdog_tightens_only_then_recovers() {
         directive_lost: vec![true, false, false, false],
         ..Disturbances::default()
     };
-    let rating = w.servers()[0].thermal.rating();
+    let rating = w.profiles()[0].rating;
     let mut tripped_at = None;
     for k in 1..=(threshold + 2) {
         let r = w.step_with(&d, Watts(10_000.0), &lost);
@@ -392,9 +392,9 @@ fn open_loop_freezes_placement_and_trips_watchdogs() {
                 "all watchdogs tripped after {threshold} missed directives"
             );
             assert_eq!(r.fallback_servers, 4);
-            for s in w.servers() {
+            for (s, p) in w.servers().iter().zip(w.profiles()) {
                 assert!(
-                    w.power().tp[s.node.index()].0 <= s.thermal.rating().0 * frac + 1e-9,
+                    w.power().tp[s.node.index()].0 <= p.rating.0 * frac + 1e-9,
                     "tripped fallback cap must bind"
                 );
             }
@@ -571,7 +571,10 @@ fn recover_splits_memory_from_field() {
     assert!(differs(|c, l| c.local_cp != l.local_cp));
     assert!(differs(|c, l| c.watchdog != l.watchdog));
     assert!(differs(|c, l| c.accepted_temp != l.accepted_temp));
-    assert_ne!(&ckpt.planning.leaves, &w.planning().leaves);
+    assert_ne!(
+        &ckpt.planning.as_ref().unwrap().leaves,
+        &w.planning().unwrap().leaves
+    );
 
     let recovered = Willow::recover(ckpt.clone(), &w).unwrap();
     for (ours, field) in recovered.servers().iter().zip(w.servers()) {
@@ -584,7 +587,7 @@ fn recover_splits_memory_from_field() {
     }
     assert_eq!(
         recovered.planning(),
-        &ckpt.planning,
+        ckpt.planning.as_ref(),
         "forecasts from the checkpoint"
     );
 }
@@ -924,6 +927,100 @@ mod audit_detection {
                 ..
             }
         )));
+    }
+
+    /// Every invariant family corrupted at once, pinned as the full
+    /// ordered list: each server's conservation faults in server and list
+    /// order, lost and duplicated apps by id, budget overflows in arena
+    /// order, each row's own faults in server order, then the node
+    /// columns `tp`, `cp` and `cap`. Compared through `Debug`, since a
+    /// NaN never equals itself.
+    #[test]
+    fn every_family_at_once_is_listed_in_order() {
+        let mut w = settled();
+        let mut a = Auditor::new(&w);
+        let leaf = |w: &Willow, si: usize| w.servers[si].node.index();
+        let (leaf0, leaf1, leaf2, leaf3) = (leaf(&w, 0), leaf(&w, 1), leaf(&w, 2), leaf(&w, 3));
+        // Server 2 goes stale before the faults, so the next audit polices
+        // it under the tightening-only rule.
+        w.servers[2].watchdog.missed = 2;
+        assert!(a.check(&w).is_empty());
+        w.servers[2].watchdog.missed = 3;
+        let was = w.power.tp[leaf2];
+        w.power.tp[leaf2] = was + Watts(10.0);
+        // Misplaced: server 1's first app heads server 1's list while its
+        // host column names server 3.
+        let misplaced = w.apps.on(1).next().unwrap();
+        w.apps.move_to(misplaced, 3);
+        let mut list1 = w.apps.apps_on(1);
+        let list3 = w.apps.apps_on(3);
+        list1.insert(0, *list3.last().unwrap());
+        w.apps.set_list(1, &list1);
+        w.apps.set_list(3, &list3[..list3.len() - 1]);
+        // Duplicated: server 1's last app also sits on server 3's list.
+        let dup = share_tail(&mut w, None);
+        // A sleeping server with apps.
+        w.servers[3].active = false;
+        // A budget overflow under server 1's parent.
+        let parent = w.tree.parent(w.servers[1].node).unwrap();
+        w.power.tp[leaf1] = w.power.tp[parent.index()] + Watts(50.0);
+        // Bad row values, a NaN demand and a negative budget.
+        w.servers[0].local_cp = Watts(-1.0);
+        w.servers[1].accepted_temp = Celsius(f64::INFINITY);
+        w.power.cp[leaf0] = Watts(f64::NAN);
+        w.power.tp[leaf3] = Watts(-5.0);
+
+        let children: f64 = (w.tree.children(parent).iter())
+            .map(|c| w.power.tp[c.index()].0)
+            .sum();
+        let expected = [
+            InvariantViolation::AppMisplaced {
+                app: misplaced,
+                server: 1,
+                host: 3,
+            },
+            InvariantViolation::SleepingServerHostsApps { server: 3, apps: 5 },
+            InvariantViolation::AppMisplaced {
+                app: dup,
+                server: 3,
+                host: 1,
+            },
+            InvariantViolation::AppDuplicated {
+                app: dup,
+                copies: 2,
+            },
+            InvariantViolation::BudgetOverflow {
+                node: parent,
+                children: Watts(children),
+                budget: w.power.tp[parent.index()],
+            },
+            InvariantViolation::NegativeWatts {
+                what: "local_cp",
+                index: 0,
+                value: -1.0,
+            },
+            InvariantViolation::NonFinite {
+                what: "accepted_temp",
+                index: 1,
+                value: f64::INFINITY,
+            },
+            InvariantViolation::LoosenedWhileStale {
+                server: 2,
+                was,
+                now: was + Watts(10.0),
+            },
+            InvariantViolation::NegativeWatts {
+                what: "tp",
+                index: leaf3,
+                value: -5.0,
+            },
+            InvariantViolation::NonFinite {
+                what: "cp",
+                index: leaf0,
+                value: f64::NAN,
+            },
+        ];
+        assert_eq!(format!("{:?}", a.check(&w)), format!("{expected:?}"));
     }
 
     #[test]

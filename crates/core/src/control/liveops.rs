@@ -23,12 +23,12 @@
 use super::consolidate::{ConsolidateStage, EVAC_FIT_SLACK};
 use super::demand::{DeficitItem, DemandStage};
 use super::supply::SupplyStage;
-use super::Willow;
+use super::{Willow, NO_SERVER};
 use crate::command::{
     Command, CommandError, CommandId, CommandOutcome, CommandStatus, PendingCommand,
 };
 use crate::migration::{MigrationReason, TickReport};
-use crate::server::{FenceState, ServerSpec, ServerState};
+use crate::server::{FenceState, ServerProfile, ServerSpec, ServerState};
 use std::sync::Arc;
 use willow_thermal::model::decay_factor;
 use willow_thermal::units::Watts;
@@ -173,7 +173,7 @@ impl Willow {
         self.power.ensure_len(n);
         self.fabric.ensure_len(n);
         if self.leaf_server.len() < n {
-            self.leaf_server.resize(n, None);
+            self.leaf_server.resize(n, NO_SERVER);
         }
         // A reused tombstone slot may carry state from the server that
         // used to live there.
@@ -182,16 +182,21 @@ impl Willow {
         self.power.tp[li] = Watts::ZERO;
         self.power.cap[li] = Watts::ZERO;
         self.power.reduced[li] = false;
-        debug_assert!(self.leaf_server[li].is_none(), "slot cleared at removal");
-        self.leaf_server[li] = Some(self.servers.len());
-        let state = ServerState::new(&ServerSpec::simulation_default(leaf));
+        debug_assert_eq!(self.leaf_server[li], NO_SERVER, "slot cleared at removal");
+        self.leaf_server[li] = self.servers.len() as u32;
+        let spec = ServerSpec::simulation_default(leaf);
+        let profile = ServerProfile::new(&spec);
         self.decay_dd
-            .push(decay_factor(state.thermal.params(), self.config.delta_d));
+            .push(decay_factor(profile.thermal, self.config.delta_d));
         self.decay_ds
-            .push(decay_factor(state.thermal.params(), self.config.delta_s()));
-        self.servers.push(state);
+            .push(decay_factor(profile.thermal, self.config.delta_s()));
+        self.servers.push(ServerState::new(&spec));
+        // Checkpoints may share the column, so the addition builds a new one.
+        self.profiles = self.profiles.iter().copied().chain([profile]).collect();
         self.apps.add_server();
-        self.planning.push_server();
+        if let Some(plan) = &mut self.planning {
+            plan.push_server();
+        }
         self.rebuild_stage_scratch();
         Ok(())
     }
@@ -223,7 +228,7 @@ impl Willow {
         // A tripped watchdog on a retired row would keep counting toward
         // `fallback_servers` forever; the machine is gone, clear it.
         row.watchdog = crate::control::supply::Watchdog::default();
-        self.leaf_server[li] = None;
+        self.leaf_server[li] = NO_SERVER;
         self.power.cp[li] = Watts::ZERO;
         self.power.tp[li] = Watts::ZERO;
         self.power.cap[li] = Watts::ZERO;

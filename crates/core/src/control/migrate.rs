@@ -112,7 +112,7 @@ impl Willow {
             "preparing a migration for an app not hosted at its source"
         );
         debug_assert!(
-            self.leaf_server[target_leaf.index()].is_some(),
+            self.server_at(target_leaf).is_some(),
             "preparing a migration to a non-server target"
         );
         self.journal.begin(
@@ -134,8 +134,8 @@ impl Willow {
             .journal
             .entry(txn)
             .expect("transferring a live transaction");
-        let src_idx = self.leaf_server[e.from.index()].expect("source is a server leaf");
-        let tgt_idx = self.leaf_server[e.to.index()].expect("target is a server leaf");
+        let src_idx = self.server_at(e.from).expect("source is a server leaf");
+        let tgt_idx = self.server_at(e.to).expect("target is a server leaf");
         let local = self.tree.are_siblings(e.from, e.to);
         let cost = self.config.cost_model.end_node_cost(e.demand, local);
         self.servers[src_idx].pending_cost += cost;
@@ -163,8 +163,8 @@ impl Willow {
         if !self.journal.commit(txn) {
             return false;
         }
-        let src_idx = self.leaf_server[e.from.index()].expect("source is a server leaf");
-        let tgt_idx = self.leaf_server[e.to.index()].expect("target is a server leaf");
+        let src_idx = self.server_at(e.from).expect("source is a server leaf");
+        let tgt_idx = self.server_at(e.to).expect("target is a server leaf");
         debug_assert_ne!(src_idx, tgt_idx, "cannot migrate to self");
 
         assert_eq!(
@@ -221,7 +221,7 @@ impl Willow {
             self.power.cp[e.from.index()] += cost;
             self.power.cp[e.to.index()] += cost;
             for leaf in [e.from, e.to] {
-                let si = self.leaf_server[leaf.index()].expect("ends are server leaves");
+                let si = self.server_at(leaf).expect("ends are server leaves");
                 self.servers[si].local_cp += cost;
             }
         }

@@ -97,6 +97,7 @@ impl Willow {
             let apps = &self.apps;
             let tp = &self.power.tp;
             let decay_dd = &self.decay_dd;
+            let profiles = &self.profiles[..];
             let leaf_server = &self.leaf_server;
             let disturb = &self.disturb;
             let sensor_slack = self.config.robustness.sensor_slack;
@@ -141,17 +142,24 @@ impl Willow {
                         let hosted = apps.on(si).map(|id| (apps[id].priority, apps.demand(id)));
                         shed[off] = crate::shedding::shed_by_priority(hosted, sf);
                     }
-                    server.thermal.advance_with_decay(drawn, decay_dd[si]);
+                    let profile = &profiles[si];
+                    server.temperature = step_temperature_with_decay(
+                        profile.thermal,
+                        server.temperature,
+                        profile.ambient,
+                        drawn,
+                        decay_dd[si],
+                    );
                     // Sensor plausibility filter: accept the (possibly
                     // faulted) reading only if it is within `sensor_slack`
                     // of what the RC model predicts from the last accepted
                     // temperature under the power actually drawn; otherwise
                     // keep running on the model.
-                    let measured = disturb.measured_temp(si, server.thermal.temperature());
+                    let measured = disturb.measured_temp(si, server.temperature);
                     let predicted = step_temperature_with_decay(
-                        server.thermal.params(),
+                        profile.thermal,
                         server.accepted_temp,
-                        server.thermal.ambient(),
+                        profile.ambient,
                         drawn,
                         decay_dd[si],
                     );
@@ -167,7 +175,7 @@ impl Willow {
                     // owner's entry (the retired row's drawn is zero, and
                     // its slot either has no leaf or belongs to the new
                     // owner).
-                    if leaf_server[leaf] == Some(si) {
+                    if leaf_server[leaf] == si as u32 {
                         // SAFETY: exactly one roster row owns any leaf
                         // slot, so this scattered write is race-free.
                         unsafe {
@@ -176,7 +184,7 @@ impl Willow {
                     }
                     out_power[off] = drawn;
                     out_budget[off] = budget;
-                    out_temp[off] = server.thermal.temperature();
+                    out_temp[off] = server.temperature;
                     out_active[off] = server.active;
                     if server.watchdog.tripped {
                         fallbacks.fetch_add(1, Ordering::Relaxed);

@@ -10,7 +10,11 @@
 //! and its state is two `Copy` scalars. [`PlanningContext`] holds the
 //! controller's series — root supply, root aggregate demand, and one per
 //! roster server. The measure stage updates it once per tick; stages 2
-//! and 4 read it through `&self`.
+//! and 4 read it through `&self`. Only the predictive supply policy reads
+//! a forecast, so only a predictive controller holds a context: a
+//! reactive one takes no Holt step and checkpoints no series, and a
+//! checkpoint whose planning state disagrees with its policy fails to
+//! restore.
 //!
 //! The per-server series are a column here rather than a field of the
 //! server's roster row: only the measure stage and the predictive
@@ -27,9 +31,8 @@
 //!
 //! **Determinism and cost.** The context is plain serialized state
 //! (captured in `WillowSnapshot`, restored verbatim), updates are
-//! per-server-disjoint (safe to fold into the sharded measure loop), and
-//! the default policies ignore the context entirely — attaching it changes
-//! no reactive trajectory bit and allocates nothing in steady state.
+//! per-server-disjoint (safe to fold into the sharded measure loop) and
+//! allocate nothing in steady state.
 
 use serde::{Deserialize, Serialize};
 use willow_thermal::units::Watts;

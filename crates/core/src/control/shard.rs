@@ -259,7 +259,7 @@ impl<T> RawSlice<T> {
     /// `i` must be in bounds, and no other thread may touch index `i`
     /// during the same parallel region (in this module: writes to slot `i`
     /// are gated on an ownership predicate that holds for exactly one
-    /// shard, e.g. `leaf_server[i] == Some(si)` with `si` shard-local).
+    /// shard, e.g. `leaf_server[i] == si` with `si` shard-local).
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
         debug_assert!(i < self.len);

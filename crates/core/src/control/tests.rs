@@ -500,7 +500,7 @@ fn ordering_fixture() -> (Willow, Vec<NodeId>) {
         w.power.cp[n] = Watts(cp);
         w.power.cap[n] = Watts(cap);
         w.servers[k].app_power = Watts(util * 100.0);
-        assert!((w.servers[k].utilization() - util).abs() < 1e-12);
+        assert!((w.utilization(k) - util).abs() < 1e-12);
     }
     (w, leaves)
 }
@@ -597,7 +597,7 @@ mod planner_oracle {
 
     /// Target eligibility by the ancestor walk.
     fn eligible(w: &Willow, leaf: NodeId) -> bool {
-        w.leaf_server[leaf.index()].is_some_and(|si| {
+        w.server_at(leaf).is_some_and(|si| {
             let s = &w.servers[si];
             s.active && s.fence.is_active() && !w.disturb.crashed(si)
         }) && !std::iter::once(leaf)
@@ -667,21 +667,21 @@ mod planner_oracle {
     /// with [`plan`].
     fn oracle_round(w: &mut Willow, records: &mut Vec<MigrationRecord>, slept: &mut Vec<NodeId>) {
         let (tick, threshold) = (w.tick, w.config.consolidation_threshold);
-        let below = |s: &ServerState| s.active && s.utilization() < threshold;
+        let below = |w: &Willow, si: usize| w.servers[si].active && w.utilization(si) < threshold;
         let mut victims: Vec<usize> = (0..w.servers.len())
-            .filter(|&i| below(&w.servers[i]) && w.servers[i].fence.is_active())
+            .filter(|&i| below(w, i) && w.servers[i].fence.is_active())
             .collect();
         w.order_victims(&mut victims);
         let mut received = vec![false; w.servers.len()];
         for si in victims {
-            if received[si] || !below(&w.servers[si]) {
+            if received[si] || !below(w, si) {
                 continue;
             }
             let evacuated = !w.apps.hosts_any(si)
                 || plan(w, si).is_some_and(|plan| {
                     plan.iter().all(|(item, to)| {
                         let moved = w.attempt_migration(item, *to, tick, records);
-                        received[w.leaf_server[to.index()].unwrap()] |= moved;
+                        received[w.server_at(*to).unwrap()] |= moved;
                         moved
                     })
                 });
@@ -924,7 +924,7 @@ mod planner_oracle {
                 }
             }
             let mut victims: Vec<usize> = (0..a.servers.len())
-                .filter(|&i| a.servers[i].utilization() < a.config.consolidation_threshold)
+                .filter(|&i| a.utilization(i) < a.config.consolidation_threshold)
                 .collect();
             a.order_victims(&mut victims);
             assert_eq!(victims[0], first, "{policy:?}");

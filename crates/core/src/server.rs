@@ -4,7 +4,7 @@
 
 use crate::control::Watchdog;
 use serde::{Deserialize, Serialize};
-use willow_thermal::model::{DeviceThermal, ThermalParams};
+use willow_thermal::model::ThermalParams;
 use willow_thermal::units::{Celsius, Watts};
 use willow_topology::NodeId;
 use willow_workload::app::Application;
@@ -155,11 +155,58 @@ impl FenceState {
     }
 }
 
+/// The per-server constants no tick changes: thermal constants, ambient,
+/// limit, rating and the utilization denominator. The controller keeps
+/// them in one immutable column, shared by every checkpoint, so the
+/// roster rows every stage streams stay narrow.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ServerProfile {
+    /// Thermal constants `(c1, c2)`.
+    pub thermal: ThermalParams,
+    /// Ambient temperature at the server's position.
+    pub ambient: Celsius,
+    /// Thermal limit.
+    pub t_limit: Celsius,
+    /// Nameplate power rating (hard circuit cap).
+    pub rating: Watts,
+    /// Utilization denominator (see [`ServerSpec::full_util_power`]).
+    pub full_util_power: Watts,
+}
+
+impl ServerProfile {
+    /// The constants of `spec`.
+    #[must_use]
+    pub fn new(spec: &ServerSpec) -> Self {
+        ServerProfile {
+            thermal: spec.thermal,
+            ambient: spec.ambient,
+            t_limit: spec.t_limit,
+            rating: spec.rating,
+            full_util_power: spec.full_util_power,
+        }
+    }
+
+    /// Utilization of `row` (this profile's server): hosted application
+    /// power relative to the full-load application power
+    /// (`full_util_power`). For simulation servers this is demand/rating;
+    /// for testbed hosts it is CPU utilization.
+    #[must_use]
+    pub fn utilization(&self, row: &ServerState) -> f64 {
+        if !row.active || self.full_util_power.0 <= 0.0 {
+            return 0.0;
+        }
+        (row.app_power / self.full_util_power).clamp(0.0, 1.0)
+    }
+}
+
 /// Live state of a server inside the controller: plain values only, one
-/// `Copy` row per roster slot holding every per-server fact the leaf
-/// itself keeps. Its apps are a list in the controller's
-/// [`crate::apps::AppTable`]; its planning series is a column of the
-/// controller's [`crate::control::PlanningContext`].
+/// `Copy` row per roster slot holding what a tick writes or every sweep
+/// reads. The constants live in the controller's [`ServerProfile`]
+/// column, its apps in a list in the controller's
+/// [`crate::apps::AppTable`], and its planning series (predictive policy
+/// only) in a column of the controller's
+/// [`crate::control::PlanningContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ServerState {
@@ -173,14 +220,13 @@ pub struct ServerState {
     /// Smoothing state of the node demand `CP_{0,i}` (Eq. 4 or Holt);
     /// the gains come from the controller's config.
     pub smoother: Smoother,
-    /// Thermal state.
-    pub thermal: DeviceThermal,
+    /// Component temperature (the RC model's state; its constants are in
+    /// the server's [`ServerProfile`]).
+    pub temperature: Celsius,
     /// Active (true) or deep sleep (false).
     pub active: bool,
     /// Non-migratable draw while active (see [`ServerSpec::base_load`]).
     pub base_load: Watts,
-    /// Utilization denominator (see [`ServerSpec::full_util_power`]).
-    pub full_util_power: Watts,
     /// Live-ops fencing state.
     pub fence: FenceState,
     /// The server's *own* view of its smoothed demand. Equal to the
@@ -198,24 +244,23 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// A fresh row for `spec` with no demand history. The spec's apps go
-    /// into the app table, not here.
+    /// A fresh row for `spec` with no demand history, at thermal
+    /// equilibrium with its ambient. The spec's apps go into the app
+    /// table, its constants into a [`ServerProfile`].
     #[must_use]
     pub fn new(spec: &ServerSpec) -> Self {
-        let thermal = DeviceThermal::new(spec.thermal, spec.ambient, spec.t_limit, spec.rating);
         ServerState {
             node: spec.node,
             app_power: Watts::ZERO,
             pending_cost: Watts::ZERO,
             smoother: Smoother::default(),
-            thermal,
+            temperature: spec.ambient,
             active: spec.active,
             base_load: spec.base_load,
-            full_util_power: spec.full_util_power,
             fence: FenceState::default(),
             local_cp: Watts::ZERO,
             watchdog: Watchdog::default(),
-            accepted_temp: thermal.temperature(),
+            accepted_temp: spec.ambient,
         }
     }
 
@@ -240,17 +285,6 @@ impl ServerState {
         } else {
             smoothed
         }
-    }
-
-    /// Utilization: hosted application power relative to the full-load
-    /// application power (`full_util_power`). For simulation servers this
-    /// is demand/rating; for testbed hosts it is CPU utilization.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        if !self.active || self.full_util_power.0 <= 0.0 {
-            return 0.0;
-        }
-        (self.app_power / self.full_util_power).clamp(0.0, 1.0)
     }
 }
 
@@ -277,6 +311,10 @@ mod tests {
         s
     }
 
+    fn profile() -> ServerProfile {
+        ServerProfile::new(&spec_with_two_apps())
+    }
+
     #[test]
     fn raw_demand_sums_apps_and_cost() {
         let mut s = loaded(50.0);
@@ -290,21 +328,23 @@ mod tests {
         let mut s = loaded(50.0);
         s.active = false;
         assert_eq!(s.raw_demand(), Watts::ZERO);
-        assert_eq!(s.utilization(), 0.0);
+        assert_eq!(profile().utilization(&s), 0.0);
     }
 
     #[test]
     fn utilization_is_demand_over_rating() {
         let s = loaded(60.0);
-        assert!((s.utilization() - 0.2).abs() < 1e-12); // 90/450
+        assert!((profile().utilization(&s) - 0.2).abs() < 1e-12); // 90/450
     }
 
     /// The row and its smoother hold plain state only: the gains live in
-    /// the config, so neither grows with them.
+    /// the config and the constants in the profile column, so neither
+    /// grows with them.
     #[test]
     fn row_and_smoother_sizes() {
         assert_eq!(std::mem::size_of::<Smoother>(), 24);
-        assert_eq!(std::mem::size_of::<ServerState>(), 136);
+        assert_eq!(std::mem::size_of::<ServerState>(), 88);
+        assert_eq!(std::mem::size_of::<ServerProfile>(), 48);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! A control plane that migrates other people's workloads must itself be
 //! restartable: [`Willow::snapshot`] captures the complete mutable state
-//! (the roster rows — thermal and smoother history, each leaf's own demand
-//! view, watchdog and accepted-temperature filter state — node power
-//! state, tick counter, the app table with its ping-pong bookkeeping and
-//! retry backoff, and the planning forecasters) into a serializable
+//! (the roster rows — temperature and smoother history, each leaf's own
+//! demand view, watchdog and accepted-temperature filter state — node
+//! power state, tick counter, the app table with its ping-pong bookkeeping
+//! and retry backoff, and the predictive policy's planning forecasters),
+//! plus the per-server constants it runs on, into a serializable
 //! value, and [`Willow::restore`] reconstructs a controller
 //! that continues the run bit-for-bit identically — including under active
 //! faults, where the defense state is load-bearing.
@@ -16,16 +17,21 @@
 //! on that layout's keys (`last_moves`, or a server row's `apps`); one
 //! that kept the leaf-local defences in top-level vectors (`local_cp`,
 //! `watchdog`, `accepted_temp`) fails on the first of them; a power state
-//! carrying the supply stage's scratch `tp_old` fails on that.
+//! carrying the supply stage's scratch `tp_old` fails on that; a server
+//! row carrying its constants (`thermal`) fails on that. An image whose
+//! planning state disagrees with its supply policy (a reactive one that
+//! carries forecasters, a predictive one without) fails with
+//! [`WillowError::PlanningMismatch`].
 //!
-//! A capture shares the immutable topology and app identities (an `Arc`
-//! each) and copies the rest; a topology edit swaps in a new tree.
+//! A capture shares the immutable topology, server profiles and app
+//! identities (an `Arc` each) and copies the rest; a topology edit swaps
+//! in a new tree, a roster addition a new profile column.
 
 use crate::apps::AppTable;
 use crate::command::PendingCommand;
 use crate::config::ControllerConfig;
 use crate::control::{ControlStats, PlanningContext, Willow, WillowError};
-use crate::server::ServerState;
+use crate::server::{ServerProfile, ServerState};
 use crate::state::PowerState;
 use crate::txn::MigrationJournal;
 use serde::{Deserialize, Serialize};
@@ -41,8 +47,12 @@ pub struct WillowSnapshot {
     pub tree: Arc<Tree>,
     /// Controller tunables.
     pub config: ControllerConfig,
-    /// Per-server state, in server order: every per-server fact.
+    /// Per-server state, in server order: what a tick changes.
     pub servers: Vec<ServerState>,
+    /// Each server's constants, in server order, shared with the
+    /// controller until a roster addition or ambient change swaps its
+    /// column.
+    pub profiles: Arc<[ServerProfile]>,
     /// Per-node power state.
     pub power: PowerState,
     /// Demand-period counter.
@@ -66,7 +76,9 @@ pub struct WillowSnapshot {
     pub apps: AppTable,
     /// Planning memory: one Holt forecaster per series — root supply, root
     /// demand and each roster server (see [`crate::control::planning`]).
-    pub planning: PlanningContext,
+    /// Present exactly when the config selects the predictive supply
+    /// policy; restoring an image that disagrees fails.
+    pub planning: Option<PlanningContext>,
 }
 
 impl Willow {
@@ -77,6 +89,7 @@ impl Willow {
             tree: Arc::clone(&self.tree),
             config: self.config().clone(),
             servers: self.servers().to_vec(),
+            profiles: Arc::clone(&self.profiles),
             power: self.power().clone(),
             tick: self.tick_count(),
             last_dropped: self.last_dropped(),
@@ -86,20 +99,21 @@ impl Willow {
             next_command_id: self.next_command_id(),
             paused: self.is_paused(),
             apps: self.apps().clone(),
-            planning: self.planning().clone(),
+            planning: self.planning.clone(),
         }
     }
 
     /// [`Willow::snapshot`] into a caller-provided image, reusing its
     /// buffers (`clone_from` keeps existing capacity), so a warm periodic
-    /// checkpoint allocates nothing: the tree and the app identities are
-    /// shared, the roster is `Copy` rows and the rest of the app table
-    /// `Copy` columns.
+    /// checkpoint allocates nothing: the tree, the server profiles and the
+    /// app identities are shared, the roster is `Copy` rows and the rest of
+    /// the app table `Copy` columns.
     pub fn snapshot_into(&self, snap: &mut WillowSnapshot) {
         snap.tree.clone_from(&self.tree);
         snap.config.clone_from(self.config());
         snap.servers.clear();
         snap.servers.extend_from_slice(self.servers());
+        snap.profiles.clone_from(&self.profiles);
         snap.power.clone_from(self.power());
         snap.tick = self.tick_count();
         snap.last_dropped = self.last_dropped();
@@ -111,7 +125,7 @@ impl Willow {
         snap.paused = self.is_paused();
         snap.apps.clone_from(self.apps());
         // Field by field, reusing the image's `leaves` buffer.
-        snap.planning.clone_from(self.planning());
+        snap.planning.clone_from(&self.planning);
     }
 
     /// Reconstruct a controller from a snapshot. The result continues the
@@ -126,7 +140,7 @@ impl Willow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, SmootherKind};
+    use crate::config::{ConfigError, SmootherKind, SupplyPolicyChoice};
     use crate::control::planning::{PLANNING_ALPHA, PLANNING_BETA};
     use crate::server::ServerSpec;
     use serde::Value;
@@ -135,6 +149,17 @@ mod tests {
     use willow_workload::app::{AppId, Application, SIM_APP_CLASSES};
 
     fn setup() -> (Willow, usize) {
+        setup_with(ControllerConfig::default())
+    }
+
+    fn predictive() -> ControllerConfig {
+        ControllerConfig {
+            supply_policy: SupplyPolicyChoice::Predictive,
+            ..ControllerConfig::default()
+        }
+    }
+
+    fn setup_with(config: ControllerConfig) -> (Willow, usize) {
         let tree = Tree::uniform(&[2, 3]);
         let mut id = 0u32;
         let specs: Vec<ServerSpec> = tree
@@ -151,10 +176,7 @@ mod tests {
                 ServerSpec::simulation_default(leaf).with_apps(apps)
             })
             .collect();
-        (
-            Willow::new(tree, specs, ControllerConfig::default()).unwrap(),
-            id as usize,
-        )
+        (Willow::new(tree, specs, config).unwrap(), id as usize)
     }
 
     fn drive(w: &mut Willow, n_apps: usize, ticks: u64) -> Vec<u64> {
@@ -229,28 +251,7 @@ mod tests {
     /// enough that the forecasts have built trends before snapshotting.
     #[test]
     fn restore_preserves_forecaster_state_under_predictive_policy() {
-        use crate::config::SupplyPolicyChoice;
-
-        let tree = Tree::uniform(&[2, 3]);
-        let mut id = 0u32;
-        let specs: Vec<ServerSpec> = tree
-            .leaves()
-            .map(|leaf| {
-                let apps: Vec<Application> = (0..2)
-                    .map(|_| {
-                        let class = id as usize % SIM_APP_CLASSES.len();
-                        let a = Application::new(AppId(id), class, &SIM_APP_CLASSES[class]);
-                        id += 1;
-                        a
-                    })
-                    .collect();
-                ServerSpec::simulation_default(leaf).with_apps(apps)
-            })
-            .collect();
-        let mut cfg = ControllerConfig::default();
-        cfg.supply_policy = SupplyPolicyChoice::Predictive;
-        let mut original = Willow::new(tree, specs, cfg).unwrap();
-        let n_apps = id as usize;
+        let (mut original, n_apps) = setup_with(predictive());
         let _ = drive(&mut original, n_apps, 43); // 11 supply ticks at η1 = 4
 
         let json = serde_json::to_string(&original.snapshot()).expect("serialize");
@@ -379,12 +380,7 @@ mod tests {
                 },
                 shape,
             ),
-            (
-                |s| {
-                    s.planning.leaves.pop();
-                },
-                shape,
-            ),
+            (|s| s.profiles = s.profiles[1..].into(), shape),
             // A server on the first slot past the tree.
             (
                 |s| s.servers[0].node = NodeId(s.tree.len() as u32),
@@ -651,6 +647,8 @@ mod tests {
                 ("state".into(), state),
             ])
         };
+        let (mut w, n_apps) = setup_with(predictive());
+        let _ = drive(&mut w, n_apps, 10);
         let mut image = w.snapshot().to_value();
         for series in items(field(field(&mut image, "planning"), "leaves")) {
             *series = old_series(series);
@@ -658,6 +656,99 @@ mod tests {
         let text = serde_json::to_string_pretty(&image).expect("serialize");
         let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("old series loaded");
         assert_eq!(err.to_string(), "unknown field `alpha` for Smoother");
+    }
+
+    /// Only the predictive policy carries planning state, and it must: an
+    /// image that disagrees with its config fails to restore by name, in
+    /// memory and from JSON.
+    #[test]
+    fn planning_state_must_match_the_supply_policy() {
+        let (mut reactive, n_apps) = setup();
+        let _ = drive(&mut reactive, n_apps, 10);
+        assert!(reactive.planning().is_none(), "a reactive controller plans");
+        let mut snap = reactive.snapshot();
+        assert!(snap.planning.is_none());
+        snap.planning = Some(PlanningContext::for_servers(snap.servers.len()));
+        let carried = WillowError::PlanningMismatch {
+            policy: SupplyPolicyChoice::Reactive,
+            carried: true,
+        };
+        assert_eq!(Willow::restore(snap.clone()).err(), Some(carried));
+        let json = serde_json::to_string(&snap).expect("serialize");
+        let err = Willow::restore(serde_json::from_str(&json).expect("parse")).err();
+        assert_eq!(
+            err.map(|e| e.to_string()).as_deref(),
+            Some("a Reactive snapshot carries planning state")
+        );
+
+        let (mut w, n_apps) = setup_with(predictive());
+        let _ = drive(&mut w, n_apps, 10);
+        let mut snap = w.snapshot();
+        snap.planning = None;
+        assert_eq!(
+            Willow::restore(snap).err(),
+            Some(WillowError::PlanningMismatch {
+                policy: SupplyPolicyChoice::Predictive,
+                carried: false,
+            })
+        );
+        let mut snap = w.snapshot();
+        snap.planning.as_mut().unwrap().leaves.pop();
+        assert!(matches!(
+            Willow::restore(snap),
+            Err(WillowError::SnapshotShape {
+                field: "planning.leaves",
+                ..
+            })
+        ));
+    }
+
+    /// A checkpoint from before the per-server constants moved into the
+    /// shared profile column carried them in each row's `thermal` record.
+    /// It must fail to load by naming that key, and an image without the
+    /// column must fail by naming the column.
+    #[test]
+    fn rows_carrying_constants_fail_to_load() {
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 10);
+        let mut image = w.snapshot().to_value();
+        for (server, profile) in items(field(&mut image, "servers"))
+            .iter_mut()
+            .zip(w.profiles())
+        {
+            let temperature = field(server, "temperature").clone();
+            let Value::Object(record) = server else {
+                panic!("not an object")
+            };
+            record.retain(|(k, _)| k != "temperature");
+            let thermal = Value::Object(vec![
+                ("params".into(), profile.thermal.to_value()),
+                ("ambient".into(), profile.ambient.to_value()),
+                ("limit".into(), profile.t_limit.to_value()),
+                ("rating".into(), profile.rating.to_value()),
+                ("temperature".into(), temperature),
+            ]);
+            record.insert(4, ("thermal".into(), thermal));
+            record.push(("full_util_power".into(), profile.full_util_power.to_value()));
+        }
+        let Value::Object(top) = &mut image else {
+            panic!("not an object")
+        };
+        top.retain(|(k, _)| k != "profiles");
+        let text = serde_json::to_string_pretty(&image).expect("serialize");
+        let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("old rows loaded");
+        assert_eq!(err.to_string(), "unknown field `thermal` for ServerState");
+
+        let mut image = w.snapshot().to_value();
+        let Value::Object(top) = &mut image else {
+            panic!("not an object")
+        };
+        top.retain(|(k, _)| k != "profiles");
+        let err = WillowSnapshot::from_value(&image).expect_err("profile-less image loaded");
+        assert_eq!(
+            err.to_string(),
+            "missing field `profiles` for WillowSnapshot"
+        );
     }
 
     /// A checkpoint in the layout that kept the leaf-local defences in

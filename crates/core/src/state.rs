@@ -79,18 +79,17 @@ impl PowerState {
         (self.tp[id.index()] - self.cp[id.index()]).non_negative()
     }
 
-    /// Level-wide imbalance (Eq. 9) over the nodes of `level`.
+    /// Level-wide imbalance (Eq. 9) over the nodes of `level`. One pass
+    /// folds both maxima; `max` does not round, so this equals two
+    /// separate folds bit for bit.
     #[must_use]
     pub fn level_imbalance(&self, tree: &Tree, level: u8) -> Watts {
-        let nodes = tree.nodes_at_level(level);
-        let p_def = nodes
+        let (p_def, p_sur) = tree
+            .nodes_at_level(level)
             .iter()
-            .map(|&n| self.deficit(n))
-            .fold(Watts::ZERO, Watts::max);
-        let p_sur = nodes
-            .iter()
-            .map(|&n| self.surplus(n))
-            .fold(Watts::ZERO, Watts::max);
+            .fold((Watts::ZERO, Watts::ZERO), |(def, sur), &n| {
+                (def.max(self.deficit(n)), sur.max(self.surplus(n)))
+            });
         p_def + p_def.min(p_sur)
     }
 

@@ -1,18 +1,20 @@
 //! The controller's steady-tick contract:
 //!
-//! * **(a)** the serial steady-state tick makes 0 heap allocations at 27 /
-//!   243 / 2,187 servers, with and without an attached telemetry
-//!   registry, both under ample supply and with supply below demand,
-//!   where every tick packs deficits that fit nowhere and sheds;
+//! * **(a)** the serial steady-state tick, followed by an invariant
+//!   audit that finds nothing, makes 0 heap allocations at 27 / 243 /
+//!   2,187 servers, with and without an attached telemetry registry, both
+//!   under ample supply and with supply below demand, where every tick
+//!   packs deficits that fit nowhere and sheds;
 //! * **(b)** the same holds on the serial path of the 5-level trees at
 //!   19,683 / 52,488 / 104,976 servers;
 //! * **(c)** on those trees, a `threads = 4` controller stepped in
 //!   lockstep with a serial twin under migration pressure emits the same
 //!   `TickReport` bit for bit every tick and ends in the same snapshot;
-//! * **(d)** once a checkpoint exists, capturing the planning context into
-//!   it again makes 0 heap allocations, and so does a whole
-//!   `snapshot_into`, at 27 servers as at 2,187; the capture shares the
-//!   live controller's tree and app identities rather than copying them;
+//! * **(d)** once a checkpoint exists, capturing the predictive policy's
+//!   planning context into it again makes 0 heap allocations, and so does
+//!   a whole `snapshot_into`, at 27 servers as at 2,187; the capture
+//!   shares the live controller's tree, server profiles and app
+//!   identities rather than copying them;
 //! * **(e)** on the 104,976-server tree, a controller restored from a
 //!   checkpoint captured mid-run under migration pressure steps in
 //!   lockstep with the uninterrupted one: the same `TickReport` every tick
@@ -31,8 +33,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use willow_core::audit::Auditor;
 use willow_core::command::Command;
-use willow_core::config::{AllocationPolicy, ControllerConfig};
+use willow_core::config::{AllocationPolicy, ControllerConfig, SupplyPolicyChoice};
 use willow_core::control::Willow;
 use willow_core::migration::TickReport;
 use willow_core::server::{FenceState, ServerSpec};
@@ -131,7 +134,8 @@ enum Shape {
 }
 
 /// Allocations made over `ticks` ticks of the serial steady state in
-/// `shape`, and the packing instances those ticks ran.
+/// `shape`, each followed by an audit, and the packing instances those
+/// ticks ran. Panics if an audit finds a violation.
 fn steady_allocs(
     branching: &[usize],
     shape: Shape,
@@ -159,15 +163,20 @@ fn steady_allocs(
     };
     let quiet = Disturbances::none();
     let mut report = TickReport::default();
+    let mut auditor = Auditor::new(&willow);
     for _ in 0..warmup {
         willow.step_into(&demands, supply, &quiet, &mut report);
+        auditor.check(&willow);
     }
     let packed = willow.stats().packing_instances;
+    let mut violations = 0;
     let before = allocations();
     for _ in 0..ticks {
         willow.step_into(&demands, supply, &quiet, &mut report);
+        violations += auditor.check(&willow).len();
     }
     let allocs = allocations() - before;
+    assert_eq!(violations, 0, "the {shape:?} audit found violations");
     if let Shape::Shedding = shape {
         assert!(
             report.dropped_demand.0 > 0.0,
@@ -197,12 +206,16 @@ fn steady_tick_allocates_nothing() {
     }
 }
 
-/// `snapshot_into` copies the planning context with
+/// `snapshot_into` copies the predictive policy's planning context with
 /// `PlanningContext::clone_from`: into a warm checkpoint that copy must
 /// reuse the checkpoint's `leaves` buffer rather than rebuild it.
 #[test]
 fn warm_planning_capture_allocates_nothing() {
-    let (mut willow, demands) = build(&[3, 9, 9], ControllerConfig::default(), 0.4);
+    let config = ControllerConfig {
+        supply_policy: SupplyPolicyChoice::Predictive,
+        ..ControllerConfig::default()
+    };
+    let (mut willow, demands) = build(&[3, 9, 9], config, 0.4);
     let supply = Watts(willow.servers().len() as f64 * 450.0);
     let quiet = Disturbances::none();
     let mut report = TickReport::default();
@@ -213,12 +226,16 @@ fn warm_planning_capture_allocates_nothing() {
     for _ in 0..8 {
         willow.step_into(&demands, supply, &quiet, &mut report);
     }
-    let warm = &mut snap.planning;
+    let warm = snap
+        .planning
+        .as_mut()
+        .expect("a predictive checkpoint plans");
+    let live = willow.planning().expect("a predictive controller plans");
     let before = allocations();
-    warm.clone_from(willow.planning());
+    warm.clone_from(live);
     let allocs = allocations() - before;
     assert_eq!(allocs, 0, "copying a warm planning context allocated");
-    assert_eq!(warm, willow.planning());
+    assert_eq!(warm, live);
 }
 
 /// Allocations of one `snapshot_into` into a warm checkpoint of a
@@ -245,13 +262,18 @@ fn warm_capture_allocs(branching: &[usize]) -> u64 {
         "the capture copied the tree"
     );
     assert!(
+        std::ptr::eq(snap.profiles.as_ptr(), willow.profiles().as_ptr()),
+        "the capture copied the server profiles"
+    );
+    assert!(
         std::ptr::eq(&snap.apps[AppId(0)], &willow.apps()[AppId(0)]),
         "the capture copied the app identities"
     );
     allocs
 }
 
-/// The tree and the app identities are shared, the roster is `Copy` rows,
+/// The tree, the server profiles and the app identities are shared, the
+/// roster is `Copy` rows,
 /// the rest of the app table `Copy` columns, and the power state and
 /// journal copy field by field, so a warm capture reuses every buffer:
 /// nothing per server, app or node, and nothing else.

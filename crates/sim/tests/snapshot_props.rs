@@ -135,7 +135,7 @@ proptest! {
         }
         let mut injector = FaultInjector::new(plan, n_servers).expect("valid plan");
 
-        let rating: f64 = w.servers().iter().map(|s| s.thermal.rating().0).sum();
+        let rating: f64 = w.profiles().iter().map(|p| p.rating.0).sum();
         let supply = Watts(rating * supply_frac);
         let mut report = TickReport::default();
         for t in 0..checkpoint_at {
@@ -239,7 +239,7 @@ proptest! {
         }
         let mut injector = FaultInjector::new(plan, n_servers).expect("valid plan");
 
-        let rating: f64 = w.servers().iter().map(|s| s.thermal.rating().0).sum();
+        let rating: f64 = w.profiles().iter().map(|p| p.rating.0).sum();
         let supply = Watts(rating * supply_frac);
         let mut report = TickReport::default();
         for t in 0..checkpoint_at {

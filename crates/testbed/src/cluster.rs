@@ -114,8 +114,7 @@ impl TestbedCluster {
     /// Current CPU utilization of each host (A, B, C).
     #[must_use]
     pub fn host_utilizations(&self) -> [f64; 3] {
-        let s = self.willow.servers();
-        [s[0].utilization(), s[1].utilization(), s[2].utilization()]
+        std::array::from_fn(|si| self.willow.utilization(si))
     }
 
     /// Drive one demand period under the given total supply.
