@@ -391,15 +391,14 @@ impl AppTable {
         r != NONE && std::mem::take(&mut self.records[r as usize].failures) > 0
     }
 
-    /// Forget the last moves older than `window` and the backoffs that
-    /// expired by `now` (recovery after an outage). The records stay.
+    /// Forget the last moves older than `window` (recovery after an
+    /// outage). Backoffs keep their failure counts even once `retry_at`
+    /// has passed: a live controller keeps the count until a success, and
+    /// it sets the next backoff's length. The records stay.
     pub(crate) fn expire(&mut self, now: u64, window: u64) {
         for m in &mut self.records {
             if m.moved_from != NONE && now.saturating_sub(m.moved_at) >= window {
                 m.moved_from = NONE;
-            }
-            if m.failures > 0 && m.retry_at <= now {
-                m.failures = 0;
             }
         }
     }
@@ -580,7 +579,14 @@ mod tests {
         t.expire(20, 5);
         assert_eq!(t.last_move(AppId(0)), None);
         assert_eq!(t.last_move(AppId(1)), Some((NodeId(5), 18)));
-        assert_eq!(t.backoff(AppId(2)), None);
+        // An elapsed backoff keeps its count, as on a live controller.
+        assert_eq!(
+            t.backoff(AppId(2)),
+            Some(Backoff {
+                failures: 1,
+                retry_at: 20
+            })
+        );
         assert_eq!(t.backoff(AppId(3)).map(|b| b.failures), Some(2));
         assert!(t.clear_backoff(AppId(3)));
         assert!(!t.clear_backoff(AppId(3)));
