@@ -219,24 +219,10 @@ impl DeviceThermal {
         self.params
     }
 
-    /// Change the ambient temperature (e.g. a rack moves into a hot zone).
-    pub fn set_ambient(&mut self, ambient: Celsius) {
-        self.ambient = ambient;
-    }
-
     /// Advance the state by `dt` with constant power `p`, using the exact
     /// closed-form solution. Returns the new temperature.
     pub fn advance(&mut self, p: Watts, dt: Seconds) -> Celsius {
         self.temperature = step_temperature(self.params, self.temperature, self.ambient, p, dt);
-        self.temperature
-    }
-
-    /// [`DeviceThermal::advance`] with a pre-computed decay factor
-    /// `e^(−c2·dt)` (see [`decay_factor`]) — the per-tick physics path
-    /// caches it since the control period never changes within a run.
-    pub fn advance_with_decay(&mut self, p: Watts, decay: f64) -> Celsius {
-        self.temperature =
-            step_temperature_with_decay(self.params, self.temperature, self.ambient, p, decay);
         self.temperature
     }
 
