@@ -269,6 +269,12 @@ impl AppTable {
         self.app.iter()
     }
 
+    /// The shared application column, in id order.
+    #[must_use]
+    pub fn applications(&self) -> &Arc<[Application]> {
+        &self.app
+    }
+
     /// Index of the server hosting `id`, if the table has that row.
     #[must_use]
     pub fn host(&self, id: AppId) -> Option<usize> {
@@ -303,14 +309,21 @@ impl AppTable {
         (r != NONE).then(|| &self.records[r as usize])
     }
 
-    /// `id`'s memory record, made on first use.
+    /// `id`'s memory record, made on first use. The pool doubles as it
+    /// fills, but never past one record per app: that is all it can hold.
     fn record_mut(&mut self, id: AppId) -> &mut Memory {
-        let r = &mut self.memory[id.0 as usize];
-        if *r == NONE {
-            *r = self.records.len() as u32;
-            self.records.push(Memory::EMPTY);
+        let r = self.memory[id.0 as usize];
+        if r != NONE {
+            return &mut self.records[r as usize];
         }
-        &mut self.records[*r as usize]
+        let len = self.records.len();
+        if len == self.records.capacity() {
+            let cap = (2 * len).max(4).min(self.memory.len());
+            self.records.reserve_exact(cap.saturating_sub(len));
+        }
+        self.memory[id.0 as usize] = len as u32;
+        self.records.push(Memory::EMPTY);
+        &mut self.records[len]
     }
 
     /// The apps on server `server`, in list order.
@@ -591,6 +604,21 @@ mod tests {
         assert!(t.clear_backoff(AppId(3)));
         assert!(!t.clear_backoff(AppId(3)));
         assert_eq!(t.backoff(AppId(3)), None);
+    }
+
+    /// The record pool grows by doubling but stops at one record per app.
+    #[test]
+    fn record_pool_holds_at_most_one_record_per_app() {
+        let apps: Vec<Application> = (0..9).map(app).collect();
+        let spec = ServerSpec::simulation_default(NodeId(0)).with_apps(apps);
+        let mut t = AppTable::for_specs(&[spec]).unwrap();
+        let mut caps = Vec::new();
+        for id in 0..9 {
+            t.set_last_move(AppId(id), NodeId(1), u64::from(id));
+            caps.push(t.records.capacity());
+        }
+        assert_eq!(caps, [4, 4, 4, 4, 8, 8, 8, 8, 9]);
+        t.validate(1).unwrap();
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::faults::FaultInjector;
 use crate::metrics::{FabricSnapshot, MetricsAccumulator, RunMetrics};
+use crate::pipeline::DemandPipeline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use willow_core::audit::Auditor;
@@ -21,19 +22,17 @@ use willow_core::snapshot::WillowSnapshot;
 use willow_core::Disturbances;
 use willow_thermal::units::Watts;
 use willow_topology::{NodeId, Tree};
-use willow_workload::demand::DemandModel;
+use willow_workload::demand::DemandStream;
 use willow_workload::mix::{place_random_mix, MixConfig};
 
 /// A runnable simulation instance.
 pub struct Simulation {
     config: SimConfig,
     willow: Willow,
-    demand_model: DemandModel,
-    rng: StdRng,
+    /// Draws every tick's per-application demands.
+    demand: Demand,
     level1: Vec<NodeId>,
     tick: usize,
-    /// AR(1) state per application driving slow load drift.
-    drift: Vec<f64>,
     /// This tick's sampled per-application demands, refilled in place.
     demands: Vec<Watts>,
     /// Rolls the configured fault plan, if any. Uses its own RNG, so a
@@ -86,8 +85,47 @@ pub struct Simulation {
     external_supply: Option<Watts>,
 }
 
-/// AR(1) persistence of the per-app load drift (per demand period).
-const DRIFT_RHO: f64 = 0.9;
+/// How the engine draws each tick's demand. Both ways run the one
+/// [`DemandStream`], so they give the same demands bit for bit.
+enum Demand {
+    /// On the stepping thread, at the start of each tick.
+    Inline(DemandStream),
+    /// One tick ahead, on a worker thread.
+    Pipelined(DemandPipeline),
+}
+
+/// Fewest apps for which the engine draws demand one tick ahead on a
+/// worker thread. Drawing costs 64–90 ns per app and a handoff 20–110 µs
+/// (2-CPU x86-64 host), so from here up the draws the worker takes over
+/// cost several handoffs.
+const PIPELINE_MIN_APPS: usize = 4096;
+
+impl Demand {
+    /// Pipelined when the stream is long enough to pay for the handoff and
+    /// the host has a second CPU to run the worker on.
+    fn new(stream: DemandStream) -> Demand {
+        let pays = || {
+            stream.len() >= PIPELINE_MIN_APPS
+                && std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+        };
+        #[cfg(test)]
+        let pipelined = tests::FORCE_PIPELINE.get().unwrap_or_else(pays);
+        #[cfg(not(test))]
+        let pipelined = pays();
+        if pipelined {
+            Demand::Pipelined(DemandPipeline::spawn(stream))
+        } else {
+            Demand::Inline(stream)
+        }
+    }
+
+    fn next_into(&mut self, out: &mut Vec<Watts>) {
+        match self {
+            Demand::Inline(stream) => stream.next_into(out),
+            Demand::Pipelined(pipeline) => pipeline.next_into(out),
+        }
+    }
+}
 
 impl Simulation {
     /// Build a simulation from a validated config.
@@ -108,12 +146,12 @@ impl Simulation {
         let placement = place_random_mix(&mut rng, &mix, config.n_servers());
 
         // Server specs with thermal zones applied.
-        let leaves: Vec<NodeId> = tree.leaves().collect();
-        let specs: Vec<ServerSpec> = leaves
-            .iter()
+        let specs: Vec<ServerSpec> = tree
+            .leaves()
+            .zip(placement)
             .enumerate()
-            .map(|(i, &leaf)| {
-                let mut spec = ServerSpec::simulation_default(leaf).with_apps(placement[i].clone());
+            .map(|(i, (leaf, apps))| {
+                let mut spec = ServerSpec::simulation_default(leaf).with_apps(apps);
                 for zone in &config.zones {
                     if i >= zone.start && i < zone.end {
                         spec.ambient = zone.ambient;
@@ -123,9 +161,16 @@ impl Simulation {
             })
             .collect();
 
-        let willow = Willow::new(tree.clone(), specs, config.controller.clone())?;
         let level1 = tree.nodes_at_level(1).to_vec();
+        let willow = Willow::new(tree, specs, config.controller.clone())?;
         let n_apps = willow.apps().len();
+        let stream = DemandStream::new(
+            willow.apps().applications().clone(),
+            rng,
+            config.utilization,
+            config.utilization_trace.clone().unwrap_or_default(),
+            config.demand_drift,
+        );
         let injector = match &config.faults {
             Some(plan) => Some(FaultInjector::new(plan.clone(), config.n_servers())?),
             None => None,
@@ -138,11 +183,9 @@ impl Simulation {
         Ok(Simulation {
             config,
             willow,
-            demand_model: DemandModel::default(),
-            rng,
+            demand: Demand::new(stream),
             level1,
             tick: 0,
-            drift: vec![0.0; n_apps],
             demands: Vec::with_capacity(n_apps),
             injector,
             registry: willow_telemetry::TelemetryRegistry::disabled(),
@@ -244,29 +287,10 @@ impl Simulation {
     /// snapshot buffer, so a full run needs no per-tick snapshot
     /// allocation either.
     pub fn step_into_buffers(&mut self, report: &mut TickReport, fabric: &mut FabricSnapshot) {
-        use rand::Rng;
         let t0 = self.registry.now();
-        let u = match &self.config.utilization_trace {
-            Some(trace) => trace
-                .get(self.tick)
-                .or(trace.last())
-                .copied()
-                .unwrap_or(self.config.utilization),
-            None => self.config.utilization,
-        };
-        let amp = self.config.demand_drift;
-        let innovation = (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt();
-        self.demands.clear();
-        // Every app in id order, wherever it runs: the controller's table
-        // is the one app list.
-        let apps = self.willow.apps().iter();
-        self.demands
-            .extend(apps.zip(self.drift.iter_mut()).map(|(a, x)| {
-                // Slow per-app intensity drift (stationary, zero-mean).
-                *x = DRIFT_RHO * *x + innovation * (self.rng.gen::<f64>() * 2.0 - 1.0);
-                let eff_u = (u * (1.0 + amp * *x)).clamp(0.0, 1.0);
-                self.demand_model.sample_app_demand(&mut self.rng, a, eff_u)
-            }));
+        // Every app in id order, wherever it runs: the stream shares the
+        // controller's app column, and no command adds or removes an app.
+        self.demand.next_into(&mut self.demands);
         // A federation driver's grant (if any) replaces the nominal supply
         // verbatim — a healthy single-zone federation grants exactly that
         // value, which is what keeps the one-zone differential bit-for-bit.
@@ -510,8 +534,28 @@ impl Simulation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Overrides the demand mode of every `Simulation` built on this
+        /// thread: `Some(true)` pipelined, `Some(false)` inline.
+        pub(crate) static FORCE_PIPELINE: Cell<Option<bool>> = const { Cell::new(None) };
+    }
+
+    /// `build()` with every `Simulation` it makes in the given demand mode.
+    pub(crate) fn in_demand_mode<T>(pipelined: bool, build: impl FnOnce() -> T) -> T {
+        FORCE_PIPELINE.set(Some(pipelined));
+        let built = build();
+        FORCE_PIPELINE.set(None);
+        built
+    }
+
+    /// Whether `sim` draws its demand on a worker thread.
+    pub(crate) fn is_pipelined(sim: &Simulation) -> bool {
+        matches!(sim.demand, Demand::Pipelined(_))
+    }
 
     #[test]
     fn deterministic_runs() {

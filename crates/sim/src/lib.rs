@@ -39,6 +39,7 @@ pub mod federate;
 pub mod messaging;
 pub mod metrics;
 pub mod parallel;
+mod pipeline;
 pub mod trace;
 
 pub use commands::{parse_timeline, ScheduledCommand, SimCommand};

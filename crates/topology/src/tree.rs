@@ -307,7 +307,10 @@ impl Tree {
         }
         debug_assert_eq!(leaf_order.len(), n_leaves);
 
-        let names = nodes.into_iter().map(|node| node.name).collect();
+        // A fresh buffer: collecting in place would keep the arena's much
+        // larger `Node` allocation alive under the names for the tree's life.
+        let mut names = Vec::with_capacity(n);
+        names.extend(nodes.into_iter().map(|node| node.name));
         Ok(Tree {
             parents,
             levels,
