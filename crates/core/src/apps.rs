@@ -169,8 +169,8 @@ impl AppTable {
     /// an id hosted twice.
     pub(crate) fn for_specs(specs: &[ServerSpec]) -> Result<AppTable, WillowError> {
         let n: usize = specs.iter().map(|s| s.apps.len()).sum();
-        let mut rows: Vec<Application> =
-            specs.iter().flat_map(|s| s.apps.iter().copied()).collect();
+        let mut rows: Vec<Application> = Vec::with_capacity(n);
+        rows.extend(specs.iter().flat_map(|s| s.apps.iter().copied()));
         let mut table = AppTable {
             app: Arc::default(),
             host: vec![NONE; n],

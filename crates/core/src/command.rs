@@ -48,7 +48,7 @@ pub enum Command {
         server: usize,
     },
     /// Gracefully drain a server: evacuate every hosted app through the
-    /// transactional migration machinery, then fence it. Apps that cannot
+    /// ordinary migration machinery, then fence it. Apps that cannot
     /// be placed yet are reported as stranded and retried next tick — the
     /// drain stays pending until the server is empty.
     Drain {

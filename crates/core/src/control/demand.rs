@@ -20,8 +20,8 @@
 //!
 //! Candidate-bin filtering, group packing and migration execution stay
 //! serial: each migration mutates the `cp`/`tp` surpluses that every later
-//! group must observe, and journal transaction ids, attempt ordinals and
-//! record order are all part of the deterministic contract.
+//! group must observe, and attempt ordinals and record order are part of
+//! the deterministic contract.
 
 use super::shard::{shard_range, RawSlice};
 use super::{Willow, NO_SERVER};

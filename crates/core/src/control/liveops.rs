@@ -239,7 +239,7 @@ impl Willow {
 
     /// One tick of a graceful drain. Marks the server
     /// [`FenceState::Draining`], evacuates every placeable app through the
-    /// transactional migration machinery (largest first, siblings first),
+    /// ordinary migration machinery (largest first, siblings first),
     /// and — once the server is empty — sleeps and fences it with its
     /// budget and cap forced to zero. Returns `Ok(true)` when fenced,
     /// `Ok(false)` while apps remain (counted on

@@ -1,13 +1,12 @@
-//! Transactional migration machinery shared by the demand and
-//! consolidation stages: prepare → transfer → commit/abort through the
-//! write-ahead journal (see `crate::txn`), ping-pong suppression
-//! (Property 4), and exponential retry backoff for failed attempts.
+//! Migration machinery shared by the demand, consolidation and live-ops
+//! stages: one attempt per decided move, executed within the tick that
+//! decided it (§IV-E), ping-pong suppression (Property 4), and exponential
+//! retry backoff for failed attempts.
 
 use super::demand::DeficitItem;
 use super::Willow;
 use crate::disturbance::MigrationOutcome;
 use crate::migration::MigrationRecord;
-use crate::txn::TxnId;
 use willow_topology::NodeId;
 use willow_workload::app::AppId;
 
@@ -46,16 +45,15 @@ impl Willow {
         self.apps.set_backoff(app, Backoff { failures, retry_at });
     }
 
-    /// Try to migrate `item` to `target_leaf` as a transaction (see
-    /// `crate::txn`), consuming the next pre-rolled outcome. On `Success`
-    /// the transaction runs prepare → transfer → commit and the move
-    /// happens (a cleared backoff counts as a successful retry); on
-    /// `Reject` the transaction aborts straight from `Prepared` — nothing
-    /// is charged; on `Abort` it aborts from `Transferred` — the copy work
-    /// already happened, so both end nodes pay the temporary cost and the
-    /// fabric carried the traffic, but the app stays at the source. Both
-    /// failure modes enter the app into retry backoff. Returns whether the
-    /// app moved.
+    /// Try to migrate `item` to `target_leaf`, consuming the next
+    /// pre-rolled outcome. On `Reject` admission is refused before any
+    /// copy work, so nothing is charged. Otherwise the copy work happens:
+    /// both end nodes pay the temporary cost of `item`'s decision-time
+    /// demand for one period and the fabric carries the traffic. On
+    /// `Abort` the app then stays at the source and the copy cost is
+    /// charged into both ends' demand views; on `Success` it moves (a
+    /// cleared backoff counts as a successful retry). Both failure modes
+    /// enter the app into retry backoff. Returns whether the app moved.
     pub(super) fn attempt_migration(
         &mut self,
         item: &DeficitItem,
@@ -65,166 +63,74 @@ impl Willow {
     ) -> bool {
         let attempt = self.mig_attempts;
         self.mig_attempts += 1;
-        let txn = self.prepare_migration(item, target_leaf, tick);
-        match self.disturb.migration_outcome(attempt) {
-            MigrationOutcome::Success => {
-                if self.apps.clear_backoff(item.app) {
-                    self.counters.migration_retries += 1;
-                }
-                self.transfer_migration(txn);
-                let committed = self.commit_migration(txn, records);
-                debug_assert!(committed, "a fresh transaction must commit");
-                true
-            }
-            MigrationOutcome::Reject => {
-                // Admission refused before any copy work: abort from
-                // `Prepared`, charging nothing.
-                self.abort_migration(txn);
-                self.counters.migration_rejects += 1;
-                self.register_failure(item.app, tick);
-                false
-            }
-            MigrationOutcome::Abort => {
-                // Dead link / crash mid-copy: the transfer's work was real,
-                // the placement flip never happened.
-                self.counters.migration_aborts += 1;
-                self.transfer_migration(txn);
-                self.abort_migration(txn);
-                self.register_failure(item.app, tick);
-                false
-            }
-        }
-    }
-
-    /// Transaction phase 1 — **prepare**: validate the attempt and open a
-    /// journal entry. Nothing is charged; the app keeps running at the
-    /// source.
-    pub(super) fn prepare_migration(
-        &mut self,
-        item: &DeficitItem,
-        target_leaf: NodeId,
-        tick: u64,
-    ) -> TxnId {
-        let src_leaf = self.servers[item.server].node;
-        debug_assert_eq!(
-            self.apps.host(item.app),
-            Some(item.server),
-            "preparing a migration for an app not hosted at its source"
-        );
-        debug_assert!(
-            self.server_at(target_leaf).is_some(),
-            "preparing a migration to a non-server target"
-        );
-        self.journal.begin(
-            item.app,
-            src_leaf,
-            target_leaf,
-            item.demand,
-            item.reason,
-            tick,
-        )
-    }
-
-    /// Transaction phase 2 — **transfer**: the copy work. Both end nodes
-    /// pay the temporary cost for one period (§IV-E) and the fabric
-    /// carries the traffic. This happens whether the transaction later
-    /// commits or aborts — aborting cannot refund work already done.
-    pub(super) fn transfer_migration(&mut self, txn: TxnId) {
-        let e = *self
-            .journal
-            .entry(txn)
-            .expect("transferring a live transaction");
-        let src_idx = self.server_at(e.from).expect("source is a server leaf");
-        let tgt_idx = self.server_at(e.to).expect("target is a server leaf");
-        let local = self.tree.are_siblings(e.from, e.to);
-        let cost = self.config.cost_model.end_node_cost(e.demand, local);
-        self.servers[src_idx].pending_cost += cost;
-        self.servers[tgt_idx].pending_cost += cost;
-        let units = self.config.cost_model.traffic_units(e.demand);
-        self.fabric
-            .record_migration(&self.tree, e.from, e.to, units);
-        self.journal.mark_transferred(txn);
-    }
-
-    /// Transaction phase 3 — **commit**: flip the placement at the target
-    /// and update every demand view. Idempotent: committing an
-    /// already-committed (or aborted) transaction returns `false` and
-    /// changes nothing, so duplicated commit messages can never
-    /// double-move an app. Returns whether *this* call performed the move.
-    pub(super) fn commit_migration(
-        &mut self,
-        txn: TxnId,
-        records: &mut Vec<MigrationRecord>,
-    ) -> bool {
-        let e = match self.journal.entry(txn) {
-            Some(e) => *e,
-            None => return false,
-        };
-        if !self.journal.commit(txn) {
+        let outcome = self.disturb.migration_outcome(attempt);
+        if outcome == MigrationOutcome::Reject {
+            self.counters.migration_rejects += 1;
+            self.register_failure(item.app, tick);
             return false;
         }
-        let src_idx = self.server_at(e.from).expect("source is a server leaf");
-        let tgt_idx = self.server_at(e.to).expect("target is a server leaf");
+        let src_idx = item.server;
+        let (from, to) = (self.servers[src_idx].node, target_leaf);
+        let tgt_idx = self.server_at(to).expect("target is a server leaf");
         debug_assert_ne!(src_idx, tgt_idx, "cannot migrate to self");
-
         assert_eq!(
-            self.apps.host(e.app),
+            self.apps.host(item.app),
             Some(src_idx),
-            "committed app still hosted at source"
+            "migrating an app not hosted at its source"
         );
-        let demand = self.apps.demand(e.app);
-        self.rehost(e.app, tgt_idx);
 
-        let local = self.tree.are_siblings(e.from, e.to);
+        // The copy work, real whether or not the move completes.
+        let local = self.tree.are_siblings(from, to);
+        let cost = self.config.cost_model.end_node_cost(item.demand, local);
+        self.servers[src_idx].pending_cost += cost;
+        self.servers[tgt_idx].pending_cost += cost;
+        let units = self.config.cost_model.traffic_units(item.demand);
+        self.fabric.record_migration(&self.tree, from, to, units);
+
+        if outcome == MigrationOutcome::Abort {
+            // Dead link / crash mid-copy: the placement never flips.
+            self.counters.migration_aborts += 1;
+            self.power.cp[from.index()] += cost;
+            self.power.cp[to.index()] += cost;
+            self.servers[src_idx].local_cp += cost;
+            self.servers[tgt_idx].local_cp += cost;
+            self.register_failure(item.app, tick);
+            return false;
+        }
+
+        if self.apps.clear_backoff(item.app) {
+            self.counters.migration_retries += 1;
+        }
+        // The demand views move the app table's demand, and charge its cost.
+        let demand = self.apps.demand(item.app);
+        self.rehost(item.app, tgt_idx);
         let cost = self.config.cost_model.end_node_cost(demand, local);
 
         // Keep leaf CPs current so later packing sees updated surpluses.
-        self.power.cp[e.from.index()] =
-            (self.power.cp[e.from.index()] - demand).non_negative() + cost;
-        self.power.cp[e.to.index()] += demand + cost;
+        self.power.cp[from.index()] = (self.power.cp[from.index()] - demand).non_negative() + cost;
+        self.power.cp[to.index()] += demand + cost;
         let src = &mut self.servers[src_idx].local_cp;
         *src = (*src - demand).non_negative() + cost;
         self.servers[tgt_idx].local_cp += demand + cost;
 
-        let hops = self.tree.path_len(e.from, e.to) - 1; // switches on path
-                                                         // Ping-pong: the app returns to the host it last left, within Δ_f.
-        let pingpong = self.would_pingpong(e.app, e.to, e.tick);
-        self.apps.set_last_move(e.app, e.from, e.tick);
+        // Switches on the path.
+        let hops = self.tree.path_len(from, to) - 1;
+        // Ping-pong: the app returns to the host it last left, within Δ_f.
+        let pingpong = self.would_pingpong(item.app, to, tick);
+        self.apps.set_last_move(item.app, from, tick);
 
         self.stats.migrations += 1;
         records.push(MigrationRecord {
-            tick: e.tick,
-            app: e.app,
-            from: e.from,
-            to: e.to,
+            tick,
+            app: item.app,
+            from,
+            to,
             moved: demand,
-            reason: e.reason,
+            reason: item.reason,
             local,
             hops,
             pingpong,
         });
         true
-    }
-
-    /// Explicit **abort**, legal from either open phase: the app stays at
-    /// the source. An abort after transfer charges the copy cost into both
-    /// ends' demand views (the work was real); an abort from `Prepared`
-    /// charges nothing.
-    pub(super) fn abort_migration(&mut self, txn: TxnId) {
-        let e = *self
-            .journal
-            .entry(txn)
-            .expect("aborting a live transaction");
-        if e.phase == crate::txn::TxnPhase::Transferred {
-            let local = self.tree.are_siblings(e.from, e.to);
-            let cost = self.config.cost_model.end_node_cost(e.demand, local);
-            self.power.cp[e.from.index()] += cost;
-            self.power.cp[e.to.index()] += cost;
-            for leaf in [e.from, e.to] {
-                let si = self.server_at(leaf).expect("ends are server leaves");
-                self.servers[si].local_cp += cost;
-            }
-        }
-        self.journal.abort(txn);
     }
 }

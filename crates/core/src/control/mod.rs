@@ -25,12 +25,13 @@
 //! 5. **[`physics`]** — each server draws `min(demand, budget)` and its RC
 //!    thermal state advances by `Δ_D`.
 //!
-//! The transactional migration machinery (prepare → transfer → commit,
-//! ping-pong suppression, retry backoff) that stages 3 and 4 share lives in
-//! [`migrate`]; sampled spans and counters in [`telemetry`]. The live-ops
-//! command plane ([`liveops`]) executes queued operator commands at a
-//! fixed point between stages 1 and 2, so reconfigurations land at a
-//! deterministic, replayable position in every tick.
+//! The migration machinery (one attempt per decided move, executed within
+//! the tick, ping-pong suppression, retry backoff) that stages 3 and 4
+//! share lives in [`migrate`]; sampled spans and counters in
+//! [`telemetry`]. The live-ops command plane ([`liveops`]) executes
+//! queued operator commands at a fixed point between stages 1 and 2, so
+//! reconfigurations land at a deterministic, replayable position in every
+//! tick.
 //!
 //! Every policy decision inside the stages is one enum on
 //! [`ControllerConfig`], matched at its decision point: `packer` (which
@@ -49,7 +50,6 @@ use crate::migration::TickReport;
 use crate::server::FenceState;
 use crate::server::{ServerProfile, ServerSpec, ServerState};
 use crate::state::PowerState;
-use crate::txn::MigrationJournal;
 use std::sync::Arc;
 use willow_network::Fabric;
 use willow_thermal::model::decay_factor;
@@ -261,10 +261,6 @@ pub struct Willow {
     /// Per-server decay factor `e^(−c2·Δ_S)` for the thermal-cap
     /// prediction on supply ticks.
     pub(super) decay_ds: Vec<f64>,
-    /// Write-ahead journal of migration transactions (see `crate::txn`):
-    /// every migration runs prepare → transfer → commit through it, so a
-    /// crash or dead link mid-flight can never orphan or duplicate an app.
-    pub(super) journal: MigrationJournal,
     /// Disturbances being applied to the period currently in progress.
     pub(super) disturb: Disturbances,
     /// Migration attempts made so far this period (indexes into the
@@ -327,7 +323,6 @@ impl Willow {
             tick: 0,
             last_dropped: Watts::ZERO,
             stats: ControlStats::default(),
-            journal: MigrationJournal::default(),
             pending: Vec::new(),
             next_command_id: 0,
             paused: false,
@@ -420,13 +415,6 @@ impl Willow {
         self.last_dropped
     }
 
-    /// The migration-transaction journal: open transactions plus recently
-    /// closed ones (retained for duplicate-commit detection).
-    #[must_use]
-    pub fn journal(&self) -> &MigrationJournal {
-        &self.journal
-    }
-
     /// The controller's planning memory: demand/supply forecaster state
     /// (see [`crate::control::planning`]). `None` unless the config
     /// selects the predictive supply policy, the only one that reads it.
@@ -463,7 +451,6 @@ impl Willow {
             tick,
             last_dropped,
             stats,
-            journal,
             pending,
             next_command_id,
             paused,
@@ -560,7 +547,6 @@ impl Willow {
             stats,
             decay_dd,
             decay_ds,
-            journal,
             disturb: Disturbances::default(),
             mig_attempts: 0,
             counters: FaultCounters::default(),
@@ -583,7 +569,7 @@ impl Willow {
     /// [`Willow::step_open_loop`]).
     ///
     /// The checkpoint supplies the controller's *memory* (config, counters,
-    /// ping-pong history, retry backoff, the migration journal); the field
+    /// ping-pong history, retry backoff, the command queue); the field
     /// supplies *physical truth*, which always wins where the two disagree:
     ///
     /// * **Placement and server state** — migrations committed between the
@@ -604,9 +590,9 @@ impl Willow {
     ///   elapsed during the outage are expired rather than replayed.
     ///   Backoffs keep their failure counts, as a live controller does
     ///   until a success; an elapsed `retry_at` just lets the retry run.
-    /// * **In-flight migrations** — journal entries still open in the
-    ///   checkpoint never flipped a placement, so they are aborted
-    ///   ([`MigrationJournal::resolve_in_flight`]).
+    /// * **Migrations** — none is ever in flight: a migration is one step
+    ///   inside a tick, and a crash covers whole ticks, so the checkpoint
+    ///   and the field each see every migration whole or not at all.
     /// * **In-flight drains** — the pending command queue is controller
     ///   memory and comes from the checkpoint; a server the field reports
     ///   as `Draining` whose drain command is *not* in that queue (it was
@@ -660,16 +646,14 @@ impl Willow {
 
         // Expire last moves whose window elapsed during the outage.
         w.apps.expire(w.tick, w.config.pingpong_window);
-        w.journal.resolve_in_flight();
 
         // Command plane: the queue is controller memory (restored from the
         // checkpoint above), but correlation ids must never regress below
         // ones the field already handed out.
         w.next_command_id = w.next_command_id.max(field.next_command_id);
-        // Resolve in-flight drain fences the same way the journal resolves
-        // in-flight migrations: a `Draining` fence whose drain command was
-        // issued after the checkpoint (so the restored queue no longer
-        // carries it) would otherwise stay half-fenced forever.
+        // Resolve in-flight drain fences: a `Draining` fence whose drain
+        // command was issued after the checkpoint (so the restored queue no
+        // longer carries it) would otherwise stay half-fenced forever.
         for (si, server) in w.servers.iter_mut().enumerate() {
             let drain_pending = w
                 .pending
@@ -767,9 +751,6 @@ impl Willow {
         self.mig_attempts = 0;
         self.counters = FaultCounters::default();
         let tick = self.tick;
-        // Age out closed migration transactions; open entries are kept
-        // (and an empty journal makes this free on steady-state ticks).
-        self.journal.prune(tick);
         let supply_tick = tick.is_multiple_of(u64::from(self.config.eta1));
         let consolidation_tick = tick.is_multiple_of(u64::from(self.config.eta2));
         report.reset(tick, supply_tick, consolidation_tick);

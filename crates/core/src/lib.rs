@@ -106,7 +106,6 @@ pub mod server;
 pub mod shedding;
 pub mod snapshot;
 pub mod state;
-pub mod txn;
 
 pub use audit::{Auditor, InvariantViolation};
 pub use command::{

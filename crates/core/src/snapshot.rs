@@ -18,7 +18,8 @@
 //! that kept the leaf-local defences in top-level vectors (`local_cp`,
 //! `watchdog`, `accepted_temp`) fails on the first of them; a power state
 //! carrying the supply stage's scratch `tp_old` fails on that; a server
-//! row carrying its constants (`thermal`) fails on that. An image whose
+//! row carrying its constants (`thermal`) fails on that, and one carrying
+//! the retired migration journal fails on `journal`. An image whose
 //! planning state disagrees with its supply policy (a reactive one that
 //! carries forecasters, a predictive one without) fails with
 //! [`WillowError::PlanningMismatch`].
@@ -33,7 +34,6 @@ use crate::config::ControllerConfig;
 use crate::control::{ControlStats, PlanningContext, Willow, WillowError};
 use crate::server::{ServerProfile, ServerState};
 use crate::state::PowerState;
-use crate::txn::MigrationJournal;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use willow_thermal::units::Watts;
@@ -61,10 +61,6 @@ pub struct WillowSnapshot {
     pub last_dropped: Watts,
     /// Cumulative operation counters (§V-A2 complexity accounting).
     pub stats: ControlStats,
-    /// Migration-transaction journal: open transactions plus recently
-    /// closed ones. Restore resolves any entry still open (see
-    /// `crate::txn`).
-    pub journal: MigrationJournal,
     /// Live-ops commands still in flight (queued or mid-drain).
     pub pending: Vec<PendingCommand>,
     /// Next correlation id to assign.
@@ -94,7 +90,6 @@ impl Willow {
             tick: self.tick_count(),
             last_dropped: self.last_dropped(),
             stats: self.stats(),
-            journal: self.journal().clone(),
             pending: self.pending_commands().to_vec(),
             next_command_id: self.next_command_id(),
             paused: self.is_paused(),
@@ -118,7 +113,6 @@ impl Willow {
         snap.tick = self.tick_count();
         snap.last_dropped = self.last_dropped();
         snap.stats = self.stats();
-        snap.journal.clone_from(self.journal());
         snap.pending.clear();
         snap.pending.extend_from_slice(self.pending_commands());
         snap.next_command_id = self.next_command_id();
@@ -807,6 +801,29 @@ mod tests {
                 .iter()
                 .any(|name| message.contains(&format!("`{name}`"))),
             "the error must name a moved field: {message}"
+        );
+    }
+
+    /// A checkpoint from when migrations ran through a write-ahead journal
+    /// carries a `journal` key, and must fail to load naming it.
+    #[test]
+    fn journal_carrying_image_fails_to_load() {
+        let (mut w, n_apps) = setup();
+        let _ = drive(&mut w, n_apps, 10);
+        let mut image = w.snapshot().to_value();
+        let Value::Object(top) = &mut image else {
+            panic!("not an object")
+        };
+        let journal = Value::Object(vec![
+            ("next_id".into(), Value::U64(0)),
+            ("entries".into(), Value::Array(Vec::new())),
+        ]);
+        top.push(("journal".into(), journal));
+        let text = serde_json::to_string_pretty(&image).expect("serialize");
+        let err = serde_json::from_str::<WillowSnapshot>(&text).expect_err("journal loaded");
+        assert_eq!(
+            err.to_string(),
+            "unknown field `journal` for WillowSnapshot"
         );
     }
 

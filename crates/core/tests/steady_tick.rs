@@ -273,10 +273,9 @@ fn warm_capture_allocs(branching: &[usize]) -> u64 {
 }
 
 /// The tree, the server profiles and the app identities are shared, the
-/// roster is `Copy` rows,
-/// the rest of the app table `Copy` columns, and the power state and
-/// journal copy field by field, so a warm capture reuses every buffer:
-/// nothing per server, app or node, and nothing else.
+/// roster is `Copy` rows, the rest of the app table `Copy` columns, and
+/// the power state copies field by field, so a warm capture reuses every
+/// buffer: nothing per server, app or node, and nothing else.
 #[test]
 fn warm_capture_allocates_nothing_at_any_size() {
     for branching in [&[3, 3, 3][..], &[3, 27, 27]] {

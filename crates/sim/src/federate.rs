@@ -525,17 +525,7 @@ impl FederatedSimulation {
         let zones: Vec<RunMetrics> = accs
             .into_iter()
             .zip(&self.zones)
-            .map(|(acc, z)| {
-                let mut m = acc.finish();
-                m.open_loop_ticks = z.open_loop_ticks();
-                m.controller_recoveries = z.controller_recoveries();
-                m.invariant_violations = z.invariant_violations();
-                m.commands_applied = z.commands_applied();
-                m.commands_rejected = z.commands_rejected();
-                m.drain_stranded_app_ticks = z.drain_stranded_app_ticks();
-                m.topology_rejections = z.topology_rejections();
-                m
-            })
+            .map(|(acc, z)| z.finish_metrics(acc))
             .collect();
         FederationRunMetrics {
             zones,

@@ -59,13 +59,15 @@ fn warm_pipelined_ticks_allocate_nothing_on_any_thread() {
     let mut cfg = SimConfig::paper_hot_cold(1, 0.4);
     cfg.branching = vec![3, 9, 9, 9];
     let mut sim = Simulation::new(cfg).unwrap();
-    let second_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
-    if let Some(runs) = demand_worker_runs() {
-        assert_eq!(runs, second_cpu, "the engine pipelines on a second CPU");
-    }
     let (mut report, mut fabric) = (TickReport::default(), FabricSnapshot::default());
     for _ in 0..112 {
         sim.step_into_buffers(&mut report, &mut fabric);
+    }
+    // Looked up after warm-up: the worker names itself when it starts,
+    // which can trail `Simulation::new`, but precedes its first draw.
+    let second_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    if let Some(runs) = demand_worker_runs() {
+        assert_eq!(runs, second_cpu, "the engine pipelines on a second CPU");
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..56 {
