@@ -25,11 +25,14 @@ const ROUNDS: u64 = 64;
 
 /// Metric families that must appear in the Prometheus rendition; one per
 /// instrumented subsystem, so a broken wire fails the smoke test.
-const REQUIRED_FAMILIES: [&str; 10] = [
+const REQUIRED_FAMILIES: [&str; 13] = [
     "willow_controller_phase_measure_seconds_bucket",
     "willow_controller_phase_demand_seconds_bucket",
     "willow_controller_phase_physics_seconds_bucket",
     "willow_controller_migrations_total",
+    "willow_controller_demand_packing_instances_total",
+    "willow_controller_demand_items_offered_total",
+    "willow_controller_demand_bins_offered_total",
     "willow_controller_level_deficit_watts_l0",
     "willow_fabric_query_traffic_units",
     "willow_sim_tick_seconds_bucket",

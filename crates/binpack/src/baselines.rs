@@ -5,7 +5,9 @@
 //! choice the paper makes: comparison points on the packer axis of the
 //! `repro ablate` policy grid.
 
-use crate::packing::{desc_order_into, sealed::Heuristic, PackScratch, Packer, FIT_EPSILON};
+use crate::packing::{
+    desc_order_into, first_fit_decreasing, sealed::Heuristic, PackScratch, Packer, FIT_EPSILON,
+};
 
 /// Next-Fit: keep one open bin; if the item does not fit, move to the next
 /// bin and never look back. `O(n + m)`.
@@ -44,7 +46,9 @@ impl Heuristic for NextFit {
 
 /// First-Fit Decreasing: sort items descending, then First-Fit, with bins
 /// visited in descending capacity order (the natural generalization to
-/// variable bins: big demands try big surpluses first).
+/// variable bins: big demands try big surpluses first). The bins are
+/// opened in that order only as far as the items need; FFDLR's phase 1
+/// is the same first fit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FirstFitDecreasing;
 
@@ -62,21 +66,7 @@ impl Heuristic for FirstFitDecreasing {
         s: &mut PackScratch,
         assignment: &mut [Option<usize>],
     ) {
-        desc_order_into(items, &mut s.item_order);
-        desc_order_into(bins, &mut s.bin_order);
-        s.free.clear();
-        s.free.extend_from_slice(bins);
-        for &i in &s.item_order {
-            let size = items[i];
-            if let Some(&b) = s
-                .bin_order
-                .iter()
-                .find(|&&b| size <= s.free[b] + FIT_EPSILON)
-            {
-                assignment[i] = Some(b);
-                s.free[b] -= size;
-            }
-        }
+        first_fit_decreasing(items, bins, s, assignment);
     }
 }
 

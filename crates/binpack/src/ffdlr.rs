@@ -13,11 +13,22 @@
 //! Step 4 matters to Willow beyond the approximation bound: repacking groups
 //! into the *smallest* feasible surplus runs every receiving server as close
 //! to full utilization as possible, so the emptied large surpluses (idle
-//! servers) can be deactivated during consolidation. Runtime is
-//! `O(n log n)` for `n = items + bins`, and the solution is within
+//! servers) can be deactivated during consolidation. The solution is within
 //! `(3/2)·OPT + 1` bins of optimal.
+//!
+//! No bin order is sorted. For `n` items, `m` bins and `r ≤ min(n, m)`
+//! bins opened by phase 1 (one group each), phase 1 costs
+//! `O(n log n + m + n·r + r log m)` (sort the items, heapify the bins,
+//! open them lazily; each item scans at most the `r` opened bins) and the
+//! repack `O(r log r + r·m + n·r)` (one selection pass over the bins per
+//! group, then each item finds its group). A controller instance offers
+//! a few deficits to thousands of surpluses, so `r` is small and the cost
+//! is a few linear passes over the bins instead of two `O(m log m)`
+//! sorts.
 
-use crate::packing::{desc_order_into, sealed::Heuristic, PackScratch, Packer, FIT_EPSILON};
+use crate::packing::{
+    first_fit_decreasing, sealed::Heuristic, smallest_bin, PackScratch, Packer, FIT_EPSILON,
+};
 
 /// The FFDLR packer. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,57 +52,23 @@ impl Heuristic for Ffdlr {
         // order ("pack into the first bin of size 1", i.e. largest first).
         // Normalization by the largest bin is implicit: only relative order
         // and fit tests matter and both are scale-invariant. Each item's
-        // phase-1 bin goes into `assignment`, and each bin's group total
-        // is summed in placement order (the order a fresh left-to-right
-        // sum over the group would take; float sums depend on order).
-        desc_order_into(items, &mut s.item_order);
-        desc_order_into(bins, &mut s.bin_order);
-        s.free.clear();
-        s.free.extend_from_slice(bins);
-        s.group_total.clear();
-        s.group_total.resize(bins.len(), None);
-        for &i in &s.item_order {
-            let size = items[i];
-            if let Some(&b) = s
-                .bin_order
-                .iter()
-                .find(|&&b| size <= s.free[b] + FIT_EPSILON)
-            {
-                s.free[b] -= size;
-                let total = &mut s.group_total[b];
-                *total = Some(total.map_or(size, |t| t + size));
-                assignment[i] = Some(b);
-            }
-        }
+        // phase-1 bin goes into `assignment`, and each opened bin is one
+        // group, with its total summed in placement order.
+        first_fit_decreasing(items, bins, s, assignment);
 
-        // Phase 2: repack each non-empty group into the smallest bin that
-        // holds its total. Processing groups in decreasing total and always
-        // taking the smallest feasible unused bin is always feasible: the
-        // phase-1 assignment itself is a witness matching, and exchanging
-        // any two bins that serve smaller-total groups preserves fit.
-        // `pack_into` runs this body only when some item fits, so phase 1
-        // formed at least one group.
-        s.groups.clear();
-        s.groups.extend(
-            s.group_total
-                .iter()
-                .enumerate()
-                .filter_map(|(b, t)| t.map(|t| (b, t))),
-        );
-        s.groups
-            .sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        // Bins in ascending capacity for smallest-fit lookup.
-        s.bin_order.clear();
-        s.bin_order.extend(0..bins.len());
-        s.bin_order
-            .sort_unstable_by(|&a, &b| bins[a].total_cmp(&bins[b]).then(a.cmp(&b)));
+        // Phase 2: repack each group into the smallest bin that holds its
+        // total. Processing groups in decreasing total and always taking
+        // the smallest feasible unused bin is always feasible: the phase-1
+        // assignment itself is a witness matching, and exchanging any two
+        // bins that serve smaller-total groups preserves fit. `pack_into`
+        // runs this body only when some item fits, so phase 1 formed at
+        // least one group.
+        s.open
+            .sort_unstable_by(|a, b| b.load.total_cmp(&a.load).then(a.bin.cmp(&b.bin)));
         s.used.clear();
         s.used.resize(bins.len(), false);
-        s.target.clear();
-        s.target.resize(bins.len(), None);
-
-        for &(orig_bin, total) in &s.groups {
+        for group in &mut s.open {
+            let (orig_bin, total) = (group.bin, group.load);
             // The exchange argument above makes the smallest-feasible lookup
             // succeed for *exact* arithmetic, but `total` is a fresh
             // left-to-right sum while phase 1 subtracted sizes sequentially:
@@ -100,35 +77,27 @@ impl Heuristic for Ffdlr {
             // must never hand a group to a bin another group already claimed
             // (double-booking overfills the bin by a whole group, not an
             // ULP), so each step checks `used` and the last resort sheds the
-            // group instead.
+            // group instead. Each lookup selects the smallest qualifying
+            // bin (ties to the lower index) in one pass over the bins.
             let used = &s.used;
-            let target = s
-                .bin_order
-                .iter()
-                .copied()
-                .find(|&b| !used[b] && total <= bins[b] + FIT_EPSILON)
+            let target = smallest_bin(bins, |b| !used[b] && total <= bins[b] + FIT_EPSILON)
                 // Phase 1 is a physical witness that the group fits its
                 // original bin, whatever the re-summed total claims.
                 .or_else(|| (!used[orig_bin]).then_some(orig_bin))
                 // Any unused bin at least as large as the witness bin also
                 // holds the group.
-                .or_else(|| {
-                    s.bin_order
-                        .iter()
-                        .copied()
-                        .find(|&b| !used[b] && bins[b] >= bins[orig_bin])
-                });
+                .or_else(|| smallest_bin(bins, |b| !used[b] && bins[b] >= bins[orig_bin]));
             // When every bin that could hold the group is taken, `target` is
             // `None`: shed the group (leave its items unplaced) rather than
             // overbook.
             if let Some(target) = target {
                 s.used[target] = true;
             }
-            s.target[orig_bin] = target;
+            group.target = target;
         }
         // Move every item from its phase-1 bin to its group's target.
         for a in assignment.iter_mut() {
-            *a = a.and_then(|b| s.target[b]);
+            *a = a.and_then(|b| s.open.iter().find(|g| g.bin == b)?.target);
         }
     }
 }

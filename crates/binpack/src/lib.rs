@@ -9,6 +9,13 @@
 //! server at full utilization so emptied servers can be deactivated during
 //! consolidation.
 //!
+//! The paper's `O(n log n)` is the cost of sorting items and bins. Here
+//! only the items are sorted: FFDLR and FFD heapify the bins and open
+//! them in capacity order only as far as the items need, and FFDLR's
+//! repack selects its bins instead of sorting them. A controller instance
+//! (a few deficits offered to thousands of surpluses) therefore costs a
+//! few linear passes over its bins; [`ffdlr`] gives the bound.
+//!
 //! This crate implements FFDLR plus the classic baselines (First-Fit
 //! Decreasing, Best-Fit Decreasing, Next-Fit) behind one [`Packer`] trait,
 //! selected by [`PackerStrategy`], and an exact brute-force reference for

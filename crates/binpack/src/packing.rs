@@ -1,5 +1,6 @@
 //! The packing result type and the [`Packer`] trait all algorithms share.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// The single absolute fit tolerance shared by every packer and by
@@ -111,9 +112,9 @@ impl fmt::Display for Packing {
     }
 }
 
-/// Reusable working memory for [`Packer::pack_into`]: the item and bin
-/// orders, each bin's free capacity, and FFDLR's phase-1 groups kept as
-/// flat per-bin columns. Every buffer is cleared (capacity retained) and
+/// Reusable working memory for [`Packer::pack_into`]: the item order,
+/// first fit's bin heap and the bins it opened, BFD's free capacities and
+/// FFDLR's repack claims. Every buffer is cleared (capacity retained) and
 /// refilled per instance, so once a scratch has seen instances as large as
 /// the current one, packing allocates nothing. A fresh scratch and a warm
 /// one give the same result: nothing is carried between instances.
@@ -122,23 +123,35 @@ pub struct PackScratch {
     /// Item indices in visiting order (descending size for the decreasing
     /// packers).
     pub(crate) item_order: Vec<usize>,
-    /// Bin indices in visiting order (descending capacity for FFD and
-    /// FFDLR's phase 1, ascending for FFDLR's repack).
-    pub(crate) bin_order: Vec<usize>,
-    /// Remaining capacity per bin; starts at the bin's capacity and only
-    /// goes down.
+    /// First fit: the bins not opened yet that can hold the smallest
+    /// item, as a binary heap whose root comes first in descending
+    /// capacity order.
+    pub(crate) heap: Vec<usize>,
+    /// First fit: the bins opened so far, in descending capacity order
+    /// (FFDLR's repack reorders them into its group order).
+    pub(crate) open: Vec<OpenBin>,
+    /// BFD: remaining capacity per bin; starts at the bin's capacity and
+    /// only goes down.
     pub(crate) free: Vec<f64>,
-    /// FFDLR: per bin, the total of its phase-1 group summed in placement
-    /// order (`None`: the bin received nothing).
-    pub(crate) group_total: Vec<Option<f64>>,
-    /// FFDLR: the non-empty groups as `(phase-1 bin, total)`, in repack
-    /// order.
-    pub(crate) groups: Vec<(usize, f64)>,
     /// FFDLR: per bin, whether a repacked group already claimed it.
     pub(crate) used: Vec<bool>,
-    /// FFDLR: per phase-1 bin, the bin its group repacks into (`None`: the
-    /// group is shed).
-    pub(crate) target: Vec<Option<usize>>,
+}
+
+/// A bin first fit opened, and what it holds. Only bins an item went into
+/// are opened, so each is also one of FFDLR's phase-1 groups.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpenBin {
+    /// The bin's index.
+    pub(crate) bin: usize,
+    /// The bin's capacity less every size placed in it, subtracted in
+    /// placement order.
+    pub(crate) free: f64,
+    /// The sizes placed in it, summed in placement order (the order a
+    /// fresh left-to-right sum over the group would take; float sums
+    /// depend on order): FFDLR's group total.
+    pub(crate) load: f64,
+    /// FFDLR: the bin the group repacks into (`None`: the group is shed).
+    pub(crate) target: Option<usize>,
 }
 
 /// The heuristic bodies behind [`Packer::pack_into`], in a module no other
@@ -238,13 +251,97 @@ pub(crate) fn validate_instance(items: &[f64], bins: &[f64]) {
     );
 }
 
-/// Fill `order` with the indices of `sizes` sorted by size descending
-/// (ties broken by index, so the order is total and the unstable sort is
-/// deterministic and allocation-free).
+/// The descending order of `sizes`: larger first, ties broken by lower
+/// index, so the order is total.
+fn desc_cmp(sizes: &[f64], a: usize, b: usize) -> Ordering {
+    sizes[b].total_cmp(&sizes[a]).then(a.cmp(&b))
+}
+
+/// Fill `order` with the indices of `sizes` sorted by [`desc_cmp`] (a
+/// total order, so the unstable sort is deterministic and
+/// allocation-free).
 pub(crate) fn desc_order_into(sizes: &[f64], order: &mut Vec<usize>) {
     order.clear();
     order.extend(0..sizes.len());
-    order.sort_unstable_by(|&a, &b| sizes[b].total_cmp(&sizes[a]).then(a.cmp(&b)));
+    order.sort_unstable_by(|&a, &b| desc_cmp(sizes, a, b));
+}
+
+/// First-fit decreasing: each item, largest first, goes into the first bin
+/// in descending capacity order (ties to the lower index) that holds it.
+/// FFD is this alone; FFDLR's phase 1 is this.
+///
+/// No bin order is sorted. The bins that can hold the smallest item go
+/// into a binary heap in O(m) (free capacity only goes down, so no other
+/// bin ever holds an item), and a bin is opened (popped, in descending
+/// order) only when no bin opened before it holds the current item. An
+/// unopened bin is empty, so its free capacity is its capacity, and none
+/// is larger than the heap's root: when the root does not hold the item,
+/// no unopened bin does. Each item therefore lands exactly where a scan
+/// of the fully sorted bins would put it, at O(opened) per item plus
+/// O(log m) per opening.
+pub(crate) fn first_fit_decreasing(
+    items: &[f64],
+    bins: &[f64],
+    s: &mut PackScratch,
+    assignment: &mut [Option<usize>],
+) {
+    desc_order_into(items, &mut s.item_order);
+    let smallest = s.item_order.last().map_or(0.0, |&i| items[i]);
+    s.heap.clear();
+    // The filter hides the length, so reserve it: a scratch then grows
+    // once per larger instance, not by doubling.
+    s.heap.reserve(bins.len());
+    s.heap
+        .extend((0..bins.len()).filter(|&b| smallest <= bins[b] + FIT_EPSILON));
+    for at in (0..s.heap.len() / 2).rev() {
+        sift_down(&mut s.heap, at, bins);
+    }
+    s.open.clear();
+    for &i in &s.item_order {
+        let size = items[i];
+        if let Some(open) = s.open.iter_mut().find(|o| size <= o.free + FIT_EPSILON) {
+            open.free -= size;
+            open.load += size;
+            assignment[i] = Some(open.bin);
+        } else if let Some(&bin) = s.heap.first().filter(|&&b| size <= bins[b] + FIT_EPSILON) {
+            s.heap.swap_remove(0);
+            sift_down(&mut s.heap, 0, bins);
+            s.open.push(OpenBin {
+                bin,
+                free: bins[bin] - size,
+                load: size,
+                target: None,
+            });
+            assignment[i] = Some(bin);
+        }
+    }
+}
+
+/// Restore the heap property below `at` in a heap of bin indices whose
+/// root comes first in [`desc_cmp`] order.
+fn sift_down(heap: &mut [usize], mut at: usize, bins: &[f64]) {
+    loop {
+        let left = 2 * at + 1;
+        let Some(&l) = heap.get(left) else { return };
+        let child = match heap.get(left + 1) {
+            Some(&r) if desc_cmp(bins, r, l).is_lt() => left + 1,
+            _ => left,
+        };
+        if desc_cmp(bins, heap[child], heap[at]).is_gt() {
+            return;
+        }
+        heap.swap(at, child);
+        at = child;
+    }
+}
+
+/// The first bin in ascending capacity order (ties to the lower index)
+/// that satisfies `pred`: a selection over all bins, the answer a scan of
+/// the ascending sort would give.
+pub(crate) fn smallest_bin(bins: &[f64], pred: impl Fn(usize) -> bool) -> Option<usize> {
+    (0..bins.len())
+        .filter(|&b| pred(b))
+        .min_by(|&a, &b| bins[a].total_cmp(&bins[b]).then(a.cmp(&b)))
 }
 
 #[cfg(test)]
@@ -284,6 +381,32 @@ mod tests {
         let mut order = vec![7; 9];
         desc_order_into(&[1.0, 3.0, 3.0, 2.0], &mut order);
         assert_eq!(order, vec![1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn first_fit_opens_only_the_bins_it_fills() {
+        // Capacity ties go to the lower index; bin 3 (0.5) cannot hold the
+        // smallest item, so it never enters the heap.
+        let bins = [3.0, 5.0, 5.0, 0.5, 4.0];
+        let mut s = PackScratch::default();
+        let mut assignment = vec![None; 3];
+        first_fit_decreasing(&[2.0, 4.5, 2.5], &bins, &mut s, &mut assignment);
+        assert_eq!(assignment, vec![Some(2), Some(1), Some(2)]);
+        let opened: Vec<(usize, f64, f64)> =
+            s.open.iter().map(|o| (o.bin, o.free, o.load)).collect();
+        assert_eq!(opened, vec![(1, 0.5, 4.5), (2, 0.5, 4.5)]);
+        let mut unopened = s.heap.clone();
+        unopened.sort_unstable();
+        assert_eq!(unopened, vec![0, 4]);
+    }
+
+    #[test]
+    fn smallest_bin_breaks_ties_by_index() {
+        let bins = [4.0, 2.0, 9.0, 2.0];
+        assert_eq!(smallest_bin(&bins, |_| true), Some(1));
+        assert_eq!(smallest_bin(&bins, |b| b != 1), Some(3));
+        assert_eq!(smallest_bin(&bins, |b| bins[b] > 5.0), Some(2));
+        assert_eq!(smallest_bin(&bins, |_| false), None);
     }
 
     #[test]

@@ -376,9 +376,11 @@ impl Willow {
     /// arena id: "first eligible server in tree order", the paper's
     /// evaluation order. The cached Euler-tour range is DFS order, which a
     /// topology edit can take out of id order. The packer sees the bins in
-    /// this order: next-fit in full, while the capacity-sorting packers
-    /// (FFDLR, FFD, BFD) re-sort by capacity and keep it only among
-    /// equal-capacity bins.
+    /// this order: next-fit in full, while the capacity-ordered packers
+    /// (FFDLR, FFD, BFD) visit bins by capacity and keep it only to break
+    /// ties among equal-capacity bins. None of them sorts the bins: FFDLR
+    /// and FFD open them from a heap as far as the items need, and
+    /// FFDLR's repack and BFD select over them.
     pub(super) fn target_bins(
         &self,
         pmu: NodeId,
@@ -424,6 +426,9 @@ impl Willow {
         self.stats.packing_instances += 1;
         self.stats.items_offered += pack.sizes.len() as u64;
         self.stats.bins_offered += pack.bin_caps.len() as u64;
+        self.tel.packing_instances.inc();
+        self.tel.items_offered.add(pack.sizes.len() as u64);
+        self.tel.bins_offered.add(pack.bin_caps.len() as u64);
         // Every packer is a zero-sized type, so this box never allocates.
         packer_for(self.config.packer).pack_into(
             &pack.sizes,

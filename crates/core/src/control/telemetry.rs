@@ -36,6 +36,12 @@ pub(crate) struct ControllerTelemetry {
     pub(super) migration_aborts: willow_telemetry::Counter,
     pub(super) migration_rejects: willow_telemetry::Counter,
     pub(super) watchdog_trips: willow_telemetry::Counter,
+    /// The demand stage's packing work, mirroring
+    /// [`ControlStats`](super::ControlStats): instances solved, deficit
+    /// items offered and candidate bins offered.
+    pub(super) packing_instances: willow_telemetry::Counter,
+    pub(super) items_offered: willow_telemetry::Counter,
+    pub(super) bins_offered: willow_telemetry::Counter,
     pub(super) commands_applied: willow_telemetry::Counter,
     pub(super) commands_rejected: willow_telemetry::Counter,
     /// Ticks between command submission and its terminal outcome.
@@ -77,6 +83,18 @@ impl ControllerTelemetry {
             watchdog_trips: registry.counter(
                 "willow_controller_watchdog_trips_total",
                 "Stale-directive watchdog trips",
+            ),
+            packing_instances: registry.counter(
+                "willow_controller_demand_packing_instances_total",
+                "Bin-packing instances solved by the demand stage",
+            ),
+            items_offered: registry.counter(
+                "willow_controller_demand_items_offered_total",
+                "Deficit items offered across all packing instances",
+            ),
+            bins_offered: registry.counter(
+                "willow_controller_demand_bins_offered_total",
+                "Candidate bins (eligible surpluses) offered across all packing instances",
             ),
             commands_applied: registry.counter(
                 "willow_commands_applied_total",

@@ -132,3 +132,45 @@ fn phase_spans_and_counters_record() {
     assert!(text.contains("willow_controller_migrations_total"));
     assert!(!text.contains("NaN"));
 }
+
+/// The demand stage's packing work counters carry exactly the totals of
+/// `ControlStats`, under a supply tight enough to leave deficits to pack.
+#[test]
+fn demand_counters_mirror_control_stats() {
+    let (mut willow, demands) = build();
+    let registry = TelemetryRegistry::new();
+    willow.attach_telemetry(&registry);
+    let quiet = Disturbances::none();
+    for tick in 0..64u32 {
+        // A supply that swings between plenty and scarcity keeps budgets
+        // moving, so some servers run over theirs.
+        let per_server = if tick % 8 < 4 { 450.0 } else { 60.0 };
+        let supply = Watts(willow.servers().len() as f64 * per_server);
+        let _ = willow.step_with(&demands, supply, &quiet);
+    }
+    let stats = willow.stats();
+    assert!(
+        stats.packing_instances > 0,
+        "no packing instance was solved"
+    );
+    let snap = registry.snapshot();
+    let counter = |name: &str| match snap.metrics.iter().find(|m| m.name == name) {
+        Some(m) => match m.value {
+            MetricValue::Counter { value } => value,
+            ref other => panic!("{name} is not a counter: {other:?}"),
+        },
+        None => panic!("{name} not registered"),
+    };
+    assert_eq!(
+        counter("willow_controller_demand_packing_instances_total"),
+        stats.packing_instances
+    );
+    assert_eq!(
+        counter("willow_controller_demand_items_offered_total"),
+        stats.items_offered
+    );
+    assert_eq!(
+        counter("willow_controller_demand_bins_offered_total"),
+        stats.bins_offered
+    );
+}

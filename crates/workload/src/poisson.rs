@@ -60,13 +60,15 @@ fn knuth<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
 
 /// Hörmann's PTRS for `mean ≥ 10`: a transformed-rejection proposal with
 /// a squeeze that accepts most candidates without evaluating the pmf.
+/// The constants only the pmf test needs, `1/α` and `ln λ`, are computed
+/// on the first candidate that gets past the squeeze, so most draws never
+/// pay for the logarithm, and no draw pays for it twice.
 fn ptrs<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
     let slam = mean.sqrt();
-    let loglam = mean.ln();
     let b = 0.931 + 2.53 * slam;
     let a = -0.059 + 0.02483 * b;
-    let inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
     let vr = 0.9277 - 3.6224 / (b - 2.0);
+    let mut past_squeeze: Option<(f64, f64)> = None;
     loop {
         let u = rng.gen::<f64>() - 0.5;
         let v = rng.gen::<f64>();
@@ -80,6 +82,8 @@ fn ptrs<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
         if k < 0.0 || (us < 0.013 && v > us) {
             continue;
         }
+        let &mut (inv_alpha, loglam) =
+            past_squeeze.get_or_insert_with(|| (1.1239 + 1.1328 / (b - 3.4), mean.ln()));
         // ln V + ln(1/α) − ln(a/us² + b), folded into one logarithm.
         let lhs = (v * inv_alpha / (a / (us * us) + b)).ln();
         if lhs <= -mean + k * loglam - ln_factorial(k as u64) {
