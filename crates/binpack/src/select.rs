@@ -2,11 +2,10 @@
 //! name to a boxed [`Packer`].
 //!
 //! Every consumer that lets a config choose the packing heuristic —
-//! Willow's demand-adaptation pipeline, the frozen reference controller,
-//! the centralized greedy baseline, the `repro ablate` policy grid — goes
-//! through [`packer_for`], so adding a heuristic is one new enum variant
-//! and one new match arm here instead of a parallel match in every
-//! controller.
+//! Willow's demand-adaptation pipeline, the centralized greedy baseline,
+//! the `repro ablate` policy grid — goes through [`packer_for`], so adding
+//! a heuristic is one new enum variant and one new match arm here instead
+//! of a parallel match in every controller.
 
 use crate::{BestFitDecreasing, Ffdlr, FirstFitDecreasing, NextFit, Packer};
 use serde::{Deserialize, Serialize};

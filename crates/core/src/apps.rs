@@ -9,9 +9,9 @@
 //! Each server's apps form an intrusive singly linked list through the
 //! `next` column, with a head and tail per server. A migration unlinks the
 //! app and appends it at the target's tail: the order a per-server
-//! `Vec::remove` + `push` gives (the frozen reference controller keeps
-//! that form), which every per-server float sum, shedding pass and victim
-//! tie-break walks.
+//! `Vec::remove` + `push` gives (the form of the controller that recorded
+//! the differential fixture, which pins default ≡ paper), which every
+//! per-server float sum, shedding pass and victim tie-break walks.
 //! Unlinking walks the source's few apps to the predecessor instead of
 //! paying for a `prev` column.
 //!

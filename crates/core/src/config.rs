@@ -10,10 +10,12 @@ use willow_workload::smoothing::Gains;
 ///
 /// An alias for [`willow_binpack::PackerStrategy`]: the strategy enum and
 /// its [`willow_binpack::packer_for`] constructor live next to the packers
-/// themselves, so every controller (pipeline, frozen reference, greedy
-/// baseline) selects its heuristic through the same single match. The
-/// serialized form is the bare variant name either way, so persisted
-/// experiment configs are unaffected by the aliasing.
+/// themselves, so every controller (pipeline, greedy baseline) selects its
+/// heuristic through the same single match. The default, FFDLR, is the
+/// paper's: the willow-core differential fixture pins default ≡ paper
+/// (see `crates/core/fixtures/differential_ticks.txt` for how to
+/// regenerate it). The serialized form is the bare variant name either
+/// way, so persisted experiment configs are unaffected by the aliasing.
 pub use willow_binpack::PackerStrategy as PackerChoice;
 
 /// How consolidation orders the receiver bins it evacuates victims into.

@@ -18,9 +18,11 @@ use willow_topology::{NodeId, Tree};
 
 /// Slack of the evacuation first-fits (consolidation and live-ops drains):
 /// an item fits a bin if `size <= free + EVAC_FIT_SLACK`. Deliberately not
-/// the packers' `FIT_EPSILON` (1e-9): the reference controller evacuates
-/// with 1e-12, and the reference differentials pin this controller to it
-/// bit-for-bit, so unifying the two is a behavior change of its own.
+/// the packers' `FIT_EPSILON` (1e-9): the paper's controller, whose ticks
+/// the differential fixture records, evacuated with 1e-12, so unifying
+/// the two is a behavior change of its own. No recorded tick lands between
+/// the two slacks; the unit test `evacuation_fit_slack_is_1e_12` pins the
+/// value.
 pub(super) const EVAC_FIT_SLACK: f64 = 1e-12;
 
 /// Reusable working memory for the consolidation stage: candidate victims,

@@ -183,6 +183,40 @@ fn consolidation_empties_idle_server_and_sleeps_it() {
     assert_eq!(hosted(&w), n_apps);
 }
 
+/// An evacuation admits an item at most `EVAC_FIT_SLACK` (1e-12) over a
+/// receiver's free capacity, not the packers' 1e-9: an item 2e-12 over is
+/// refused, one 5e-13 over is admitted.
+#[test]
+fn evacuation_fit_slack_is_1e_12() {
+    for (over, fits) in [(2e-12, false), (5e-13, true)] {
+        let tree = Tree::uniform(&[2]);
+        let leaves: Vec<NodeId> = tree.leaves().collect();
+        let specs = (leaves.iter().enumerate())
+            .map(|(k, &leaf)| {
+                let app = Application::new(AppId(k as u32), 1, &SIM_APP_CLASSES[1]);
+                ServerSpec::simulation_default(leaf).with_apps(vec![app])
+            })
+            .collect();
+        let cfg = ControllerConfig {
+            consolidation_threshold: 0.0, // the step itself evacuates nothing
+            ..ControllerConfig::default()
+        };
+        let mut w = Willow::new(tree, specs, cfg).unwrap();
+        w.step(&[Watts(40.0), Watts(40.0)], Watts(900.0));
+        let app = w.apps.on(0).next().unwrap();
+        let size = w.effective_size(w.apps.demand(app));
+        let receiver = leaves[1].index();
+        w.power.reduced.fill(false);
+        w.power.tp[receiver] = w.power.cp[receiver] + w.config.margin + Watts(size - over);
+        let mut stage = super::consolidate::ConsolidateStage::default();
+        assert_eq!(
+            w.plan_full_evacuation(0, &mut stage),
+            fits,
+            "an item {over} W over the free capacity"
+        );
+    }
+}
+
 #[test]
 fn sleeping_servers_draw_no_power() {
     let (tree, specs, n_apps) = small_setup(1);

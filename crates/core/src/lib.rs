@@ -100,8 +100,6 @@ mod differential;
 pub mod disturbance;
 pub mod federation;
 pub mod migration;
-#[cfg(test)]
-pub(crate) mod reference;
 pub mod server;
 pub mod shedding;
 pub mod snapshot;
